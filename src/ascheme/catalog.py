@@ -414,13 +414,13 @@ def _check_amorphic(s):
 
 
 def _check_generators(s):
-    from .generator import find_generating_unions, minimal_generating
+    from .generator import WITNESS_MAX_N, find_generating_unions, minimal_generating
 
     if s.d > GENERATOR_SWEEP_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
     reports = find_generating_unions(s)
     gen = [r for r in reports if r.generates]
-    verified = all(r.witness_verified for r in gen) if s.n <= 256 else None
+    verified = all(r.witness_verified for r in gen) if s.n <= WITNESS_MAX_N else None
     return True, True, {
         "unions": len(reports),
         "generating": len(gen),

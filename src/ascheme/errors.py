@@ -124,6 +124,54 @@ class MatchingAmbiguous(SchemeError):
 
 
 # ---------------------------------------------------------------------------
+# exact-arithmetic invariants: a defect or corrupted data, never a verdict
+
+class MinpolyDegreeExceeded(SchemeError):
+    """Powers of an m x m matrix stayed independent past degree m."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        super().__init__(f"minimal polynomial degree exceeded the dimension {dim}")
+
+
+class GenerationCheckFailed(SchemeError):
+    """An exact check inside a generation verdict failed.
+
+    union is the union tuple; i is the class whose witness failed, or None
+    when the failure is not tied to one class.
+    """
+
+    def __init__(self, message, union, i=None):
+        self.union, self.i = tuple(union), i
+        where = f"union {list(self.union)}" + ("" if i is None else f", class {i}")
+        super().__init__(f"{where}: {message}")
+
+
+class CriterionDisagreement(GenerationCheckFailed):
+    """Minimal-polynomial degree and Krylov rank differ."""
+
+
+class WitnessUnsolvable(GenerationCheckFailed):
+    """A generating union gave no solution of K c = e_i."""
+
+
+class WitnessRejected(GenerationCheckFailed):
+    """A witness polynomial does not reproduce its basis matrix.
+
+    check is "regular" for the (d+1) x (d+1) regular representation and
+    "adjacency" for the n x n adjacency matrices.
+    """
+
+    def __init__(self, message, union, i, check):
+        self.check = check
+        super().__init__(message, union, i)
+
+
+class WitnessBoundUnreached(GenerationCheckFailed):
+    """The modular n x n check ran out of primes below its CRT bound."""
+
+
+# ---------------------------------------------------------------------------
 # fission / classification errors
 
 class SplitRowMismatch(SchemeError):

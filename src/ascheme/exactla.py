@@ -1,29 +1,42 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on small dense systems (dimensions bounded by the
-square of the class count), so plain Fraction Gaussian elimination is fast
-enough and keeps every decision tolerance-free.  Matrix powers are taken
-with Python integers, which never overflow.
+square of the class count), so exact elimination is fast enough and keeps
+every decision tolerance-free.  Rank and minimal-polynomial degree use
+fraction-free integer elimination; solve_exact uses Fractions.  Matrix
+powers are taken with Python integers, which never overflow.
 """
 
+import math
 from fractions import Fraction
+
+from .errors import MinpolyDegreeExceeded
 
 
 def _echelon_insert(basis, vec):
     """Reduce vec against an echelon basis; insert if independent.
 
-    basis is a dict pivot_index -> row (list of Fraction, normalized so the
-    pivot entry is 1).  Returns True when vec was independent and inserted.
+    basis is a dict pivot_index -> integer row.  vec may hold ints or
+    Fractions; it is scaled to integers first.  Each reduction step
+    cross-multiplies by the two pivot entries and divides by the row gcd,
+    so rows stay small integers and the rank over Q is unchanged.  Returns
+    True when vec was independent and inserted.
     """
     v = [Fraction(x) for x in vec]
+    den = math.lcm(*(a.denominator for a in v))
+    v = [a.numerator * (den // a.denominator) for a in v]
     for piv, row in basis.items():
         c = v[piv]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            g = math.gcd(row[piv], c)
+            p, c = row[piv] // g, c // g
+            v = [p * a - c * b for a, b in zip(v, row)]
+            g = math.gcd(*v)
+            if g > 1:
+                v = [a // g for a in v]
     for i, a in enumerate(v):
         if a:
-            inv = Fraction(1) / a
-            basis[i] = [x * inv for x in v]
+            basis[i] = v
             return True
     return False
 
@@ -71,7 +84,7 @@ def minpoly_degree(B):
             return deg
         deg += 1
         if deg > n:  # cannot happen: minpoly degree <= n
-            raise AssertionError("minimal polynomial degree exceeded dimension")
+            raise MinpolyDegreeExceeded(n)
         cur = int_matmul(cur, B)
 
 

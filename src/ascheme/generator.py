@@ -1,11 +1,18 @@
 """Generation criterion and machine checks of the structural theorems.
 
 A union digraph generates the Bose-Mesner algebra iff its regular-
-representation matrix has d+1 distinct eigenvalues.  Both sides of that
-criterion are computed exactly: the eigenvalue count as the minimal-
-polynomial degree over Q, the algebra dimension as the rank of the power
-span, and the witness polynomials by rational elimination.  No verdict in
-this module depends on floating point.
+representation matrix B_union has d+1 distinct eigenvalues.  Both sides of
+that criterion are computed exactly and from different matrices: the
+eigenvalue count is the minimal-polynomial degree of B_union over Q, and
+the algebra dimension is the rank of the (d+1) x (d+1) Krylov matrix K
+whose column t is B_union^t e_0.  Since B_i e_0 = e_i (p_{i0}^l is 1 iff
+i = l), that column holds the coordinates of B_union^t in the basis {B_i},
+and X -> X e_0 is injective on the algebra.  The witness polynomial of
+class i is the unique solution of K c = e_i, re-checked in integers on the
+regular representation and, for n <= WITNESS_MAX_N, on the n x n
+adjacency matrices modulo enough primes that the Chinese remainder bound
+makes the check exact.  No verdict in this module depends on floating
+point.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -24,7 +31,15 @@ from scipy.optimize import linear_sum_assignment
 
 from . import exactla
 from .core import relabel_classes, symmetrize
-from .errors import SplitRowMismatch, TooManyClasses, TypeUnclassifiable
+from .errors import (
+    CriterionDisagreement,
+    SplitRowMismatch,
+    TooManyClasses,
+    TypeUnclassifiable,
+    WitnessBoundUnreached,
+    WitnessRejected,
+    WitnessUnsolvable,
+)
 from .exact import QuadVal
 from .fusion import amorphic_normal_form, idempotent_matching, is_amorphic
 from .spectra import (
@@ -36,11 +51,20 @@ from .spectra import (
 
 RESID_TOL = 1e-8
 WITNESS_MAX_N = 256
+# Largest primes below 2^27.  WITNESS_MAX_N * p^2 < 2^63, so every int64
+# sum of products of residues in the n x n check (inner dimension n for
+# the powers, d + 1 <= n for the combination) is exact.
+WITNESS_PRIMES = (
+    134217689, 134217649, 134217617, 134217613, 134217593, 134217541,
+    134217529, 134217509, 134217497, 134217493, 134217487, 134217467,
+    134217439, 134217437, 134217409, 134217403, 134217401, 134217367,
+    134217361, 134217353, 134217323, 134217301, 134217277, 134217257,
+)
 
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Verdict for one union: exact eigenvalue count, power-span rank,
+    """Verdict for one union: exact eigenvalue count, Krylov (power-span) rank,
     and (when generating) the polynomials expressing each basis matrix."""
 
     union: tuple
@@ -73,11 +97,14 @@ def _union_tuple(s, union):
 def generates(s, union):
     """Exact generation verdict for the union digraph.
 
-    eigen_count is the minimal-polynomial degree of B_union; span_rank is
-    the dimension of span{I, B, ..., B^d}.  The two agree by construction
-    and both equal d+1 exactly when the union generates.  Witness
-    polynomials are solved rationally and, for n <= 256, re-verified
-    entrywise on the actual n x n adjacency matrices.
+    eigen_count is the minimal-polynomial degree of B_union.  span_rank is
+    the rank of the Krylov matrix K = [e_0, B e_0, ..., B^d e_0], which is
+    dim span{I, B, ..., B^d}; the union generates iff both equal d+1.  The
+    witness for class i solves K c = e_i, so that sum_t c_t B^t = B_i.  It
+    is re-checked in integers on the regular representation, and for
+    n <= WITNESS_MAX_N on the n x n adjacency matrices, multi-modularly
+    with a proven CRT bound (witness_verified).  A failed check raises a
+    GenerationCheckFailed subclass naming the union and class.
     """
     u = _union_tuple(s, union)
     B = intersection_matrices(s)
@@ -88,48 +115,88 @@ def generates(s, union):
     ]
     eigen_count = exactla.minpoly_degree(BL)
     powers = exactla.matrix_powers(BL, d)
-    span_rank = exactla.rank([tuple(x for row in P for x in row) for P in powers])
-    assert eigen_count == span_rank, "eigenvalue count and span rank disagree"
+    K = [[powers[t][r][0] for t in range(d + 1)] for r in range(d + 1)]
+    span_rank = exactla.rank(K)
+    if eigen_count != span_rank:
+        raise CriterionDisagreement(
+            f"minimal-polynomial degree {eigen_count} != Krylov rank {span_rank}", u
+        )
     gen = eigen_count == d + 1
     witness = None
     verified = False
     if gen:
-        rows = [
-            [powers[t][r][c] for t in range(d + 1)]
-            for r in range(d + 1)
-            for c in range(d + 1)
-        ]
         polys = []
         for i in range(d + 1):
-            rhs = [int(B[i][r][c]) for r in range(d + 1) for c in range(d + 1)]
-            sol = exactla.solve_exact(rows, rhs)
-            assert sol is not None, "generating union must express every B_i"
+            sol = exactla.solve_exact(K, [int(r == i) for r in range(d + 1)])
+            if sol is None:
+                raise WitnessUnsolvable("K c = e_i has no solution", u, i)
             polys.append(tuple(sol))
         witness = tuple(polys)
+        _check_regular(B, powers, u, witness)
         if s.n <= WITNESS_MAX_N:
-            verified = _verify_witness(s, u, witness)
-            assert verified, "witness polynomials failed on adjacency matrices"
+            _check_adjacency(s, u, witness)
+            verified = True
     return GenerationReport(u, eigen_count, span_rank, gen, witness, verified)
 
 
-def _verify_witness(s, union, witness):
-    n = s.n
-    AL = [[int(x) for x in row] for row in s.adjacency(union)]
-    apow = [[[1 if r == c else 0 for c in range(n)] for r in range(n)]]
-    for _ in range(len(witness[0]) - 1):
-        apow.append(exactla.int_matmul(apow[-1], AL))
+def _scaled(poly):
+    """(den, integer coefficients) with den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in poly))
+    return den, [c.numerator * (den // c.denominator) for c in poly]
+
+
+def _check_regular(B, powers, union, witness):
+    """den * sum_t c_t B_union^t == den * B_i in integers, for every class i."""
+    m = len(B)
     for i, poly in enumerate(witness):
-        A_i = s.adjacency(i)
-        den = math.lcm(*(Fraction(c).denominator for c in poly))
-        coef = [int(Fraction(c) * den) for c in poly]
-        # den * sum c_t A^t must equal den * A_i exactly
-        for r in range(n):
-            arow = [int(v) for v in A_i[r]]
-            for cc in range(n):
-                acc = sum(coef[t] * apow[t][r][cc] for t in range(len(coef)))
-                if acc != den * arow[cc]:
-                    return False
-    return True
+        den, coef = _scaled(poly)
+        for r in range(m):
+            for c in range(m):
+                acc = sum(ct * P[r][c] for ct, P in zip(coef, powers))
+                if acc != den * int(B[i][r][c]):
+                    raise WitnessRejected(
+                        f"fails the regular representation at ({r},{c})",
+                        union, i, "regular",
+                    )
+
+
+def _check_adjacency(s, union, witness):
+    """Check sum_t c_t A^t == A_i on the n x n matrices, for every class i.
+
+    Works modulo the primes of WITNESS_PRIMES in turn, all classes at once.
+    Every entry of A^t is at most k^t (k the union's valency), so the
+    integer difference den * (sum_t c_t A^t - A_i) is bounded by
+    M = max_i (den_i + sum_t |den_i c_t| k^t).  Once the product of the
+    primes used exceeds 2M, agreement modulo each prime proves equality.
+    Returns the number of primes used.
+    """
+    A = s.adjacency(union)
+    k = sum(s.valencies[i] for i in union)
+    scaled = [_scaled(poly) for poly in witness]
+    bound = 2 * max(
+        den + sum(abs(c) * k**t for t, c in enumerate(coef)) for den, coef in scaled
+    )
+    classes = np.arange(len(witness))[:, None, None]
+    target = s.color.entries[None, :, :] == classes
+    modulus = 1
+    for used, p in enumerate(WITNESS_PRIMES, 1):
+        apow = [np.eye(s.n, dtype=np.int64)]
+        for _ in range(len(witness) - 1):
+            apow.append(apow[-1] @ A % p)
+        coef = np.array([[c % p for c in cs] for _, cs in scaled], dtype=np.int64)
+        dens = np.array([den % p for den, _ in scaled], dtype=np.int64)
+        got = np.tensordot(coef, np.stack(apow), axes=1) % p
+        bad = np.flatnonzero((got != target * dens[:, None, None]).any(axis=(1, 2)))
+        if bad.size:
+            raise WitnessRejected(
+                f"fails the adjacency matrices modulo {p}", union, int(bad[0]), "adjacency"
+            )
+        modulus *= p
+        if modulus > bound:
+            return used
+    raise WitnessBoundUnreached(
+        f"{len(WITNESS_PRIMES)} primes do not reach the CRT bound {bound}", union
+    )
 
 
 def find_generating_unions(s):

@@ -21,6 +21,7 @@ from ascheme.errors import NotAScheme
 from ascheme.exact import QuadVal
 from ascheme.fusion import bannai_muzychuk_check, enumerate_admissible_partitions, fuse_direct
 from ascheme.generator import (
+    WITNESS_MAX_N,
     check_theorem_4class,
     check_theorem_fission,
     classify_skew_4class,
@@ -92,7 +93,7 @@ def test_criterion_2_generation_dual_oracle(catalog):
             unions_checked += 1
             if (rep.eigen_count == s.d + 1) != (rep.span_rank == s.d + 1):
                 disagreements += 1
-            if rep.generates and s.n <= 256 and not rep.witness_verified:
+            if rep.generates and s.n <= WITNESS_MAX_N and not rep.witness_verified:
                 unverified += 1
     ok = disagreements == 0 and unverified == 0
     _report(

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ascheme import exactla
+from ascheme.errors import MinpolyDegreeExceeded
 from ascheme.exactla import int_matmul, matrix_powers, minpoly_degree, rank, solve_exact
 
 
@@ -41,6 +44,13 @@ def test_minpoly_degree_oracles():
     # nilpotent Jordan block: x^3 despite a single eigenvalue
     N = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     assert minpoly_degree(N) == 3
+
+
+def test_minpoly_degree_overflow_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(exactla, "_echelon_insert", lambda basis, vec: True)
+    with pytest.raises(MinpolyDegreeExceeded) as exc:
+        minpoly_degree([[1, 0], [0, 2]])
+    assert exc.value.dim == 2
 
 
 def test_minpoly_degree_pentagon():

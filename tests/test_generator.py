@@ -1,12 +1,29 @@
+import math
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from ascheme.catalog import catalog_scheme, complete_scheme
+from ascheme import exactla, generator
+from ascheme.catalog import build_cyclotomic, catalog_scheme, complete_scheme
 from ascheme.core import relabel_classes, scheme_from_entries
-from ascheme.errors import SplitRowMismatch, TooManyClasses
+from ascheme.errors import (
+    CriterionDisagreement,
+    SplitRowMismatch,
+    TooManyClasses,
+    WitnessBoundUnreached,
+    WitnessRejected,
+    WitnessUnsolvable,
+)
+from ascheme.exactla import matrix_powers, solve_exact
 from ascheme.generator import (
+    WITNESS_MAX_N,
+    WITNESS_PRIMES,
+    _check_adjacency,
     check_theorem_4class,
     check_theorem_amorphic,
     check_theorem_fission,
@@ -20,7 +37,12 @@ from ascheme.generator import (
     permute_table_columns,
     predict_fission_table,
 )
-from ascheme.spectra import character_table, distinct_eigenvalue_count, union_spectrum
+from ascheme.spectra import (
+    character_table,
+    distinct_eigenvalue_count,
+    intersection_matrices,
+    union_spectrum,
+)
 
 T12_APPLICABLE = {
     "cyclo-7-2",
@@ -84,7 +106,128 @@ def test_eigen_count_equals_span_rank_everywhere(catalog):
             assert r.eigen_count == r.span_rank, (eid, r.union)
             assert r.generates == (r.eigen_count == s.d + 1)
             if r.generates:
-                assert r.witness_verified or s.n > 256, (eid, r.union)
+                assert r.witness_verified or s.n > WITNESS_MAX_N, (eid, r.union)
+
+
+def _flattened_power_witness(s, union):
+    """Reference oracle: solve sum_t c_t B^t = B_i over all (d+1)^2 entries
+    of the flattened powers, an over-determined system in d+1 unknowns."""
+    B = intersection_matrices(s)
+    d = s.d
+    BL = [[int(sum(B[i][r][c] for i in union)) for c in range(d + 1)] for r in range(d + 1)]
+    powers = matrix_powers(BL, d)
+    rows = [[P[r][c] for P in powers] for r in range(d + 1) for c in range(d + 1)]
+    return tuple(
+        tuple(solve_exact(rows, [int(B[i][r][c]) for r in range(d + 1) for c in range(d + 1)]))
+        for i in range(d + 1)
+    )
+
+
+def test_witness_matches_flattened_power_solve(catalog):
+    checked = 0
+    for eid, s in catalog.items():
+        if not s.is_commutative or s.d > 6:
+            continue
+        for r in find_generating_unions(s):
+            if r.generates:
+                assert r.witness == _flattened_power_witness(s, r.union), (eid, r.union)
+                checked += 1
+    assert checked > 100
+
+
+def _moved(witness, i, t):
+    """witness with coefficient t of class i moved by 1/den."""
+    poly = list(witness[i])
+    poly[t] += Fraction(1, math.lcm(*(c.denominator for c in poly)))
+    return witness[:i] + (tuple(poly),) + witness[i + 1 :]
+
+
+def test_modular_check_rejects_coefficient_moved_by_one_over_den():
+    s = catalog_scheme("cyclo-13-4")
+    r = generates(s, (1,))
+    assert _check_adjacency(s, (1,), r.witness) >= 1
+    for i in range(s.d + 1):
+        for t in range(s.d + 1):
+            with pytest.raises(WitnessRejected) as exc:
+                _check_adjacency(s, (1,), _moved(r.witness, i, t))
+            assert (exc.value.union, exc.value.i, exc.value.check) == ((1,), i, "adjacency")
+
+
+def test_modular_check_needs_several_primes_on_cyclotomic_241_6():
+    s = build_cyclotomic(241, 6)
+    r = generates(s, (1,))
+    assert r.generates and r.witness_verified
+    assert _check_adjacency(s, (1,), r.witness) > 1
+
+
+def test_modular_check_raises_below_crt_bound(monkeypatch):
+    s = build_cyclotomic(241, 6)
+    monkeypatch.setattr(generator, "WITNESS_PRIMES", WITNESS_PRIMES[:1])
+    with pytest.raises(WitnessBoundUnreached) as exc:
+        generates(s, (1,))
+    assert exc.value.union == (1,) and exc.value.i is None
+
+
+def test_witness_primes_fit_int64():
+    assert len(set(WITNESS_PRIMES)) == len(WITNESS_PRIMES)
+    for p in WITNESS_PRIMES:
+        assert sympy.isprime(p)
+        assert WITNESS_MAX_N * p * p < 2**63
+
+
+def _tampered_solve(A, b):
+    x = solve_exact(A, b)
+    x[-1] += 1
+    return x
+
+
+@pytest.mark.parametrize(
+    "attr, fake, error, i",
+    [
+        ("solve_exact", _tampered_solve, WitnessRejected, 0),
+        ("solve_exact", lambda A, b: None, WitnessUnsolvable, 0),
+        ("rank", lambda vectors: 2, CriterionDisagreement, None),
+    ],
+)
+def test_failed_generation_check_raises_typed_error(monkeypatch, attr, fake, error, i):
+    monkeypatch.setattr(exactla, attr, fake)
+    with pytest.raises(error) as exc:
+        generates(catalog_scheme("cyclo-7-2"), (1,))
+    assert exc.value.union == (1,) and exc.value.i == i
+    if error is WitnessRejected:
+        assert exc.value.check == "regular"
+
+
+def test_tampered_witness_raises_with_asserts_stripped(monkeypatch):
+    """The checks survive python -O: run generator compiled with optimize=1,
+    which strips assert statements as -O does."""
+    path = Path(generator.__file__)
+    stripped = types.ModuleType("ascheme.generator_stripped")
+    stripped.__package__ = "ascheme"
+    exec(compile(path.read_text(), str(path), "exec", optimize=1), vars(stripped))
+    monkeypatch.setattr(exactla, "solve_exact", _tampered_solve)
+    with pytest.raises(WitnessRejected) as exc:
+        stripped.generates(catalog_scheme("cyclo-7-2"), (1,))
+    assert (exc.value.union, exc.value.i, exc.value.check) == ((1,), 0, "regular")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_generation_invariant_under_vertex_and_class_relabeling(catalog, data):
+    eid = data.draw(
+        st.sampled_from(sorted(e for e, s in catalog.items() if s.is_commutative and s.d <= 6))
+    )
+    s = catalog[eid]
+    vperm = np.array(data.draw(st.permutations(range(s.n))))
+    cperm = [0] + data.draw(st.permutations(range(1, s.d + 1)))
+    t = scheme_from_entries(np.array(cperm)[s.color.entries][np.ix_(vperm, vperm)])
+    for a in find_generating_unions(s):
+        b = generates(t, tuple(cperm[i] for i in a.union))
+        assert (b.eigen_count, b.span_rank, b.generates, b.witness_verified) == (
+            a.eigen_count, a.span_rank, a.generates, a.witness_verified
+        ), (eid, a.union)
+        if a.generates:
+            assert all(b.witness[cperm[i]] == a.witness[i] for i in range(s.d + 1))
 
 
 def test_exact_count_agrees_with_float_spectrum(catalog, tables):
