@@ -1,73 +1,24 @@
-"""Hot counting loops over color matrices, with two interchangeable backends.
+"""Hot counting loop over color matrices.
 
 The intersection-number pass is the only O(n^3) work in the package: for
 every ordered vertex pair (x, y) it histograms the colors (e[x,z], e[z,y])
 over all z and checks the histogram is constant on each color class.  The
-numba backend jits that triple loop; the numpy backend gets the same counts
-from one boolean matmul per color pair (0/1 products stay exact in float64
-well below 2^53).
-
-Set ASCHEME_NO_NUMBA=1 to force the numpy backend.  Both backends scan
-row-major and report identical first-violation witnesses.
+counts come from one boolean matmul per color pair (0/1 products stay exact
+in float64 well below 2^53); a violation is reported as the first one a
+row-major scan over (x, y) would meet.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
+def tensor_and_verify(e, d):
+    """All intersection numbers of a coloring, plus an axiom (4) verdict.
 
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("ASCHEME_NO_NUMBA", "0") != "1"
-
-
-def _tensor_and_verify_core(e, d):
-    n = e.shape[0]
-    m = d + 1
-    p = np.full((m, m, m), -1, dtype=np.int64)
-    first = np.full((m, 2), -1, dtype=np.int64)
-    wit = np.full(9, -1, dtype=np.int64)
-    cnt = np.zeros((m, m), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            l = e[x, y]
-            for a in range(m):
-                for b in range(m):
-                    cnt[a, b] = 0
-            for z in range(n):
-                cnt[e[x, z], e[z, y]] += 1
-            if first[l, 0] < 0:
-                first[l, 0] = x
-                first[l, 1] = y
-                for a in range(m):
-                    for b in range(m):
-                        p[a, b, l] = cnt[a, b]
-            else:
-                for a in range(m):
-                    for b in range(m):
-                        if p[a, b, l] != cnt[a, b]:
-                            wit[0] = a
-                            wit[1] = b
-                            wit[2] = l
-                            wit[3] = first[l, 0]
-                            wit[4] = first[l, 1]
-                            wit[5] = p[a, b, l]
-                            wit[6] = x
-                            wit[7] = y
-                            wit[8] = cnt[a, b]
-                            return p, False, wit
-    return p, True, wit
-
-
-if _HAVE_NUMBA:
-    _tensor_and_verify_numba = njit(cache=True)(_tensor_and_verify_core)
-
-
-def _tensor_and_verify_numpy(e, d):
+    Returns (p, ok, witness) where p[i, j, l] is the count of z with
+    e[x, z] = i and e[z, y] = j for (x, y) of color l.  When ok is False,
+    witness holds (i, j, l, x1, y1, count1, x2, y2, count2) for the first
+    two conflicting pairs in scan order and p is partial.
+    """
     n = e.shape[0]
     m = d + 1
     flat = e.ravel()
@@ -91,8 +42,8 @@ def _tensor_and_verify_numpy(e, d):
                     bad = fi
     if bad < 0:
         return p, True, wit
-    # rebuild the witness in the numba backend's scan order: first violating
-    # pair row-major, then first color pair (a, b) lexicographically
+    # rebuild the witness in scan order: first violating pair row-major,
+    # then first color pair (a, b) lexicographically
     x, y = divmod(bad, n)
     l = int(e[x, y])
     cnt = pair_counts(e, x, y, d)
@@ -103,19 +54,6 @@ def _tensor_and_verify_numpy(e, d):
                 wit[:] = (a, b, l, fx, fy, p[a, b, l], x, y, cnt[a, b])
                 return p, False, wit
     raise AssertionError("violation vanished on recount")
-
-
-def tensor_and_verify(e, d):
-    """All intersection numbers of a coloring, plus an axiom (4) verdict.
-
-    Returns (p, ok, witness) where p[i, j, l] is the count of z with
-    e[x, z] = i and e[z, y] = j for (x, y) of color l.  When ok is False,
-    witness holds (i, j, l, x1, y1, count1, x2, y2, count2) for the first
-    two conflicting pairs in scan order and p is partial.
-    """
-    if USE_NUMBA:
-        return _tensor_and_verify_numba(e, d)
-    return _tensor_and_verify_numpy(e, d)
 
 
 def pair_counts(e, x, y, d):

@@ -195,6 +195,18 @@ class InfeasibleParameters(SchemeError):
     """SRG parameters fail an integrality or sign condition."""
 
 
+class SrgCheckFailed(SchemeError):
+    """An internal cross-check of an SRG extraction failed.
+
+    check is "valency" when the fused union class has the wrong valency and
+    "connectivity" when mu > 0 disagrees with the graph search.
+    """
+
+    def __init__(self, message, union, check):
+        self.union, self.check = tuple(union), check
+        super().__init__(f"union {list(self.union)}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # builder errors
 
@@ -212,3 +224,16 @@ class NotTransitive(SchemeError):
 
 class TooLarge(SchemeError):
     """Construction exceeds the supported size bounds."""
+
+
+class FieldCheckFailed(SchemeError):
+    """Building GF(p^k) broke an invariant of finite fields.
+
+    check is "modulus" when no monic irreducible of degree k was found,
+    "order" when an element's powers never return to 1, and "generator"
+    when no element has order q - 1.
+    """
+
+    def __init__(self, message, p, k, check):
+        self.p, self.k, self.check = p, k, check
+        super().__init__(f"GF({p}^{k}): {message}")

@@ -6,52 +6,110 @@ irreducible of degree k over GF(p), so the same (p, k) always yields the
 same field, the same generator, and hence the same discrete-log table.
 Field sizes are capped at 257: large enough for every bundled scheme,
 small enough that dense q x q tables stay trivial.
+
+Polynomial arithmetic over GF(p) is done here on plain coefficient lists
+(constant term first); irreducibility is decided by trial division by
+every monic polynomial of degree at most k/2, at most 30 candidates for
+q <= 257.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import isprime
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-from .errors import NotPrime, TooLarge
+from .errors import FieldCheckFailed, NotPrime, TooLarge
 
 MAX_Q = 257
+# Miller-Rabin with the twelve prime bases 2..37 is exact below this bound
+# (Sorenson and Webster, 2015); far above it, q exceeds MAX_Q anyway.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
 
 
-def _int_to_poly(e, p, k):
-    # sympy gf polys are coefficient lists, highest degree first, no leading zeros
-    digits = []
+def isprime(p):
+    """Deterministic primality for p below _MR_LIMIT."""
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _digits(e, p, k):
+    """Base-p digits of e, constant coefficient first."""
+    out = []
     for _ in range(k):
-        digits.append(e % p)
+        out.append(e % p)
         e //= p
-    coeffs = list(reversed(digits))
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    return [ZZ(c) for c in coeffs]
+    return out
 
 
-def _poly_to_int(f, p):
+def _from_digits(c, p):
     e = 0
-    for c in f:
-        e = e * p + int(c)
+    for a in reversed(c):
+        e = e * p + a
     return e
 
 
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _poly_rem(f, g, p):
+    """Remainder of f modulo the monic g over GF(p), as deg(g) coefficients."""
+    f = list(f)
+    dg = len(g) - 1
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i]
+        if c:
+            for j in range(dg + 1):
+                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
+    return (f + [0] * dg)[:dg]
+
+
+def _irreducible(f, p):
+    k = len(f) - 1
+    for j in range(1, k // 2 + 1):
+        for low in range(p**j):
+            if not any(_poly_rem(f, _digits(low, p, j) + [1], p)):
+                return False
+    return True
+
+
 def _lex_first_irreducible(p, k):
-    if k == 1:
-        return [ZZ(1), ZZ(0)]
-    for low in range(p ** k):
-        digits = []
-        e = low
-        for _ in range(k):
-            digits.append(e % p)
-            e //= p
-        f = [ZZ(1)] + [ZZ(c) for c in reversed(digits)]
-        if gf_irreducible_p(f, p, ZZ):
+    """Monic irreducible of degree k, constant coefficient first; the
+    lower coefficients count up in base p, x^(k-1) most significant."""
+    for low in range(p**k):
+        f = _digits(low, p, k) + [1]
+        if _irreducible(f, p):
             return f
-    raise AssertionError("no irreducible polynomial found")
+    raise FieldCheckFailed("no monic irreducible polynomial found", p, k, "modulus")
+
+
+def _mul(a, b, p, k, modulus):
+    """Product of two encoded elements; modulus is constant term first."""
+    prod = _poly_mul(_digits(a, p, k), _digits(b, p, k), p)
+    return _from_digits(_poly_rem(prod, modulus, p), p)
 
 
 @dataclass(frozen=True)
@@ -61,7 +119,7 @@ class Field:
     p: int
     k: int
     q: int
-    modulus: tuple
+    modulus: tuple  # monic, highest degree first
     generator: int
     exp: tuple  # exp[t] = generator^t, t in 0..q-2
     log: tuple  # log[e] for e in 1..q-1 (index e-1)
@@ -87,13 +145,7 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        f = gf_mul(
-            _int_to_poly(a, self.p, self.k),
-            _int_to_poly(b, self.p, self.k),
-            self.p,
-            ZZ,
-        )
-        return _poly_to_int(gf_rem(f, list(self.modulus), self.p, ZZ), self.p)
+        return _mul(a, b, self.p, self.k, self.modulus[::-1])
 
     def digit_matrix(self):
         """q x k matrix of base-p digits, digit i = coefficient of x^i."""
@@ -105,41 +157,44 @@ class Field:
         return digits
 
 
-def _order(mul, e, q):
+def _order(mul, e, p, k):
+    q = p**k
     t, cur = 1, e
     while cur != 1:
         cur = mul(cur, e)
         t += 1
         if t > q:
-            raise AssertionError("element order overflow")
+            raise FieldCheckFailed(f"element {e} has no finite order", p, k, "order")
     return t
 
 
 def field(p, k=1):
     """Build GF(p^k); deterministic modulus and generator."""
+    if p >= _MR_LIMIT:
+        raise TooLarge(f"field characteristic {p} exceeds {MAX_Q}")
     if not isprime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    q = p ** k
+    q = p**k
     if q > MAX_Q:
         raise TooLarge(f"field size {q} exceeds {MAX_Q}")
-    modulus = tuple(int(c) for c in _lex_first_irreducible(p, k))
+    low_modulus = _lex_first_irreducible(p, k)
 
     def mul(a, b):
-        f = gf_mul(_int_to_poly(a, p, k), _int_to_poly(b, p, k), p, ZZ)
-        return _poly_to_int(gf_rem(f, [ZZ(c) for c in modulus], p, ZZ), p)
+        return _mul(a, b, p, k, low_modulus)
 
     gen = None
     for e in range(2 if q > 2 else 1, q):
-        if _order(mul, e, q) == q - 1:
+        if _order(mul, e, p, k) == q - 1:
             gen = e
             break
-    assert gen is not None, "multiplicative group has a generator"
+    if gen is None:
+        raise FieldCheckFailed("multiplicative group has no generator", p, k, "generator")
     exp = [1]
     for _ in range(q - 2):
         exp.append(mul(exp[-1], gen))
     log = [0] * (q - 1)
     for t, e in enumerate(exp):
         log[e - 1] = t
-    return Field(p, k, q, modulus, gen, tuple(exp), tuple(log))
+    return Field(p, k, q, tuple(reversed(low_modulus)), gen, tuple(exp), tuple(log))

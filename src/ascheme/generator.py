@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import exactla
 from .core import relabel_classes, symmetrize
@@ -522,12 +521,45 @@ def predict_fission_table(sym_table, split_row, a):
     )
 
 
+def _bottleneck_value(cost):
+    """Minimum over row-to-column matchings of the largest matched cost.
+
+    Binary search over the distinct costs for the smallest threshold whose
+    admitted entries hold a perfect matching, found by augmenting paths.
+    """
+    m = cost.shape[0]
+
+    def perfect(allowed):
+        owner = [-1] * m
+
+        def augment(i, seen):
+            for j in np.flatnonzero(allowed[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    if owner[j] < 0 or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, [False] * m) for i in range(m))
+
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if perfect(cost <= values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
 def compare_fission_tables(predicted, computed):
     """Max entrywise deviation after optimally matching rows.
 
     Columns must already be aligned; rows are matched by minimizing the
-    worst per-row deviation (optimal assignment), so conjugate-pair order
-    does not matter.
+    worst per-row deviation (bottleneck assignment), so conjugate-pair
+    order does not matter.
     """
     if predicted.P.shape != computed.P.shape:
         raise SplitRowMismatch(
@@ -537,8 +569,7 @@ def compare_fission_tables(predicted, computed):
     cost = np.empty((m, m))
     for i in range(m):
         cost[i] = np.abs(predicted.P[i][None, :] - computed.P).max(axis=1)
-    rix, cix = linear_sum_assignment(cost)
-    return float(cost[rix, cix].max())
+    return _bottleneck_value(cost)
 
 
 def check_theorem_fission(x):

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular
+from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
 from .spectra import character_table, union_spectrum
@@ -75,6 +74,21 @@ def _validate_union(s, union):
     return u
 
 
+def _weak_components(A):
+    """Weak components of a digraph: (count, labels), numbered in order of
+    each component's smallest vertex."""
+    adj = (A != 0) | (A.T != 0)
+    labels = np.full(adj.shape[0], -1, dtype=np.int64)
+    ncomp = 0
+    while (unseen := np.flatnonzero(labels < 0)).size:
+        frontier = np.arange(adj.shape[0]) == unseen[0]
+        while frontier.any():
+            labels[frontier] = ncomp
+            frontier = adj[frontier].any(axis=0) & (labels < 0)
+        ncomp += 1
+    return ncomp, labels
+
+
 def _violating_pair(A):
     """First row-major vertex pair whose common-neighbor count differs
     from the count fixed by the first pair of the same adjacency type."""
@@ -126,12 +140,20 @@ def srg_params_from_scheme(s, union):
     # fused labels follow block order by smallest element; find the union
     iu = 1 if min(u) < min(comp) else 2
     ic = 3 - iu
-    assert int(fused.valencies[iu]) == k
+    if int(fused.valencies[iu]) != k:
+        raise SrgCheckFailed(
+            f"fused union class has valency {int(fused.valencies[iu])}, not {k}",
+            u,
+            "valency",
+        )
     lam = int(fused.tensor.p[iu, iu, iu])
     mu = int(fused.tensor.p[iu, iu, ic])
     params = srg_eigen(s.n, k, lam, mu)
-    ncomp = connected_components(s.adjacency(u), directed=False)[0]
-    assert params.connected == (ncomp == 1), "mu > 0 must match graph search"
+    ncomp = _weak_components(s.adjacency(u))[0]
+    if params.connected != (ncomp == 1):
+        raise SrgCheckFailed(
+            f"mu = {mu} but graph search finds {ncomp} components", u, "connectivity"
+        )
     return params
 
 
@@ -194,15 +216,19 @@ def srg_eigen(n, k, lam, mu):
 
 def lambda_from_eigen(k, r, s):
     """lambda = k + r*s + r + s, inverting the eigenvalue quadratic."""
-    v = QuadVal.rational(k) + r * s + r + s
-    assert v.is_rational and v.q.denominator == 1
-    return int(v.q)
+    return _integral(QuadVal.rational(k) + r * s + r + s, "lambda", k, r, s)
 
 
 def mu_from_eigen(k, r, s):
     """mu = k + r*s."""
-    v = QuadVal.rational(k) + r * s
-    assert v.is_rational and v.q.denominator == 1
+    return _integral(QuadVal.rational(k) + r * s, "mu", k, r, s)
+
+
+def _integral(v, name, k, r, s):
+    if not (v.is_rational and v.q.denominator == 1):
+        raise InfeasibleParameters(
+            f"{name} = {v} from (k, r, s) = ({k}, {r}, {s}) is not an integer"
+        )
     return int(v.q)
 
 
@@ -217,7 +243,7 @@ def connectivity_classification(s, union):
     """
     u = _validate_union(s, union)
     A = s.adjacency(u)
-    ncomp, labels = connected_components(A, directed=False)
+    ncomp, labels = _weak_components(A)
     sizes = sorted(np.bincount(labels).tolist())
     k = int(sum(s.valencies[i] for i in u))
     spec = union_spectrum(character_table(s), u)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,23 @@ def test_console_script_installed(pentagon_file):
     )
     assert proc.returncode == 0
     assert "valid scheme" in proc.stdout
+
+
+def test_cli_import_loads_no_heavy_dependencies():
+    """One-shot commands pay for every module `import ascheme.cli` loads;
+    scipy, sympy and numba have no place there, and mpmath loads only
+    when a character table needs extra precision."""
+    import ascheme
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ascheme.__file__).parents[1]))
+    code = "import sys, ascheme.cli; print(*{m.split('.')[0] for m in sys.modules})"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ascheme" in loaded and "numpy" in loaded
+    assert not loaded & {"scipy", "sympy", "numba", "mpmath"}

@@ -1,12 +1,13 @@
+import itertools
 import math
-import types
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ascheme import exactla, generator
 from ascheme.catalog import build_cyclotomic, catalog_scheme, complete_scheme
@@ -23,6 +24,7 @@ from ascheme.exactla import matrix_powers, solve_exact
 from ascheme.generator import (
     WITNESS_MAX_N,
     WITNESS_PRIMES,
+    _bottleneck_value,
     _check_adjacency,
     check_theorem_4class,
     check_theorem_amorphic,
@@ -43,6 +45,8 @@ from ascheme.spectra import (
     intersection_matrices,
     union_spectrum,
 )
+
+from conftest import compile_stripped
 
 T12_APPLICABLE = {
     "cyclo-7-2",
@@ -201,10 +205,7 @@ def test_failed_generation_check_raises_typed_error(monkeypatch, attr, fake, err
 def test_tampered_witness_raises_with_asserts_stripped(monkeypatch):
     """The checks survive python -O: run generator compiled with optimize=1,
     which strips assert statements as -O does."""
-    path = Path(generator.__file__)
-    stripped = types.ModuleType("ascheme.generator_stripped")
-    stripped.__package__ = "ascheme"
-    exec(compile(path.read_text(), str(path), "exec", optimize=1), vars(stripped))
+    stripped = compile_stripped(generator)
     monkeypatch.setattr(exactla, "solve_exact", _tampered_solve)
     with pytest.raises(WitnessRejected) as exc:
         stripped.generates(catalog_scheme("cyclo-7-2"), (1,))
@@ -479,6 +480,43 @@ def test_compare_fission_tables_row_order_invariant():
     assert compare_fission_tables(shuffled, swapped) < 1e-12
     with pytest.raises(SplitRowMismatch):
         compare_fission_tables(e, character_table(catalog_scheme("cyclo-13-4")))
+
+
+def _brute_min_max(cost):
+    m = cost.shape[0]
+    return min(max(cost[i, s[i]] for i in range(m)) for s in itertools.permutations(range(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compare_fission_tables_is_bottleneck_matching(data):
+    """Small integer tables force ties; the value is the brute-force
+    min-max, unchanged by a row permutation of the computed table, and
+    never above the max of a min-sum assignment."""
+    m = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 3))
+    entries = st.integers(-2, 2)
+    pred = np.array(data.draw(st.lists(entries, min_size=m * cols, max_size=m * cols)))
+    comp = np.array(data.draw(st.lists(entries, min_size=m * cols, max_size=m * cols)))
+    pred = pred.reshape(m, cols).astype(np.complex128)
+    comp = comp.reshape(m, cols).astype(np.complex128)
+    rows = np.array(data.draw(st.permutations(range(m))))
+    cost = np.abs(pred[:, None, :] - comp[None, :, :]).max(axis=2)
+    value = compare_fission_tables(SimpleNamespace(P=pred), SimpleNamespace(P=comp))
+    assert value == _brute_min_max(cost)
+    assert value == compare_fission_tables(SimpleNamespace(P=pred), SimpleNamespace(P=comp[rows]))
+    rix, cix = linear_sum_assignment(cost)
+    assert value <= cost[rix, cix].max()
+
+
+def test_bottleneck_value_at_largest_table():
+    rng = np.random.default_rng(5)
+    m = 33
+    cost = rng.integers(2, 10, size=(m, m)).astype(float)
+    cost[np.arange(m), rng.permutation(m)] = 1.0
+    assert _bottleneck_value(cost) == 1.0
+    cost[0, :] = 7.0
+    assert _bottleneck_value(cost) == 7.0
 
 
 def test_permute_table_columns_validation():

@@ -4,7 +4,7 @@ import pytest
 from ascheme import _kernels
 from ascheme.catalog import build_cyclotomic, catalog_scheme
 
-from conftest import brute_intersection_numbers
+from conftest import brute_intersection_numbers, scan_tensor_and_verify
 
 
 def pentagon_colors():
@@ -38,33 +38,27 @@ def test_backends_agree_on_valid_schemes(catalog):
     for eid in ("cyclo-13-4", "schurian-z4", "wreath-qr3-qr3", "petersen"):
         e = catalog[eid].color.entries
         d = catalog[eid].d
-        p1, ok1, w1 = _kernels._tensor_and_verify_numpy(e, d)
-        p2, ok2, w2 = _kernels._tensor_and_verify_core(e, d)
+        p1, ok1, w1 = _kernels.tensor_and_verify(e, d)
+        p2, ok2, w2 = scan_tensor_and_verify(e, d)
         assert ok1 and ok2
         assert (p1 == p2).all()
-        if _kernels._HAVE_NUMBA:
-            p3, ok3, _ = _kernels._tensor_and_verify_numba(e, d)
-            assert ok3 and (p1 == p3).all()
 
 
 def test_backends_agree_on_violation_witness():
-    # perturb one entry of a valid coloring; both backends must report the
-    # same first-violation witness in row-major scan order
+    # perturb one entry of a valid coloring; the kernel must report the
+    # reference loop's first-violation witness in row-major scan order
     e = build_cyclotomic(13, 2).color.entries.copy()
     e[3, 7] = 1 if e[3, 7] == 2 else 2
     e[7, 3] = e[3, 7]
-    p1, ok1, w1 = _kernels._tensor_and_verify_numpy(e, 2)
-    p2, ok2, w2 = _kernels._tensor_and_verify_core(e, 2)
+    p1, ok1, w1 = _kernels.tensor_and_verify(e, 2)
+    p2, ok2, w2 = scan_tensor_and_verify(e, 2)
     assert not ok1 and not ok2
     assert (w1 == w2).all()
-    if _kernels._HAVE_NUMBA:
-        _, ok3, w3 = _kernels._tensor_and_verify_numba(e, 2)
-        assert not ok3 and (w1 == w3).all()
 
 
 def test_numpy_counts_are_exact_integers():
     # boolean matmul in float64 must reproduce integer counts exactly
     e = build_cyclotomic(257, 2).color.entries
-    p, ok, _ = _kernels._tensor_and_verify_numpy(e, 2)
+    p, ok, _ = _kernels.tensor_and_verify(e, 2)
     assert ok
     assert p.sum(axis=(0, 1)).tolist() == [257] * 3

@@ -3,18 +3,23 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from ascheme import srg
 from ascheme.catalog import catalog_scheme
-from ascheme.core import scheme_from_entries
-from ascheme.errors import InfeasibleParameters, NotStronglyRegular
+from ascheme.core import relabel_classes, scheme_from_entries
+from ascheme.errors import InfeasibleParameters, NotStronglyRegular, SrgCheckFailed
 from ascheme.exact import QuadVal
 from ascheme.srg import (
+    _weak_components,
     connectivity_classification,
     lambda_from_eigen,
     mu_from_eigen,
     srg_eigen,
     srg_params_from_scheme,
 )
+
+from conftest import compile_stripped
 
 
 def two_blocks_k5():
@@ -205,3 +210,51 @@ def test_connected_srg_has_three_eigenvalues(catalog):
                     continue
                 expect = 3 if p.connected else (2 if p.lam == p.k - 1 else 3)
                 assert distinct_eigenvalue_count(s, u) == expect, (eid, u)
+
+
+def _assert_components_match_scipy(A):
+    ncomp, labels = _weak_components(A)
+    ref_ncomp, ref_labels = connected_components(A, directed=False)
+    assert ncomp == ref_ncomp
+    assert labels.tolist() == ref_labels.tolist()
+
+
+def test_weak_components_match_scipy(catalog):
+    for s in catalog.values():
+        for size in range(1, s.d + 1):
+            for u in combinations(range(1, s.d + 1), size):
+                _assert_components_match_scipy(s.adjacency(u))
+    cliques = np.zeros((12, 12), dtype=np.int64)
+    for block in ([0, 5, 7], [1, 2], [3, 4, 6, 8, 9, 10], [11]):
+        cliques[np.ix_(block, block)] = 1
+    np.fill_diagonal(cliques, 0)
+    _assert_components_match_scipy(cliques)
+    # arcs 4 -> 2 -> 0 and 1 -> 3: weakly two components, plus 5 alone
+    directed = np.zeros((6, 6), dtype=np.int64)
+    directed[4, 2] = directed[2, 0] = directed[1, 3] = 1
+    assert _weak_components(directed)[0] == 3
+    _assert_components_match_scipy(directed)
+
+
+def test_srg_checks_raise_with_asserts_stripped():
+    petersen = catalog_scheme("petersen")
+    stripped = compile_stripped(srg)
+    stripped.fuse_direct = lambda s, partition: relabel_classes(petersen, (0, 2, 1))
+    with pytest.raises(SrgCheckFailed) as exc:
+        stripped.srg_params_from_scheme(petersen, (1,))
+    assert (exc.value.union, exc.value.check) == ((1,), "valency")
+
+    stripped = compile_stripped(srg)
+    stripped._weak_components = lambda A: (2, None)
+    with pytest.raises(SrgCheckFailed) as exc:
+        stripped.srg_params_from_scheme(petersen, (1,))
+    assert (exc.value.union, exc.value.check) == ((1,), "connectivity")
+
+    r, s_ = QuadVal.rational(Fraction(1, 3)), QuadVal.rational(1)
+    with pytest.raises(InfeasibleParameters):
+        stripped.lambda_from_eigen(3, r, s_)
+    with pytest.raises(InfeasibleParameters):
+        stripped.mu_from_eigen(3, r, s_)
+    root5 = QuadVal.sqrt_rational(5)
+    with pytest.raises(InfeasibleParameters):
+        stripped.mu_from_eigen(3, root5, QuadVal.rational(1))
