@@ -10,6 +10,8 @@ row-major scan over (x, y) would meet.
 
 import numpy as np
 
+from .errors import ViolationNotReproduced
+
 
 def tensor_and_verify(e, d):
     """All intersection numbers of a coloring, plus an axiom (4) verdict.
@@ -53,7 +55,7 @@ def tensor_and_verify(e, d):
                 fx, fy = divmod(int(first_idx[l]), n)
                 wit[:] = (a, b, l, fx, fy, p[a, b, l], x, y, cnt[a, b])
                 return p, False, wit
-    raise AssertionError("violation vanished on recount")
+    raise ViolationNotReproduced(f"pair ({x}, {y}) violates axiom (4) but recounts clean")
 
 
 def pair_counts(e, x, y, d):

@@ -20,11 +20,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (
-    canonical_form,
-    scheme_from_entries,
+from . import exact, fusion, generator, spectra, srg
+from .core import canonical_form, scheme_from_entries, verify_axioms
+from .errors import (
+    BadDivisor,
+    InfeasibleParameters,
+    NonCommutative,
+    NotPrime,
+    NotStronglyRegular,
+    NotTransitive,
+    TooLarge,
 )
-from .errors import BadDivisor, NonCommutative, NotPrime, NotTransitive, TooLarge
 from .finitefield import field
 
 MAX_PRODUCT_N = 4096
@@ -120,9 +126,6 @@ def build_schurian(n, generators):
         for sy in range(n):
             if color[sx, sy] >= 0:
                 continue
-            if nxt == 0 and sx != sy:
-                # diagonal must be class 0; (0, 0) is seeded first
-                raise AssertionError("diagonal pair not seeded first")
             color[sx, sy] = nxt
             stack = [(sx, sy)]
             while stack:
@@ -302,8 +305,6 @@ GENERATOR_SWEEP_MAX_D = 6
 
 
 def _check_axioms(s):
-    from .core import verify_axioms
-
     verify_axioms(s.color)
     return True, True, {
         "n": s.n,
@@ -314,16 +315,13 @@ def _check_axioms(s):
 
 
 def _check_spectra(s):
-    from .exact import radical_sum
-    from .spectra import character_table
-
-    e = character_table(s)
+    e = spectra.character_table(s)
     worst = 0.0
     exact_rows = 0
     for j in range(1, s.d + 1):
         vals = [e.exact[j][i] for i in range(s.d + 1)]
         if all(v is not None for v in vals):
-            form = radical_sum(vals)
+            form = exact.radical_sum(vals)
             if form != (Fraction(0), ()):
                 return True, False, {"row": j, "exact_sum": str(form)}
             exact_rows += 1
@@ -338,42 +336,27 @@ def _check_spectra(s):
 
 
 def _check_fusion(s):
-    from .fusion import bannai_muzychuk_check, enumerate_admissible_partitions, fuse_direct
-    from .errors import NotAScheme
-    from .spectra import character_table
-
     if s.d > FUSION_ENUM_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds enumeration bound"}
-    e = character_table(s)
-    parts = enumerate_admissible_partitions(s)
-    agree = 0
+    e = spectra.character_table(s)
+    parts = fusion.enumerate_admissible_partitions(s)
     schemes = 0
-    for blocks in parts:
-        verdict = bannai_muzychuk_check(e, blocks)
-        try:
-            fuse_direct(s, blocks)
-            direct = True
-        except NotAScheme:
-            direct = False
+    for verdict, direct in fusion.cross_check_fusions(s, e, parts):
         if verdict.is_scheme != direct:
             return True, False, {
-                "partition": [list(b) for b in blocks],
+                "partition": [list(b) for b in verdict.partition],
                 "bm": verdict.is_scheme,
                 "direct": direct,
             }
-        agree += 1
         schemes += int(direct)
-    return True, True, {"partitions": len(parts), "agreements": agree, "schemes": schemes}
+    # every partition agreed
+    return True, True, {"partitions": len(parts), "agreements": len(parts), "schemes": schemes}
 
 
 def _check_amorphic(s):
-    from .errors import NotStronglyRegular, TooManyClasses
-    from .fusion import amorphic_normal_form, enumerate_admissible_partitions, is_amorphic
-    from .spectra import character_table
-
     if s.d > FUSION_ENUM_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds enumeration bound"}
-    am, cert = is_amorphic(s)
+    am, cert = fusion.is_amorphic(s)
     ev = {"is_amorphic": am}
     if not am:
         ev["witness_partition"] = cert.get("witness")
@@ -381,24 +364,21 @@ def _check_amorphic(s):
     ev["partitions_checked"] = cert["partitions_checked"]
     if s.class_kind == "symmetric" and s.d >= 2:
         # every 2-block fusion of an amorphic symmetric scheme is strongly regular
-        from .srg import srg_params_from_scheme
-
         checked = 0
-        for blocks in enumerate_admissible_partitions(s):
+        for blocks in fusion.enumerate_admissible_partitions(s):
             if len(blocks) != 3:
                 continue
             for b in (blocks[1], blocks[2]):
                 try:
-                    srg_params_from_scheme(s, b)
+                    srg.srg_params_from_scheme(s, b)
                 except NotStronglyRegular:
                     return True, False, {"is_amorphic": True, "non_srg_union": list(b)}
                 checked += 1
         ev["srg_unions_checked"] = checked
     if s.class_kind == "symmetric" and s.d >= 3:
-        e = character_table(s)
-        nf = amorphic_normal_form(e)
+        e = spectra.character_table(s)
+        nf = fusion.amorphic_normal_form(e)
         # additive compatibility of the deviation pattern
-        lhs_rhs = []
         ok = True
         for i in range(1, s.d + 1):
             for j in range(1, s.d + 1):
@@ -406,7 +386,6 @@ def _check_amorphic(s):
                 rj = complex(nf.a[j - 1]) + complex(nf.b[i - 1])
                 if abs(li - rj) > ROW_SUM_TOL:
                     ok = False
-                    lhs_rhs.append([i, j, abs(li - rj)])
         ev["normal_form_additive"] = ok
         if not ok:
             return True, False, ev
@@ -414,30 +393,20 @@ def _check_amorphic(s):
 
 
 def _check_generators(s):
-    from .generator import WITNESS_MAX_N, find_generating_unions, minimal_generating
-
     if s.d > GENERATOR_SWEEP_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
-    reports = find_generating_unions(s)
+    reports = generator.find_generating_unions(s)
     gen = [r for r in reports if r.generates]
-    verified = all(r.witness_verified for r in gen) if s.n <= WITNESS_MAX_N else None
+    verified = all(r.witness_verified for r in gen) if s.n <= generator.WITNESS_MAX_N else None
     return True, True, {
         "unions": len(reports),
         "generating": len(gen),
-        "minimal": [list(u) for u in minimal_generating(reports)],
+        "minimal": [list(u) for u in generator.minimal_generating(reports)],
         "witnesses_verified": verified,
     }
 
 
 def _check_srg(s):
-    from .errors import InfeasibleParameters, NotStronglyRegular
-    from .srg import (
-        connectivity_classification,
-        lambda_from_eigen,
-        mu_from_eigen,
-        srg_params_from_scheme,
-    )
-
     if s.d > GENERATOR_SWEEP_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
     found = []
@@ -447,16 +416,16 @@ def _check_srg(s):
         if set(u) != {s.transpose_map[i] for i in u} or len(u) == s.d:
             continue
         try:
-            params = srg_params_from_scheme(s, u)
+            params = srg.srg_params_from_scheme(s, u)
         except (NotStronglyRegular, InfeasibleParameters):
             non_srg += 1
             continue
         if (
-            lambda_from_eigen(params.k, params.r_exact, params.s_exact) != params.lam
-            or mu_from_eigen(params.k, params.r_exact, params.s_exact) != params.mu
+            srg.lambda_from_eigen(params.k, params.r_exact, params.s_exact) != params.lam
+            or srg.mu_from_eigen(params.k, params.r_exact, params.s_exact) != params.mu
         ):
             return True, False, {"union": list(u), "reason": "eigenvalue roundtrip failed"}
-        cls = connectivity_classification(s, u)
+        cls = srg.connectivity_classification(s, u)
         if not cls["consistent"]:
             return True, False, {"union": list(u), "classification": cls}
         found.append({"union": list(u), "params": params.to_json()})
@@ -464,20 +433,12 @@ def _check_srg(s):
 
 
 def _run_checks(s, checks):
-    from .generator import (
-        check_theorem_4class,
-        check_theorem_amorphic,
-        check_theorem_fission,
-        check_theorem_one_pair,
-        check_theorem_skew_types,
-    )
-
     theorem = {
-        "T1.2": check_theorem_one_pair,
-        "T1.3": check_theorem_amorphic,
-        "T1.4": check_theorem_4class,
-        "T3.1": check_theorem_fission,
-        "T4.1": check_theorem_skew_types,
+        "T1.2": generator.check_theorem_one_pair,
+        "T1.3": generator.check_theorem_amorphic,
+        "T1.4": generator.check_theorem_4class,
+        "T3.1": generator.check_theorem_fission,
+        "T4.1": generator.check_theorem_skew_types,
     }
     plain = {
         "axioms": _check_axioms,

@@ -12,8 +12,8 @@ import sys
 
 from . import catalog as cat
 from .core import emit_scheme_file, parse_scheme_file, verify_axioms
-from .errors import AxiomViolation, NotAScheme, ParseError, SchemeError
-from .fusion import bannai_muzychuk_check, enumerate_admissible_partitions, fuse_direct, is_amorphic
+from .errors import AxiomViolation, ParseError, SchemeError
+from .fusion import cross_check_fusions, enumerate_admissible_partitions, is_amorphic
 from .generator import (
     check_theorem_4class,
     check_theorem_amorphic,
@@ -149,13 +149,7 @@ def cmd_fuse(args):
     else:
         partitions = enumerate_admissible_partitions(s)
     payload = []
-    for blocks in partitions:
-        verdict = bannai_muzychuk_check(e, blocks)
-        try:
-            fuse_direct(s, blocks)
-            direct = True
-        except NotAScheme:
-            direct = False
+    for verdict, direct in cross_check_fusions(s, e, partitions):
         rec = verdict.to_json()
         rec["direct_agrees"] = direct == verdict.is_scheme
         payload.append(rec)

@@ -6,7 +6,9 @@ is a single color, (2) the colors partition X x X, (3) the transpose of a
 color class is a color class, and (4) for each pair of colors (i, j) the
 count p_{ij}^l of z with (x,z) in R_i and (z,y) in R_j depends only on the
 color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
-verify_axioms checks (3) and (4) and collects the full tensor p.
+verify_axioms checks (3) and (4) and collects the full tensor p.  A
+fusion of a verified scheme is decided by fuse_classes on p alone, without
+rerunning the axiom kernel.
 
 Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
@@ -53,10 +55,6 @@ class IntersectionTensor:
 
     p: np.ndarray
     commutative: bool
-
-    @property
-    def d(self):
-        return self.p.shape[0] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +126,10 @@ def _validate_entries(arr, d, row_loc=None):
         raise OutOfRangeEntry(
             f"entry {int(arr[r, c])} outside 0..{d}", line=loc(int(r)), col=int(c)
         )
-    present = np.zeros(d + 1, dtype=bool)
-    present[np.unique(arr)] = True
-    if not present.all():
-        missing = int(np.flatnonzero(~present)[0])
+    # entries are in 0..d here; np.unique would import numpy.ma
+    counts = np.bincount(arr.ravel().astype(np.intp, copy=False), minlength=d + 1)
+    if not counts.all():
+        missing = int(np.flatnonzero(counts == 0)[0])
         raise MissingRelationIndex(f"relation index {missing} never occurs")
 
 
@@ -244,33 +242,6 @@ def scheme_from_entries(entries, d=None):
     return verify_axioms(color_matrix(entries, d))
 
 
-def intersection_numbers(s):
-    """Recompute the tensor cheaply: one pair per class, double-checked.
-
-    Axiom (4) makes the per-pair histogram constant on each class, so one
-    pair determines p[:, :, l]; a second independent pair guards against
-    corrupted input.  The result must match the stored tensor exactly.
-    """
-    e = s.color.entries
-    n, d = s.n, s.d
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    flat = e.ravel()
-    for l in range(d + 1):
-        occ = np.flatnonzero(flat == l)
-        x, y = divmod(int(occ[0]), n)
-        p[:, :, l] = _kernels.pair_counts(e, x, y, d)
-        if occ.size >= 2:
-            x2, y2 = divmod(int(occ[-1]), n)
-            second = _kernels.pair_counts(e, x2, y2, d)
-            if not np.array_equal(p[:, :, l], second):
-                a, b = np.argwhere(p[:, :, l] != second)[0]
-                raise InconsistentIntersectionNumber(
-                    int(a), int(b), l, (x, y), int(p[a, b, l]), (x2, y2), int(second[a, b])
-                )
-    assert np.array_equal(p, s.tensor.p), "tensor recomputation diverged"
-    return IntersectionTensor(p, s.tensor.commutative)
-
-
 # ---------------------------------------------------------------------------
 # canonical relabeling
 
@@ -344,14 +315,8 @@ def canonical_form(s):
 # merging classes
 
 
-def merge_classes(s, blocks):
-    """Color matrix obtained by merging classes per a partition of 0..d.
-
-    blocks must cover 0..d disjointly with blocks[0] == [0].  New class b
-    is the union of the old classes in blocks[b]; no axiom check is done
-    here (the fused coloring may fail to be a scheme).
-    """
-    d = s.d
+def _block_lut(d, blocks):
+    """lut[i] = index of the block holding class i; validates blocks."""
     if sorted(x for b in blocks for x in b) != list(range(d + 1)):
         raise ValueError("blocks must partition 0..d")
     if list(blocks[0]) != [0]:
@@ -360,9 +325,72 @@ def merge_classes(s, blocks):
     for b, block in enumerate(blocks):
         for i in block:
             lut[i] = b
+    return lut
+
+
+def merge_classes(s, blocks):
+    """Color matrix obtained by merging classes per a partition of 0..d.
+
+    blocks must cover 0..d disjointly with blocks[0] == [0].  New class b
+    is the union of the old classes in blocks[b]; no axiom check is done
+    here (the fused coloring may fail to be a scheme).
+    """
+    lut = _block_lut(s.d, blocks)
     entries = lut[s.color.entries]
     entries.setflags(write=False)
     return ColorMatrix(entries, len(blocks) - 1)
+
+
+def _first_arc(s, i):
+    """First row-major arc of class i; row 0 meets every class."""
+    return 0, int(np.argmax(s.color.entries[0] == i))
+
+
+def fuse_classes(s, blocks):
+    """The scheme whose class b is the union of classes blocks[b], decided
+    on the intersection tensor (Bannai-Ito 1984; Brouwer-Cohen-Neumaier
+    1989, section 2).
+
+    It is a scheme iff the blocks are closed under the transpose map and
+    each block sum q_IJ^l = sum_{i in I, j in J} p_ij^l is constant over l
+    in every block K; those values are the fused tensor.  A failure raises
+    TransposeNotRelation at the first arc of the offending class, or
+    InconsistentIntersectionNumber at the first arcs of two classes of K
+    whose block sums differ, with the sums as counts.
+    """
+    d = s.d
+    lut = _block_lut(d, blocks)
+    ref = np.array([min(b) for b in blocks])
+    tlut = lut[np.asarray(s.transpose_map)]
+    bad = np.flatnonzero(tlut != tlut[ref[lut]])
+    if bad.size:
+        i = int(bad[0])
+        x, y = _first_arc(s, i)
+        raise TransposeNotRelation(
+            int(lut[i]), x, y, int(tlut[ref[lut[i]]]), int(tlut[i])
+        )
+    ind = np.zeros((d + 1, len(blocks)), dtype=np.int64)
+    ind[np.arange(d + 1), lut] = 1
+    # q[l, I, J] = sum over i in I, j in J of p[i, j, l]
+    q = ind.T @ s.tensor.p.transpose(2, 0, 1) @ ind
+    mism = np.argwhere(q != q[ref[lut]])
+    if mism.size:
+        l2, bi, bj = (int(v) for v in mism[0])
+        l1 = int(ref[lut[l2]])
+        raise InconsistentIntersectionNumber(
+            bi, bj, int(lut[l2]),
+            _first_arc(s, l1), int(q[l1, bi, bj]),
+            _first_arc(s, l2), int(q[l2, bi, bj]),
+        )
+    p = np.ascontiguousarray(q[ref].transpose(1, 2, 0))
+    t = tlut[ref]
+    return Scheme(
+        color=merge_classes(s, blocks),
+        transpose_map=tuple(int(v) for v in t),
+        valencies=tuple(int(p[b, t[b], 0]) for b in range(len(blocks))),
+        symmetric=tuple(bool(t[b] == b) for b in range(len(blocks))),
+        tensor=IntersectionTensor(p, bool(np.array_equal(p, p.transpose(1, 0, 2)))),
+    )
 
 
 def symmetrize(s):
@@ -380,8 +408,7 @@ def symmetrize(s):
         j = s.transpose_map[i]
         if i <= j:
             blocks.append([i] if i == j else [i, j])
-    fused = verify_axioms(merge_classes(s, blocks))
-    canon, perm = canonical_form(fused)
+    canon, perm = canonical_form(fuse_classes(s, blocks))
     corr = [0] * (s.d + 1)
     for b, block in enumerate(blocks):
         for i in block:

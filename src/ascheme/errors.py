@@ -75,6 +75,10 @@ class InconsistentIntersectionNumber(AxiomViolation):
         )
 
 
+class ViolationNotReproduced(SchemeError):
+    """The axiom kernel found a violating pair that its recount clears."""
+
+
 class NonCommutative(SchemeError):
     """Operation requires a commutative scheme."""
 
@@ -90,6 +94,10 @@ class MultiplicityNotIntegral(SchemeError):
     def __init__(self, row, value):
         self.row, self.value = row, value
         super().__init__(f"multiplicity of eigenrow {row} is {value}, not an integer")
+
+
+class MultiplicitySumMismatch(SchemeError):
+    """Multiplicities of a character table fail m_0 = 1, sum m_j = n."""
 
 
 class ClusteringAmbiguity(SchemeError):
@@ -121,6 +129,10 @@ class NormalFormUnreachable(SchemeError):
 
 class MatchingAmbiguous(SchemeError):
     """Eigenrow matching between a scheme and its symmetrization is ambiguous."""
+
+
+class SymmetrizationCheckFailed(SchemeError):
+    """The spectral criterion rejects a symmetrization, which always fuses."""
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ form, and idempotent matching against the symmetrization.
 
 Two independent deciders are kept deliberately separate:
 
-  * fuse_direct merges colors and re-verifies the axioms on integers; it
-    is the authoritative oracle.
+  * fuse_direct decides on the integer intersection tensor: the blocks
+    must be transpose-closed and their block sums of p_ij^l constant on
+    each block; it is the authoritative oracle.
   * bannai_muzychuk_check groups character-table rows by their per-block
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
@@ -18,12 +19,13 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import canonical_form, merge_classes, symmetrize, verify_axioms
+from .core import fuse_classes, symmetrize
 from .errors import (
     AxiomViolation,
     MatchingAmbiguous,
     NormalFormUnreachable,
     NotAScheme,
+    SymmetrizationCheckFailed,
     ToleranceAmbiguity,
     TooManyClasses,
 )
@@ -41,16 +43,13 @@ def _partitions_of(items):
         return
     first, rest = items[0], items[1:]
     for sub in _partitions_of(rest):
-        # first joins an existing block or starts its own; order by the
-        # resulting sorted-block-list representation
-        candidates = []
-        candidates.append(tuple(sorted([(first,)] + list(sub))))
+        # first starts its own block or joins an existing one; each result
+        # is a sorted block list
+        yield tuple(sorted([(first,)] + list(sub)))
         for i in range(len(sub)):
             blocks = [list(b) for b in sub]
             blocks[i] = sorted(blocks[i] + [first])
-            candidates.append(tuple(sorted(tuple(b) for b in blocks)))
-        for c in candidates:
-            yield c
+            yield tuple(sorted(tuple(b) for b in blocks))
 
 
 def _is_transpose_closed(blocks, tmap):
@@ -77,33 +76,21 @@ def enumerate_admissible_partitions(s):
     if s.d > MAX_ENUM_D:
         raise TooManyClasses(f"d = {s.d} exceeds enumeration guard {MAX_ENUM_D}")
     tmap = s.transpose_map
-    seen = set()
-    out = []
-    for part in _partitions_of(range(1, s.d + 1)):
-        if part in seen:
-            continue
-        seen.add(part)
-        if _is_transpose_closed(part, tmap):
-            out.append(((0,),) + part)
-    out.sort()
-    return out
+    parts = _partitions_of(range(1, s.d + 1))
+    return sorted(((0,),) + part for part in parts if _is_transpose_closed(part, tmap))
 
 
 def fuse_direct(s, partition):
-    """Fuse classes along the partition and re-verify the axioms exactly.
+    """Fuse classes along the partition, decided exactly on the tensor.
 
     New class labels follow block order (blocks sorted by smallest
     element, {0} first); no canonical relabeling is applied, so fused
     class j corresponds to partition block j.  Raises NotAScheme with the
-    axiom witness when the merged coloring is not a scheme.
+    witness of core.fuse_classes when the fusion is not a scheme.
     """
     blocks = canonical_partition(partition)
-    covered = sorted(i for b in blocks for i in b)
-    if covered != list(range(s.d + 1)):
-        raise ValueError("partition must cover classes 0..d exactly once")
-    color = merge_classes(s, [list(b) for b in blocks])
     try:
-        return verify_axioms(color)
+        return fuse_classes(s, blocks)
     except AxiomViolation as exc:
         raise NotAScheme(
             f"fusion by {blocks} is not a scheme: {exc}", witness=exc
@@ -242,6 +229,19 @@ def bannai_muzychuk_check(e, partition):
             ],
         }
     return FusionVerdict(blocks, False, None, None, witness)
+
+
+def cross_check_fusions(s, e, partitions):
+    """Both deciders on each partition, in order: yields the spectral
+    FusionVerdict from table e and whether fuse_direct fuses."""
+    for blocks in partitions:
+        verdict = bannai_muzychuk_check(e, blocks)
+        try:
+            fuse_direct(s, blocks)
+            direct = True
+        except NotAScheme:
+            direct = False
+        yield verdict, direct
 
 
 def is_amorphic(s):
@@ -405,7 +405,10 @@ def idempotent_matching(x, x_table=None, sym_table=None):
     for i in range(x.d + 1):
         blocks[corr[i]] = blocks[corr[i]] + (i,)
     verdict = bannai_muzychuk_check(x_table, canonical_partition(blocks))
-    assert verdict.is_scheme, "symmetrization fusion must be a scheme"
+    if not verdict.is_scheme:
+        raise SymmetrizationCheckFailed(
+            f"spectral criterion rejects the symmetrization fusion {verdict.partition}"
+        )
     # map each dual group to the symmetrization row with identical sums;
     # the verdict's blocks are sorted by smallest element = class order
     order = {b: bi for bi, b in enumerate(verdict.partition)}

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .core import relabel_classes, symmetrize
+from .core import canonical_form, relabel_classes, symmetrize
 from .errors import (
     CriterionDisagreement,
     SplitRowMismatch,
@@ -677,8 +677,6 @@ def classify_skew_4class(x):
     if x.d != 4 or x.class_kind != "skew-symmetric":
         raise ValueError("classification needs a skew-symmetric 4-class scheme")
     if x.transpose_pairs != ((1, 2), (3, 4)):
-        from .core import canonical_form
-
         x = canonical_form(x)[0]
     x_t = character_table(x)
     sym, corr = symmetrize(x)

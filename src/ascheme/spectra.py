@@ -24,6 +24,7 @@ from .errors import (
     ClusteringAmbiguity,
     EigenSeparationFailure,
     MultiplicityNotIntegral,
+    MultiplicitySumMismatch,
     NonCommutative,
 )
 from .exact import (
@@ -244,7 +245,8 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     basis = rows[order].copy()
     P, exact = _snap_table(rows[order].copy(), s.valencies)
     mults = tuple(multiplicities(P, s.valencies, n))
-    assert mults[0] == 1 and sum(mults) == n, "multiplicities do not sum to n"
+    if mults[0] != 1 or sum(mults) != n:
+        raise MultiplicitySumMismatch(f"multiplicities {list(mults)}, n = {n}")
     return EigenTable(P, mults, exact, basis, n, s.valencies)
 
 

@@ -271,3 +271,24 @@ def test_cli_import_loads_no_heavy_dependencies():
     loaded = set(proc.stdout.split())
     assert "ascheme" in loaded and "numpy" in loaded
     assert not loaded & {"scipy", "sympy", "numba", "mpmath"}
+
+
+def test_parse_loads_no_numpy_ma(pentagon_file):
+    """numpy.ma costs a one-shot launch about 15 ms; parsing and
+    validating a scheme file must not pull it in."""
+    import ascheme
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ascheme.__file__).parents[1]))
+    code = (
+        "import sys, pathlib, ascheme.cli; from ascheme.core import parse_scheme_file; "
+        "parse_scheme_file(pathlib.Path(sys.argv[1]).read_text()); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, pentagon_file],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

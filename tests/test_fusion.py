@@ -1,12 +1,29 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ascheme.catalog import catalog_scheme
-from ascheme.core import canonical_form, symmetrize
-from ascheme.errors import NormalFormUnreachable, NotAScheme, ToleranceAmbiguity
+from ascheme import _kernels, fusion
+from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme.core import (
+    canonical_form,
+    merge_classes,
+    scheme_from_entries,
+    symmetrize,
+    verify_axioms,
+)
+from ascheme.errors import (
+    AxiomViolation,
+    InconsistentIntersectionNumber,
+    NormalFormUnreachable,
+    NotAScheme,
+    SymmetrizationCheckFailed,
+    ToleranceAmbiguity,
+    TransposeNotRelation,
+)
 from ascheme.fusion import (
+    FusionVerdict,
     amorphic_normal_form,
     bannai_muzychuk_check,
     canonical_partition,
@@ -16,6 +33,8 @@ from ascheme.fusion import (
     is_amorphic,
 )
 from ascheme.spectra import EigenTable, character_table
+
+from conftest import compile_stripped
 
 
 def brute_partitions(items):
@@ -269,3 +288,131 @@ def test_two_class_fusions_of_amorphic_are_schemes():
                 continue
             fused = fuse_direct(s, [[0], list(block), rest])
             assert fused.d == 2
+
+
+def merge_then_verify(s, partition):
+    """Oracle: the merged n x n coloring through the full axiom kernel;
+    returns the fused scheme or the AxiomViolation it raises."""
+    try:
+        return verify_axioms(merge_classes(s, canonical_partition(partition)))
+    except AxiomViolation as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(catalog):
+    """(id, scheme, partition) for every admissible partition of every
+    catalog scheme with d <= 6 and of cyclotomic (256,5), plus partitions
+    that are not transpose-closed."""
+    cases = [
+        (eid, s, part)
+        for eid, s in sorted(catalog.items())
+        if s.d <= 6
+        for part in enumerate_admissible_partitions(s)
+    ]
+    big = build_cyclotomic(256, 5)
+    cases += [("cyclo-256-5", big, part) for part in enumerate_admissible_partitions(big)]
+    # thin scheme of S3 (color of (x, y) is x^-1 y): non-commutative, so
+    # the fused tensor's index order shows
+    s3 = list(permutations(range(3)))
+    inv = [tuple(np.argsort(g)) for g in s3]
+    thin = scheme_from_entries(
+        [[s3.index(tuple(inv[x][i] for i in s3[y])) for y in range(6)] for x in range(6)]
+    )
+    assert not thin.is_commutative
+    cases += [("thin-s3", thin, part) for part in enumerate_admissible_partitions(thin)]
+    skew = catalog["cyclo-13-4"]
+    assert skew.transpose_pairs == ((1, 2), (3, 4))
+    cases += [
+        ("cyclo-13-4", skew, ((0,), (1,), (2, 3, 4))),
+        ("cyclo-13-4", skew, ((0,), (1, 3), (2,), (4,))),
+    ]
+    return cases
+
+
+def test_tensor_fusion_matches_merge_then_verify(oracle_cases):
+    fused_count = failed = 0
+    for eid, s, part in oracle_cases:
+        want = merge_then_verify(s, part)
+        try:
+            got = fuse_direct(s, part)
+        except NotAScheme as exc:
+            assert isinstance(want, AxiomViolation), (eid, part)
+            assert type(exc.witness) is type(want), (eid, part)
+            failed += 1
+            continue
+        assert not isinstance(want, AxiomViolation), (eid, part, want)
+        assert (got.tensor.p == want.tensor.p).all(), (eid, part)
+        assert got.tensor.p.dtype == want.tensor.p.dtype
+        assert got.transpose_map == want.transpose_map, (eid, part)
+        assert got.valencies == want.valencies, (eid, part)
+        assert got.symmetric == want.symmetric, (eid, part)
+        assert got.is_commutative == want.is_commutative, (eid, part)
+        assert (got.color.entries == want.color.entries).all(), (eid, part)
+        assert got.color.d == want.color.d
+        fused_count += 1
+    assert (fused_count, failed) == (263, 85)  # 274 + 52 + 20 + 2 cases
+
+
+def test_tensor_fusion_witness_recounts(oracle_cases):
+    """Every failure names arcs of the merged coloring that re-count to
+    the reported numbers."""
+    kinds = set()
+    for eid, s, part in oracle_cases:
+        try:
+            fuse_direct(s, part)
+            continue
+        except NotAScheme as exc:
+            w = exc.witness
+        merged = merge_classes(s, canonical_partition(part))
+        e = merged.entries
+        kinds.add(type(w))
+        if isinstance(w, TransposeNotRelation):
+            assert e[w.x, w.y] == w.i, (eid, part)
+            assert e[w.y, w.x] == w.found != w.expected, (eid, part)
+            continue
+        assert isinstance(w, InconsistentIntersectionNumber)
+        assert w.count_a != w.count_b, (eid, part)
+        for (x, y), count in ((w.pair_a, w.count_a), (w.pair_b, w.count_b)):
+            assert e[x, y] == w.l, (eid, part)
+            assert _kernels.pair_counts(e, x, y, merged.d)[w.i, w.j] == count, (eid, part)
+    assert kinds == {TransposeNotRelation, InconsistentIntersectionNumber}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fusion_invariant_under_vertex_and_class_relabeling(catalog, data):
+    eid = data.draw(st.sampled_from(sorted(e for e, s in catalog.items() if s.d <= 6)))
+    s = catalog[eid]
+    labels = data.draw(st.lists(st.integers(0, s.d - 1), min_size=s.d, max_size=s.d))
+    part = canonical_partition(
+        [[0]] + [[i + 1 for i in range(s.d) if labels[i] == b] for b in set(labels)]
+    )
+    vperm = np.array(data.draw(st.permutations(range(s.n))))
+    cperm = [0] + data.draw(st.permutations(range(1, s.d + 1)))
+    t = scheme_from_entries(np.array(cperm)[s.color.entries][np.ix_(vperm, vperm)])
+    mapped = canonical_partition([[cperm[i] for i in b] for b in part])
+    try:
+        a = fuse_direct(s, part)
+    except NotAScheme:
+        with pytest.raises(NotAScheme):
+            fuse_direct(t, mapped)
+        return
+    b = fuse_direct(t, mapped)
+    # sigma[block of part] = index of its image in mapped
+    sigma = [mapped.index(tuple(sorted(cperm[i] for i in blk))) for blk in part]
+    inv = np.argsort(sigma)
+    assert (b.tensor.p == a.tensor.p[np.ix_(inv, inv, inv)]).all(), (eid, part)
+    assert b.transpose_map == tuple(sigma[a.transpose_map[inv[k]]] for k in range(len(part)))
+    assert b.valencies == tuple(a.valencies[inv[k]] for k in range(len(part)))
+    relabeled = np.array(sigma)[a.color.entries][np.ix_(vperm, vperm)]
+    assert (b.color.entries == relabeled).all()
+
+
+def test_symmetrization_check_raises_with_asserts_stripped():
+    stripped = compile_stripped(fusion)
+    stripped.bannai_muzychuk_check = lambda e, partition: FusionVerdict(
+        partition, False, None, None, {}
+    )
+    with pytest.raises(SymmetrizationCheckFailed):
+        stripped.idempotent_matching(catalog_scheme("cyclo-7-2"))

@@ -3,8 +3,9 @@ import pytest
 
 from ascheme import _kernels
 from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme.errors import ViolationNotReproduced
 
-from conftest import brute_intersection_numbers, scan_tensor_and_verify
+from conftest import brute_intersection_numbers, compile_stripped, scan_tensor_and_verify
 
 
 def pentagon_colors():
@@ -62,3 +63,19 @@ def test_numpy_counts_are_exact_integers():
     p, ok, _ = _kernels.tensor_and_verify(e, 2)
     assert ok
     assert p.sum(axis=(0, 1)).tolist() == [257] * 3
+
+
+def test_vanishing_violation_raises():
+    # a recount that clears the violating pair is a kernel defect, not a verdict
+    e = build_cyclotomic(13, 2).color.entries.copy()
+    e[3, 7] = 1 if e[3, 7] == 2 else 2
+    e[7, 3] = e[3, 7]
+    stripped = compile_stripped(_kernels)
+
+    def recount_at_first_arc(e, x, y, d):
+        fx, fy = divmod(int(np.argmax(e.ravel() == e[x, y])), e.shape[0])
+        return _kernels.pair_counts(e, fx, fy, d)
+
+    stripped.pair_counts = recount_at_first_arc
+    with pytest.raises(ViolationNotReproduced):
+        stripped.tensor_and_verify(e, 2)

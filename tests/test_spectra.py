@@ -4,9 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ascheme import spectra
 from ascheme.catalog import catalog_scheme
 from ascheme.core import scheme_from_entries
-from ascheme.errors import ClusteringAmbiguity, MultiplicityNotIntegral, NonCommutative
+from ascheme.errors import (
+    ClusteringAmbiguity,
+    MultiplicityNotIntegral,
+    MultiplicitySumMismatch,
+    NonCommutative,
+)
 from ascheme.exact import QuadVal
 from ascheme.spectra import (
     EigenTable,
@@ -16,6 +22,8 @@ from ascheme.spectra import (
     multiplicities,
     union_spectrum,
 )
+
+from conftest import compile_stripped
 
 SQRT5 = math.sqrt(5.0)
 SQRT7 = math.sqrt(7.0)
@@ -129,6 +137,13 @@ def test_multiplicities_sum_to_n(tables):
     for e in tables.values():
         assert e.multiplicities[0] == 1
         assert sum(e.multiplicities) == e.n
+
+
+def test_multiplicity_sum_raises_with_asserts_stripped():
+    stripped = compile_stripped(spectra)
+    stripped.multiplicities = lambda P, valencies, n: [1] * len(valencies)
+    with pytest.raises(MultiplicitySumMismatch, match=r"\[1, 1, 1\], n = 10"):
+        stripped.character_table(catalog_scheme("petersen"))
 
 
 def test_multiplicity_not_integral_raises():
