@@ -411,6 +411,7 @@ def _check_srg(s):
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
     found = []
     non_srg = 0
+    table = None
     for mask in range(1, 2 ** s.d):
         u = tuple(i + 1 for i in range(s.d) if mask >> i & 1)
         if set(u) != {s.transpose_map[i] for i in u} or len(u) == s.d:
@@ -425,7 +426,9 @@ def _check_srg(s):
             or srg.mu_from_eigen(params.k, params.r_exact, params.s_exact) != params.mu
         ):
             return True, False, {"union": list(u), "reason": "eigenvalue roundtrip failed"}
-        cls = srg.connectivity_classification(s, u)
+        if table is None:
+            table = spectra.character_table(s)
+        cls = srg.connectivity_classification(s, u, table)
         if not cls["consistent"]:
             return True, False, {"union": list(u), "classification": cls}
         found.append({"union": list(u), "params": params.to_json()})

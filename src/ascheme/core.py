@@ -102,6 +102,14 @@ class Scheme:
         return np.isin(self.color.entries, list(classes)).astype(np.int64)
 
 
+def union_classes(d, union):
+    """A union of classes 1..d as a sorted tuple, validated."""
+    u = tuple(sorted(set(int(i) for i in union)))
+    if not u or u[0] < 1 or u[-1] > d:
+        raise ValueError(f"union must be a nonempty subset of 1..{d}")
+    return u
+
+
 def _validate_entries(arr, d, row_loc=None):
     n = arr.shape[0]
     loc = row_loc if row_loc is not None else (lambda r: r)
@@ -288,7 +296,7 @@ def relabel_classes(s, perm):
     """Relabel classes by perm (perm[old] = new), permuting stored data."""
     d = s.d
     lut = np.asarray(perm, dtype=np.int32)
-    entries = lut[s.color.entries]
+    entries = lut.take(s.color.entries)
     entries.setflags(write=False)
     inv = np.empty(d + 1, dtype=np.int64)
     inv[list(perm)] = np.arange(d + 1)
@@ -336,7 +344,7 @@ def merge_classes(s, blocks):
     here (the fused coloring may fail to be a scheme).
     """
     lut = _block_lut(s.d, blocks)
-    entries = lut[s.color.entries]
+    entries = lut.take(s.color.entries)
     entries.setflags(write=False)
     return ColorMatrix(entries, len(blocks) - 1)
 

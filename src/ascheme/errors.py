@@ -211,7 +211,8 @@ class SrgCheckFailed(SchemeError):
     """An internal cross-check of an SRG extraction failed.
 
     check is "valency" when the fused union class has the wrong valency and
-    "connectivity" when mu > 0 disagrees with the graph search.
+    "connectivity" when mu > 0 disagrees with the component count read
+    from the union's closed subset.
     """
 
     def __init__(self, message, union, check):

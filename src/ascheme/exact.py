@@ -85,10 +85,6 @@ class QuadVal:
     def is_rational(self):
         return self.r == 0
 
-    @property
-    def is_real(self):
-        return self.r == 0 or self.v > 0
-
     def conjugate(self):
         """Complex conjugate (identity for real values)."""
         if self.v < 0:

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .core import canonical_form, relabel_classes, symmetrize
+from .core import canonical_form, relabel_classes, symmetrize, union_classes
 from .errors import (
     CriterionDisagreement,
     SplitRowMismatch,
@@ -86,13 +86,6 @@ class GenerationReport:
         }
 
 
-def _union_tuple(s, union):
-    u = tuple(sorted(set(int(i) for i in union)))
-    if not u or u[0] < 1 or u[-1] > s.d:
-        raise ValueError(f"union must be a nonempty subset of 1..{s.d}")
-    return u
-
-
 def generates(s, union):
     """Exact generation verdict for the union digraph.
 
@@ -105,7 +98,7 @@ def generates(s, union):
     with a proven CRT bound (witness_verified).  A failed check raises a
     GenerationCheckFailed subclass naming the union and class.
     """
-    u = _union_tuple(s, union)
+    u = union_classes(s.d, union)
     B = intersection_matrices(s)
     d = s.d
     BL = [
@@ -723,57 +716,40 @@ def classify_skew_4class(x):
     }
     rad = lambda z: 4 * z.imag ** 2
     radicands = {}
-    checks = []
     if not im["rho"] and not im["omega"] and im["sigma"] and im["tau"]:
         typ = 1
         radicands["b"] = {"computed": rad(sigma), "predicted": n * k1 / m2}
         radicands["z"] = {"computed": rad(tau), "predicted": n * k2 / m1}
-        checks = [
-            abs(rho.real - r[1] / 2),
-            abs(omega.real - t[2] / 2),
-            abs(sigma.real - r[2] / 2),
-            abs(tau.real - t[1] / 2),
-        ]
     elif im["rho"] and im["omega"] and not im["sigma"] and not im["tau"]:
         typ = 2
         radicands["y"] = {"computed": rad(rho), "predicted": n * k1 / m1}
         radicands["c"] = {"computed": rad(omega), "predicted": n * k2 / m2}
-        checks = [
-            abs(rho.real - r[1] / 2),
-            abs(omega.real - t[2] / 2),
-            abs(sigma.real - r[2] / 2),
-            abs(tau.real - t[1] / 2),
-        ]
     elif all(im.values()):
         typ = 3
         radicands["y"] = {"computed": rad(rho), "predicted": None}
         radicands["b"] = {"computed": rad(sigma), "predicted": None}
         radicands["z"] = {"computed": rad(tau), "predicted": None}
         radicands["c"] = {"computed": rad(omega), "predicted": None}
-        checks = [
-            abs(rho.real - r[1] / 2),
-            abs(omega.real - t[2] / 2),
-            abs(sigma.real - r[2] / 2),
-            abs(tau.real - t[1] / 2),
-        ]
     else:
         raise TypeUnclassifiable(
             f"imaginary-part pattern {im} matches no Theorem 4.1 case"
         )
+    checks = [
+        abs(rho.real - r[1] / 2),
+        abs(omega.real - t[2] / 2),
+        abs(sigma.real - r[2] / 2),
+        abs(tau.real - t[1] / 2),
+    ]
     for v in radicands.values():
         if v["predicted"] is None:
             v["residual"] = None
         else:
             v["residual"] = abs(v["computed"] - v["predicted"])
     if typ == 3:
-        formulas_ok = all(
-            v["computed"] > tol for v in radicands.values()
-        ) and max(checks) < RESID_TOL
+        radicands_ok = all(v["computed"] > tol for v in radicands.values())
     else:
-        formulas_ok = (
-            all(v["residual"] < RESID_TOL for v in radicands.values())
-            and max(checks) < RESID_TOL
-        )
+        radicands_ok = all(v["residual"] < RESID_TOL for v in radicands.values())
+    formulas_ok = radicands_ok and max(checks) < RESID_TOL
     row_sums_ok = (
         abs(1 + 2 * rho.real + 2 * tau.real) < RESID_TOL
         and abs(1 + 2 * sigma.real + 2 * omega.real) < RESID_TOL

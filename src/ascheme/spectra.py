@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
+from .core import union_classes
 from .errors import (
     ClusteringAmbiguity,
     EigenSeparationFailure,
@@ -250,13 +251,6 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     return EigenTable(P, mults, exact, basis, n, s.valencies)
 
 
-def _check_union(d, union):
-    cols = sorted(set(int(i) for i in union))
-    if not cols or cols[0] < 1 or cols[-1] > d:
-        raise ValueError(f"union must be a nonempty subset of 1..{d}")
-    return cols
-
-
 def distinct_eigenvalue_count(s, union):
     """Exact number of distinct eigenvalues of the union digraph.
 
@@ -265,7 +259,7 @@ def distinct_eigenvalue_count(s, union):
     minimal polynomial is squarefree.
     """
     B = intersection_matrices(s)
-    cols = _check_union(s.d, union)
+    cols = union_classes(s.d, union)
     BL = sum(B[i] for i in cols)
     return exactla.minpoly_degree([[int(x) for x in row] for row in BL])
 
@@ -279,8 +273,8 @@ def union_spectrum(e, union):
     distinct values below ten times that tolerance raises
     ClusteringAmbiguity rather than guessing.
     """
-    cols = _check_union(e.d, union)
-    sums = e.P[:, cols].sum(axis=1)
+    cols = union_classes(e.d, union)
+    sums = e.P[:, list(cols)].sum(axis=1)
     forms = []
     for j in range(e.d + 1):
         vals = [e.exact[j][i] for i in cols]

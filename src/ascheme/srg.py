@@ -3,13 +3,17 @@ feasibility, and connectivity classification.
 
 A symmetric union digraph of a scheme is strongly regular exactly when
 fusing to {identity, union, complement} yields a two-class scheme; lambda
-and mu are then intersection numbers of that fusion.  The eigenvalue
-routines work from (n, k, lambda, mu) alone: the restricted eigenvalues
-and their multiplicities follow from the quadratic whose discriminant
-separates the conference case (irrational eigenvalues, equal
-multiplicities) from the integral case.  Everything downstream of the
-discriminant is exact, with irrational eigenvalues carried as quadratic
-values.
+and mu are then intersection numbers of that fusion, and a failed fusion
+names two pairs whose counts differ.  Weak components come from the
+intersection tensor as well: the classes reachable from class 0 through
+the union and its transpose form a closed subset, which every component
+has as its class set.  Nothing here builds an n x n matrix or searches a
+graph.  The eigenvalue routines work from (n, k, lambda, mu) alone: the
+restricted eigenvalues and their multiplicities follow from the quadratic
+whose discriminant separates the conference case (irrational eigenvalues,
+equal multiplicities) from the integral case.  Everything downstream of
+the discriminant is exact, with irrational eigenvalues carried as
+quadratic values.
 """
 
 import math
@@ -18,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
@@ -66,51 +71,27 @@ class SrgParams:
 
 
 def _validate_union(s, union):
-    u = tuple(sorted(set(int(i) for i in union)))
-    if not u or u[0] < 1 or u[-1] > s.d:
-        raise ValueError(f"union must be a nonempty subset of 1..{s.d}")
+    u = union_classes(s.d, union)
     if set(u) != {s.transpose_map[i] for i in u}:
         raise ValueError(f"union {u} is not transpose-closed")
     return u
 
 
-def _weak_components(A):
-    """Weak components of a digraph: (count, labels), numbered in order of
-    each component's smallest vertex."""
-    adj = (A != 0) | (A.T != 0)
-    labels = np.full(adj.shape[0], -1, dtype=np.int64)
-    ncomp = 0
-    while (unseen := np.flatnonzero(labels < 0)).size:
-        frontier = np.arange(adj.shape[0]) == unseen[0]
-        while frontier.any():
-            labels[frontier] = ncomp
-            frontier = adj[frontier].any(axis=0) & (labels < 0)
-        ncomp += 1
-    return ncomp, labels
+def _components(s, union):
+    """Weak components of a union digraph as (count, size).
 
-
-def _violating_pair(A):
-    """First row-major vertex pair whose common-neighbor count differs
-    from the count fixed by the first pair of the same adjacency type."""
-    n = A.shape[0]
-    C = A @ A
-    seen = {}
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            t = int(A[u, v])
-            c = int(C[u, v])
-            if t not in seen:
-                seen[t] = c
-            elif seen[t] != c:
-                return {
-                    "pair": [u, v],
-                    "adjacent": bool(t),
-                    "common_neighbors": c,
-                    "expected": seen[t],
-                }
-    return None
+    The classes l with p_ij^l > 0 for i already reached and j in the
+    union or its transpose, grown from class 0, are the classes of the
+    pairs (x, y) joined by a walk.  That closed subset is the same at every
+    x, so all components have the size sum_l k_l.
+    """
+    step = sorted({c for i in union for c in (i, s.transpose_map[i])})
+    reached, grown = None, np.arange(s.d + 1) == 0
+    while not np.array_equal(reached, grown):
+        reached = grown
+        grown = reached | s.tensor.p[np.ix_(reached, step)].any(axis=(0, 1))
+    size = int(np.asarray(s.valencies)[reached].sum())
+    return s.n // size, size
 
 
 def srg_params_from_scheme(s, union):
@@ -118,9 +99,10 @@ def srg_params_from_scheme(s, union):
 
     lambda and mu are read off the two-class fusion {union, complement};
     when that fusion is not a scheme the union graph is not strongly
-    regular, and the error message carries the first vertex pair
-    witnessing a non-constant common-neighbor count.  The complete graph
-    is excluded (no non-adjacent pairs, mu undefined).
+    regular, and the error message carries the fusion's witness: two
+    pairs of one fused class whose counts of paths x -> z -> y through
+    given fused classes differ.  The complete graph is excluded (no
+    non-adjacent pairs, mu undefined).
     """
     u = _validate_union(s, union)
     comp = [i for i in range(1, s.d + 1) if i not in u]
@@ -129,17 +111,21 @@ def srg_params_from_scheme(s, union):
             f"union {u} covers all classes; the complete graph has no mu"
         )
     k = int(sum(s.valencies[i] for i in u))
-    try:
-        fused = fuse_direct(s, [[0], list(u), comp])
-    except NotAScheme as exc:
-        witness = _violating_pair(s.adjacency(u))
-        raise NotStronglyRegular(
-            f"union {u} is not strongly regular: common-neighbor count "
-            f"is not determined by adjacency ({witness})"
-        ) from exc
     # fused labels follow block order by smallest element; find the union
     iu = 1 if min(u) < min(comp) else 2
     ic = 3 - iu
+    try:
+        fused = fuse_direct(s, [[0], list(u), comp])
+    except NotAScheme as exc:
+        w = exc.witness
+        role = {iu: "union", ic: "complement"}
+        raise NotStronglyRegular(
+            f"union {u} is not strongly regular: pairs {w.pair_a} and "
+            f"{w.pair_b}, both in the {role[w.l]}, have {w.count_a} and "
+            f"{w.count_b} vertices z with (x, z) in the {role[w.i]} and "
+            f"(z, y) in the {role[w.j]}",
+            witness=w,
+        ) from exc
     if int(fused.valencies[iu]) != k:
         raise SrgCheckFailed(
             f"fused union class has valency {int(fused.valencies[iu])}, not {k}",
@@ -149,10 +135,12 @@ def srg_params_from_scheme(s, union):
     lam = int(fused.tensor.p[iu, iu, iu])
     mu = int(fused.tensor.p[iu, iu, ic])
     params = srg_eigen(s.n, k, lam, mu)
-    ncomp = _weak_components(s.adjacency(u))[0]
+    ncomp = _components(s, u)[0]
     if params.connected != (ncomp == 1):
         raise SrgCheckFailed(
-            f"mu = {mu} but graph search finds {ncomp} components", u, "connectivity"
+            f"mu = {mu} but the union's closed subset gives {ncomp} components",
+            u,
+            "connectivity",
         )
     return params
 
@@ -232,28 +220,29 @@ def _integral(v, name, k, r, s):
     return int(v.q)
 
 
-def connectivity_classification(s, union):
+def connectivity_classification(s, union, table=None):
     """Component structure of a union digraph, cross-checked spectrally.
 
-    Counts weak components by graph search and verifies two spectral
-    laws: the multiplicity of the valency equals the component count
-    (Perron root of a regular graph), and, for strongly regular unions
-    other than the complete graph, disconnectedness is equivalent to the
-    spectrum being {k, -1}, i.e. to a disjoint union of equal cliques.
+    Counts weak components from the closed subset of classes that the
+    union and its transpose generate in the intersection tensor, and
+    verifies two spectral laws: the multiplicity of the valency equals the
+    component count (Perron root of a regular graph), and, for strongly
+    regular unions other than the complete graph, disconnectedness is
+    equivalent to the spectrum being {k, -1}, i.e. to a disjoint union of
+    equal cliques.  table is the scheme's character table, computed here
+    when not given.
     """
     u = _validate_union(s, union)
-    A = s.adjacency(u)
-    ncomp, labels = _weak_components(A)
-    sizes = sorted(np.bincount(labels).tolist())
+    ncomp, size = _components(s, u)
     k = int(sum(s.valencies[i] for i in u))
-    spec = union_spectrum(character_table(s), u)
+    spec = union_spectrum(character_table(s) if table is None else table, u)
     val_mult = sum(m for z, m in spec if abs(z - k) < RESID_TOL)
     clique_spec = all(
         abs(z - k) < RESID_TOL or abs(z + 1) < RESID_TOL for z, m in spec
     )
     out = {
         "components": ncomp,
-        "component_sizes": sizes,
+        "component_sizes": [size] * ncomp,
         "valency": k,
         "valency_multiplicity": val_mult,
         "spectral_count_matches": val_mult == ncomp,
@@ -266,11 +255,10 @@ def connectivity_classification(s, union):
         is_srg = False
     out["strongly_regular"] = is_srg
     if is_srg and k < s.n - 1:
-        equal_cliques = ncomp > 1 and sizes == [k + 1] * ncomp
         out["clique_union_spectrum"] = clique_spec
         out["disconnected_iff_clique_spectrum"] = (ncomp > 1) == clique_spec
         consistent = consistent and (ncomp > 1) == clique_spec
         if ncomp > 1:
-            consistent = consistent and equal_cliques
+            consistent = consistent and size == k + 1
     out["consistent"] = consistent
     return out

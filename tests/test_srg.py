@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from ascheme import srg
-from ascheme.catalog import catalog_scheme
-from ascheme.core import relabel_classes, scheme_from_entries
-from ascheme.errors import InfeasibleParameters, NotStronglyRegular, SrgCheckFailed
+from ascheme import catalog as cat
+from ascheme import spectra, srg
+from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme.core import Scheme, relabel_classes, scheme_from_entries
+from ascheme.errors import (
+    InconsistentIntersectionNumber,
+    InfeasibleParameters,
+    NotStronglyRegular,
+    SrgCheckFailed,
+)
 from ascheme.exact import QuadVal
+from ascheme.fusion import canonical_partition
 from ascheme.srg import (
-    _weak_components,
+    _components,
     connectivity_classification,
     lambda_from_eigen,
     mu_from_eigen,
@@ -95,7 +102,7 @@ def test_hexagon_is_not_srg():
     with pytest.raises(NotStronglyRegular) as ei:
         srg_params_from_scheme(s, (2,))
     msg = str(ei.value)
-    assert "[0, 3]" in msg and "common-neighbor" in msg
+    assert "not strongly regular" in msg and "both in the complement" in msg
     # spectral layer still classifies it consistently
     out = connectivity_classification(s, (2,))
     assert out["components"] == 1 and out["strongly_regular"] is False
@@ -181,7 +188,7 @@ def test_catalog_srg_sweep(catalog):
     assert srg_seen == 130
 
 
-def test_connectivity_classification_consistent_everywhere(catalog):
+def test_connectivity_classification_consistent_everywhere(catalog, tables):
     for eid, s in catalog.items():
         if not s.is_commutative:
             continue
@@ -192,6 +199,7 @@ def test_connectivity_classification_consistent_everywhere(catalog):
                 out = connectivity_classification(s, u)
                 assert out["spectral_count_matches"], (eid, u)
                 assert out["consistent"], (eid, u)
+                assert connectivity_classification(s, u, tables[eid]) == out
 
 
 def test_connected_srg_has_three_eigenvalues(catalog):
@@ -212,28 +220,97 @@ def test_connected_srg_has_three_eigenvalues(catalog):
                 assert distinct_eigenvalue_count(s, u) == expect, (eid, u)
 
 
-def _assert_components_match_scipy(A):
-    ncomp, labels = _weak_components(A)
-    ref_ncomp, ref_labels = connected_components(A, directed=False)
-    assert ncomp == ref_ncomp
-    assert labels.tolist() == ref_labels.tolist()
+def _closed_unions(s, sizes):
+    for size in sizes:
+        for u in combinations(range(1, s.d + 1), size):
+            if set(u) == {s.transpose_map[i] for i in u}:
+                yield u
+
+
+def test_non_srg_witness_recounts(catalog):
+    """A union that is not strongly regular raises with the fusion's
+    witness: two arcs of one fused class whose counts, re-counted on the
+    n x n adjacency matrices, are the two differing values."""
+    checked = 0
+    for eid, s in catalog.items():
+        for u in _closed_unions(s, range(1, s.d)):
+            try:
+                srg_params_from_scheme(s, u)
+            except NotStronglyRegular as exc:
+                w, msg = exc.__cause__.witness, str(exc)
+                assert exc.witness is w
+            else:
+                continue
+            checked += 1
+            assert isinstance(w, InconsistentIntersectionNumber), (eid, u)
+            comp = [i for i in range(1, s.d + 1) if i not in u]
+            blocks = canonical_partition([[0], list(u), comp])
+            block_of = {c: b for b, block in enumerate(blocks) for c in block}
+            e = s.color.entries
+            assert block_of[int(e[w.pair_a])] == block_of[int(e[w.pair_b])] == w.l, (eid, u)
+            AB = s.adjacency(blocks[w.i]) @ s.adjacency(blocks[w.j])
+            assert (int(AB[w.pair_a]), int(AB[w.pair_b])) == (w.count_a, w.count_b), (eid, u)
+            assert w.count_a != w.count_b
+            role = lambda b: "union" if tuple(blocks[b]) == u else "complement"
+            assert f"both in the {role(w.l)}" in msg
+            assert f"(x, z) in the {role(w.i)} and (z, y) in the {role(w.j)}" in msg
+    assert checked == 72
 
 
 def test_weak_components_match_scipy(catalog):
-    for s in catalog.values():
+    """The component count and sizes read from the tensor's closed subset
+    equal a graph search on every union, closed under transpose or not."""
+    extra = {f"cyclo-{q}-{m}": build_cyclotomic(q, m) for q, m in ((101, 2), (241, 6), (256, 5))}
+    unions = 0
+    for s in list(catalog.values()) + list(extra.values()):
         for size in range(1, s.d + 1):
             for u in combinations(range(1, s.d + 1), size):
-                _assert_components_match_scipy(s.adjacency(u))
-    cliques = np.zeros((12, 12), dtype=np.int64)
-    for block in ([0, 5, 7], [1, 2], [3, 4, 6, 8, 9, 10], [11]):
-        cliques[np.ix_(block, block)] = 1
-    np.fill_diagonal(cliques, 0)
-    _assert_components_match_scipy(cliques)
-    # arcs 4 -> 2 -> 0 and 1 -> 3: weakly two components, plus 5 alone
-    directed = np.zeros((6, 6), dtype=np.int64)
-    directed[4, 2] = directed[2, 0] = directed[1, 3] = 1
-    assert _weak_components(directed)[0] == 3
-    _assert_components_match_scipy(directed)
+                count, size_ = _components(s, u)
+                ref_count, labels = connected_components(s.adjacency(u), directed=False)
+                assert count == ref_count, u
+                assert [size_] * count == sorted(np.bincount(labels).tolist()), u
+                unions += 1
+    assert unions == 504
+
+
+def test_srg_reads_only_the_tensor(catalog, monkeypatch):
+    """SRG extraction and connectivity classification never build an n x n
+    adjacency matrix."""
+
+    def no_adjacency(self, classes):
+        raise AssertionError("srg must not build an adjacency matrix")
+
+    monkeypatch.setattr(Scheme, "adjacency", no_adjacency)
+    for s in catalog.values():
+        for u in _closed_unions(s, range(1, s.d + 1)):
+            try:
+                srg_params_from_scheme(s, u)
+            except NotStronglyRegular:
+                pass
+            if s.is_commutative:
+                connectivity_classification(s, u)
+
+
+def test_catalog_srg_check_builds_one_table(catalog, monkeypatch):
+    """The catalog's srg check computes each scheme's character table at
+    most once and hands it to every connectivity classification."""
+    calls = []
+    table = spectra.character_table
+
+    def counted(s, *args, **kwargs):
+        calls.append(s)
+        return table(s, *args, **kwargs)
+
+    def refused(s, *args, **kwargs):
+        raise AssertionError("connectivity_classification must use the given table")
+
+    monkeypatch.setattr(spectra, "character_table", counted)
+    monkeypatch.setattr(srg, "character_table", refused)
+    for s in catalog.values():
+        if s.is_commutative:
+            calls.clear()
+            cat._check_srg(s)
+            assert len(calls) <= 1
 
 
 def test_srg_checks_raise_with_asserts_stripped():
@@ -245,7 +322,7 @@ def test_srg_checks_raise_with_asserts_stripped():
     assert (exc.value.union, exc.value.check) == ((1,), "valency")
 
     stripped = compile_stripped(srg)
-    stripped._weak_components = lambda A: (2, None)
+    stripped._components = lambda s, union: (2, 5)
     with pytest.raises(SrgCheckFailed) as exc:
         stripped.srg_params_from_scheme(petersen, (1,))
     assert (exc.value.union, exc.value.check) == ((1,), "connectivity")
