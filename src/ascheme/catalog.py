@@ -428,7 +428,7 @@ def _check_srg(s):
             return True, False, {"union": list(u), "reason": "eigenvalue roundtrip failed"}
         if table is None:
             table = spectra.character_table(s)
-        cls = srg.connectivity_classification(s, u, table)
+        cls = srg.connectivity_classification(s, u, table, params)
         if not cls["consistent"]:
             return True, False, {"union": list(u), "classification": cls}
         found.append({"union": list(u), "params": params.to_json()})

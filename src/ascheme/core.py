@@ -219,17 +219,20 @@ def verify_axioms(c):
     """
     e = c.entries
     n, d = c.n, c.d
+    m = d + 1
     flat = e.ravel()
     flat_t = np.ascontiguousarray(e.T).ravel()
-    vals, first = np.unique(flat, return_index=True)
-    t = np.zeros(d + 1, dtype=np.int64)
-    t[vals] = flat_t[first]
-    mism = np.flatnonzero(flat_t != t[flat])
-    if mism.size:
-        q = int(mism[0])
-        x, y = divmod(q, n)
+    # pairs[i, j] counts arcs (x, y) of color i with e[y, x] = j: the
+    # transpose of class i is a class iff row i has one nonzero entry.  The
+    # kernel finds the first arcs; they are needed here only to name the
+    # first arc whose reverse breaks the rule.
+    pairs = np.bincount(flat * m + flat_t, minlength=m * m).reshape(m, m)
+    if (np.count_nonzero(pairs, axis=1) > 1).any():
+        t = flat_t[_kernels.first_arcs(e, d)]
+        x, y = divmod(int(np.flatnonzero(flat_t != t[flat])[0]), n)
         i = int(e[x, y])
         raise TransposeNotRelation(i, x, y, int(t[i]), int(e[y, x]))
+    t = pairs.argmax(axis=1)
     p, ok, wit = _kernels.tensor_and_verify(e, d)
     if not ok:
         i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in wit)

@@ -50,9 +50,11 @@ from .spectra import (
 
 RESID_TOL = 1e-8
 WITNESS_MAX_N = 256
-# Largest primes below 2^27.  WITNESS_MAX_N * p^2 < 2^63, so every int64
-# sum of products of residues in the n x n check (inner dimension n for
-# the powers, d + 1 <= n for the combination) is exact.
+# Largest primes below 2^27.  Two bounds keep the n x n check exact:
+# WITNESS_MAX_N * p < 2^53, so each float64 product of a power (residues
+# below p) with the 0/1 adjacency matrix sums at most n terms below p; and
+# (MAX_D + 1) * p^2 < 2^63, so the int64 combination of d + 1 residue
+# products with residue coefficients cannot overflow.
 WITNESS_PRIMES = (
     134217689, 134217649, 134217617, 134217613, 134217593, 134217541,
     134217529, 134217509, 134217497, 134217493, 134217487, 134217467,
@@ -155,14 +157,15 @@ def _check_regular(B, powers, union, witness):
 def _check_adjacency(s, union, witness):
     """Check sum_t c_t A^t == A_i on the n x n matrices, for every class i.
 
-    Works modulo the primes of WITNESS_PRIMES in turn, all classes at once.
-    Every entry of A^t is at most k^t (k the union's valency), so the
-    integer difference den * (sum_t c_t A^t - A_i) is bounded by
-    M = max_i (den_i + sum_t |den_i c_t| k^t).  Once the product of the
-    primes used exceeds 2M, agreement modulo each prime proves equality.
-    Returns the number of primes used.
+    Works modulo the primes of WITNESS_PRIMES in turn, all classes at once;
+    the powers come from _powers_mod, the combination with the witness
+    coefficients is int64.  Every entry of A^t is at most k^t (k the
+    union's valency), so the integer difference den * (sum_t c_t A^t - A_i)
+    is bounded by M = max_i (den_i + sum_t |den_i c_t| k^t).  Once the
+    product of the primes used exceeds 2M, agreement modulo each prime
+    proves equality.  Returns the number of primes used.
     """
-    A = s.adjacency(union)
+    A = s.adjacency(union).astype(np.float64)
     k = sum(s.valencies[i] for i in union)
     scaled = [_scaled(poly) for poly in witness]
     bound = 2 * max(
@@ -172,12 +175,9 @@ def _check_adjacency(s, union, witness):
     target = s.color.entries[None, :, :] == classes
     modulus = 1
     for used, p in enumerate(WITNESS_PRIMES, 1):
-        apow = [np.eye(s.n, dtype=np.int64)]
-        for _ in range(len(witness) - 1):
-            apow.append(apow[-1] @ A % p)
         coef = np.array([[c % p for c in cs] for _, cs in scaled], dtype=np.int64)
         dens = np.array([den % p for den, _ in scaled], dtype=np.int64)
-        got = np.tensordot(coef, np.stack(apow), axes=1) % p
+        got = np.tensordot(coef, _powers_mod(A, p, len(witness)), axes=1) % p
         bad = np.flatnonzero((got != target * dens[:, None, None]).any(axis=(1, 2)))
         if bad.size:
             raise WitnessRejected(
@@ -189,6 +189,17 @@ def _check_adjacency(s, union, witness):
     raise WitnessBoundUnreached(
         f"{len(WITNESS_PRIMES)} primes do not reach the CRT bound {bound}", union
     )
+
+
+def _powers_mod(A, p, count):
+    """A^0, ..., A^(count - 1) modulo p as one int64 array, for a 0/1
+    float64 matrix A.  The products run on BLAS in float64: a power's
+    residues are below p, so every partial sum of a row times a 0/1 column
+    is an integer below n * p < 2^53 (see WITNESS_PRIMES) and exact."""
+    apow = [np.eye(A.shape[0])]
+    for _ in range(count - 1):
+        apow.append(np.fmod(apow[-1] @ A, p))
+    return np.stack(apow).astype(np.int64)
 
 
 def find_generating_unions(s):

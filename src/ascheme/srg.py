@@ -220,7 +220,7 @@ def _integral(v, name, k, r, s):
     return int(v.q)
 
 
-def connectivity_classification(s, union, table=None):
+def connectivity_classification(s, union, table=None, params=None):
     """Component structure of a union digraph, cross-checked spectrally.
 
     Counts weak components from the closed subset of classes that the
@@ -230,7 +230,9 @@ def connectivity_classification(s, union, table=None):
     regular unions other than the complete graph, disconnectedness is
     equivalent to the spectrum being {k, -1}, i.e. to a disjoint union of
     equal cliques.  table is the scheme's character table, computed here
-    when not given.
+    when not given.  params is the union's SrgParams from
+    srg_params_from_scheme when the caller has them; without them the
+    union is fused here to decide whether it is strongly regular.
     """
     u = _validate_union(s, union)
     ncomp, size = _components(s, u)
@@ -248,11 +250,13 @@ def connectivity_classification(s, union, table=None):
         "spectral_count_matches": val_mult == ncomp,
     }
     consistent = val_mult == ncomp
-    is_srg = True
-    try:
-        srg_params_from_scheme(s, u)
-    except (NotStronglyRegular, InfeasibleParameters):
-        is_srg = False
+    is_srg = params is not None
+    if not is_srg:
+        try:
+            srg_params_from_scheme(s, u)
+            is_srg = True
+        except (NotStronglyRegular, InfeasibleParameters):
+            pass
     out["strongly_regular"] = is_srg
     if is_srg and k < s.n - 1:
         out["clique_union_spectrum"] = clique_spec

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from ascheme import exactla, generator
 from ascheme.catalog import build_cyclotomic, catalog_scheme, complete_scheme
-from ascheme.core import relabel_classes, scheme_from_entries
+from ascheme.core import MAX_D, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     CriterionDisagreement,
     SplitRowMismatch,
@@ -177,6 +177,25 @@ def test_witness_primes_fit_int64():
     for p in WITNESS_PRIMES:
         assert sympy.isprime(p)
         assert WITNESS_MAX_N * p * p < 2**63
+        # float64 powers: a row of residues times a 0/1 column
+        assert WITNESS_MAX_N * p < 2**53
+        # int64 combination: d + 1 products of residues
+        assert (MAX_D + 1) * p * p < 2**63
+
+
+def test_float64_powers_match_int64_reference():
+    s = build_cyclotomic(241, 6)
+    r = generates(s, (1,))
+    used = _check_adjacency(s, (1,), r.witness)
+    assert used > 1
+    A = s.adjacency((1,))
+    for p in WITNESS_PRIMES[:used]:
+        ref = [np.eye(s.n, dtype=np.int64)]
+        for _ in range(s.d):
+            ref.append(ref[-1] @ A % p)
+        got = generator._powers_mod(A.astype(np.float64), p, s.d + 1)
+        assert got.dtype == np.int64
+        assert (got == np.stack(ref)).all()
 
 
 def _tampered_solve(A, b):

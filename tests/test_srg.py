@@ -200,6 +200,9 @@ def test_connectivity_classification_consistent_everywhere(catalog, tables):
                 assert out["spectral_count_matches"], (eid, u)
                 assert out["consistent"], (eid, u)
                 assert connectivity_classification(s, u, tables[eid]) == out
+                if out["strongly_regular"]:
+                    params = srg_params_from_scheme(s, u)
+                    assert connectivity_classification(s, u, tables[eid], params) == out
 
 
 def test_connected_srg_has_three_eigenvalues(catalog):
@@ -311,6 +314,23 @@ def test_catalog_srg_check_builds_one_table(catalog, monkeypatch):
             calls.clear()
             cat._check_srg(s)
             assert len(calls) <= 1
+
+
+def test_catalog_srg_check_fuses_each_union_once(catalog, monkeypatch):
+    """The catalog's srg check fuses each proper transpose-closed union
+    once: connectivity_classification takes the SrgParams it already has."""
+    calls = []
+    fuse = srg.fuse_direct
+
+    def counted(s, blocks):
+        calls.append(blocks)
+        return fuse(s, blocks)
+
+    monkeypatch.setattr(srg, "fuse_direct", counted)
+    for s in catalog.values():
+        if s.is_commutative:
+            cat._check_srg(s)
+    assert len(calls) == 202
 
 
 def test_srg_checks_raise_with_asserts_stripped():
