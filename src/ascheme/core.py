@@ -156,10 +156,82 @@ def color_matrix(entries, d=None):
     return ColorMatrix(arr, int(d))
 
 
+# Text decoding and class relabeling work on row blocks of about this many
+# entries, so their index and byte transients stay near a megabyte.
+_BLOCK_ENTRIES = 1 << 16
+# The longest digit run decoded positionally in int64: 10^18 - 1 < 2^63.
+# A longer run is left to int(), with its big integers and its digit limit.
+_MAX_RUN = 18
+
+
+def _row_blocks(n):
+    step = max(1, _BLOCK_ENTRIES // n)
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _split_row(num, line, n):
+    """The entries of one body line by str.split and int."""
+    toks = line.split()
+    if len(toks) != n:
+        raise NonSquareBody(f"expected {n} entries, got {len(toks)}", line=num)
+    try:
+        return [int(tk) for tk in toks]
+    except ValueError:
+        raise ParseError("non-integer entry", line=num)
+
+
+def _decode_rows(lines, n):
+    """The entries of the body lines `lines`, [(line number, text)]: an
+    int64 array with one row per line, and a list of (index in `lines`,
+    ints) for the lines read by _split_row.
+
+    The lines are joined by newlines into one uint8 buffer.  On a line of
+    ASCII digits, spaces and tabs the tokens are the digit runs, read by a
+    positional decode.  Any other line, or one with a run longer than
+    _MAX_RUN, goes to _split_row, and its row of the array is left unset:
+    the caller stores those ints last, so that one too large for int64
+    fails only after every row is read.  Errors are raised in line order,
+    as a line-by-line reader raises them.
+    """
+    buf = np.frombuffer(("\n".join(line for _, line in lines) + "\n").encode(), np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    digit = buf - np.uint8(48)
+    isdigit = digit < 10
+    # digit runs: edges alternate start and stop, the last newline stops the last
+    edges = np.flatnonzero(np.diff(isdigit, prepend=False))
+    starts, runs = edges[0::2], edges[1::2] - edges[0::2]
+    counts = np.diff(np.searchsorted(starts, ends), prepend=0)
+    odd = np.flatnonzero(~isdigit & (buf != 32) & (buf != 9) & (buf != 10))
+    unusual = np.zeros(len(lines), dtype=bool)
+    unusual[np.searchsorted(ends, odd)] = True
+    unusual[np.searchsorted(ends, starts[runs > _MAX_RUN])] = True
+    split = []
+    for k in np.flatnonzero(unusual | (counts != n)):
+        num, line = lines[k]
+        if not unusual[k]:
+            raise NonSquareBody(f"expected {n} entries, got {counts[k]}", line=num)
+        split.append((int(k), _split_row(num, line, n)))
+    if split:
+        keep = np.repeat(~unusual, counts)
+        starts, runs = starts[keep], runs[keep]
+    value = digit[starts].astype(np.int64)
+    for k in range(1, int(runs.max(initial=0))):
+        more = runs > k
+        value[more] = value[more] * 10 + digit[starts[more] + k]
+    out = np.empty((len(lines), n), dtype=np.int64)
+    out[~unusual] = value.reshape(-1, n)
+    return out, split
+
+
 def parse_scheme_file(text):
     """Parse the scheme file format: 'n d' header then n rows of n colors.
 
-    '#' starts a comment anywhere on a line; blank lines are skipped.
+    '#' starts a comment anywhere on a line; blank lines are skipped.  An
+    entry is any token that int() reads.  The body is decoded in row blocks
+    (_decode_rows): lines of ASCII digits, spaces and tabs in numpy, any
+    other line by str.split and int, so both give the same values and the
+    same errors at the same line.  emit_scheme_file's output parses back
+    to the canonical relabeling of the emitted scheme.
     """
     lines = []
     for num, raw in enumerate(text.splitlines(), start=1):
@@ -183,18 +255,18 @@ def parse_scheme_file(text):
         raise NonSquareBody(
             f"expected {n} rows, got {len(body)}", line=body[-1][0] if body else hnum
         )
-    rows = []
-    row_lines = []
-    for num, line in body:
-        toks = line.split()
-        if len(toks) != n:
-            raise NonSquareBody(f"expected {n} entries, got {len(toks)}", line=num)
-        try:
-            rows.append([int(tk) for tk in toks])
-        except ValueError:
-            raise ParseError("non-integer entry", line=num)
-        row_lines.append(num)
-    arr = np.array(rows, dtype=np.int64)
+    # blocks are kept until every row is read: a header n far beyond the
+    # text then allocates nothing before a short row raises
+    blocks, split_rows = [], []
+    for a, b in _row_blocks(n):
+        block, split = _decode_rows(body[a:b], n)
+        blocks.append(block)
+        split_rows += [(a + k, vals) for k, vals in split]
+    arr = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    del blocks
+    for r, vals in split_rows:
+        arr[r] = vals
+    row_lines = [num for num, _ in body]
     _validate_entries(arr, d, row_loc=lambda r: row_lines[r])
     arr = np.ascontiguousarray(arr, dtype=np.int32)
     arr.setflags(write=False)
@@ -202,12 +274,35 @@ def parse_scheme_file(text):
 
 
 def emit_scheme_file(s):
-    """Serialize a scheme in canonical class order; round-trip stable."""
+    """Serialize a scheme in canonical class order; round-trip stable.
+
+    The text is the header 'n d', then one line per row: the labels in
+    decimal, one space between them.  It is written in row blocks into a
+    preallocated uint8 buffer from a table of label bytes, each padded to
+    the widest label (two digits at most, as MAX_D = 32) plus a space; a
+    mask drops the padding.  Every row holds k_i entries of class i, so
+    all rows have the same length in bytes.
+    """
     canon, _ = canonical_form(s)
     e = canon.color.entries
-    out = [f"{canon.n} {canon.d}"]
-    out.extend(" ".join(str(int(v)) for v in row) for row in e)
-    return "\n".join(out) + "\n"
+    n, d = canon.n, canon.d
+    labels = [str(i).encode() for i in range(d + 1)]
+    width = max(len(lab) for lab in labels)
+    table = np.full((d + 1, width + 1), ord(" "), dtype=np.uint8)
+    keep = np.zeros((d + 1, width + 1), dtype=bool)
+    for i, lab in enumerate(labels):
+        table[i, width - len(lab):width] = list(lab)
+        keep[i, width - len(lab):] = True
+    head = f"{n} {d}\n".encode()
+    row_len = sum(k * (len(lab) + 1) for k, lab in zip(canon.valencies, labels))
+    buf = np.empty(len(head) + n * row_len, dtype=np.uint8)
+    buf[: len(head)] = list(head)
+    rows = buf[len(head):].reshape(n, row_len)
+    for a, b in _row_blocks(n):
+        chars = table.take(e[a:b], axis=0)
+        chars[:, -1, -1] = ord("\n")
+        rows[a:b] = chars[keep.take(e[a:b], axis=0)].reshape(b - a, row_len)
+    return str(buf.data, "ascii")
 
 
 def verify_axioms(c):
@@ -295,11 +390,19 @@ def canonical_class_order(s):
     return tuple(perm)
 
 
+def _take_rows(lut, entries):
+    """lut[entries] by take, in row blocks: take casts its int32 index to
+    intp, and the cast of a whole n x n matrix is twice the output."""
+    out = np.empty(entries.shape, dtype=lut.dtype)
+    for a, b in _row_blocks(entries.shape[0]):
+        lut.take(entries[a:b], out=out[a:b])
+    return out
+
+
 def relabel_classes(s, perm):
     """Relabel classes by perm (perm[old] = new), permuting stored data."""
     d = s.d
-    lut = np.asarray(perm, dtype=np.int32)
-    entries = lut.take(s.color.entries)
+    entries = _take_rows(np.asarray(perm, dtype=np.int32), s.color.entries)
     entries.setflags(write=False)
     inv = np.empty(d + 1, dtype=np.int64)
     inv[list(perm)] = np.arange(d + 1)
@@ -346,8 +449,7 @@ def merge_classes(s, blocks):
     is the union of the old classes in blocks[b]; no axiom check is done
     here (the fused coloring may fail to be a scheme).
     """
-    lut = _block_lut(s.d, blocks)
-    entries = lut.take(s.color.entries)
+    entries = _take_rows(_block_lut(s.d, blocks), s.color.entries)
     entries.setflags(write=False)
     return ColorMatrix(entries, len(blocks) - 1)
 

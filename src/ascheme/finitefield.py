@@ -124,29 +124,6 @@ class Field:
     exp: tuple  # exp[t] = generator^t, t in 0..q-2
     log: tuple  # log[e] for e in 1..q-1 (index e-1)
 
-    def add(self, a, b):
-        out, pw = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % self.p) * pw
-            a //= self.p
-            b //= self.p
-            pw *= self.p
-        return out
-
-    def neg(self, a):
-        out, pw = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return _mul(a, b, self.p, self.k, self.modulus[::-1])
-
     def digit_matrix(self):
         """q x k matrix of base-p digits, digit i = coefficient of x^i."""
         e = np.arange(self.q)

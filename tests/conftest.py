@@ -5,6 +5,17 @@ import numpy as np
 import pytest
 
 from ascheme.catalog import catalog_ids, catalog_scheme
+from ascheme.core import MAX_D, MAX_N, ColorMatrix, canonical_form
+from ascheme.errors import (
+    MalformedHeader,
+    MissingRelationIndex,
+    NonSquareBody,
+    NonzeroDiagonal,
+    OutOfRangeEntry,
+    ParseError,
+    TooLarge,
+)
+from ascheme.finitefield import _mul
 from ascheme.spectra import character_table
 
 
@@ -80,3 +91,116 @@ def compile_stripped(module):
     stripped.__package__ = "ascheme"
     exec(compile(path.read_text(), str(path), "exec", optimize=1), vars(stripped))
     return stripped
+
+
+# --- GF(p^k) arithmetic on encoded elements, for the field tests -----------
+
+
+def field_add(F, a, b):
+    out, pw = 0, 1
+    for _ in range(F.k):
+        out += ((a + b) % F.p) * pw
+        a //= F.p
+        b //= F.p
+        pw *= F.p
+    return out
+
+
+def field_neg(F, a):
+    out, pw = 0, 1
+    for _ in range(F.k):
+        out += ((-a) % F.p) * pw
+        a //= F.p
+        pw *= F.p
+    return out
+
+
+def field_sub(F, a, b):
+    return field_add(F, a, field_neg(F, b))
+
+
+def field_mul(F, a, b):
+    return _mul(a, b, F.p, F.k, F.modulus[::-1])
+
+
+# --- scheme files, line by line: oracles for core's numpy text codec -------
+
+
+def _reference_validate_entries(arr, d, row_loc):
+    n = arr.shape[0]
+    if n > MAX_N:
+        raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
+    if d > MAX_D:
+        raise TooLarge(f"d = {d} exceeds the supported maximum {MAX_D}")
+    if n > 1 and d < 1:
+        raise OutOfRangeEntry("d must be at least 1 for n > 1")
+    diag = np.diagonal(arr)
+    bad = np.flatnonzero(diag != 0)
+    if bad.size:
+        r = int(bad[0])
+        raise NonzeroDiagonal(
+            f"diagonal entry {int(diag[r])} must be 0", line=row_loc(r), col=r
+        )
+    off = arr.copy()
+    np.fill_diagonal(off, 1 if d >= 1 else 0)
+    bad_mask = (off < 1) | (off > d) if d >= 1 else (off != 0)
+    if bad_mask.any():
+        r, c = np.argwhere(bad_mask)[0]
+        raise OutOfRangeEntry(
+            f"entry {int(arr[r, c])} outside 0..{d}", line=row_loc(int(r)), col=int(c)
+        )
+    counts = np.bincount(arr.ravel().astype(np.intp, copy=False), minlength=d + 1)
+    if not counts.all():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise MissingRelationIndex(f"relation index {missing} never occurs")
+
+
+def reference_parse_scheme_file(text):
+    """The scheme file parser that reads every entry with int(), row by row."""
+    lines = []
+    for num, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((num, body))
+    if not lines:
+        raise MalformedHeader("empty input")
+    hnum, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise MalformedHeader(f"header must be 'n d', got {header!r}", line=hnum)
+    try:
+        n, d = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MalformedHeader(f"header must be two integers, got {header!r}", line=hnum)
+    if n < 1 or d < 0:
+        raise MalformedHeader(f"header values out of range: n={n} d={d}", line=hnum)
+    body = lines[1:]
+    if len(body) != n:
+        raise NonSquareBody(
+            f"expected {n} rows, got {len(body)}", line=body[-1][0] if body else hnum
+        )
+    rows = []
+    row_lines = []
+    for num, line in body:
+        toks = line.split()
+        if len(toks) != n:
+            raise NonSquareBody(f"expected {n} entries, got {len(toks)}", line=num)
+        try:
+            rows.append([int(tk) for tk in toks])
+        except ValueError:
+            raise ParseError("non-integer entry", line=num)
+        row_lines.append(num)
+    arr = np.array(rows, dtype=np.int64)
+    _reference_validate_entries(arr, d, row_loc=lambda r: row_lines[r])
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    arr.setflags(write=False)
+    return ColorMatrix(arr, d)
+
+
+def reference_emit_scheme_file(s):
+    """The scheme file writer that formats every entry with str()."""
+    canon, _ = canonical_form(s)
+    e = canon.color.entries
+    out = [f"{canon.n} {canon.d}"]
+    out.extend(" ".join(str(int(v)) for v in row) for row in e)
+    return "\n".join(out) + "\n"

@@ -54,6 +54,19 @@ def test_verify_valid(pentagon_file, capsys):
     assert "valid scheme: n=5 d=2 symmetric commutative" in out
 
 
+def test_verify_crlf_tabs_and_comments_read_as_the_plain_file(pentagon_file, tmp_path, capsys):
+    rows = PENTAGON.splitlines()
+    noisy = ["# the pentagon, tab separated", "", rows[0] + "\t# n d"]
+    noisy += ["\t" + row.replace(" ", " \t") + "  # row" for row in rows[1:]]
+    f = tmp_path / "pentagon-crlf.txt"
+    f.write_bytes(("\r\n".join(noisy) + "\r\n").encode())
+    for fmt in ("text", "json"):
+        assert main(["verify", pentagon_file, "--format", fmt]) == 0
+        plain = capsys.readouterr().out
+        assert main(["verify", str(f), "--format", fmt]) == 0
+        assert capsys.readouterr().out == plain
+
+
 def test_verify_json(pentagon_file, capsys):
     assert main(["verify", pentagon_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

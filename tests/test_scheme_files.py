@@ -1,0 +1,227 @@
+"""Scheme files: the numpy parse and emit against the line-by-line oracles
+in conftest, the round trip, and the memory the text codec and the class
+relabeling hold at n = 961."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ascheme import core
+from ascheme.catalog import build_cyclotomic, build_product
+from ascheme.core import (
+    canonical_class_order,
+    emit_scheme_file,
+    parse_scheme_file,
+    relabel_classes,
+    scheme_from_entries,
+    verify_axioms,
+)
+
+from conftest import reference_emit_scheme_file, reference_parse_scheme_file
+
+# tokens a mutation inserts: the plain grammar, what int() also reads ("+1",
+# "1_0", "٣", the no-break space as a separator) and what it rejects
+NOISE = list("0123456789") + [
+    " ", "\t", "#", "\r\n", "\n", "\n\n", "+", "-", "_", ".", "a", "x", "٣", "\xa0",
+    "10", "007", "1_0", "+1", "-1", "# note\n",
+]
+
+
+def _outcome(parse, text):
+    try:
+        c = parse(text)
+    except Exception as exc:  # noqa: BLE001  (the class itself is compared)
+        return type(exc), getattr(exc, "line", None)
+    return c.entries.dtype, c.d, c.entries.tolist()
+
+
+def assert_parses_alike(text):
+    assert _outcome(parse_scheme_file, text) == _outcome(reference_parse_scheme_file, text)
+
+
+@st.composite
+def valid_files(draw):
+    """A scheme file that parses: n, d, every color on some off-diagonal
+    entry, separators of spaces and tabs, CRLF or LF, comments and blank
+    lines around the rows."""
+    n = draw(st.integers(1, 7))
+    d = 0 if n == 1 else draw(st.integers(1, min(12, n * (n - 1))))
+    cells = list(range(1, d + 1))
+    cells += draw(st.lists(st.integers(1, max(d, 1)), min_size=n * (n - 1) - d,
+                           max_size=n * (n - 1) - d))
+    cells = draw(st.permutations(cells)) if cells else []
+    e = np.zeros((n, n), dtype=np.int64)
+    e[~np.eye(n, dtype=bool)] = cells
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{n} {d}"]
+    for row in e:
+        line = "".join(f"{draw(sep)}{v}" for v in row)[1:]
+        lines.append(line + draw(st.sampled_from(["", " ", "\t", " # row"])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   \t"])))
+    return eol.join(lines) + eol
+
+
+@st.composite
+def mutated_files(draw):
+    text = draw(valid_files())
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) and at < len(text):
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_files(), st.sampled_from([1, 3, 1 << 16]))
+def test_parse_matches_line_by_line_reference(text, block):
+    # small row blocks put the first bad line of a file in any block
+    saved = core._BLOCK_ENTRIES
+    core._BLOCK_ENTRIES = block
+    try:
+        assert_parses_alike(text)
+    finally:
+        core._BLOCK_ENTRIES = saved
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\n0 +1\n1 0\n",
+    "2 1\n0 -1\n1 0\n",
+    "2 1\n0 1_0\n1 0\n",
+    "2 1\n0\xa01\n1 0\n",
+    "2 1\n0 ١\n1 0\n",
+    "2 1\n0 1\x1f\n1 0\n",
+    "2 1\n0 1.0\n1 0\n",
+    "2 1\n0 " + "0" * 30 + "1\n1 0\n",
+    "2 1\n0 " + "9" * 19 + "\n1 0\n",
+    "2 1\n0 " + "9" * 18 + "\n1 0\n",
+    "2 1\n0 " + "1" * 5000 + "\n1 0\n",
+    "2 1\n0 " + "9" * 25 + "\n1 0 1\n",
+    "2 1\n0 " + "9" * 25 + "\n1 x\n",
+    "2 1\n0 " + "9" * 25 + "\n1 0\n",
+    "2 1\n0 1\n1 0 x\n",
+    "2 1\n٠ 1\n1 0\n",
+    "3 2\n0 1 2\n1 0 2 2\n2 x 0\n",
+    "3 2\n0 1 x\n1 0 2 2\n2 1 0\n",
+    "3 2\n0 1 2\n1 0 +2\n2 1 0 0\n",
+])
+def test_parse_unusual_lines_match_reference(text):
+    assert_parses_alike(text)
+
+
+def test_parse_matches_reference_across_row_blocks():
+    # n = 300 spans two row blocks; break a row in the second one
+    n = 300
+    x = np.arange(n)
+    e = np.where(x[:, None] == x, 0, 1 + (x[None, :] - x[:, None]) % 2)
+    rows = [f"{n} 2\n"] + [" ".join(map(str, row)) + "\n" for row in e]
+    assert core._row_blocks(n)[1][0] < 250
+    assert_parses_alike("".join(rows))
+    for edit in ("+", "x", "\t", "\xa0"):
+        bad = rows[:290] + [rows[290].replace(" ", f" {edit}", 1)] + rows[291:]
+        assert_parses_alike("".join(bad))
+    short = rows[:250] + [rows[250].rsplit(" ", 1)[0] + "\n"] + rows[251:]
+    assert_parses_alike("".join(short))
+
+
+def test_parse_reads_every_catalog_file_as_the_reference(catalog):
+    for s in catalog.values():
+        text = reference_emit_scheme_file(s)
+        c = parse_scheme_file(text)
+        ref = reference_parse_scheme_file(text)
+        assert c.d == ref.d and c.entries.dtype == ref.entries.dtype
+        assert np.array_equal(c.entries, ref.entries)
+
+
+# --- emit ---------------------------------------------------------------------
+
+
+def _direct_31_2_squared():
+    c = build_cyclotomic(31, 2)
+    return build_product(c, c, "direct")
+
+
+@pytest.fixture(scope="module")
+def ladder_schemes():
+    """The size-ladder builders of the benchmark, up to n = 961."""
+    return {
+        "cyclotomic-101-2": build_cyclotomic(101, 2),
+        "cyclotomic-241-6": build_cyclotomic(241, 6),
+        "cyclotomic-256-5": build_cyclotomic(256, 5),
+        "cyclotomic-257-2": build_cyclotomic(257, 2),
+        "direct-31-2-squared": _direct_31_2_squared(),
+    }
+
+
+def test_emit_matches_reference_on_the_catalog(catalog):
+    assert len(catalog) == 45
+    for eid, s in catalog.items():
+        assert emit_scheme_file(s) == reference_emit_scheme_file(s), eid
+
+
+def test_emit_matches_reference_on_the_ladder(ladder_schemes):
+    for name, s in ladder_schemes.items():
+        assert emit_scheme_file(s) == reference_emit_scheme_file(s), name
+
+
+def test_emit_two_digit_labels_match_reference():
+    s = build_product(build_cyclotomic(13, 12), build_cyclotomic(3, 2), "wreath")
+    assert s.d == 14
+    text = emit_scheme_file(s)
+    assert text == reference_emit_scheme_file(s)
+    assert " 14" in text and " 10" in text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_emit_parse_round_trip_is_the_canonical_relabeling(catalog, data):
+    s = catalog[data.draw(st.sampled_from(sorted(catalog)))]
+    vperm = np.asarray(data.draw(st.permutations(range(s.n))))
+    lut = np.asarray([0] + list(data.draw(st.permutations(range(1, s.d + 1)))))
+    t = scheme_from_entries(lut[s.color.entries[np.ix_(vperm, vperm)]], s.d)
+    text = emit_scheme_file(t)
+    c = parse_scheme_file(text)
+    perm = np.asarray(canonical_class_order(t))
+    assert c.d == t.d
+    assert np.array_equal(c.entries, perm[t.color.entries])
+    assert emit_scheme_file(verify_axioms(c)) == text
+
+
+# --- memory at n = 961 ------------------------------------------------------------
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_codec_peak_memory_at_n_961(ladder_schemes):
+    # the int()/str() codec peaked at 26.1 MB to parse and 11.1 MB to emit
+    # this scheme
+    # emit first relabels the classes into canonical order, as here
+    s = relabel_classes(ladder_schemes["direct-31-2-squared"], (0,) + tuple(range(8, 0, -1)))
+    assert canonical_class_order(s) != tuple(range(s.d + 1))
+    text = reference_emit_scheme_file(s)
+    assert _peak(parse_scheme_file, text) < 26.1e6
+    assert _peak(emit_scheme_file, s) < 11.1e6
+
+
+def test_relabel_peak_memory_at_n_961(ladder_schemes):
+    # take in row blocks: the intp cast of the whole index matrix once
+    # made the peak three times the int32 output
+    s = ladder_schemes["direct-31-2-squared"]
+    perm = (0,) + tuple(range(s.d, 0, -1))
+    out = 4 * s.n * s.n
+    assert _peak(relabel_classes, s, perm) < 2 * out
+    assert _peak(core.merge_classes, s, [[0], list(range(1, s.d + 1))]) < 2 * out
+    assert np.array_equal(relabel_classes(s, perm).color.entries,
+                          np.asarray(perm)[s.color.entries])
