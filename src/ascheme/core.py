@@ -281,7 +281,8 @@ def emit_scheme_file(s):
     preallocated uint8 buffer from a table of label bytes, each padded to
     the widest label (two digits at most, as MAX_D = 32) plus a space; a
     mask drops the padding.  Every row holds k_i entries of class i, so
-    all rows have the same length in bytes.
+    all rows have the same length in bytes.  parse_scheme_file reads the
+    text back as the canonical coloring, which emits the same text again.
     """
     canon, _ = canonical_form(s)
     e = canon.color.entries
