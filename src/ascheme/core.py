@@ -14,8 +14,13 @@ Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
 arc), transpose pairs stay adjacent with the member whose first arc (x, y)
 has x < y listed first.  Emitted files always use canonical labels.
+
+A Scheme never changes after it is built, so what is derived from it alone
+(its character table, symmetrization, generation reports and SRG
+parameters) is computed once and kept in the scheme's memo (memoized).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +69,7 @@ class Scheme:
     valencies: tuple
     symmetric: tuple
     tensor: IntersectionTensor
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -102,6 +108,30 @@ class Scheme:
         return np.isin(self.color.entries, list(classes)).astype(np.int64)
 
 
+def memoized(key):
+    """Decorator for a function f(s, ...) of the immutable Scheme s alone:
+    the result is kept in s's memo under (f, key(s, ...)), where key takes
+    f's arguments and normalizes them.  The entry is keyed on f itself, not
+    its name, so copies of a module never share entries.
+
+    A call that raises stores nothing, so the next call runs f again.  No
+    result may refer to s itself: the memo would then hold its own scheme,
+    and a scheme that is dropped would wait for the cycle collector.
+    """
+
+    def wrap(f):
+        @functools.wraps(f)
+        def cached(s, *args, **kwargs):
+            k = (f, key(s, *args, **kwargs))
+            if k not in s._memo:
+                s._memo[k] = f(s, *args, **kwargs)
+            return s._memo[k]
+
+        return cached
+
+    return wrap
+
+
 def union_classes(d, union):
     """A union of classes 1..d as a sorted tuple, validated."""
     u = tuple(sorted(set(int(i) for i in union)))
@@ -126,14 +156,14 @@ def _validate_entries(arr, d, row_loc=None):
         raise NonzeroDiagonal(
             f"diagonal entry {int(diag[r])} must be 0", line=loc(r), col=r
         )
-    off = arr.copy()
-    np.fill_diagonal(off, 1 if d >= 1 else 0)
-    bad_mask = (off < 1) | (off > d) if d >= 1 else (off != 0)
+    # off the diagonal every entry is in 1..d; masking the diagonal out of
+    # the bool mask costs no copy of arr
+    bad_mask = arr < 1
+    bad_mask |= arr > d
+    np.fill_diagonal(bad_mask, False)
     if bad_mask.any():
-        r, c = np.argwhere(bad_mask)[0]
-        raise OutOfRangeEntry(
-            f"entry {int(arr[r, c])} outside 0..{d}", line=loc(int(r)), col=int(c)
-        )
+        r, c = divmod(int(bad_mask.argmax()), n)
+        raise OutOfRangeEntry(f"entry {int(arr[r, c])} outside 0..{d}", line=loc(r), col=c)
     # entries are in 0..d here; np.unique would import numpy.ma
     counts = np.bincount(arr.ravel().astype(np.intp, copy=False), minlength=d + 1)
     if not counts.all():
@@ -513,10 +543,16 @@ def symmetrize(s):
     Returns (symmetrized scheme in canonical class order, correspondence)
     where correspondence[old_class] = new_class.  The symmetrization of a
     commutative scheme is always a scheme.  Already-symmetric schemes come
-    back unchanged with the identity correspondence.
+    back unchanged with the identity correspondence; that result holds s
+    itself, so only the other case is memoized.
     """
     if all(s.symmetric):
         return s, tuple(range(s.d + 1))
+    return _symmetrized(s)
+
+
+@memoized(lambda s: ())
+def _symmetrized(s):
     blocks = [[0]]
     for i in range(1, s.d + 1):
         j = s.transpose_map[i]

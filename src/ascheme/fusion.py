@@ -383,12 +383,14 @@ class IdempotentMatching:
         return len(self.row_map[j]) == 1
 
 
-def idempotent_matching(x, x_table=None, sym_table=None):
+def idempotent_matching(x):
     """Match symmetrization eigenrows to x eigenrows via block sums.
 
     Requires exactly one nonsymmetric transpose pair.  Exactly one
     symmetrization row maps to two conjugate x rows; all others map
-    one-to-one.  MatchingAmbiguous signals a tolerance collision.
+    one-to-one.  MatchingAmbiguous signals a tolerance collision.  The
+    symmetrization and both character tables are the memoized ones, which
+    the theorem checks read as well.
     """
     pairs = x.transpose_pairs
     if len(pairs) != 1:
@@ -396,15 +398,12 @@ def idempotent_matching(x, x_table=None, sym_table=None):
             f"idempotent matching needs exactly one transpose pair, found {len(pairs)}"
         )
     sym, corr = symmetrize(x)
-    if x_table is None:
-        x_table = character_table(x)
-    if sym_table is None:
-        sym_table = character_table(sym)
+    x_t, sym_t = character_table(x), character_table(sym)
     # fuse x rows along the symmetrization partition
     blocks = [()] * (sym.d + 1)
     for i in range(x.d + 1):
         blocks[corr[i]] = blocks[corr[i]] + (i,)
-    verdict = bannai_muzychuk_check(x_table, canonical_partition(blocks))
+    verdict = bannai_muzychuk_check(x_t, canonical_partition(blocks))
     if not verdict.is_scheme:
         raise SymmetrizationCheckFailed(
             f"spectral criterion rejects the symmetrization fusion {verdict.partition}"
@@ -413,12 +412,12 @@ def idempotent_matching(x, x_table=None, sym_table=None):
     # the verdict's blocks are sorted by smallest element = class order
     order = {b: bi for bi, b in enumerate(verdict.partition)}
     col_of = [order[tuple(sorted(blocks[c]))] for c in range(sym.d + 1)]
-    scale = max(1.0, float(np.abs(sym_table.P).max()))
+    scale = max(1.0, float(np.abs(sym_t.P).max()))
     tol = CLUSTER_TOL * scale
     row_map = [None] * (sym.d + 1)
     for g, fused in zip(verdict.dual_partition, verdict.fused_table):
         vec = fused[col_of]
-        dists = np.abs(sym_table.P - vec[None, :]).max(axis=1)
+        dists = np.abs(sym_t.P - vec[None, :]).max(axis=1)
         near = np.flatnonzero(dists <= 10 * tol)
         if len(near) != 1 or dists[near[0]] > tol:
             raise MatchingAmbiguous(

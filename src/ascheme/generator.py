@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .core import canonical_form, relabel_classes, symmetrize, union_classes
+from .core import canonical_form, memoized, symmetrize, union_classes
 from .errors import (
     CriterionDisagreement,
     SplitRowMismatch,
@@ -46,6 +46,7 @@ from .spectra import (
     character_table,
     distinct_eigenvalue_count,
     intersection_matrices,
+    union_matrix,
 )
 
 RESID_TOL = 1e-8
@@ -88,6 +89,7 @@ class GenerationReport:
         }
 
 
+@memoized(lambda s, union: union_classes(s.d, union))
 def generates(s, union):
     """Exact generation verdict for the union digraph.
 
@@ -98,15 +100,13 @@ def generates(s, union):
     is re-checked in integers on the regular representation, and for
     n <= WITNESS_MAX_N on the n x n adjacency matrices, multi-modularly
     with a proven CRT bound (witness_verified).  A failed check raises a
-    GenerationCheckFailed subclass naming the union and class.
+    GenerationCheckFailed subclass naming the union and class.  The report
+    is computed once per (scheme, union).
     """
     u = union_classes(s.d, union)
     B = intersection_matrices(s)
     d = s.d
-    BL = [
-        [int(sum(B[i][r][c] for i in u)) for c in range(d + 1)]
-        for r in range(d + 1)
-    ]
+    BL = union_matrix(s, u)
     eigen_count = exactla.minpoly_degree(BL)
     powers = exactla.matrix_powers(BL, d)
     K = [[powers[t][r][0] for t in range(d + 1)] for r in range(d + 1)]
@@ -239,9 +239,20 @@ class TheoremVerdict:
         return out
 
 
-def _one_pair(s):
-    pairs = s.transpose_pairs
-    return pairs[0] if len(pairs) == 1 else None
+def _needs_one_pair(x, tid):
+    """The not-applicable verdict unless x is commutative with exactly one
+    transpose pair, else None."""
+    if len(x.transpose_pairs) != 1 or not x.is_commutative:
+        return TheoremVerdict(tid, False, None, {"reason": "needs exactly one transpose pair"})
+
+
+def _needs_amorphic_symmetrization(x, tid):
+    """The not-applicable verdict, with is_amorphic's certificate, unless
+    the symmetrization of x is amorphic, else None."""
+    am, cert = is_amorphic(symmetrize(x)[0])
+    if not am:
+        ev = {"reason": "symmetrization not amorphic", "certificate": cert}
+        return TheoremVerdict(tid, False, None, ev)
 
 
 def check_theorem_one_pair(x):
@@ -253,40 +264,28 @@ def check_theorem_one_pair(x):
     generates the full algebra.
     """
     tid = "T1.2"
-    pair = _one_pair(x)
-    if pair is None or not x.is_commutative:
-        return TheoremVerdict(
-            tid, False, None, {"reason": "needs exactly one transpose pair"}
-        )
-    p1, p2 = pair
+    refused = _needs_one_pair(x, tid)
+    if refused:
+        return refused
+    p1, p2 = x.transpose_pairs[0]
     sym, corr = symmetrize(x)
     sym_rep = generates(sym, (corr[p1],))
     if not sym_rep.generates:
-        return TheoremVerdict(
-            tid,
-            False,
-            None,
-            {
-                "reason": "symmetrized pair class does not generate",
-                "sym_eigen_count": sym_rep.eigen_count,
-                "sym_required": sym.d + 1,
-            },
-        )
+        return TheoremVerdict(tid, False, None, {
+            "reason": "symmetrized pair class does not generate",
+            "sym_eigen_count": sym_rep.eigen_count,
+            "sym_required": sym.d + 1,
+        })
     required = x.d + 1
     reps = [generates(x, (p,)) for p in (p1, p2)]
     holds = all(r.eigen_count == required and r.generates for r in reps)
-    return TheoremVerdict(
-        tid,
-        True,
-        holds,
-        {
-            "pair": [p1, p2],
-            "sym_class": corr[p1],
-            "eigen_counts": [r.eigen_count for r in reps],
-            "required": required,
-            "generates": [r.generates for r in reps],
-        },
-    )
+    return TheoremVerdict(tid, True, holds, {
+        "pair": [p1, p2],
+        "sym_class": corr[p1],
+        "eigen_counts": [r.eigen_count for r in reps],
+        "required": required,
+        "generates": [r.generates for r in reps],
+    })
 
 
 def check_theorem_amorphic(x):
@@ -299,30 +298,19 @@ def check_theorem_amorphic(x):
     pair member with one other class has d+2 distinct eigenvalues.
     """
     tid = "T1.3"
-    pair = _one_pair(x)
-    if pair is None or not x.is_commutative:
-        return TheoremVerdict(
-            tid, False, None, {"reason": "needs exactly one transpose pair"}
-        )
+    refused = _needs_one_pair(x, tid) or _needs_amorphic_symmetrization(x, tid)
+    if refused:
+        return refused
+    p1, p2 = x.transpose_pairs[0]
     sym, corr = symmetrize(x)
-    am, cert = is_amorphic(sym)
-    if not am:
-        return TheoremVerdict(
-            tid,
-            False,
-            None,
-            {"reason": "symmetrization not amorphic", "certificate": cert},
-        )
-    p1, p2 = pair
     d = sym.d
     evidence = {"sym_d": d}
     if d <= 3:
         predicted = True
         evidence["branch"] = "d<=3"
     elif d == 4:
-        sym_t = character_table(sym)
-        match = idempotent_matching(x, sym_table=sym_t)
-        nf = amorphic_normal_form(sym_t, fix_last_col=corr[p1])
+        match = idempotent_matching(x)
+        nf = amorphic_normal_form(character_table(sym), fix_last_col=corr[p1])
         e_d_row = nf.row_perm[d]
         predicted = match.is_primitive_in_x(e_d_row)
         evidence.update(
@@ -357,26 +345,19 @@ def check_theorem_amorphic(x):
     return TheoremVerdict(tid, True, holds, evidence)
 
 
-def _relabel_pair_to_34(x, pair):
-    """Permutation sending the given pair to classes (3, 4), all other
-    classes to 1, 2 preserving their relative order."""
-    rest = [i for i in range(1, 5) if i not in pair]
-    perm = [0] * 5
-    perm[pair[0]], perm[pair[1]] = 3, 4
-    perm[rest[0]], perm[rest[1]] = 1, 2
-    return tuple(perm)
-
-
 def check_theorem_4class(x):
     """Nonsymmetric 4-class generation guarantee (T1.4).
 
-    After relabeling the checked transpose pair to (3, 4), some union
-    among R_1 u R_3, R_2 u R_3, R_3 has exactly 5 distinct eigenvalues and
-    generates.  The success is reported as i in {2, 3, 4}: a success via
-    R_1 u R_3 equals i = 2 after the legal swap of classes 1 and 2, which
-    are either both symmetric or the two members of the other pair.  In
-    the skew case both choices of checked pair are run; the verdict is
-    the canonical labeling's, with the alternate recorded in evidence.
+    After relabeling the checked transpose pair to (3, 4) and the other
+    two classes, in order, to (1, 2), some union among R_1 u R_3,
+    R_2 u R_3, R_3 has exactly 5 distinct eigenvalues and generates.  The
+    unions are named in those labels and mapped back to x's classes, so
+    generates runs on x itself, whose verdicts do not depend on labels.
+    The success is reported as i in {2, 3, 4}: a success via R_1 u R_3
+    equals i = 2 after the legal swap of classes 1 and 2, which are either
+    both symmetric or the two members of the other pair.  In the skew case
+    both choices of checked pair are run; the verdict is the canonical
+    labeling's, with the alternate recorded in evidence.
     """
     tid = "T1.4"
     if x.d != 4 or not x.is_commutative or not x.transpose_pairs:
@@ -385,15 +366,12 @@ def check_theorem_4class(x):
         )
     choices = []
     for pair in x.transpose_pairs:
-        y = relabel_classes(x, _relabel_pair_to_34(x, pair))
-        unions = [(1, 3), (2, 3), (3,), (3, 4)]
+        # x_class[c] is the class of x that the relabeling names c
+        x_class = [0, *(i for i in range(1, 5) if i not in pair), *pair]
         results = {}
-        for u in unions:
-            rep = generates(y, u)
-            results[u] = {
-                "eigen_count": rep.eigen_count,
-                "generates": rep.generates,
-            }
+        for u in [(1, 3), (2, 3), (3,), (3, 4)]:
+            rep = generates(x, [x_class[c] for c in u])
+            results[u] = {"eigen_count": rep.eigen_count, "generates": rep.generates}
         ok = lambda u: results[u]["eigen_count"] == 5 and results[u]["generates"]
         if ok((3,)):
             found_i, via_relabel = 3, False
@@ -405,31 +383,21 @@ def check_theorem_4class(x):
             found_i, via_relabel = 2, True
         else:
             found_i, via_relabel = None, False
-        choices.append(
-            {
-                "pair": list(pair),
-                "unions": {
-                    "+".join(map(str, u)): results[u] for u in unions
-                },
-                "found_i": found_i,
-                "via_relabel": via_relabel,
-                "outside_statement": found_i is not None
-                and via_relabel
-                and not ok((2, 3))
-                and not ok((3,)),
-                "holds": found_i is not None,
-            }
-        )
-    holds = choices[0]["holds"]
-    return TheoremVerdict(
-        tid,
-        True,
-        holds,
-        {
-            "choices": choices,
-            "all_choices_hold": all(c["holds"] for c in choices),
-        },
-    )
+        choices.append({
+            "pair": list(pair),
+            "unions": {"+".join(map(str, u)): r for u, r in results.items()},
+            "found_i": found_i,
+            "via_relabel": via_relabel,
+            "outside_statement": found_i is not None
+            and via_relabel
+            and not ok((2, 3))
+            and not ok((3,)),
+            "holds": found_i is not None,
+        })
+    return TheoremVerdict(tid, True, choices[0]["holds"], {
+        "choices": choices,
+        "all_choices_hold": all(c["holds"] for c in choices),
+    })
 
 
 def permute_table_columns(e, perm):
@@ -449,7 +417,7 @@ def permute_table_columns(e, perm):
     )
 
 
-def predict_fission_table(sym_table, split_row, a):
+def predict_fission_table(sym_t, split_row, a):
     """Predicted table of a one-pair fission splitting the last class.
 
     The designated row duplicates into a conjugate pair with entries
@@ -458,18 +426,18 @@ def predict_fission_table(sym_table, split_row, a):
     rational.  Raises SplitRowMismatch when the halving pattern is
     impossible (odd split valency or multiplicity).
     """
-    d = sym_table.d
+    d = sym_t.d
     if not 1 <= split_row <= d:
         raise ValueError("split_row must be a non-valency row index")
     a = Fraction(a)
     if a >= 0:
         raise ValueError("a must be negative")
-    if sym_table.multiplicities[split_row] % 2:
+    if sym_t.multiplicities[split_row] % 2:
         raise SplitRowMismatch(
-            f"split row multiplicity {sym_table.multiplicities[split_row]} is odd"
+            f"split row multiplicity {sym_t.multiplicities[split_row]} is odd"
         )
-    if sym_table.valencies[d] % 2:
-        raise SplitRowMismatch(f"split valency {sym_table.valencies[d]} is odd")
+    if sym_t.valencies[d] % 2:
+        raise SplitRowMismatch(f"split valency {sym_t.valencies[d]} is odd")
     half = QuadVal.rational(Fraction(1, 2))
     root = QuadVal.sqrt_rational(a)
 
@@ -482,23 +450,23 @@ def predict_fission_table(sym_table, split_row, a):
     rows_exact = []
     rows_val = []
     mults = []
-    kd2 = sym_table.valencies[d] // 2
-    top_exact = [QuadVal.rational(v) for v in sym_table.valencies[:d]]
+    kd2 = sym_t.valencies[d] // 2
+    top_exact = [QuadVal.rational(v) for v in sym_t.valencies[:d]]
     top_exact += [QuadVal.rational(kd2)] * 2
     rows_exact.append(top_exact)
-    rows_val.append([complex(v) for v in sym_table.valencies[:d]] + [kd2, kd2])
+    rows_val.append([complex(v) for v in sym_t.valencies[:d]] + [kd2, kd2])
     mults.append(1)
     for j in range(1, d + 1):
-        base_exact = [sym_table.exact[j][c] for c in range(d)]
-        base_val = [complex(sym_table.P[j, c]) for c in range(d)]
+        base_exact = [sym_t.exact[j][c] for c in range(d)]
+        base_val = [complex(sym_t.P[j, c]) for c in range(d)]
         if j == split_row:
-            pd = sym_table.exact[j][d]
+            pd = sym_t.exact[j][d]
             if pd is not None and pd.is_rational:
                 rho = (pd + root) * half
                 rho_c = rho.to_complex()
                 pair = [(rho, rho_c), (rho.conjugate(), rho_c.conjugate())]
             else:
-                z = complex(sym_table.P[j, d])
+                z = complex(sym_t.P[j, d])
                 rt = cmath.sqrt(complex(a))
                 pair = [(None, (z + rt) / 2), (None, (z - rt) / 2)]
             for (ex1, v1), (ex2, v2) in (
@@ -507,20 +475,20 @@ def predict_fission_table(sym_table, split_row, a):
             ):
                 rows_exact.append(base_exact + [ex1, ex2])
                 rows_val.append(base_val + [v1, v2])
-                mults.append(sym_table.multiplicities[j] // 2)
+                mults.append(sym_t.multiplicities[j] // 2)
         else:
-            ex, v = halved(sym_table.exact[j][d], complex(sym_table.P[j, d]))
+            ex, v = halved(sym_t.exact[j][d], complex(sym_t.P[j, d]))
             rows_exact.append(base_exact + [ex, ex])
             rows_val.append(base_val + [v, v])
-            mults.append(sym_table.multiplicities[j])
+            mults.append(sym_t.multiplicities[j])
     P = np.array(rows_val, dtype=np.complex128)
-    valencies = tuple(sym_table.valencies[:d]) + (kd2, kd2)
+    valencies = tuple(sym_t.valencies[:d]) + (kd2, kd2)
     return EigenTable(
         P,
         tuple(mults),
         tuple(tuple(r) for r in rows_exact),
         P.copy(),
-        sym_table.n,
+        sym_t.n,
         valencies,
     )
 
@@ -585,25 +553,15 @@ def check_theorem_fission(x):
     computed one entrywise within 1e-8 after column alignment.
     """
     tid = "T3.1"
-    pair = _one_pair(x)
-    if pair is None or not x.is_commutative:
-        return TheoremVerdict(
-            tid, False, None, {"reason": "needs exactly one transpose pair"}
-        )
+    refused = _needs_one_pair(x, tid) or _needs_amorphic_symmetrization(x, tid)
+    if refused:
+        return refused
+    p1, p2 = x.transpose_pairs[0]
     sym, corr = symmetrize(x)
-    am, cert = is_amorphic(sym)
-    if not am:
-        return TheoremVerdict(
-            tid,
-            False,
-            None,
-            {"reason": "symmetrization not amorphic", "certificate": cert},
-        )
-    p1, p2 = pair
     c_star = corr[p1]
     x_t = character_table(x)
     sym_t = character_table(sym)
-    match = idempotent_matching(x, x_table=x_t, sym_table=sym_t)
+    match = idempotent_matching(x)
     split = match.split_row
     col_perm = [0] + [c for c in range(1, sym.d + 1) if c != c_star] + [c_star]
     sym_aligned = permute_table_columns(sym_t, col_perm)
@@ -612,36 +570,23 @@ def check_theorem_fission(x):
     pd_split = complex(sym_t.P[split, c_star])
     aval = (2 * rho - pd_split) ** 2
     a = Fraction(aval.real).limit_denominator(64)
-    snapped = (
-        abs(aval.imag) < RESID_TOL and abs(aval.real - float(a)) < RESID_TOL
-    )
+    snapped = abs(aval.imag) < RESID_TOL and abs(aval.real - float(a)) < RESID_TOL
     if not snapped or a >= 0:
-        return TheoremVerdict(
-            tid,
-            True,
-            False,
-            {
-                "reason": "extracted radicand not a negative rational",
-                "a": [aval.real, aval.imag],
-            },
-        )
+        return TheoremVerdict(tid, True, False, {
+            "reason": "extracted radicand not a negative rational",
+            "a": [aval.real, aval.imag],
+        })
     predicted = predict_fission_table(sym_aligned, split, a)
     class_of = {corr[i]: i for i in range(1, x.d + 1) if i not in (p1, p2)}
     x_cols = [0] + [class_of[c] for c in col_perm[1:-1]] + [p1, p2]
     computed = permute_table_columns(x_t, x_cols)
     dev = compare_fission_tables(predicted, computed)
-    holds = dev < RESID_TOL
-    return TheoremVerdict(
-        tid,
-        True,
-        holds,
-        {
-            "a": str(a),
-            "split_row": split,
-            "max_deviation": dev,
-            "column_order": x_cols,
-        },
-    )
+    return TheoremVerdict(tid, True, dev < RESID_TOL, {
+        "a": str(a),
+        "split_row": split,
+        "max_deviation": dev,
+        "column_order": x_cols,
+    })
 
 
 @dataclass(frozen=True)

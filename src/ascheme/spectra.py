@@ -9,18 +9,17 @@ detected and retried with doubled working precision (mpmath).
 
 Counting distinct eigenvalues of a union digraph never relies on floats:
 the count is the degree of the minimal polynomial of the integer matrix
-B_Lambda over Q, by exact Gaussian elimination.  The floating route
-(union_spectrum, tolerance clustering) exists as an independent
-cross-check, not as the decision procedure.
+B_Lambda (union_matrix) over Q, by exact Gaussian elimination.  The
+floating route (union_spectrum, tolerance clustering) exists as an
+independent cross-check, not as the decision procedure.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
-from .core import union_classes
+from .core import memoized, union_classes
 from .errors import (
     ClusteringAmbiguity,
     EigenSeparationFailure,
@@ -60,7 +59,9 @@ class EigenTable:
     P[j, i] is the eigenvalue of A_i on the j-th common eigenspace; row 0
     is the valency row and column 0 is all ones.  exact[j][i] is a QuadVal
     when the entry snapped to a rational or quadratic value, else None.
-    eigen_basis holds the raw eigenrows as computed, before snapping.
+    eigen_basis holds the raw eigenrows as computed, before snapping.  The
+    tables of character_table are shared by all its callers, so their P
+    and eigen_basis are read-only.
     """
 
     P: np.ndarray
@@ -194,12 +195,20 @@ def multiplicities(P, valencies, n):
     return out
 
 
+def _read_only(e):
+    e.P.setflags(write=False)
+    e.eigen_basis.setflags(write=False)
+    return e
+
+
+@memoized(lambda s, seed=DEFAULT_SEED, precision=64: (seed, precision))
 def character_table(s, seed=DEFAULT_SEED, precision=64):
     """Compute the character table of a commutative scheme.
 
     seed drives the random combination coefficients; precision 128 starts
     directly on the software-float path.  Each retry draws a fresh
-    combination and doubles the working precision.
+    combination and doubles the working precision.  The table is computed
+    once per (scheme, seed, precision) and is read-only.
     """
     B = intersection_matrices(s)
     d = s.d
@@ -207,7 +216,7 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     if d == 0:
         one = QuadVal.rational(1)
         P = np.ones((1, 1), dtype=np.complex128)
-        return EigenTable(P, (1,), ((one,),), P.copy(), n, s.valencies)
+        return _read_only(EigenTable(P, (1,), ((one,),), P.copy(), n, s.valencies))
     rng = np.random.default_rng(seed)
     k = np.array(s.valencies, dtype=np.float64)
     rows = None
@@ -248,7 +257,14 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     mults = tuple(multiplicities(P, s.valencies, n))
     if mults[0] != 1 or sum(mults) != n:
         raise MultiplicitySumMismatch(f"multiplicities {list(mults)}, n = {n}")
-    return EigenTable(P, mults, exact, basis, n, s.valencies)
+    return _read_only(EigenTable(P, mults, exact, basis, n, s.valencies))
+
+
+def union_matrix(s, union):
+    """B_Lambda, the sum of B_i over the union, as rows of Python ints:
+    the exact input of the minimal polynomial and the Krylov matrix."""
+    B = intersection_matrices(s)
+    return sum(B[i] for i in union_classes(s.d, union)).tolist()
 
 
 def distinct_eigenvalue_count(s, union):
@@ -258,10 +274,7 @@ def distinct_eigenvalue_count(s, union):
     B_i are simultaneously diagonalizable for a commutative scheme, so the
     minimal polynomial is squarefree.
     """
-    B = intersection_matrices(s)
-    cols = union_classes(s.d, union)
-    BL = sum(B[i] for i in cols)
-    return exactla.minpoly_degree([[int(x) for x in row] for row in BL])
+    return exactla.minpoly_degree(union_matrix(s, union))
 
 
 def union_spectrum(e, union):

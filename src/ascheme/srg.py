@@ -8,7 +8,9 @@ names two pairs whose counts differ.  Weak components come from the
 intersection tensor as well: the classes reachable from class 0 through
 the union and its transpose form a closed subset, which every component
 has as its class set.  Nothing here builds an n x n matrix or searches a
-graph.  The eigenvalue routines work from (n, k, lambda, mu) alone: the
+graph.  SRG parameters are memoized on the scheme, next to its character
+table, so connectivity_classification reads both without recomputing
+them.  The eigenvalue routines work from (n, k, lambda, mu) alone: the
 restricted eigenvalues and their multiplicities follow from the quadratic
 whose discriminant separates the conference case (irrational eigenvalues,
 equal multiplicities) from the integral case.  Everything downstream of
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import union_classes
+from .core import memoized, union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
@@ -94,6 +96,7 @@ def _components(s, union):
     return s.n // size, size
 
 
+@memoized(lambda s, union: union_classes(s.d, union))
 def srg_params_from_scheme(s, union):
     """SRG parameters of a symmetric union digraph.
 
@@ -102,7 +105,8 @@ def srg_params_from_scheme(s, union):
     regular, and the error message carries the fusion's witness: two
     pairs of one fused class whose counts of paths x -> z -> y through
     given fused classes differ.  The complete graph is excluded (no
-    non-adjacent pairs, mu undefined).
+    non-adjacent pairs, mu undefined).  Parameters are computed once per
+    (scheme, union); a union that raises is fused again on the next call.
     """
     u = _validate_union(s, union)
     comp = [i for i in range(1, s.d + 1) if i not in u]
@@ -117,15 +121,7 @@ def srg_params_from_scheme(s, union):
     try:
         fused = fuse_direct(s, [[0], list(u), comp])
     except NotAScheme as exc:
-        w = exc.witness
-        role = {iu: "union", ic: "complement"}
-        raise NotStronglyRegular(
-            f"union {u} is not strongly regular: pairs {w.pair_a} and "
-            f"{w.pair_b}, both in the {role[w.l]}, have {w.count_a} and "
-            f"{w.count_b} vertices z with (x, z) in the {role[w.i]} and "
-            f"(z, y) in the {role[w.j]}",
-            witness=w,
-        ) from exc
+        raise _not_strongly_regular(u, exc.witness, {iu: "union", ic: "complement"}) from exc
     if int(fused.valencies[iu]) != k:
         raise SrgCheckFailed(
             f"fused union class has valency {int(fused.valencies[iu])}, not {k}",
@@ -143,6 +139,19 @@ def srg_params_from_scheme(s, union):
             "connectivity",
         )
     return params
+
+
+def _not_strongly_regular(u, w, role):
+    # built in its own frame: a local of the raising frame that held the
+    # witness, whose traceback reaches back to that frame, would make a
+    # cycle that keeps the scheme alive until the cycle collector runs
+    return NotStronglyRegular(
+        f"union {u} is not strongly regular: pairs {w.pair_a} and "
+        f"{w.pair_b}, both in the {role[w.l]}, have {w.count_a} and "
+        f"{w.count_b} vertices z with (x, z) in the {role[w.i]} and "
+        f"(z, y) in the {role[w.j]}",
+        witness=w,
+    )
 
 
 def srg_eigen(n, k, lam, mu):
@@ -220,7 +229,7 @@ def _integral(v, name, k, r, s):
     return int(v.q)
 
 
-def connectivity_classification(s, union, table=None, params=None):
+def connectivity_classification(s, union):
     """Component structure of a union digraph, cross-checked spectrally.
 
     Counts weak components from the closed subset of classes that the
@@ -229,15 +238,14 @@ def connectivity_classification(s, union, table=None, params=None):
     component count (Perron root of a regular graph), and, for strongly
     regular unions other than the complete graph, disconnectedness is
     equivalent to the spectrum being {k, -1}, i.e. to a disjoint union of
-    equal cliques.  table is the scheme's character table, computed here
-    when not given.  params is the union's SrgParams from
-    srg_params_from_scheme when the caller has them; without them the
-    union is fused here to decide whether it is strongly regular.
+    equal cliques.  The character table and the union's SrgParams are the
+    scheme's memoized ones, so a caller that already asked for them pays
+    for neither again.
     """
     u = _validate_union(s, union)
     ncomp, size = _components(s, u)
     k = int(sum(s.valencies[i] for i in u))
-    spec = union_spectrum(character_table(s) if table is None else table, u)
+    spec = union_spectrum(character_table(s), u)
     val_mult = sum(m for z, m in spec if abs(z - k) < RESID_TOL)
     clique_spec = all(
         abs(z - k) < RESID_TOL or abs(z + 1) < RESID_TOL for z, m in spec
@@ -250,13 +258,11 @@ def connectivity_classification(s, union, table=None, params=None):
         "spectral_count_matches": val_mult == ncomp,
     }
     consistent = val_mult == ncomp
-    is_srg = params is not None
-    if not is_srg:
-        try:
-            srg_params_from_scheme(s, u)
-            is_srg = True
-        except (NotStronglyRegular, InfeasibleParameters):
-            pass
+    try:
+        srg_params_from_scheme(s, u)
+        is_srg = True
+    except (NotStronglyRegular, InfeasibleParameters):
+        is_srg = False
     out["strongly_regular"] = is_srg
     if is_srg and k < s.n - 1:
         out["clique_union_spectrum"] = clique_spec

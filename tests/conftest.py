@@ -1,10 +1,12 @@
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ascheme.catalog import catalog_ids, catalog_scheme
+from ascheme import core, generator, spectra, srg
+from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
 from ascheme.core import MAX_D, MAX_N, ColorMatrix, canonical_form
 from ascheme.errors import (
     MalformedHeader,
@@ -29,6 +31,36 @@ def catalog():
 def tables(catalog):
     """Character tables for every commutative catalog scheme."""
     return {eid: character_table(s) for eid, s in catalog.items() if s.is_commutative}
+
+
+# the memoized bodies, by the name the tests give them
+MEMOIZED = {
+    "character_table": spectra.character_table,
+    "symmetrize": core._symmetrized,
+    "generates": generator.generates,
+    "srg_params_from_scheme": srg.srg_params_from_scheme,
+}
+
+
+@pytest.fixture(scope="session")
+def battery_body_runs():
+    """(body name, scheme) for each run of a memoized body during one
+    run_catalog(workers=1), which builds its schemes afresh, in call
+    order.  A profile hook sees each frame of a body's code, so memo hits,
+    which never enter the body, are not counted."""
+    names = {fn.__wrapped__.__code__: name for name, fn in MEMOIZED.items()}
+    runs = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            runs.append((names[frame.f_code], frame.f_locals["s"]))
+
+    sys.setprofile(hook)
+    try:
+        records = run_catalog(workers=1)
+    finally:
+        sys.setprofile(None)
+    return runs, records
 
 
 def brute_intersection_numbers(e, d):

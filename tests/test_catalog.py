@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from ascheme.catalog import (
     run_catalog,
     trivial_scheme,
     _json_default,
+    _run_checks,
 )
 from ascheme.errors import (
     BadDivisor,
@@ -286,3 +289,32 @@ def test_full_catalog_passes_everywhere():
     ]
     assert bad == []
     assert catalog_exit_code(recs) == 0
+
+
+# --- the memo: each derived object once per scheme ----------------------------
+
+
+@pytest.mark.parametrize("eid", ["cyclo-13-4", "cyclo-7-2", "petersen", "schurian-z8-m3"])
+def test_check_records_do_not_depend_on_check_order(eid):
+    """Checks share the memoized tables, symmetrizations and reports of a
+    scheme; whichever check asks first, each record is the same."""
+    want = _run_checks(catalog_scheme(eid), CHECKS)
+    rng = random.Random(eid)
+    for _ in range(4):
+        order = rng.sample(CHECKS, len(CHECKS))
+        got = {rec["check"]: rec for rec in _run_checks(catalog_scheme(eid), order)}
+        assert [got[name] for name in CHECKS] == want, order
+
+
+def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
+    """One run_catalog(workers=1) runs each memoized body once per distinct
+    (scheme, arguments): 62 tables, 21 symmetrizations, 422 generation
+    reports and 202 SRG parameter sets."""
+    runs, records = battery_body_runs
+    assert Counter(name for name, _ in runs) == {
+        "character_table": 62,
+        "symmetrize": 21,
+        "generates": 422,
+        "srg_params_from_scheme": 202,
+    }
+    assert catalog_exit_code(records) == 0

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme import generator
+from ascheme.catalog import CHECKS, _run_checks, build_cyclotomic, catalog_scheme
 from ascheme.core import (
     canonical_form,
     emit_scheme_file,
@@ -22,6 +26,8 @@ from ascheme.errors import (
     OutOfRangeEntry,
     TransposeNotRelation,
 )
+
+from conftest import compile_stripped
 
 PENTAGON = """\
 5 2
@@ -177,3 +183,42 @@ def test_adjacency_union():
     A12 = s.adjacency((1, 2))
     assert A1.sum() == 10
     assert (A12 == 1 - np.eye(5, dtype=np.int64)).all()
+
+
+# --- the memo of derived objects ---------------------------------------------
+
+
+def test_memo_keys_on_normalized_arguments():
+    s = catalog_scheme("cyclo-13-4")
+    assert symmetrize(s) is symmetrize(s)
+    assert generator.generates(s, (3, 1)) is generator.generates(s, [1, 3, 1])
+    # a symmetric scheme's symmetrization is the scheme itself, kept out
+    # of its own memo
+    p = catalog_scheme("petersen")
+    assert symmetrize(p)[0] is p and not p._memo
+
+
+def test_memo_keys_on_the_function_not_its_name():
+    s = catalog_scheme("cyclo-13-4")
+    stripped = compile_stripped(generator)
+    ours, theirs = generator.generates(s, (1,)), stripped.generates(s, (1,))
+    assert ours is not theirs and ours.to_json() == theirs.to_json()
+    assert len(s._memo) == 2
+
+
+@pytest.mark.parametrize("eid", ["cyclo-13-4", "schurian-z8-m3", "petersen"])
+def test_memo_frees_a_scheme_by_refcount(eid):
+    """No memo entry refers to its own scheme, so a scheme whose memo the
+    whole battery filled is freed, with its symmetrization, as soon as the
+    last reference goes, with the cycle collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        s = catalog_scheme(eid)
+        _run_checks(s, CHECKS)
+        assert s._memo
+        refs = [weakref.ref(s), weakref.ref(symmetrize(s)[0])]
+        del s
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

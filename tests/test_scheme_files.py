@@ -19,7 +19,11 @@ from ascheme.core import (
     verify_axioms,
 )
 
-from conftest import reference_emit_scheme_file, reference_parse_scheme_file
+from conftest import (
+    _reference_validate_entries,
+    reference_emit_scheme_file,
+    reference_parse_scheme_file,
+)
 
 # tokens a mutation inserts: the plain grammar, what int() also reads ("+1",
 # "1_0", "٣", the no-break space as a separator) and what it rejects
@@ -225,3 +229,34 @@ def test_relabel_peak_memory_at_n_961(ladder_schemes):
     assert _peak(core.merge_classes, s, [[0], list(range(1, s.d + 1))]) < 2 * out
     assert np.array_equal(relabel_classes(s, perm).color.entries,
                           np.asarray(perm)[s.color.entries])
+
+
+
+def test_validate_entries_peak_memory_at_n_961(ladder_schemes):
+    # the range check once copied the int64 entries to blank the diagonal:
+    # a peak of 9.2 MB, above the 7.4 MB of the matrix itself
+    e = ladder_schemes["direct-31-2-squared"].color.entries.astype(np.int64)
+    assert _peak(core._validate_entries, e, 8) < e.nbytes
+
+
+def _validation_error(validate, arr, d):
+    try:
+        validate(arr, d, row_loc=lambda r: r + 2)
+    except Exception as exc:  # noqa: BLE001  (the class itself is compared)
+        return type(exc), str(exc), exc.line, exc.col
+    return None
+
+
+def test_validate_entries_names_the_reference_entry():
+    """The first bad entry, its line, column and message, are those of the
+    copying range check kept in conftest."""
+    base = build_cyclotomic(13, 4).color.entries.astype(np.int64)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        bad = base.copy()
+        k = int(rng.integers(1, 4))
+        rows, cols = rng.integers(0, 13, size=(2, k))
+        bad[rows, cols] = rng.integers(-2, 7, size=k)
+        assert _validation_error(core._validate_entries, bad, 4) == _validation_error(
+            _reference_validate_entries, bad, 4
+        )

@@ -216,7 +216,8 @@ def test_union_validation():
 def test_seed_determinism_and_independence():
     s = catalog_scheme("cyclo-13-4")
     e1 = character_table(s, seed=0x5EED)
-    e2 = character_table(s, seed=0x5EED)
+    # a fresh scheme: the same one would hand back its memoized table
+    e2 = character_table(catalog_scheme("cyclo-13-4"), seed=0x5EED)
     assert (e1.P == e2.P).all()
     assert (e1.eigen_basis == e2.eigen_basis).all()
     e3 = character_table(s, seed=12345)
@@ -262,3 +263,16 @@ def test_table_json_shape():
     js = e.to_json()
     assert len(js["P"]) == 9 and js["multiplicities"] == [1, 2, 2]
     assert len(js["exactness"]) == 9
+
+
+def test_tables_are_memoized_and_read_only():
+    s = catalog_scheme("petersen")
+    e = character_table(s)
+    assert character_table(s, spectra.DEFAULT_SEED, 64) is e
+    assert character_table(s, seed=1) is not e
+    trivial = character_table(scheme_from_entries(np.zeros((1, 1), dtype=np.int64), d=0))
+    for table in (e, trivial):
+        for arr in (table.P, table.eigen_basis):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2
+    assert e.P[0, 0] == 1 and trivial.P[0, 0] == 1

@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from ascheme import catalog as cat
-from ascheme import spectra, srg
+from ascheme import srg
 from ascheme.catalog import build_cyclotomic, catalog_scheme
 from ascheme.core import Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
@@ -188,7 +188,7 @@ def test_catalog_srg_sweep(catalog):
     assert srg_seen == 130
 
 
-def test_connectivity_classification_consistent_everywhere(catalog, tables):
+def test_connectivity_classification_consistent_everywhere(catalog):
     for eid, s in catalog.items():
         if not s.is_commutative:
             continue
@@ -199,10 +199,6 @@ def test_connectivity_classification_consistent_everywhere(catalog, tables):
                 out = connectivity_classification(s, u)
                 assert out["spectral_count_matches"], (eid, u)
                 assert out["consistent"], (eid, u)
-                assert connectivity_classification(s, u, tables[eid]) == out
-                if out["strongly_regular"]:
-                    params = srg_params_from_scheme(s, u)
-                    assert connectivity_classification(s, u, tables[eid], params) == out
 
 
 def test_connected_srg_has_three_eigenvalues(catalog):
@@ -276,15 +272,22 @@ def test_weak_components_match_scipy(catalog):
     assert unions == 504
 
 
-def test_srg_reads_only_the_tensor(catalog, monkeypatch):
+def fresh_catalog():
+    """Every catalog scheme built anew: the session fixture's schemes hold
+    memos filled by earlier tests, where a memoized call runs nothing."""
+    return [catalog_scheme(eid) for eid in cat.catalog_ids()]
+
+
+def test_srg_reads_only_the_tensor(monkeypatch):
     """SRG extraction and connectivity classification never build an n x n
     adjacency matrix."""
 
     def no_adjacency(self, classes):
         raise AssertionError("srg must not build an adjacency matrix")
 
+    schemes = fresh_catalog()
     monkeypatch.setattr(Scheme, "adjacency", no_adjacency)
-    for s in catalog.values():
+    for s in schemes:
         for u in _closed_unions(s, range(1, s.d + 1)):
             try:
                 srg_params_from_scheme(s, u)
@@ -294,31 +297,18 @@ def test_srg_reads_only_the_tensor(catalog, monkeypatch):
                 connectivity_classification(s, u)
 
 
-def test_catalog_srg_check_builds_one_table(catalog, monkeypatch):
-    """The catalog's srg check computes each scheme's character table at
-    most once and hands it to every connectivity classification."""
-    calls = []
-    table = spectra.character_table
-
-    def counted(s, *args, **kwargs):
-        calls.append(s)
-        return table(s, *args, **kwargs)
-
-    def refused(s, *args, **kwargs):
-        raise AssertionError("connectivity_classification must use the given table")
-
-    monkeypatch.setattr(spectra, "character_table", counted)
-    monkeypatch.setattr(srg, "character_table", refused)
-    for s in catalog.values():
-        if s.is_commutative:
-            calls.clear()
-            cat._check_srg(s)
-            assert len(calls) <= 1
+def test_catalog_srg_check_builds_one_table(battery_body_runs):
+    """The whole battery, the srg check and every connectivity
+    classification in it included, computes one character table per
+    scheme object: the catalog schemes and their symmetrizations."""
+    runs, _ = battery_body_runs
+    tables = [s for name, s in runs if name == "character_table"]
+    assert len({id(s) for s in tables}) == len(tables) == 62
 
 
-def test_catalog_srg_check_fuses_each_union_once(catalog, monkeypatch):
+def test_catalog_srg_check_fuses_each_union_once(monkeypatch):
     """The catalog's srg check fuses each proper transpose-closed union
-    once: connectivity_classification takes the SrgParams it already has."""
+    once: connectivity_classification reads the memoized SrgParams."""
     calls = []
     fuse = srg.fuse_direct
 
@@ -326,8 +316,9 @@ def test_catalog_srg_check_fuses_each_union_once(catalog, monkeypatch):
         calls.append(blocks)
         return fuse(s, blocks)
 
+    schemes = fresh_catalog()
     monkeypatch.setattr(srg, "fuse_direct", counted)
-    for s in catalog.values():
+    for s in schemes:
         if s.is_commutative:
             cat._check_srg(s)
     assert len(calls) == 202
