@@ -6,13 +6,34 @@ over all z and checks the histogram is constant on each color class.  A
 violation is reported as the first one a row-major scan over (x, y) would
 meet.
 
-The counts come from float64 matmuls on packed digits.  The colors 0..d
-are cut into groups of r, and group g becomes one matrix
-P_g = sum_{b in g} base^pos(b) [e == b].  For each color a the product
-([e == a] @ P_g)[x, y] then holds, as its digit pos(b) in base `base`, the
-count c_ab(x, y) of z with e[x,z] = a and e[z,y] = b.  This is exact:
+Write C_ab for the n x n matrix whose (x, y) entry is the count of z with
+e[x,z] = a and e[z,y] = b.  The kernel makes only the C_ab that the
+coloring's own structure leaves open:
 
-- c_ab(x, y) is at most the count of color a in row x, so with base = 1 +
+- Color 0.  The diagonal is exactly color 0, so [e == 0] is the identity
+  and C_0b = C_b0 = [e == b]: p[0, b, l] = p[b, 0, l] = [b == l], and
+  these matrices are constant on every class.  No product has left or
+  right color 0.
+- Axiom (3).  The caller has checked that e[y, x] = t[e[x, y]] for every
+  arc, with t the transpose map.  Then e[y,z] = t[b] iff e[z,y] = b and
+  e[z,x] = t[a] iff e[x,z] = a, so C_{t[b] t[a]} is exactly C_ab^T, on any
+  coloring that passes axiom (3), scheme or not.  Transposing maps the
+  class of l onto the class of t[l], so C_ab is constant on every class
+  iff C_{t[b] t[a]} is, and p[t[b], t[a], l] is C_ab at the transpose of
+  l's first arc.
+
+Coverage: left color a (1..d) multiplies only the right colors b with
+t[b] >= a.  A cell (a, b) with t[b] < a is the transpose of the cell
+(t[b], t[a]), and t[t[a]] = a > t[b], so that cell is made in row t[b].
+
+The counts come from float64 matmuls on packed digits.  Colors 1..d are
+put in order of t[b] (the color at position k is t[k + 1]) and the order
+is cut into blocks of r, counted from its end, so the suffix {b : t[b] >=
+a} is covered by the last ceil((d + 1 - a) / r) blocks.  Block g becomes
+one matrix P_g = sum_{b in g} base^pos(b) [e == b], and ([e == a] @ P_g)
+holds C_ab as its digit pos(b) in base `base`.  This is exact:
+
+- C_ab(x, y) is at most the count of color a in row x, so with base = 1 +
   the largest count of any color in any row every count is one digit, on
   any input (row 0's valency alone bounds nothing on a bad coloring);
 - r is the largest value with base^r <= 2^53, so every packed value is an
@@ -21,9 +42,18 @@ count c_ab(x, y) of z with e[x,z] = a and e[z,y] = b.  This is exact:
   every partial sum BLAS forms, in any order, is an integer no larger than
   the final packed value, and float64 holds it exactly.
 
-A packed value is constant on a color class iff each of its digits is, so
-the packed products find the same first violation as the counts would.
-With m = d + 1 colors that is m * ceil(m / r) products in place of m^2.
+That is sum_{k=1..d} ceil(k / r) products, in place of (d + 1)^2 matmuls
+of single colors: 10 at n = 961, d = 8, r = 6.
+
+Witness order.  A packed value is constant on a class iff each of its
+digits is, so each product needs one constancy check, and on valid input
+that is all.  The first violation in scan order is the smallest row-major
+index at which some C_ab leaves its class value.  For a product that
+fails, the kernel takes that index for its own cells and, for the
+transposed cells, the first index of C_ab^T leaving its value, which is a
+column-major scan of the product against the class values at the
+transposed first arcs; every cell is then seen, directly or transposed.
+The pair and color pair are rebuilt from that index as before.
 """
 
 import numpy as np
@@ -37,9 +67,11 @@ def first_arcs(e, d):
     return np.array([np.argmax(flat == i) for i in range(d + 1)], dtype=np.int64)
 
 
-def tensor_and_verify(e, d):
+def tensor_and_verify(e, d, t):
     """All intersection numbers of a coloring, plus an axiom (4) verdict.
 
+    `t` is the transpose map, e[y, x] = t[e[x, y]] for every arc (axiom
+    (3), checked by the caller), and e's diagonal is exactly color 0.
     Returns (p, ok, witness) where p[i, j, l] is the count of z with
     e[x, z] = i and e[z, y] = j for the first arc (x, y) of color l.  When
     ok is False, witness holds (i, j, l, x1, y1, count1, x2, y2, count2)
@@ -47,34 +79,47 @@ def tensor_and_verify(e, d):
     """
     n = e.shape[0]
     m = d + 1
+    t = np.asarray(t)
     first = first_arcs(e, d)
+    fx, fy = np.divmod(first, n)
+    first_t = fy * n + fx
     base = 1 + max(int(np.count_nonzero(e == a, axis=1).max()) for a in range(m))
     r = 1
-    while r < m and base ** (r + 1) <= 2**53:
+    while r < d and base ** (r + 1) <= 2**53:
         r += 1
-    groups = [range(g, min(g + r, m)) for g in range(0, m, r)]
+    blocks = [t[max(1, hi - r + 1):hi + 1] for hi in range(d, 0, -r)]
     packed = []
-    for grp in groups:
+    for cols in blocks:
         weight = np.zeros(m)
-        weight[grp.start:grp.stop] = [float(base**pos) for pos in range(len(grp))]
+        weight[cols] = [float(base**pos) for pos in range(len(cols))]
         packed.append(weight[e])
     p = np.full((m, m, m), -1, dtype=np.int64)
+    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
     wit = np.full(9, -1, dtype=np.int64)
     bad = -1
-    for a in range(m):
+    for a in range(1, m):
         left = (e == a).astype(np.float64)
-        for grp, pg in zip(groups, packed):
+        for cols, pg in zip(blocks, packed[: -(-(m - a) // r)]):
             prod = left @ pg
-            ref = prod.ravel()[first]
+            flat = prod.ravel()
+            ref, ref_t = flat[first], flat[first_t]
             mismatch = prod != ref[e]
             if mismatch.any():
                 fi = int(np.argmax(mismatch))
+                del mismatch
+                mismatch = prod != ref_t[t][e]
+                y = int(np.argmax(mismatch.any(axis=0)))
+                fi_t = y * n + int(np.argmax(mismatch[:, y]))
+                del mismatch
+                fi = min(fi, fi_t)
                 if bad < 0 or fi < bad:
                     bad = fi
-            digits = ref.astype(np.int64)
-            for b in grp:
-                p[a, b, :] = digits % base
+            digits, digits_t = ref.astype(np.int64), ref_t.astype(np.int64)
+            for b in cols:
+                p[a, b] = digits % base
+                p[t[b], t[a]] = digits_t % base
                 digits //= base
+                digits_t //= base
     if bad < 0:
         return p, True, wit
     # rebuild the witness in scan order: first violating pair row-major,

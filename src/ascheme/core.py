@@ -359,7 +359,7 @@ def verify_axioms(c):
         i = int(e[x, y])
         raise TransposeNotRelation(i, x, y, int(t[i]), int(e[y, x]))
     t = pairs.argmax(axis=1)
-    p, ok, wit = _kernels.tensor_and_verify(e, d)
+    p, ok, wit = _kernels.tensor_and_verify(e, d, t)
     if not ok:
         i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in wit)
         raise InconsistentIntersectionNumber(i, j, l, (xa, ya), ca, (xb, yb), cb)
@@ -383,14 +383,29 @@ def scheme_from_entries(entries, d=None):
 # canonical relabeling
 
 
+def _min_row(mask):
+    """The lexicographically smallest row of a bool matrix, as bytes.
+
+    Packed bits keep the rows' lexicographic order, and so do big-endian
+    64-bit words of them; the rows still tied are narrowed a word at a time.
+    """
+    bits = np.packbits(mask, axis=1)
+    words = np.zeros((bits.shape[0], -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    rows = np.arange(mask.shape[0])
+    for col in words.view(">u8").T:
+        vals = col[rows]
+        rows = rows[vals == vals.min()]
+        if rows.size == 1:
+            break
+    return mask[rows[0]].tobytes()
+
+
 def _class_sort_keys(e, valencies, d):
-    flat = e.ravel()
     keys = {}
     for i in range(1, d + 1):
         mask = e == i
-        min_row = min(mask[r].tobytes() for r in range(e.shape[0]))
-        first_arc = int(np.flatnonzero(flat == i)[0])
-        keys[i] = (valencies[i], min_row, first_arc)
+        keys[i] = (valencies[i], _min_row(mask), int(np.argmax(mask)))
     return keys
 
 

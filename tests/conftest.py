@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ascheme import core, generator, spectra, srg
+from ascheme import _kernels, core, generator, spectra, srg
 from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
 from ascheme.core import MAX_D, MAX_N, ColorMatrix, canonical_form
 from ascheme.errors import (
@@ -81,6 +81,13 @@ def brute_intersection_numbers(e, d):
     for l, c in cnt.items():
         p[:, :, l] = c
     return p
+
+
+def run_kernel(e, d, kernels=_kernels):
+    """`kernels.tensor_and_verify` on a coloring that passes axiom (3),
+    with the transpose map read at each color's first arc."""
+    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
+    return kernels.tensor_and_verify(e, d, t)
 
 
 def scan_tensor_and_verify(e, d):

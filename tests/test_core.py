@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascheme import generator
+from ascheme import core, generator
 from ascheme.catalog import CHECKS, _run_checks, build_cyclotomic, catalog_scheme
 from ascheme.core import (
     canonical_form,
@@ -133,6 +133,18 @@ def test_canonical_order_puts_transpose_pairs_adjacent(catalog):
     for eid, s in catalog.items():
         for i, j in s.transpose_pairs:
             assert j == i + 1, (eid, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_min_row_matches_the_bytes_loop(n, seed, shared):
+    # rows that agree on a long prefix, and equal rows, make the word-wise
+    # narrowing run past the first word and end with ties
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < 0.3
+    mask[:, : min(shared, n)] = mask[0, : min(shared, n)]
+    mask[n // 2] = mask[0]
+    assert core._min_row(mask) == min(mask[r].tobytes() for r in range(n))
 
 
 @settings(max_examples=25, deadline=None)
