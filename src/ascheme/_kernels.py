@@ -43,7 +43,8 @@ holds C_ab as its digit pos(b) in base `base`.  This is exact:
   the final packed value, and float64 holds it exactly.
 
 That is sum_{k=1..d} ceil(k / r) products, in place of (d + 1)^2 matmuls
-of single colors: 10 at n = 961, d = 8, r = 6.
+of single colors: 10 for cyclotomic (31,2) squared (n = 961, d = 8, base
+226, r = 6).
 
 Witness order.  A packed value is constant on a class iff each of its
 digits is, so each product needs one constancy check, and on valid input
@@ -53,7 +54,8 @@ fails, the kernel takes that index for its own cells and, for the
 transposed cells, the first index of C_ab^T leaving its value, which is a
 column-major scan of the product against the class values at the
 transposed first arcs; every cell is then seen, directly or transposed.
-The pair and color pair are rebuilt from that index as before.
+The minimum over products is the first violating pair; a recount there
+gives the first color pair (a, b) whose count differs.
 """
 
 import numpy as np
@@ -81,8 +83,7 @@ def tensor_and_verify(e, d, t):
     m = d + 1
     t = np.asarray(t)
     first = first_arcs(e, d)
-    fx, fy = np.divmod(first, n)
-    first_t = fy * n + fx
+    first_t = first % n * n + first // n
     base = 1 + max(int(np.count_nonzero(e == a, axis=1).max()) for a in range(m))
     r = 1
     while r < d and base ** (r + 1) <= 2**53:

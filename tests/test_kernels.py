@@ -100,13 +100,26 @@ def _digit_groups(e, d):
     return r, -(-d // r), sum(-(-k // r) for k in range(1, d + 1))
 
 
-def lean_coloring(rng, n, colors, lean, pairs):
-    """(e, d): random arcs closed under a transpose map with `pairs`
-    nonsymmetric pairs, where rows 1..n-1 lean on color 1 while row 0
-    spreads its arcs over all colors, so row 0's counts are no bound on
-    the others'.  Colors that do not occur are dropped."""
+@st.composite
+def transpose_consistent_colorings(draw):
+    """(e, d): a coloring whose classes are closed under transpose and in
+    which every color 0..d occurs.  Either the thin scheme of Z_n under a
+    vertex permutation (a valid scheme), or random arcs where rows 1..n-1
+    lean on color 1 while row 0 spreads its arcs over all colors, so row
+    0's counts are no bound on the others'.  The "wide" kind draws many
+    colors and a heavy lean, which needs two packed digit blocks."""
+    kind = draw(st.sampled_from(("thin", "lean", "wide")))
+    wide = kind == "wide"
+    n = draw(st.integers(16 if wide else 2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "thin":
+        e = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        vperm = rng.permutation(n)
+        return e[np.ix_(vperm, vperm)], n - 1
+    colors = draw(st.integers(15 if wide else 1, 20))
+    lean = draw(st.floats(0.6 if wide else 0.0, 0.95))
     t = np.arange(colors + 1)
-    swap = rng.permutation(np.arange(1, colors + 1))[: 2 * pairs]
+    swap = rng.permutation(np.arange(1, colors + 1))[: 2 * draw(st.integers(0, colors // 2))]
     t[swap[0::2]], t[swap[1::2]] = swap[1::2], swap[0::2]
     e = np.zeros((n, n), dtype=np.int64)
     for x in range(n):
@@ -122,26 +135,6 @@ def lean_coloring(rng, n, colors, lean, pairs):
     lut = np.zeros(colors + 1, dtype=np.int64)
     lut[used] = np.arange(used.size)
     return lut[e], used.size - 1
-
-
-@st.composite
-def transpose_consistent_colorings(draw):
-    """(e, d): a coloring whose classes are closed under transpose and in
-    which every color 0..d occurs.  Either the thin scheme of Z_n under a
-    vertex permutation (a valid scheme), or a `lean_coloring`.  The "wide"
-    kind draws many colors and a heavy lean, which needs two packed digit
-    blocks."""
-    kind = draw(st.sampled_from(("thin", "lean", "wide")))
-    wide = kind == "wide"
-    n = draw(st.integers(16 if wide else 2, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "thin":
-        e = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        vperm = rng.permutation(n)
-        return e[np.ix_(vperm, vperm)], n - 1
-    colors = draw(st.integers(15 if wide else 1, 20))
-    lean = draw(st.floats(0.6 if wide else 0.0, 0.95))
-    return lean_coloring(rng, n, colors, lean, draw(st.integers(0, colors // 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,10 +211,9 @@ def test_first_violation_reached_only_through_a_transpose():
 
 def _kernel_peak(e, d):
     """tracemalloc peak of one kernel call, in n x n float64 arrays."""
-    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
     tracemalloc.start()
     try:
-        _, ok, _ = _kernels.tensor_and_verify(e, d, t)
+        _, ok, _ = run_kernel(e, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
