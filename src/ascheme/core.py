@@ -359,6 +359,7 @@ def verify_axioms(c):
         i = int(e[x, y])
         raise TransposeNotRelation(i, x, y, int(t[i]), int(e[y, x]))
     t = pairs.argmax(axis=1)
+    del flat_t  # n x n; the kernel's peak must not carry it
     p, ok, wit = _kernels.tensor_and_verify(e, d, t)
     if not ok:
         i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in wit)

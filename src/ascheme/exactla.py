@@ -3,8 +3,9 @@
 Everything here works on small dense systems (dimensions bounded by the
 square of the class count), so exact elimination is fast enough and keeps
 every decision tolerance-free.  Rank and minimal-polynomial degree use
-fraction-free integer elimination; solve_exact uses Fractions.  Matrix
-powers are taken with Python integers, which never overflow.
+fraction-free integer elimination; solve_exact uses Fractions and solves
+any number of right-hand sides in one Gauss-Jordan pass over the matrix.
+Matrix powers are taken with Python integers, which never overflow.
 """
 
 import math
@@ -88,17 +89,25 @@ def minpoly_degree(B):
         cur = int_matmul(cur, B)
 
 
-def solve_exact(A, b):
-    """One rational solution of A x = b, or None when inconsistent.
+def solve_exact(A, rhs):
+    """One rational solution of A x = b for each b in rhs, or None for each
+    b that is inconsistent.
 
-    A is a list of rows.  Free variables, if any, are set to zero; for the
-    systems in this package the solution is unique whenever it exists.
+    A is a list of rows and every b has one entry per row.  A single
+    Fraction Gauss-Jordan pass runs over A with all right-hand sides
+    appended as extra columns; pivots are chosen in A's columns only, so
+    each solution is the one a pass with b alone would give.  Free
+    variables, if any, are set to zero; for the systems in this package
+    the solution is unique whenever it exists.
     """
     m = len(A)
     if m == 0:
-        return []
+        return [[] for _ in rhs]
     k = len(A[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
+        for i, row in enumerate(A)
+    ]
     pivots = []
     r = 0
     for c in range(k):
@@ -120,10 +129,13 @@ def solve_exact(A, b):
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][k]:
-            return None
-    x = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][k]
-    return x
+    sols = []
+    for j in range(k, k + len(rhs)):
+        if any(aug[i][j] for i in range(r, m)):
+            sols.append(None)
+            continue
+        x = [Fraction(0)] * k
+        for row_idx, c in enumerate(pivots):
+            x[c] = aug[row_idx][j]
+        sols.append(x)
+    return sols

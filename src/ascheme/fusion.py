@@ -15,7 +15,6 @@ Amorphicity is always decided by the exact oracle.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -300,67 +299,47 @@ def amorphic_normal_form(e, fix_last_col=None):
     """Permute rows/columns of an amorphic symmetric table into the
     deviant-diagonal shape; returns the permutations and vectors a, b.
 
-    Brute force over both permutations for d <= 5 (lexicographically
-    first fit), deviant-detection per column beyond.  fix_last_col pins a
-    designated class to the final column position.  Raises
-    NormalFormUnreachable when no permutation fits.
+    Each column's deviant entry is the one row that differs from the d - 1
+    others; the deviant rows must form a bijection with the columns.  The
+    columns keep their order (the lexicographically first fit), except
+    that fix_last_col, a class in 1..d, is pinned to the final position;
+    each column's deviant row takes its position.  Raises ValueError for
+    d < 3, where the shape says nothing, and NormalFormUnreachable when no
+    permutation fits.
     """
     d = e.d
+    if d < 3:
+        raise ValueError(f"the amorphic normal form needs d >= 3, got d = {d}")
+    if fix_last_col is not None and not 1 <= fix_last_col <= d:
+        raise ValueError(f"fix_last_col must be a class in 1..{d}, got {fix_last_col}")
     scale = max(1.0, float(np.abs(e.P).max()))
     tol = CLUSTER_TOL * scale
-    found = None
-    if d <= 5:
-        cols = [
-            (0,) + cp
-            for cp in permutations(range(1, d + 1))
-            if fix_last_col is None or cp[-1] == fix_last_col
-        ]
-        rows = [(0,) + rp for rp in permutations(range(1, d + 1))]
-        for cp in cols:
-            for rp in rows:
-                if _pattern_fits(e, rp, cp, tol):
-                    found = (rp, cp)
-                    break
-            if found:
-                break
-    else:
-        # each column's deviant entry is the minority value; the deviant
-        # rows must form a bijection with columns
-        col_order = [0] + [c for c in range(1, d + 1) if c != fix_last_col]
-        if fix_last_col is not None:
-            col_order.append(fix_last_col)
-        row_of = {}
-        for c in range(1, d + 1):
-            votes = {}
-            for r in range(1, d + 1):
-                key = next(
-                    (k for k in votes if _entries_equal(e, r, c, k, c, tol)), r
-                )
-                votes.setdefault(key, []).append(r)
-            singles = [rs for rs in votes.values() if len(rs) == 1]
-            majors = [rs for rs in votes.values() if len(rs) == d - 1]
-            if len(singles) != 1 or len(majors) != 1:
-                raise NormalFormUnreachable(
-                    f"column {c} lacks a unique deviating entry"
-                )
-            row_of[c] = singles[0][0]
-        if sorted(row_of.values()) != list(range(1, d + 1)):
-            raise NormalFormUnreachable("deviant rows do not form a bijection")
-        cp = tuple(col_order)
-        rp = (0,) + tuple(row_of[c] for c in cp[1:])
-        if _pattern_fits(e, rp, cp, tol):
-            found = (rp, cp)
-    if found is None:
+    row_of = {}
+    for c in range(1, d + 1):
+        votes = {}
+        for r in range(1, d + 1):
+            key = next((k for k in votes if _entries_equal(e, r, c, k, c, tol)), r)
+            votes.setdefault(key, []).append(r)
+        singles = [rs for rs in votes.values() if len(rs) == 1]
+        majors = [rs for rs in votes.values() if len(rs) == d - 1]
+        if len(singles) != 1 or len(majors) != 1:
+            raise NormalFormUnreachable(f"column {c} lacks a unique deviating entry")
+        row_of[c] = singles[0][0]
+    if sorted(row_of.values()) != list(range(1, d + 1)):
+        raise NormalFormUnreachable("deviant rows do not form a bijection")
+    cp = (0,) + tuple(c for c in range(1, d + 1) if c != fix_last_col)
+    if fix_last_col is not None:
+        cp += (fix_last_col,)
+    rp = (0,) + tuple(row_of[c] for c in cp[1:])
+    if not _pattern_fits(e, rp, cp, tol):
         raise NormalFormUnreachable(
             "no row/column permutation reaches the amorphic shape"
         )
-    rp, cp = found
     P = e.P[list(rp)][:, list(cp)].copy()
     a, b = [], []
     for pos in range(1, d + 1):
         b.append(complex(P[pos, pos]))
-        others = [q for q in range(1, d + 1) if q != pos]
-        a.append(complex(P[others[0], pos]) if others else None)
+        a.append(complex(P[2 if pos == 1 else 1, pos]))
     return NormalForm(P, rp, cp, tuple(a), tuple(b))
 
 

@@ -8,11 +8,12 @@ the algebra dimension is the rank of the (d+1) x (d+1) Krylov matrix K
 whose column t is B_union^t e_0.  Since B_i e_0 = e_i (p_{i0}^l is 1 iff
 i = l), that column holds the coordinates of B_union^t in the basis {B_i},
 and X -> X e_0 is injective on the algebra.  The witness polynomial of
-class i is the unique solution of K c = e_i, re-checked in integers on the
-regular representation and, for n <= WITNESS_MAX_N, on the n x n
-adjacency matrices modulo enough primes that the Chinese remainder bound
-makes the check exact.  No verdict in this module depends on floating
-point.
+class i is the unique solution of K c = e_i, so the witnesses are the
+columns of K^-1, all found in one elimination of K.  They are re-checked
+in integers on the regular representation and, for n <= WITNESS_MAX_N, on
+the n x n adjacency matrices modulo enough primes that the Chinese
+remainder bound makes the check exact.  No verdict in this module depends
+on floating point.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -96,12 +97,13 @@ def generates(s, union):
     eigen_count is the minimal-polynomial degree of B_union.  span_rank is
     the rank of the Krylov matrix K = [e_0, B e_0, ..., B^d e_0], which is
     dim span{I, B, ..., B^d}; the union generates iff both equal d+1.  The
-    witness for class i solves K c = e_i, so that sum_t c_t B^t = B_i.  It
-    is re-checked in integers on the regular representation, and for
-    n <= WITNESS_MAX_N on the n x n adjacency matrices, multi-modularly
-    with a proven CRT bound (witness_verified).  A failed check raises a
-    GenerationCheckFailed subclass naming the union and class.  The report
-    is computed once per (scheme, union).
+    witness for class i solves K c = e_i, so that sum_t c_t B^t = B_i; one
+    solve_exact call finds all d+1 of them.  They are re-checked in
+    integers on the regular representation, and for n <= WITNESS_MAX_N on
+    the n x n adjacency matrices, multi-modularly with a proven CRT bound
+    (witness_verified).  A failed check raises a GenerationCheckFailed
+    subclass naming the union and class.  The report is computed once per
+    (scheme, union).
     """
     u = union_classes(s.d, union)
     B = intersection_matrices(s)
@@ -119,13 +121,11 @@ def generates(s, union):
     witness = None
     verified = False
     if gen:
-        polys = []
-        for i in range(d + 1):
-            sol = exactla.solve_exact(K, [int(r == i) for r in range(d + 1)])
-            if sol is None:
-                raise WitnessUnsolvable("K c = e_i has no solution", u, i)
-            polys.append(tuple(sol))
-        witness = tuple(polys)
+        units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
+        sols = exactla.solve_exact(K, units)
+        if None in sols:
+            raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
+        witness = tuple(tuple(sol) for sol in sols)
         _check_regular(B, powers, u, witness)
         if s.n <= WITNESS_MAX_N:
             _check_adjacency(s, u, witness)

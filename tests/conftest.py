@@ -1,11 +1,12 @@
 import sys
 import types
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ascheme import _kernels, core, generator, spectra, srg
+from ascheme import _kernels, core, exactla, fusion, generator, spectra, srg
 from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
 from ascheme.core import MAX_D, MAX_N, ColorMatrix, canonical_form
 from ascheme.errors import (
@@ -13,12 +14,13 @@ from ascheme.errors import (
     MissingRelationIndex,
     NonSquareBody,
     NonzeroDiagonal,
+    NormalFormUnreachable,
     OutOfRangeEntry,
     ParseError,
     TooLarge,
 )
 from ascheme.finitefield import _mul
-from ascheme.spectra import character_table
+from ascheme.spectra import CLUSTER_TOL, character_table
 
 
 @pytest.fixture(scope="session")
@@ -47,13 +49,20 @@ def battery_body_runs():
     """(body name, scheme) for each run of a memoized body during one
     run_catalog(workers=1), which builds its schemes afresh, in call
     order.  A profile hook sees each frame of a body's code, so memo hits,
-    which never enter the body, are not counted."""
+    which never enter the body, are not counted.  Calls of
+    exactla.solve_exact are listed too, as "solve_exact" with the scheme
+    of the generates body that made them."""
     names = {fn.__wrapped__.__code__: name for name, fn in MEMOIZED.items()}
+    solve = exactla.solve_exact.__code__
     runs = []
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code in names:
+        if event != "call":
+            return
+        if frame.f_code in names:
             runs.append((names[frame.f_code], frame.f_locals["s"]))
+        elif frame.f_code is solve:
+            runs.append(("solve_exact", frame.f_back.f_locals["s"]))
 
     sys.setprofile(hook)
     try:
@@ -243,3 +252,19 @@ def reference_emit_scheme_file(s):
     out = [f"{canon.n} {canon.d}"]
     out.extend(" ".join(str(int(v)) for v in row) for row in e)
     return "\n".join(out) + "\n"
+
+
+def reference_normal_form_perms(e, fix_last_col=None):
+    """(row_perm, col_perm) of the amorphic normal form by brute force over
+    both permutations, the lexicographically first that fits, or
+    NormalFormUnreachable.  (d!)^2 fits: for small d only."""
+    d = e.d
+    tol = CLUSTER_TOL * max(1.0, float(np.abs(e.P).max()))
+    rows = [(0,) + rp for rp in permutations(range(1, d + 1))]
+    for cp in permutations(range(1, d + 1)):
+        if fix_last_col is not None and cp[-1] != fix_last_col:
+            continue
+        for rp in rows:
+            if fusion._pattern_fits(e, rp, (0,) + cp, tol):
+                return rp, (0,) + cp
+    raise NormalFormUnreachable("no row/column permutation reaches the amorphic shape")

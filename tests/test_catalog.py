@@ -34,9 +34,10 @@ from ascheme.errors import (
     TooLarge,
 )
 from ascheme.finitefield import field
+from ascheme.generator import generates
 from ascheme.spectra import character_table
 
-from conftest import field_add, field_mul, field_neg, field_sub
+from conftest import MEMOIZED, field_add, field_mul, field_neg, field_sub
 
 
 # --- finite fields -----------------------------------------------------------
@@ -311,10 +312,27 @@ def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
     (scheme, arguments): 62 tables, 21 symmetrizations, 422 generation
     reports and 202 SRG parameter sets."""
     runs, records = battery_body_runs
-    assert Counter(name for name, _ in runs) == {
+    assert Counter(name for name, _ in runs if name in MEMOIZED) == {
         "character_table": 62,
         "symmetrize": 21,
         "generates": 422,
         "srg_params_from_scheme": 202,
     }
     assert catalog_exit_code(records) == 0
+
+
+def test_generates_solves_once_per_generating_union(battery_body_runs):
+    """generates finds all d + 1 witnesses of a generating union with one
+    solve_exact call: 195 calls in one run_catalog(workers=1), one per
+    generating report in each scheme's memo, and none for the others."""
+    runs, _ = battery_body_runs
+    solves = Counter(id(s) for name, s in runs if name == "solve_exact")
+    schemes = {id(s): s for name, s in runs if name == "generates"}
+    generating = Counter(
+        sid
+        for sid, s in schemes.items()
+        for (f, _), v in s._memo.items()
+        if f is generates.__wrapped__ and v.generates
+    )
+    assert solves == generating
+    assert sum(solves.values()) == 195

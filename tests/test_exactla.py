@@ -61,13 +61,15 @@ def test_minpoly_degree_pentagon():
 
 def test_solve_exact():
     A = [[1, 1], [1, -1]]
-    x = solve_exact(A, [3, 1])
+    (x,) = solve_exact(A, [[3, 1]])
     assert x == [Fraction(2), Fraction(1)]
     # inconsistent
-    assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve_exact([[1, 1], [2, 2]], [[1, 3]]) == [None]
     # underdetermined: free variable pinned to zero, still a solution
-    x = solve_exact([[1, 1, 0]], [5])
+    (x,) = solve_exact([[1, 1, 0]], [[5]])
     assert x == [Fraction(5), Fraction(0), Fraction(0)]
+    # no right-hand side, no solution
+    assert solve_exact(A, []) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,16 +82,36 @@ def test_rank_matches_numpy_on_random_int_matrices(seed):
     assert got == np.linalg.matrix_rank(A.astype(np.float64))
 
 
+def _times(A, x):
+    return [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_solve_exact_reproduces_rhs(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     A = rng.integers(-4, 5, (n, n)).tolist()
-    xs = rng.integers(-4, 5, n).tolist()
-    b = [sum(a * x for a, x in zip(row, xs)) for row in A]
-    got = solve_exact(A, b)
-    assert got is not None
-    assert [sum(Fraction(a) * g for a, g in zip(row, got)) for row in A] == [
-        Fraction(v) for v in b
-    ]
+    xs = rng.integers(-4, 5, (3, n)).tolist()
+    rhs = [[sum(a * x for a, x in zip(row, x_j)) for row in A] for x_j in xs]
+    got = solve_exact(A, rhs)
+    assert len(got) == len(rhs)
+    for b, g in zip(rhs, got):
+        assert g is not None
+        assert _times(A, g) == [Fraction(v) for v in b]
+    # A with row 0 repeated: a right-hand side whose last entry differs
+    # from its first is inconsistent, and only that one gives None
+    A2 = A + [A[0]]
+    rhs2 = [b + [b[0]] for b in rhs]
+    bad = int(rng.integers(0, len(rhs2) + 1))
+    rhs2.insert(bad, rhs[0] + [rhs[0][0] + 1])
+    got2 = solve_exact(A2, rhs2)
+    assert len(got2) == len(rhs2)
+    for j, (b, g) in enumerate(zip(rhs2, got2)):
+        if j == bad:
+            assert g is None
+            continue
+        assert g is not None
+        assert _times(A2, g) == [Fraction(v) for v in b]
+        # each solution is the one a pass with b alone gives
+        assert solve_exact(A2, [b]) == [g]

@@ -34,7 +34,7 @@ from ascheme.fusion import (
 )
 from ascheme.spectra import EigenTable, character_table
 
-from conftest import compile_stripped
+from conftest import compile_stripped, reference_normal_form_perms
 
 
 def brute_partitions(items):
@@ -238,6 +238,56 @@ def test_normal_form_unreachable_for_non_amorphic():
     e = character_table(catalog_scheme("cyclo-17-4"))
     with pytest.raises(NormalFormUnreachable):
         amorphic_normal_form(e)
+
+
+def _normal_form_perms(e, fix_last_col):
+    try:
+        nf = amorphic_normal_form(e, fix_last_col)
+    except NormalFormUnreachable:
+        return None
+    return nf.row_perm, nf.col_perm
+
+
+def _reference_perms(e, fix_last_col):
+    try:
+        return reference_normal_form_perms(e, fix_last_col)
+    except NormalFormUnreachable:
+        return None
+
+
+def test_normal_form_matches_brute_force_search(catalog):
+    """Every table the catalog's amorphic check and T1.3 can hand over: the
+    symmetric catalog schemes and the symmetrizations, with d >= 3, under
+    every fix_last_col.  The per-column deviant detection gives the
+    brute-force search's lexicographically first fit, or both find none."""
+    tables = {}
+    for s in catalog.values():
+        if s.is_commutative:
+            sym = symmetrize(s)[0]
+            if sym.d >= 3:
+                tables[id(sym)] = character_table(sym)
+    calls = reached = 0
+    for e in tables.values():
+        for fix in [None, *range(1, e.d + 1)]:
+            got = _normal_form_perms(e, fix)
+            assert got == _reference_perms(e, fix), (e.d, fix)
+            calls += 1
+            reached += got is not None
+    assert (len(tables), calls, reached) == (19, 81, 27)
+
+
+@pytest.mark.parametrize(
+    "eid, fix, match",
+    [
+        ("direct-k2-k2", 0, "fix_last_col"),
+        ("direct-k2-k2", 4, "fix_last_col"),
+        ("cyclo-5-2", None, "d >= 3"),
+        ("cyclo-5-2", 1, "d >= 3"),
+    ],
+)
+def test_normal_form_rejects_small_d_and_classes_out_of_range(eid, fix, match):
+    with pytest.raises(ValueError, match=match):
+        amorphic_normal_form(character_table(catalog_scheme(eid)), fix)
 
 
 def test_idempotent_matching_z4():

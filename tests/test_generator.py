@@ -121,10 +121,10 @@ def _flattened_power_witness(s, union):
     BL = [[int(sum(B[i][r][c] for i in union)) for c in range(d + 1)] for r in range(d + 1)]
     powers = matrix_powers(BL, d)
     rows = [[P[r][c] for P in powers] for r in range(d + 1) for c in range(d + 1)]
-    return tuple(
-        tuple(solve_exact(rows, [int(B[i][r][c]) for r in range(d + 1) for c in range(d + 1)]))
-        for i in range(d + 1)
-    )
+    rhs = [
+        [int(B[i][r][c]) for r in range(d + 1) for c in range(d + 1)] for i in range(d + 1)
+    ]
+    return tuple(tuple(sol) for sol in solve_exact(rows, rhs))
 
 
 def test_witness_matches_flattened_power_solve(catalog):
@@ -198,17 +198,23 @@ def test_float64_powers_match_int64_reference():
         assert (got == np.stack(ref)).all()
 
 
-def _tampered_solve(A, b):
-    x = solve_exact(A, b)
-    x[-1] += 1
-    return x
+def _tampered_solve(A, rhs):
+    xs = solve_exact(A, rhs)
+    for x in xs:
+        x[-1] += 1
+    return xs
+
+
+def _unsolvable_from_class_2(A, rhs):
+    return solve_exact(A, rhs)[:2] + [None] * (len(rhs) - 2)
 
 
 @pytest.mark.parametrize(
     "attr, fake, error, i",
     [
         ("solve_exact", _tampered_solve, WitnessRejected, 0),
-        ("solve_exact", lambda A, b: None, WitnessUnsolvable, 0),
+        ("solve_exact", lambda A, rhs: [None] * len(rhs), WitnessUnsolvable, 0),
+        ("solve_exact", _unsolvable_from_class_2, WitnessUnsolvable, 2),
         ("rank", lambda vectors: 2, CriterionDisagreement, None),
     ],
 )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascheme import _kernels
 from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme
+from ascheme.core import verify_axioms
 from ascheme.errors import ViolationNotReproduced
 
 from conftest import (
@@ -253,3 +254,17 @@ def test_kernel_peak_memory_on_reject_at_n_961():
     ok, peak = _kernel_peak(e, s.d)
     assert not ok
     assert peak < blocks + 3.5
+
+
+def test_verify_axioms_peak_memory_at_n_961():
+    # the transpose map's n x n transients are gone before the kernel runs,
+    # so the axioms path stays under the kernel's own bound
+    s = _ladder_961()
+    _, blocks, _ = _digit_groups(s.color.entries, s.d)
+    tracemalloc.start()
+    try:
+        verify_axioms(s.color)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * s.n**2) < blocks + 3.5

@@ -1,0 +1,26 @@
+"""The benchmark's layer tracer looks up package functions by name; a rename
+in the package must fail here, not only in a traced benchmark run."""
+
+import types
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    # compiled from the source text, so nothing is written beside it
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_layer_target_exists():
+    targets = _load_tracer().layer_targets()
+    assert len(targets) >= 20
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _, _ in targets
+        if not hasattr(module, attr)
+    ]
+    assert missing == []
