@@ -7,7 +7,7 @@ Builders produce canonically labeled, fully verified schemes:
   * Schurian schemes (orbitals of a transitive permutation group given by
     generators),
   * direct and wreath products,
-  * small named grascheme constructions (complete, trivial, Petersen).
+  * small named constructions (complete, Petersen).
 
 DEFAULT_CATALOG maps ids to zero-argument builders; run_catalog sweeps
 every entry through the full battery of checks and emits one JSON line
@@ -35,11 +35,6 @@ from .finitefield import field
 
 MAX_PRODUCT_N = 4096
 MAX_SCHURIAN_N = 60
-
-
-def trivial_scheme():
-    """The one-point scheme (d = 0)."""
-    return scheme_from_entries(np.zeros((1, 1), dtype=np.int64), d=0)
 
 
 def complete_scheme(n):

@@ -11,9 +11,10 @@ import json
 import sys
 
 from . import catalog as cat
-from .core import emit_scheme_file, parse_scheme_file, verify_axioms
+from .core import emit_scheme_file, parse_scheme_file, union_classes, verify_axioms
 from .errors import AxiomViolation, ParseError, SchemeError
-from .fusion import cross_check_fusions, enumerate_admissible_partitions, is_amorphic
+from .fusion import canonical_partition, cross_check_fusions, is_amorphic
+from .fusion import enumerate_admissible_partitions
 from .generator import (
     check_theorem_4class,
     check_theorem_amorphic,
@@ -65,21 +66,20 @@ def _emit(payload, args, text_render):
         sys.stdout.write(out)
 
 
-def _parse_union(text):
+def _parse_union(text, d):
     try:
-        return tuple(sorted({int(t) for t in text.split(",") if t.strip()}))
-    except ValueError:
-        raise _InputError(f"bad union {text!r}; expected e.g. '1,3'")
+        return union_classes(d, (int(t) for t in text.split(",") if t.strip()))
+    except ValueError as exc:
+        raise _InputError(f"bad union {text!r}; expected e.g. '1,3' ({exc})")
 
 
-def _parse_partition(text):
-    blocks = []
-    for blk in text.split("|"):
-        try:
-            blocks.append(sorted({int(t) for t in blk.split(",") if t.strip()}))
-        except ValueError:
-            raise _InputError(f"bad partition {text!r}; expected e.g. '0|1,2|3'")
-    return blocks
+def _parse_partition(text, d):
+    try:
+        return canonical_partition(
+            [[int(t) for t in blk.split(",") if t.strip()] for blk in text.split("|")], d
+        )
+    except ValueError as exc:
+        raise _InputError(f"bad partition {text!r}; expected e.g. '0|1,2|3' ({exc})")
 
 
 def cmd_verify(args):
@@ -145,7 +145,7 @@ def cmd_fuse(args):
     s = _load_scheme(args.scheme)
     e = character_table(s, seed=args.seed, precision=args.precision)
     if args.partition:
-        partitions = [_parse_partition(args.partition)]
+        partitions = [_parse_partition(args.partition, s.d)]
     else:
         partitions = enumerate_admissible_partitions(s)
     payload = []
@@ -182,7 +182,7 @@ def cmd_amorphic(args):
 def cmd_generators(args):
     s = _load_scheme(args.scheme)
     if args.union:
-        reports = [generates(s, _parse_union(args.union))]
+        reports = [generates(s, _parse_union(args.union, s.d))]
     else:
         reports = find_generating_unions(s)
     payload = [r.to_json() for r in reports]

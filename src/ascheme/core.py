@@ -6,9 +6,10 @@ is a single color, (2) the colors partition X x X, (3) the transpose of a
 color class is a color class, and (4) for each pair of colors (i, j) the
 count p_{ij}^l of z with (x,z) in R_i and (z,y) in R_j depends only on the
 color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
-verify_axioms checks (3) and (4) and collects the full tensor p.  A
-fusion of a verified scheme is decided by fuse_classes on p alone, without
-rerunning the axiom kernel.
+verify_axioms checks (3) and (4) and collects the full tensor p; a Scheme
+is the coloring plus p.  A fusion of a verified scheme is decided by
+fuse_classes on p alone and yields the fused p, without rerunning the axiom
+kernel or building an n x n coloring.
 
 Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
@@ -16,7 +17,7 @@ arc), transpose pairs stay adjacent with the member whose first arc (x, y)
 has x < y listed first.  Emitted files always use canonical labels.
 
 A Scheme never changes after it is built, so what is derived from it alone
-(its character table, symmetrization, generation reports and SRG
+(its character table, symmetrization, fusions, generation reports and SRG
 parameters) is computed once and kept in the scheme's memo (memoized).
 """
 
@@ -56,20 +57,35 @@ class ColorMatrix:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """p[i, j, l] = p_{ij}^l, plus the commutativity flag."""
+    """p[i, j, l] = p_{ij}^l of a verified scheme; commutative iff p_ij^l = p_ji^l."""
 
     p: np.ndarray
-    commutative: bool
+    commutative: bool = field(init=False)
+
+    def __post_init__(self):
+        p = self.p
+        object.__setattr__(self, "commutative", bool(np.array_equal(p, p.transpose(1, 0, 2))))
 
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
+    """A coloring and its verified tensor p.  As p_ij^0 = k_i when j = i' and
+    0 otherwise, the transpose map, valencies and symmetry flags are read
+    off the l = 0 slice; that holds only for a verified p."""
+
     color: ColorMatrix
-    transpose_map: tuple
-    valencies: tuple
-    symmetric: tuple
     tensor: IntersectionTensor
+    transpose_map: tuple = field(init=False)
+    valencies: tuple = field(init=False)
+    symmetric: tuple = field(init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p0 = self.tensor.p[:, :, 0]
+        t = [int(v) for v in p0.argmax(axis=1)]
+        object.__setattr__(self, "transpose_map", tuple(t))
+        object.__setattr__(self, "valencies", tuple(int(p0[i, j]) for i, j in enumerate(t)))
+        object.__setattr__(self, "symmetric", tuple(i == j for i, j in enumerate(t)))
 
     @property
     def n(self):
@@ -364,16 +380,7 @@ def verify_axioms(c):
     if not ok:
         i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in wit)
         raise InconsistentIntersectionNumber(i, j, l, (xa, ya), ca, (xb, yb), cb)
-    commutative = bool(np.array_equal(p, p.transpose(1, 0, 2)))
-    valencies = tuple(int(p[i, t[i], 0]) for i in range(d + 1))
-    symmetric = tuple(bool(t[i] == i) for i in range(d + 1))
-    return Scheme(
-        color=c,
-        transpose_map=tuple(int(v) for v in t),
-        valencies=valencies,
-        symmetric=symmetric,
-        tensor=IntersectionTensor(p, commutative),
-    )
+    return Scheme(c, IntersectionTensor(p))
 
 
 def scheme_from_entries(entries, d=None):
@@ -447,21 +454,14 @@ def _take_rows(lut, entries):
 
 
 def relabel_classes(s, perm):
-    """Relabel classes by perm (perm[old] = new), permuting stored data."""
+    """Relabel classes by perm (perm[old] = new): the coloring and p."""
     d = s.d
     entries = _take_rows(np.asarray(perm, dtype=np.int32), s.color.entries)
     entries.setflags(write=False)
     inv = np.empty(d + 1, dtype=np.int64)
     inv[list(perm)] = np.arange(d + 1)
     p = s.tensor.p[np.ix_(inv, inv, inv)]
-    t = tuple(perm[s.transpose_map[inv[a]]] for a in range(d + 1))
-    return Scheme(
-        color=ColorMatrix(entries, d),
-        transpose_map=t,
-        valencies=tuple(s.valencies[inv[a]] for a in range(d + 1)),
-        symmetric=tuple(s.symmetric[inv[a]] for a in range(d + 1)),
-        tensor=IntersectionTensor(p, s.tensor.commutative),
-    )
+    return Scheme(ColorMatrix(entries, d), IntersectionTensor(p))
 
 
 def canonical_form(s):
@@ -507,9 +507,9 @@ def _first_arc(s, i):
 
 
 def fuse_classes(s, blocks):
-    """The scheme whose class b is the union of classes blocks[b], decided
-    on the intersection tensor (Bannai-Ito 1984; Brouwer-Cohen-Neumaier
-    1989, section 2).
+    """The read-only tensor of the fusion whose class b is the union of
+    classes blocks[b], decided on s's tensor alone, with no coloring built
+    (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989, section 2).
 
     It is a scheme iff the blocks are closed under the transpose map and
     each block sum q_IJ^l = sum_{i in I, j in J} p_ij^l is constant over l
@@ -543,14 +543,8 @@ def fuse_classes(s, blocks):
             _first_arc(s, l2), int(q[l2, bi, bj]),
         )
     p = np.ascontiguousarray(q[ref].transpose(1, 2, 0))
-    t = tlut[ref]
-    return Scheme(
-        color=merge_classes(s, blocks),
-        transpose_map=tuple(int(v) for v in t),
-        valencies=tuple(int(p[b, t[b], 0]) for b in range(len(blocks))),
-        symmetric=tuple(bool(t[b] == b) for b in range(len(blocks))),
-        tensor=IntersectionTensor(p, bool(np.array_equal(p, p.transpose(1, 0, 2)))),
-    )
+    p.setflags(write=False)
+    return IntersectionTensor(p)
 
 
 def symmetrize(s):
@@ -574,7 +568,7 @@ def _symmetrized(s):
         j = s.transpose_map[i]
         if i <= j:
             blocks.append([i] if i == j else [i, j])
-    canon, perm = canonical_form(fuse_classes(s, blocks))
+    canon, perm = canonical_form(Scheme(merge_classes(s, blocks), fuse_classes(s, blocks)))
     corr = [0] * (s.d + 1)
     for b, block in enumerate(blocks):
         for i in block:

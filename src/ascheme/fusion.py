@@ -6,7 +6,8 @@ Two independent deciders are kept deliberately separate:
 
   * fuse_direct decides on the integer intersection tensor: the blocks
     must be transpose-closed and their block sums of p_ij^l constant on
-    each block; it is the authoritative oracle.
+    each block; it is the authoritative oracle.  It returns the fused
+    tensor, kept in the scheme's memo, and builds no n x n coloring.
   * bannai_muzychuk_check groups character-table rows by their per-block
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fuse_classes, symmetrize
+from .core import fuse_classes, memoized, symmetrize
 from .errors import (
     AxiomViolation,
     MatchingAmbiguous,
@@ -56,12 +57,14 @@ def _is_transpose_closed(blocks, tmap):
     return all(frozenset(tmap[i] for i in b) in block_set for b in blocks)
 
 
-def canonical_partition(blocks):
-    """Blocks as sorted tuples, ordered by smallest element, Λ_0 = {0} first."""
-    out = [tuple(sorted(int(i) for i in b)) for b in blocks if len(b) > 0]
-    out.sort(key=lambda b: b[0])
+def canonical_partition(blocks, d):
+    """Blocks as sorted tuples, ordered by smallest element, Λ_0 = {0} first;
+    ValueError unless they partition 0..d with {0} alone ({0} may be left out)."""
+    out = sorted(tuple(sorted(int(i) for i in b)) for b in blocks if len(b) > 0)
     if not out or out[0] != (0,):
-        out = [(0,)] + [b for b in out if 0 not in b]
+        out.insert(0, (0,))
+    if sorted(i for b in out for i in b) != list(range(d + 1)):
+        raise ValueError(f"blocks {list(blocks)} do not partition 0..{d} with {{0}} alone")
     return tuple(out)
 
 
@@ -79,15 +82,17 @@ def enumerate_admissible_partitions(s):
     return sorted(((0,),) + part for part in parts if _is_transpose_closed(part, tmap))
 
 
+@memoized(lambda s, partition: canonical_partition(partition, s.d))
 def fuse_direct(s, partition):
-    """Fuse classes along the partition, decided exactly on the tensor.
+    """The fused IntersectionTensor, decided exactly by core.fuse_classes.
 
     New class labels follow block order (blocks sorted by smallest
     element, {0} first); no canonical relabeling is applied, so fused
     class j corresponds to partition block j.  Raises NotAScheme with the
-    witness of core.fuse_classes when the fusion is not a scheme.
+    witness of core.fuse_classes when the fusion is not a scheme.  The
+    read-only tensor is kept in s's memo; a failing partition stores none.
     """
-    blocks = canonical_partition(partition)
+    blocks = canonical_partition(partition, s.d)
     try:
         return fuse_classes(s, blocks)
     except AxiomViolation as exc:
@@ -193,7 +198,7 @@ def bannai_muzychuk_check(e, partition):
     blocks, with the valency row alone in its group.  The groups are then
     the dual partition and the common block sums form the fused table.
     """
-    blocks = canonical_partition(partition)
+    blocks = canonical_partition(partition, e.d)
     sums, forms = _block_sums(e, blocks)
     scale = max(1.0, float(np.abs(sums).max()))
     groups = _group_rows(sums, forms, CLUSTER_TOL * scale)
@@ -382,7 +387,7 @@ def idempotent_matching(x):
     blocks = [()] * (sym.d + 1)
     for i in range(x.d + 1):
         blocks[corr[i]] = blocks[corr[i]] + (i,)
-    verdict = bannai_muzychuk_check(x_t, canonical_partition(blocks))
+    verdict = bannai_muzychuk_check(x_t, blocks)
     if not verdict.is_scheme:
         raise SymmetrizationCheckFailed(
             f"spectral criterion rejects the symmetrization fusion {verdict.partition}"

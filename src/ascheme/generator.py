@@ -45,7 +45,6 @@ from .fusion import amorphic_normal_form, idempotent_matching, is_amorphic
 from .spectra import (
     EigenTable,
     character_table,
-    distinct_eigenvalue_count,
     intersection_matrices,
     union_matrix,
 )
@@ -717,7 +716,7 @@ def classify_skew_4class(x):
     property_unions = {}
     properties_ok = True
     for u in prop_unions:
-        cnt = distinct_eigenvalue_count(x, u)
+        cnt = generates(x, u).eigen_count
         property_unions["+".join(map(str, u))] = cnt
         properties_ok = properties_ok and cnt == 5
     return SkewClassification(

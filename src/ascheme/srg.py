@@ -7,15 +7,15 @@ and mu are then intersection numbers of that fusion, and a failed fusion
 names two pairs whose counts differ.  Weak components come from the
 intersection tensor as well: the classes reachable from class 0 through
 the union and its transpose form a closed subset, which every component
-has as its class set.  Nothing here builds an n x n matrix or searches a
-graph.  SRG parameters are memoized on the scheme, next to its character
-table, so connectivity_classification reads both without recomputing
-them.  The eigenvalue routines work from (n, k, lambda, mu) alone: the
-restricted eigenvalues and their multiplicities follow from the quadratic
-whose discriminant separates the conference case (irrational eigenvalues,
-equal multiplicities) from the integral case.  Everything downstream of
-the discriminant is exact, with irrational eigenvalues carried as
-quadratic values.
+has as its class set.  Nothing here builds an n x n matrix (the fusion
+yields only its tensor) or searches a graph.  SRG parameters are memoized
+on the scheme, next to its character table, so connectivity_classification
+reads both without recomputing them.  The eigenvalue routines work from
+(n, k, lambda, mu) alone: the restricted eigenvalues and their
+multiplicities follow from the quadratic whose discriminant separates the
+conference case (irrational eigenvalues, equal multiplicities) from the
+integral case.  Everything downstream of the discriminant is exact, with
+irrational eigenvalues carried as quadratic values.
 """
 
 import math
@@ -100,13 +100,14 @@ def _components(s, union):
 def srg_params_from_scheme(s, union):
     """SRG parameters of a symmetric union digraph.
 
-    lambda and mu are read off the two-class fusion {union, complement};
-    when that fusion is not a scheme the union graph is not strongly
-    regular, and the error message carries the fusion's witness: two
-    pairs of one fused class whose counts of paths x -> z -> y through
-    given fused classes differ.  The complete graph is excluded (no
-    non-adjacent pairs, mu undefined).  Parameters are computed once per
-    (scheme, union); a union that raises is fused again on the next call.
+    k, lambda and mu are read off the tensor of the two-class fusion
+    {union, complement}; when that fusion is not a scheme the union graph
+    is not strongly regular, and the error message carries the fusion's
+    witness: two pairs of one fused class whose counts of paths
+    x -> z -> y through given fused classes differ.  The complete graph is
+    excluded (no non-adjacent pairs, mu undefined).  Parameters are
+    computed once per (scheme, union); a union that raises is fused again
+    on the next call.
     """
     u = _validate_union(s, union)
     comp = [i for i in range(1, s.d + 1) if i not in u]
@@ -119,17 +120,16 @@ def srg_params_from_scheme(s, union):
     iu = 1 if min(u) < min(comp) else 2
     ic = 3 - iu
     try:
-        fused = fuse_direct(s, [[0], list(u), comp])
+        p = fuse_direct(s, [[0], list(u), comp]).p
     except NotAScheme as exc:
         raise _not_strongly_regular(u, exc.witness, {iu: "union", ic: "complement"}) from exc
-    if int(fused.valencies[iu]) != k:
+    # the union is symmetric, so its fused valency is p_{uu}^0
+    if int(p[iu, iu, 0]) != k:
         raise SrgCheckFailed(
-            f"fused union class has valency {int(fused.valencies[iu])}, not {k}",
-            u,
-            "valency",
+            f"fused union class has valency {int(p[iu, iu, 0])}, not {k}", u, "valency"
         )
-    lam = int(fused.tensor.p[iu, iu, iu])
-    mu = int(fused.tensor.p[iu, iu, ic])
+    lam = int(p[iu, iu, iu])
+    mu = int(p[iu, iu, ic])
     params = srg_eigen(s.n, k, lam, mu)
     ncomp = _components(s, u)[0]
     if params.connected != (ncomp == 1):

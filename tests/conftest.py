@@ -8,7 +8,15 @@ import pytest
 
 from ascheme import _kernels, core, exactla, fusion, generator, spectra, srg
 from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
-from ascheme.core import MAX_D, MAX_N, ColorMatrix, canonical_form
+from ascheme.core import (
+    MAX_D,
+    MAX_N,
+    ColorMatrix,
+    Scheme,
+    canonical_form,
+    merge_classes,
+    scheme_from_entries,
+)
 from ascheme.errors import (
     MalformedHeader,
     MissingRelationIndex,
@@ -41,7 +49,20 @@ MEMOIZED = {
     "symmetrize": core._symmetrized,
     "generates": generator.generates,
     "srg_params_from_scheme": srg.srg_params_from_scheme,
+    "fuse_direct": fusion.fuse_direct,
 }
+
+
+def trivial_scheme():
+    """The one-point scheme (d = 0)."""
+    return scheme_from_entries(np.zeros((1, 1), dtype=np.int64), d=0)
+
+
+def fused_scheme(s, partition):
+    """The fused Scheme, built as core._symmetrized builds one: the merged
+    coloring paired with the fused tensor."""
+    blocks = fusion.canonical_partition(partition, s.d)
+    return Scheme(merge_classes(s, blocks), fusion.fuse_direct(s, blocks))
 
 
 @pytest.fixture(scope="session")

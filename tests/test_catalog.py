@@ -22,7 +22,6 @@ from ascheme.catalog import (
     multiplier_perm,
     records_to_jsonl,
     run_catalog,
-    trivial_scheme,
     _json_default,
     _run_checks,
 )
@@ -37,7 +36,7 @@ from ascheme.finitefield import field
 from ascheme.generator import generates
 from ascheme.spectra import character_table
 
-from conftest import MEMOIZED, field_add, field_mul, field_neg, field_sub
+from conftest import MEMOIZED, field_add, field_mul, field_neg, field_sub, trivial_scheme
 
 
 # --- finite fields -----------------------------------------------------------
@@ -310,13 +309,16 @@ def test_check_records_do_not_depend_on_check_order(eid):
 def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
     """One run_catalog(workers=1) runs each memoized body once per distinct
     (scheme, arguments): 62 tables, 21 symmetrizations, 422 generation
-    reports and 202 SRG parameter sets."""
+    reports and 202 SRG parameter sets.  fuse_direct runs 398 times: once
+    for each of the 226 (scheme, partition) pairs that fuse, and 172 times
+    on the 77 that do not, since a call that raises stores nothing."""
     runs, records = battery_body_runs
     assert Counter(name for name, _ in runs if name in MEMOIZED) == {
         "character_table": 62,
         "symmetrize": 21,
         "generates": 422,
         "srg_params_from_scheme": 202,
+        "fuse_direct": 398,
     }
     assert catalog_exit_code(records) == 0
 

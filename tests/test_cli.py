@@ -134,8 +134,11 @@ def test_fuse_all_partitions(tmp_path, capsys):
 
 
 def test_fuse_bad_partition(pentagon_file, capsys):
-    assert main(["fuse", pentagon_file, "--partition", "0|x"]) == 2
-    assert "bad partition" in capsys.readouterr().err
+    # a block that joins 0 to a class, overlapping blocks, a missing class
+    # or one out of range is an input error (2), not a "no" verdict (1)
+    for partition in ("0|x", "0,1|2", "0|1,2|2", "1", "0|1,2,3"):
+        assert main(["fuse", pentagon_file, "--partition", partition]) == 2
+        assert "bad partition" in capsys.readouterr().err
 
 
 def test_amorphic_yes(tmp_path, capsys):
@@ -163,8 +166,9 @@ def test_generators_single_union_exit_codes(qr7_file, capsys):
     capsys.readouterr()
     assert main(["generators", qr7_file, "--union", "1,2"]) == 1
     capsys.readouterr()
-    assert main(["generators", qr7_file, "--union", "x"]) == 2
-    assert "bad union" in capsys.readouterr().err
+    for union in ("x", "7", "0,1"):
+        assert main(["generators", qr7_file, "--union", union]) == 2
+        assert "bad union" in capsys.readouterr().err
 
 
 def test_generators_json_witness(qr7_file, capsys):

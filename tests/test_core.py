@@ -164,6 +164,24 @@ def test_merge_classes_total_fusion_is_complete():
     assert k5.d == 1 and k5.valencies == (1, 4)
 
 
+def test_derived_fields_match_the_coloring(catalog):
+    """transpose_map, valencies and symmetric, read off the l = 0 slice of
+    p, equal counts on the coloring, for every catalog scheme and its
+    symmetrization: row 0's color histogram, the color of (y, x) at each
+    class's first arc (x, y), and whether a class equals its transpose."""
+    checked = 0
+    for s in catalog.values():
+        for t in {id(s): s, id(sym := symmetrize(s)[0]): sym}.values():
+            e = t.color.entries
+            classes = range(t.d + 1)
+            assert t.valencies == tuple(np.bincount(e[0], minlength=t.d + 1).tolist())
+            first = [divmod(int(np.argmax(e == i)), t.n) for i in classes]
+            assert t.transpose_map == tuple(int(e[y, x]) for x, y in first)
+            assert t.symmetric == tuple(bool(((e == i) == (e == i).T).all()) for i in classes)
+            checked += 1
+    assert checked == 45 + 22  # the schemes and the nonsymmetric ones' symmetrizations
+
+
 def test_symmetrize_symmetric_scheme_is_identity():
     s = verify_axioms(parse_scheme_file(PENTAGON))
     sym, corr = symmetrize(s)

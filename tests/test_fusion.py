@@ -1,13 +1,13 @@
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascheme import _kernels, fusion
+from ascheme import _kernels, core, fusion
 from ascheme.catalog import build_cyclotomic, catalog_scheme
 from ascheme.core import (
-    canonical_form,
     merge_classes,
     scheme_from_entries,
     symmetrize,
@@ -27,14 +27,16 @@ from ascheme.fusion import (
     amorphic_normal_form,
     bannai_muzychuk_check,
     canonical_partition,
+    cross_check_fusions,
     enumerate_admissible_partitions,
     fuse_direct,
     idempotent_matching,
     is_amorphic,
 )
 from ascheme.spectra import EigenTable, character_table
+from ascheme.srg import srg_params_from_scheme
 
-from conftest import compile_stripped, reference_normal_form_perms
+from conftest import compile_stripped, fused_scheme, reference_normal_form_perms
 
 
 def brute_partitions(items):
@@ -58,7 +60,7 @@ def test_enumeration_matches_brute_filter():
         for part in brute_partitions(range(1, s.d + 1)):
             blocks = {frozenset(b) for b in part}
             if all(frozenset(tmap[i] for i in b) in blocks for b in blocks):
-                expect.add(canonical_partition([[0]] + part))
+                expect.add(canonical_partition([[0]] + part, s.d))
         got = enumerate_admissible_partitions(s)
         assert len(got) == len(set(got))
         assert set(got) == expect, eid
@@ -79,23 +81,59 @@ def test_enumeration_counts():
 
 
 def test_canonical_partition_normalizes():
-    assert canonical_partition([[2, 1], [3], [0]]) == ((0,), (1, 2), (3,))
-    assert canonical_partition([[3], [1, 2]]) == ((0,), (1, 2), (3,))
+    assert canonical_partition([[2, 1], [3], [0]], 3) == ((0,), (1, 2), (3,))
+    assert canonical_partition([[3], [1, 2]], 3) == ((0,), (1, 2), (3,))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[0, 1], [2, 3, 4]],  # 0 shares a block
+        [[0], [1, 2], [2, 3, 4]],  # overlapping blocks
+        [[1, 2], [3]],  # class 4 missing
+        [[0], [1, 2], [3, 4, 5]],  # class 5 out of range
+    ],
+)
+def test_canonical_partition_rejects_non_partitions(blocks):
+    s = catalog_scheme("cyclo-13-4")
+    with pytest.raises(ValueError, match="partition 0..4"):
+        canonical_partition(blocks, 4)
+    with pytest.raises(ValueError):
+        fuse_direct(s, blocks)
+    with pytest.raises(ValueError):
+        bannai_muzychuk_check(character_table(s), blocks)
 
 
 def test_fuse_direct_total_fusion_is_complete():
     s = catalog_scheme("cyclo-5-2")
-    k5 = fuse_direct(s, [[0], [1, 2]])
+    k5 = fused_scheme(s, [[0], [1, 2]])
     assert k5.d == 1 and k5.valencies == (1, 4)
+    assert fuse_direct(s, [[0], [1, 2]]).p.shape == (2, 2, 2)
 
 
 def test_fuse_direct_rook_graph():
     s = catalog_scheme("direct-k3-k3")
     assert s.valencies == (1, 2, 2, 4)
     rook = fuse_direct(s, [[0], [1, 2], [3]])
-    assert rook.valencies == (1, 4, 4)
-    assert rook.tensor.p[1, 1, 1] == 1  # lambda of SRG(9, 4, 1, 2)
-    assert rook.tensor.p[1, 1, 2] == 2  # mu
+    assert fused_scheme(s, [[0], [1, 2], [3]]).valencies == (1, 4, 4)
+    assert rook.p[1, 1, 1] == 1  # lambda of SRG(9, 4, 1, 2)
+    assert rook.p[1, 1, 2] == 2  # mu
+
+
+def test_fuse_direct_is_memoized_and_read_only():
+    """One tensor per (scheme, partition), whatever the partition's
+    spelling; a failing partition stores nothing."""
+    s = catalog_scheme("cyclo-13-4")
+    fused = fuse_direct(s, [[3, 4], [1, 2]])
+    assert fuse_direct(s, ((0,), (1, 2), (3, 4))) is fused
+    assert not fused.p.flags.writeable
+    with pytest.raises(ValueError):
+        fused.p[0, 0, 0] = 2
+    memo = len(s._memo)
+    for _ in range(2):
+        with pytest.raises(NotAScheme):
+            fuse_direct(s, [[1], [2, 3, 4]])
+    assert len(s._memo) == memo
 
 
 def test_fuse_direct_not_a_scheme_witness():
@@ -107,9 +145,12 @@ def test_fuse_direct_not_a_scheme_witness():
 
 def test_symmetrize_agrees_with_pair_fusion():
     s = catalog_scheme("cyclo-13-4")
-    sym, _ = symmetrize(s)
-    fused = fuse_direct(s, ((0,), (1, 2), (3, 4)))
-    assert (canonical_form(fused)[0].color.entries == sym.color.entries).all()
+    sym, corr = symmetrize(s)
+    blocks = ((0,), (1, 2), (3, 4))
+    fused = fuse_direct(s, blocks)
+    # inv[new class] = block of the pair fusion
+    inv = np.argsort([corr[b[0]] for b in blocks])
+    assert (sym.tensor.p == fused.p[np.ix_(inv, inv, inv)]).all()
 
 
 def test_spectral_criterion_agrees_with_direct(catalog, tables):
@@ -139,7 +180,7 @@ def test_spectral_criterion_agrees_with_direct(catalog, tables):
                 range(s.d + 1)
             )
             # fused table rows are the fused scheme's character table rows
-            fe = character_table(fused)
+            fe = character_table(fused_scheme(s, part))
             got = sorted(
                 tuple(np.round(row, 8)) for row in np.real_if_close(verdict.fused_table)
             )
@@ -153,8 +194,7 @@ def test_dual_multiplicities_sum():
     e = character_table(s)
     v = bannai_muzychuk_check(e, ((0,), (1, 2), (3, 4)))
     assert v.is_scheme
-    fused = fuse_direct(s, ((0,), (1, 2), (3, 4)))
-    fe = character_table(fused)
+    fe = character_table(fused_scheme(s, ((0,), (1, 2), (3, 4))))
     for g in v.dual_partition:
         m = sum(e.multiplicities[j] for j in g)
         assert m in fe.multiplicities
@@ -337,14 +377,43 @@ def test_two_class_fusions_of_amorphic_are_schemes():
             if not rest:
                 continue
             fused = fuse_direct(s, [[0], list(block), rest])
-            assert fused.d == 2
+            assert fused.p.shape == (3, 3, 3)
+
+
+def test_fusion_deciders_build_no_coloring(monkeypatch):
+    """On cyclotomic (256,5), amorphicity, the fusion cross-check and every
+    SRG union are decided on the tensor: merge_classes never runs.
+    Symmetrizing a nonsymmetric scheme merges its coloring once, for the
+    canonical form."""
+    s, x = build_cyclotomic(256, 5), catalog_scheme("cyclo-13-4")
+    calls = []
+
+    def counted(s, blocks, merge=core.merge_classes):
+        calls.append(blocks)
+        return merge(s, blocks)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "merge_classes", None) is core.merge_classes:
+            monkeypatch.setattr(module, "merge_classes", counted)
+    assert is_amorphic(s)[0]
+    parts = enumerate_admissible_partitions(s)
+    assert all(
+        v.is_scheme == direct
+        for v, direct in cross_check_fusions(s, character_table(s), parts)
+    )
+    for size in range(1, s.d):
+        for u in combinations(range(1, s.d + 1), size):
+            srg_params_from_scheme(s, u)
+    assert calls == []
+    symmetrize(x)
+    assert len(calls) == 1
 
 
 def merge_then_verify(s, partition):
     """Oracle: the merged n x n coloring through the full axiom kernel;
     returns the fused scheme or the AxiomViolation it raises."""
     try:
-        return verify_axioms(merge_classes(s, canonical_partition(partition)))
+        return verify_axioms(merge_classes(s, canonical_partition(partition, s.d)))
     except AxiomViolation as exc:
         return exc
 
@@ -392,14 +461,13 @@ def test_tensor_fusion_matches_merge_then_verify(oracle_cases):
             failed += 1
             continue
         assert not isinstance(want, AxiomViolation), (eid, part, want)
-        assert (got.tensor.p == want.tensor.p).all(), (eid, part)
-        assert got.tensor.p.dtype == want.tensor.p.dtype
-        assert got.transpose_map == want.transpose_map, (eid, part)
-        assert got.valencies == want.valencies, (eid, part)
-        assert got.symmetric == want.symmetric, (eid, part)
-        assert got.is_commutative == want.is_commutative, (eid, part)
-        assert (got.color.entries == want.color.entries).all(), (eid, part)
-        assert got.color.d == want.color.d
+        assert (got.p == want.tensor.p).all(), (eid, part)
+        assert got.p.dtype == want.tensor.p.dtype
+        assert got.commutative == want.is_commutative, (eid, part)
+        fused = fused_scheme(s, part)
+        assert fused.transpose_map == want.transpose_map, (eid, part)
+        assert fused.valencies == want.valencies, (eid, part)
+        assert fused.symmetric == want.symmetric, (eid, part)
         fused_count += 1
     assert (fused_count, failed) == (263, 85)  # 274 + 52 + 20 + 2 cases
 
@@ -414,7 +482,7 @@ def test_tensor_fusion_witness_recounts(oracle_cases):
             continue
         except NotAScheme as exc:
             w = exc.witness
-        merged = merge_classes(s, canonical_partition(part))
+        merged = merge_classes(s, canonical_partition(part, s.d))
         e = merged.entries
         kinds.add(type(w))
         if isinstance(w, TransposeNotRelation):
@@ -436,27 +504,25 @@ def test_fusion_invariant_under_vertex_and_class_relabeling(catalog, data):
     s = catalog[eid]
     labels = data.draw(st.lists(st.integers(0, s.d - 1), min_size=s.d, max_size=s.d))
     part = canonical_partition(
-        [[0]] + [[i + 1 for i in range(s.d) if labels[i] == b] for b in set(labels)]
+        [[0]] + [[i + 1 for i in range(s.d) if labels[i] == b] for b in set(labels)], s.d
     )
     vperm = np.array(data.draw(st.permutations(range(s.n))))
     cperm = [0] + data.draw(st.permutations(range(1, s.d + 1)))
     t = scheme_from_entries(np.array(cperm)[s.color.entries][np.ix_(vperm, vperm)])
-    mapped = canonical_partition([[cperm[i] for i in b] for b in part])
+    mapped = canonical_partition([[cperm[i] for i in b] for b in part], s.d)
     try:
-        a = fuse_direct(s, part)
+        fuse_direct(s, part)
     except NotAScheme:
         with pytest.raises(NotAScheme):
             fuse_direct(t, mapped)
         return
-    b = fuse_direct(t, mapped)
+    a, b = fused_scheme(s, part), fused_scheme(t, mapped)
     # sigma[block of part] = index of its image in mapped
     sigma = [mapped.index(tuple(sorted(cperm[i] for i in blk))) for blk in part]
     inv = np.argsort(sigma)
     assert (b.tensor.p == a.tensor.p[np.ix_(inv, inv, inv)]).all(), (eid, part)
     assert b.transpose_map == tuple(sigma[a.transpose_map[inv[k]]] for k in range(len(part)))
     assert b.valencies == tuple(a.valencies[inv[k]] for k in range(len(part)))
-    relabeled = np.array(sigma)[a.color.entries][np.ix_(vperm, vperm)]
-    assert (b.color.entries == relabeled).all()
 
 
 def test_symmetrization_check_raises_with_asserts_stripped():

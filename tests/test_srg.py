@@ -243,7 +243,7 @@ def test_non_srg_witness_recounts(catalog):
             checked += 1
             assert isinstance(w, InconsistentIntersectionNumber), (eid, u)
             comp = [i for i in range(1, s.d + 1) if i not in u]
-            blocks = canonical_partition([[0], list(u), comp])
+            blocks = canonical_partition([[0], list(u), comp], s.d)
             block_of = {c: b for b, block in enumerate(blocks) for c in block}
             e = s.color.entries
             assert block_of[int(e[w.pair_a])] == block_of[int(e[w.pair_b])] == w.l, (eid, u)
@@ -327,7 +327,7 @@ def test_catalog_srg_check_fuses_each_union_once(monkeypatch):
 def test_srg_checks_raise_with_asserts_stripped():
     petersen = catalog_scheme("petersen")
     stripped = compile_stripped(srg)
-    stripped.fuse_direct = lambda s, partition: relabel_classes(petersen, (0, 2, 1))
+    stripped.fuse_direct = lambda s, partition: relabel_classes(petersen, (0, 2, 1)).tensor
     with pytest.raises(SrgCheckFailed) as exc:
         stripped.srg_params_from_scheme(petersen, (1,))
     assert (exc.value.union, exc.value.check) == ((1,), "valency")

@@ -24,3 +24,12 @@ def test_every_traced_layer_target_exists():
         if not hasattr(module, attr)
     ]
     assert missing == []
+
+
+def test_fusion_span_sees_every_fusion_decision():
+    """The tracer wraps fusion.fuse_direct, memo decorator included, and
+    every other module binding of that same object; srg must decide its
+    fusions through it for the fusion.direct span to cover them."""
+    from ascheme import fusion, srg
+
+    assert srg.fuse_direct is fusion.fuse_direct
