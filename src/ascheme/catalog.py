@@ -32,6 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .finitefield import field
+from .spectra import RESID_TOL
 
 MAX_PRODUCT_N = 4096
 MAX_SCHURIAN_N = 60
@@ -294,7 +295,6 @@ CHECKS = (
     "T4.1",
 )
 
-ROW_SUM_TOL = 1e-8
 FUSION_ENUM_MAX_D = 5
 GENERATOR_SWEEP_MAX_D = 6
 
@@ -322,7 +322,7 @@ def _check_spectra(s):
             exact_rows += 1
         else:
             worst = max(worst, abs(complex(e.P[j].sum())))
-    holds = worst < ROW_SUM_TOL
+    holds = worst < RESID_TOL
     return True, holds, {
         "multiplicities": list(e.multiplicities),
         "exactness_rows_all_exact": exact_rows,
@@ -379,7 +379,7 @@ def _check_amorphic(s):
             for j in range(1, s.d + 1):
                 li = complex(nf.a[i - 1]) + complex(nf.b[j - 1])
                 rj = complex(nf.a[j - 1]) + complex(nf.b[i - 1])
-                if abs(li - rj) > ROW_SUM_TOL:
+                if abs(li - rj) > RESID_TOL:
                     ok = False
         ev["normal_form_additive"] = ok
         if not ok:

@@ -11,9 +11,15 @@ import json
 import sys
 
 from . import catalog as cat
-from .core import emit_scheme_file, parse_scheme_file, union_classes, verify_axioms
+from .core import (
+    canonical_partition,
+    emit_scheme_file,
+    parse_scheme_file,
+    union_classes,
+    verify_axioms,
+)
 from .errors import AxiomViolation, ParseError, SchemeError
-from .fusion import canonical_partition, cross_check_fusions, is_amorphic
+from .fusion import cross_check_fusions, is_amorphic
 from .fusion import enumerate_admissible_partitions
 from .generator import (
     check_theorem_4class,

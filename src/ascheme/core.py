@@ -476,27 +476,36 @@ def canonical_form(s):
 # merging classes
 
 
+def canonical_partition(blocks, d):
+    """Blocks as sorted tuples, ordered by smallest element, Λ_0 = {0} first;
+    ValueError unless they partition 0..d with {0} alone ({0} may be left out)."""
+    out = sorted(tuple(sorted(int(i) for i in b)) for b in blocks if len(b) > 0)
+    if not out or out[0] != (0,):
+        out.insert(0, (0,))
+    if sorted(i for b in out for i in b) != list(range(d + 1)):
+        raise ValueError(f"blocks {list(blocks)} do not partition 0..{d} with {{0}} alone")
+    return tuple(out)
+
+
 def _block_lut(d, blocks):
-    """lut[i] = index of the block holding class i; validates blocks."""
-    if sorted(x for b in blocks for x in b) != list(range(d + 1)):
-        raise ValueError("blocks must partition 0..d")
-    if list(blocks[0]) != [0]:
-        raise ValueError("blocks[0] must be [0]")
+    """(canonical blocks, lut) with lut[i] the index of the block holding
+    class i; ValueError, by canonical_partition, unless blocks partition 0..d."""
+    blocks = canonical_partition(blocks, d)
     lut = np.empty(d + 1, dtype=np.int32)
     for b, block in enumerate(blocks):
-        for i in block:
-            lut[i] = b
-    return lut
+        lut[list(block)] = b
+    return blocks, lut
 
 
 def merge_classes(s, blocks):
     """Color matrix obtained by merging classes per a partition of 0..d.
 
-    blocks must cover 0..d disjointly with blocks[0] == [0].  New class b
-    is the union of the old classes in blocks[b]; no axiom check is done
-    here (the fused coloring may fail to be a scheme).
+    New class b is the union of the old classes in block b of
+    canonical_partition(blocks, s.d); no axiom check is done here (the
+    fused coloring may fail to be a scheme).
     """
-    entries = _take_rows(_block_lut(s.d, blocks), s.color.entries)
+    blocks, lut = _block_lut(s.d, blocks)
+    entries = _take_rows(lut, s.color.entries)
     entries.setflags(write=False)
     return ColorMatrix(entries, len(blocks) - 1)
 
@@ -508,8 +517,9 @@ def _first_arc(s, i):
 
 def fuse_classes(s, blocks):
     """The read-only tensor of the fusion whose class b is the union of
-    classes blocks[b], decided on s's tensor alone, with no coloring built
-    (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989, section 2).
+    the classes in block b of canonical_partition(blocks, s.d), decided on
+    s's tensor alone, with no coloring built (Bannai-Ito 1984;
+    Brouwer-Cohen-Neumaier 1989, section 2).
 
     It is a scheme iff the blocks are closed under the transpose map and
     each block sum q_IJ^l = sum_{i in I, j in J} p_ij^l is constant over l
@@ -519,7 +529,7 @@ def fuse_classes(s, blocks):
     whose block sums differ, with the sums as counts.
     """
     d = s.d
-    lut = _block_lut(d, blocks)
+    blocks, lut = _block_lut(d, blocks)
     ref = np.array([min(b) for b in blocks])
     tlut = lut[np.asarray(s.transpose_map)]
     bad = np.flatnonzero(tlut != tlut[ref[lut]])

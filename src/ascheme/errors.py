@@ -100,10 +100,6 @@ class MultiplicitySumMismatch(SchemeError):
     """Multiplicities of a character table fail m_0 = 1, sum m_j = n."""
 
 
-class ClusteringAmbiguity(SchemeError):
-    """Two eigenvalues are too close to cluster but too far to merge."""
-
-
 class ToleranceAmbiguity(SchemeError):
     """A floating comparison fell into the ambiguous band around the tolerance."""
 

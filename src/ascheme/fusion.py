@@ -1,6 +1,6 @@
 """Fusion machinery: admissible partitions, the exact fusion oracle, the
 spectral (Bannai-Muzychuk) criterion, amorphicity, the amorphic normal
-form, and idempotent matching against the symmetrization.
+form, and the row map to the symmetrization.
 
 Two independent deciders are kept deliberately separate:
 
@@ -12,25 +12,25 @@ Two independent deciders are kept deliberately separate:
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
 
-Amorphicity is always decided by the exact oracle.
+Amorphicity is always decided by the exact oracle.  Every comparison of
+table values here (the spectral criterion, each normal-form column, the
+row map) is one call of spectra.group_rows, which owns the tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fuse_classes, memoized, symmetrize
+from .core import canonical_partition, fuse_classes, memoized, symmetrize
 from .errors import (
     AxiomViolation,
     MatchingAmbiguous,
     NormalFormUnreachable,
     NotAScheme,
     SymmetrizationCheckFailed,
-    ToleranceAmbiguity,
     TooManyClasses,
 )
-from .exact import radical_sum, radical_sum_to_complex
-from .spectra import CLUSTER_TOL, character_table
+from .spectra import block_sums, character_table, group_rows
 
 MAX_ENUM_D = 12
 
@@ -55,17 +55,6 @@ def _partitions_of(items):
 def _is_transpose_closed(blocks, tmap):
     block_set = {frozenset(b) for b in blocks}
     return all(frozenset(tmap[i] for i in b) in block_set for b in blocks)
-
-
-def canonical_partition(blocks, d):
-    """Blocks as sorted tuples, ordered by smallest element, Λ_0 = {0} first;
-    ValueError unless they partition 0..d with {0} alone ({0} may be left out)."""
-    out = sorted(tuple(sorted(int(i) for i in b)) for b in blocks if len(b) > 0)
-    if not out or out[0] != (0,):
-        out.insert(0, (0,))
-    if sorted(i for b in out for i in b) != list(range(d + 1)):
-        raise ValueError(f"blocks {list(blocks)} do not partition 0..{d} with {{0}} alone")
-    return tuple(out)
 
 
 def enumerate_admissible_partitions(s):
@@ -120,76 +109,6 @@ class FusionVerdict:
         }
 
 
-def _block_sums(e, blocks):
-    """Per-row block sums: complex matrix plus exact forms where available."""
-    dp1 = e.d + 1
-    sums = np.empty((dp1, len(blocks)), dtype=np.complex128)
-    forms = [[None] * len(blocks) for _ in range(dp1)]
-    for bi, b in enumerate(blocks):
-        sums[:, bi] = e.P[:, list(b)].sum(axis=1)
-        for j in range(dp1):
-            vals = [e.exact[j][i] for i in b]
-            if all(v is not None for v in vals):
-                forms[j][bi] = radical_sum(vals)
-    return sums, forms
-
-
-def _group_rows(sums, forms, tol):
-    """Group rows with identical signatures; ambiguity-checked.
-
-    Two rows belong together iff every block sum agrees (exactly when
-    both forms snapped, within tol otherwise).  A float disagreement in
-    the (tol, 10 tol) window on rows that agree everywhere else is
-    reported as ToleranceAmbiguity instead of a verdict.
-    """
-    dp1, nb = sums.shape
-    groups = []
-    for j in range(dp1):
-        hit = None
-        for g in groups:
-            r = g[0]
-            agree = True
-            near_miss = False
-            for b in range(nb):
-                if forms[j][b] is not None and forms[r][b] is not None:
-                    if forms[j][b] != forms[r][b]:
-                        agree = False
-                        break
-                else:
-                    gap = abs(sums[j, b] - sums[r, b])
-                    if gap <= tol:
-                        continue
-                    agree = False
-                    if gap < 10 * tol:
-                        near_miss = True
-                    break
-            if agree:
-                hit = g
-                break
-            if near_miss:
-                # distinct only by a marginal float gap: check whether some
-                # other block separates them decisively
-                decisive = any(
-                    abs(sums[j, b] - sums[r, b]) >= 10 * tol
-                    or (
-                        forms[j][b] is not None
-                        and forms[r][b] is not None
-                        and forms[j][b] != forms[r][b]
-                    )
-                    for b in range(nb)
-                )
-                if not decisive:
-                    raise ToleranceAmbiguity(
-                        f"rows {r} and {j} have block-sum signatures within "
-                        "the ambiguity window"
-                    )
-        if hit is None:
-            groups.append([j])
-        else:
-            hit.append(j)
-    return [tuple(g) for g in groups]
-
-
 def bannai_muzychuk_check(e, partition):
     """Spectral fusion criterion on a character table.
 
@@ -199,10 +118,8 @@ def bannai_muzychuk_check(e, partition):
     the dual partition and the common block sums form the fused table.
     """
     blocks = canonical_partition(partition, e.d)
-    sums, forms = _block_sums(e, blocks)
-    scale = max(1.0, float(np.abs(sums).max()))
-    groups = _group_rows(sums, forms, CLUSTER_TOL * scale)
-    groups = sorted(groups, key=min)
+    sums, forms = block_sums(e, blocks)
+    groups = group_rows(sums, forms)
     ok = len(groups) == len(blocks) and groups[0] == (0,)
     if ok:
         fused = np.array([sums[g[0]] for g in groups])
@@ -211,18 +128,14 @@ def bannai_muzychuk_check(e, partition):
         witness = {"perron_group": sorted(groups[0])}
     else:
         # more signature groups than blocks: any dual partition would have
-        # to merge two rows whose sums differ in some block
-        g1, g2 = groups[len(blocks) - 1], groups[len(blocks)]
-        r1, r2 = g1[0], g2[0]
-
-        def separates(b):
-            if forms[r1][b] is not None and forms[r2][b] is not None:
-                return forms[r1][b] != forms[r2][b]
-            return abs(sums[r1, b] - sums[r2, b]) > CLUSTER_TOL * scale
-
+        # to merge two rows whose sums differ in some block; group_rows
+        # found one where they differ decisively, so the search ends
+        r1, r2 = groups[len(blocks) - 1][0], groups[len(blocks)][0]
+        pair = sums[[r1, r2]]
         bad = next(
-            (b for b in range(len(blocks)) if separates(b)),
-            int(np.argmax(np.abs(sums[r1] - sums[r2]))),
+            b
+            for b in range(len(blocks))
+            if len(group_rows(pair[:, b : b + 1], [[forms[r1][b]], [forms[r2][b]]])) == 2
         )
         witness = {
             "block": bad,
@@ -266,13 +179,6 @@ def is_amorphic(s):
     return True, {"is_amorphic": True, "partitions_checked": len(parts)}
 
 
-def _entries_equal(e, r1, c1, r2, c2, tol):
-    a, b = e.exact[r1][c1], e.exact[r2][c2]
-    if a is not None and b is not None:
-        return a == b
-    return abs(e.P[r1, c1] - e.P[r2, c2]) <= tol
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Character table in the amorphic shape: after applying row_perm and
@@ -284,20 +190,6 @@ class NormalForm:
     col_perm: tuple  # col_perm[i] = original column placed at position i
     a: tuple
     b: tuple
-
-
-def _pattern_fits(e, row_perm, col_perm, tol):
-    d = e.d
-    for pos in range(1, d + 1):
-        c = col_perm[pos]
-        dev = row_perm[pos]
-        others = [row_perm[q] for q in range(1, d + 1) if q != pos]
-        for r1 in others[1:]:
-            if not _entries_equal(e, others[0], c, r1, c, tol):
-                return False
-        if others and _entries_equal(e, others[0], c, dev, c, tol):
-            return False  # a_i = b_i not allowed
-    return True
 
 
 def amorphic_normal_form(e, fix_last_col=None):
@@ -317,29 +209,19 @@ def amorphic_normal_form(e, fix_last_col=None):
         raise ValueError(f"the amorphic normal form needs d >= 3, got d = {d}")
     if fix_last_col is not None and not 1 <= fix_last_col <= d:
         raise ValueError(f"fix_last_col must be a class in 1..{d}, got {fix_last_col}")
-    scale = max(1.0, float(np.abs(e.P).max()))
-    tol = CLUSTER_TOL * scale
     row_of = {}
     for c in range(1, d + 1):
-        votes = {}
-        for r in range(1, d + 1):
-            key = next((k for k in votes if _entries_equal(e, r, c, k, c, tol)), r)
-            votes.setdefault(key, []).append(r)
-        singles = [rs for rs in votes.values() if len(rs) == 1]
-        majors = [rs for rs in votes.values() if len(rs) == d - 1]
-        if len(singles) != 1 or len(majors) != 1:
+        sums, forms = block_sums(e, [(c,)])
+        groups = group_rows(sums[1:], forms[1:])
+        if sorted(map(len, groups)) != [1, d - 1]:
             raise NormalFormUnreachable(f"column {c} lacks a unique deviating entry")
-        row_of[c] = singles[0][0]
+        row_of[c] = 1 + next(g[0] for g in groups if len(g) == 1)
     if sorted(row_of.values()) != list(range(1, d + 1)):
         raise NormalFormUnreachable("deviant rows do not form a bijection")
     cp = (0,) + tuple(c for c in range(1, d + 1) if c != fix_last_col)
     if fix_last_col is not None:
         cp += (fix_last_col,)
     rp = (0,) + tuple(row_of[c] for c in cp[1:])
-    if not _pattern_fits(e, rp, cp, tol):
-        raise NormalFormUnreachable(
-            "no row/column permutation reaches the amorphic shape"
-        )
     P = e.P[list(rp)][:, list(cp)].copy()
     a, b = [], []
     for pos in range(1, d + 1):
@@ -367,14 +249,38 @@ class IdempotentMatching:
         return len(self.row_map[j]) == 1
 
 
-def idempotent_matching(x):
-    """Match symmetrization eigenrows to x eigenrows via block sums.
+def symmetrization_row_map(x):
+    """row_map[j], the rows of x's table that fuse to row j of the table
+    of x's symmetrization, for any commutative x.
 
-    Requires exactly one nonsymmetric transpose pair.  Exactly one
-    symmetrization row maps to two conjugate x rows; all others map
-    one-to-one.  MatchingAmbiguous signals a tolerance collision.  The
-    symmetrization and both character tables are the memoized ones, which
-    the theorem checks read as well.
+    One group_rows call over x's rows summed on the symmetrization's
+    classes, stacked with the symmetrization's rows, decides it: each
+    group must hold exactly one symmetrization row, else
+    SymmetrizationCheckFailed.  Both tables are the memoized ones.
+    """
+    sym, corr = symmetrize(x)
+    blocks = [[i for i in range(x.d + 1) if corr[i] == c] for c in range(sym.d + 1)]
+    x_sums, x_forms = block_sums(character_table(x), blocks)
+    s_sums, s_forms = block_sums(character_table(sym), [(c,) for c in range(sym.d + 1)])
+    m = x.d + 1
+    row_map = [None] * (sym.d + 1)
+    for g in group_rows(np.vstack([x_sums, s_sums]), x_forms + s_forms):
+        syms = [j - m for j in g if j >= m]
+        if len(syms) != 1:
+            raise SymmetrizationCheckFailed(
+                f"rows {list(g)} of x and its symmetrization group with "
+                f"{len(syms)} symmetrization rows"
+            )
+        row_map[syms[0]] = tuple(j for j in g if j < m)
+    return tuple(row_map)
+
+
+def idempotent_matching(x):
+    """The row map to the symmetrization of a scheme with exactly one
+    nonsymmetric transpose pair.
+
+    Exactly one symmetrization row maps to two conjugate x rows and all
+    others map one-to-one; MatchingAmbiguous otherwise.
     """
     pairs = x.transpose_pairs
     if len(pairs) != 1:
@@ -382,41 +288,11 @@ def idempotent_matching(x):
             f"idempotent matching needs exactly one transpose pair, found {len(pairs)}"
         )
     sym, corr = symmetrize(x)
-    x_t, sym_t = character_table(x), character_table(sym)
-    # fuse x rows along the symmetrization partition
-    blocks = [()] * (sym.d + 1)
-    for i in range(x.d + 1):
-        blocks[corr[i]] = blocks[corr[i]] + (i,)
-    verdict = bannai_muzychuk_check(x_t, blocks)
-    if not verdict.is_scheme:
-        raise SymmetrizationCheckFailed(
-            f"spectral criterion rejects the symmetrization fusion {verdict.partition}"
-        )
-    # map each dual group to the symmetrization row with identical sums;
-    # the verdict's blocks are sorted by smallest element = class order
-    order = {b: bi for bi, b in enumerate(verdict.partition)}
-    col_of = [order[tuple(sorted(blocks[c]))] for c in range(sym.d + 1)]
-    scale = max(1.0, float(np.abs(sym_t.P).max()))
-    tol = CLUSTER_TOL * scale
-    row_map = [None] * (sym.d + 1)
-    for g, fused in zip(verdict.dual_partition, verdict.fused_table):
-        vec = fused[col_of]
-        dists = np.abs(sym_t.P - vec[None, :]).max(axis=1)
-        near = np.flatnonzero(dists <= 10 * tol)
-        if len(near) != 1 or dists[near[0]] > tol:
-            raise MatchingAmbiguous(
-                f"fused row group {g} matches {len(near)} symmetrization rows"
-            )
-        j = int(near[0])
-        if row_map[j] is not None:
-            raise MatchingAmbiguous(
-                f"symmetrization row {j} matched by two fused groups"
-            )
-        row_map[j] = tuple(g)
+    row_map = symmetrization_row_map(x)
     split = [j for j, g in enumerate(row_map) if len(g) == 2]
     singles = [j for j, g in enumerate(row_map) if len(g) == 1]
     if len(split) != 1 or len(singles) != sym.d:
         raise MatchingAmbiguous(
             f"expected exactly one split row, found {len(split)}"
         )
-    return IdempotentMatching(sym, tuple(corr), tuple(row_map), split[0])
+    return IdempotentMatching(sym, tuple(corr), row_map, split[0])

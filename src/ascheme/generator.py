@@ -41,15 +41,21 @@ from .errors import (
     WitnessUnsolvable,
 )
 from .exact import QuadVal
-from .fusion import amorphic_normal_form, idempotent_matching, is_amorphic
+from .fusion import (
+    amorphic_normal_form,
+    idempotent_matching,
+    is_amorphic,
+    symmetrization_row_map,
+)
 from .spectra import (
+    RESID_TOL,
     EigenTable,
     character_table,
+    group_rows,
     intersection_matrices,
     union_matrix,
 )
 
-RESID_TOL = 1e-8
 WITNESS_MAX_N = 256
 # Largest primes below 2^27.  Two bounds keep the n x n check exact:
 # WITNESS_MAX_N * p < 2^53, so each float64 product of a power (residues
@@ -635,23 +641,8 @@ def classify_skew_4class(x):
     m1, m2 = sym_t.multiplicities[1], sym_t.multiplicities[2]
     r = [None, sym_t.P[1, cA].real, sym_t.P[2, cA].real]
     t = [None, sym_t.P[1, cB].real, sym_t.P[2, cB].real]
-    scale = max(1.0, float(np.abs(x_t.P).max()))
-    tol = 1e-9 * scale
-    # match x rows to symmetrization rows by fused sums
-    fused = np.stack(
-        [x_t.P[:, 1] + x_t.P[:, 2], x_t.P[:, 3] + x_t.P[:, 4]], axis=1
-    )
-    target = np.stack([sym_t.P[1:, cA], sym_t.P[1:, cB]], axis=1)
-    rows_of = {1: [], 2: []}
-    for j in range(1, 5):
-        dist = np.abs(fused[j] - target).max(axis=1)
-        w = int(np.argmin(dist))
-        if dist[w] > tol or dist[1 - w] < 10 * tol:
-            raise TypeUnclassifiable(
-                f"x row {j} does not match a unique symmetrization row"
-            )
-        rows_of[w + 1].append(j)
-    if any(len(v) != 2 for v in rows_of.values()):
+    rows_of = symmetrization_row_map(x)
+    if len(rows_of[1]) != 2 or len(rows_of[2]) != 2:
         raise TypeUnclassifiable("each symmetrization row must split in two")
 
     def rep_row(js, col):
@@ -663,11 +654,10 @@ def classify_skew_4class(x):
     jb = rep_row(rows_of[2], 1)
     rho, tau = complex(x_t.P[ja, 1]), complex(x_t.P[ja, 3])
     sigma, omega = complex(x_t.P[jb, 1]), complex(x_t.P[jb, 3])
+    # an entry is complex iff it differs from its conjugate
     im = {
-        "rho": abs(rho.imag) > tol,
-        "sigma": abs(sigma.imag) > tol,
-        "tau": abs(tau.imag) > tol,
-        "omega": abs(omega.imag) > tol,
+        name: len(group_rows(np.array([[z], [z.conjugate()]]), [[None], [None]])) == 2
+        for name, z in (("rho", rho), ("sigma", sigma), ("tau", tau), ("omega", omega))
     }
     rad = lambda z: 4 * z.imag ** 2
     radicands = {}
@@ -700,10 +690,8 @@ def classify_skew_4class(x):
             v["residual"] = None
         else:
             v["residual"] = abs(v["computed"] - v["predicted"])
-    if typ == 3:
-        radicands_ok = all(v["computed"] > tol for v in radicands.values())
-    else:
-        radicands_ok = all(v["residual"] < RESID_TOL for v in radicands.values())
+    # type 3 radicands 4 Im(z)^2 are positive, as all four entries are complex
+    radicands_ok = typ == 3 or all(v["residual"] < RESID_TOL for v in radicands.values())
     formulas_ok = radicands_ok and max(checks) < RESID_TOL
     row_sums_ok = (
         abs(1 + 2 * rho.real + 2 * tau.real) < RESID_TOL

@@ -7,11 +7,19 @@ left eigenrows of a random combination sum c_i B_i, normalized to have
 first coordinate 1, are exactly the rows of P.  Degenerate draws are
 detected and retried with doubled working precision (mpmath).
 
+Every equality between table values is decided by one routine,
+group_rows, on per-row block sums (block_sums): two sums are compared
+exactly when every entry in both snapped, and otherwise agree within
+CLUSTER_TOL times the largest sum; a gap inside the window between that
+tolerance and ten times it raises ToleranceAmbiguity instead of guessing.
+The spectral fusion check, the amorphic normal form, the row map to the
+symmetrization, T4.1's test of whether an entry is real and union_spectrum
+(the rows grouped on the one block Lambda) all call it.
+
 Counting distinct eigenvalues of a union digraph never relies on floats:
 the count is the degree of the minimal polynomial of the integer matrix
-B_Lambda (union_matrix) over Q, by exact Gaussian elimination.  The
-floating route (union_spectrum, tolerance clustering) exists as an
-independent cross-check, not as the decision procedure.
+B_Lambda (union_matrix) over Q, by exact Gaussian elimination.
+union_spectrum is an independent cross-check, not the decision procedure.
 """
 
 from dataclasses import dataclass
@@ -21,11 +29,11 @@ import numpy as np
 from . import exactla
 from .core import memoized, union_classes
 from .errors import (
-    ClusteringAmbiguity,
     EigenSeparationFailure,
     MultiplicityNotIntegral,
     MultiplicitySumMismatch,
     NonCommutative,
+    ToleranceAmbiguity,
 )
 from .exact import (
     QuadVal,
@@ -37,7 +45,8 @@ from .exact import (
 
 DEFAULT_SEED = 0x5EED
 MAX_RETRIES = 8
-CLUSTER_TOL = 1e-9
+CLUSTER_TOL = 1e-9  # relative: two table values within it are equal
+RESID_TOL = 1e-8  # absolute: a computed value within it of its prediction holds
 
 
 def intersection_matrices(s):
@@ -277,47 +286,73 @@ def distinct_eigenvalue_count(s, union):
     return exactla.minpoly_degree(union_matrix(s, union))
 
 
+def block_sums(e, blocks):
+    """Per-row block sums of table e: the complex matrix sums[j, b] and
+    forms[j][b], the radical_sum of the entries where every one snapped,
+    else None."""
+    dp1 = e.d + 1
+    sums = np.empty((dp1, len(blocks)), dtype=np.complex128)
+    forms = [[None] * len(blocks) for _ in range(dp1)]
+    for bi, b in enumerate(blocks):
+        sums[:, bi] = e.P[:, list(b)].sum(axis=1)
+        for j in range(dp1):
+            vals = [e.exact[j][i] for i in b]
+            if all(v is not None for v in vals):
+                forms[j][bi] = radical_sum(vals)
+    return sums, forms
+
+
+def group_rows(sums, forms):
+    """Group the rows of sums whose block sums all agree, in order of
+    their first rows; each row joins the first group whose first row it
+    agrees with.
+
+    Sums agree exactly when both forms are known, and otherwise within
+    CLUSTER_TOL times the largest |sum| (at least 1).  Two rows that do not
+    agree but differ nowhere by ten times that or more raise
+    ToleranceAmbiguity instead of a grouping.
+    """
+    tol = CLUSTER_TOL * max(1.0, float(np.abs(sums).max()))
+    rows = sums.tolist()
+    groups = []
+    for j, row in enumerate(rows):
+        for g in groups:
+            r = g[0]
+            window = False
+            for b, z in enumerate(row):
+                fj, fr = forms[j][b], forms[r][b]
+                if fj is not None and fr is not None:
+                    if fj != fr:
+                        break
+                    continue
+                gap = abs(z - rows[r][b])
+                if gap >= 10 * tol:
+                    break
+                window = window or gap > tol
+            else:
+                if window:
+                    raise ToleranceAmbiguity(
+                        f"rows {r} and {j} have block sums within the ambiguity window"
+                    )
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return [tuple(g) for g in groups]
+
+
 def union_spectrum(e, union):
     """Eigenvalue multiset of a union digraph from the character table.
 
-    Returns [(value, multiplicity), ...] sorted by (re, im) descending.
-    Row sums are exact whenever every involved entry snapped; otherwise
-    clusters are merged at 1e-9 relative tolerance, and a gap between
-    distinct values below ten times that tolerance raises
-    ClusteringAmbiguity rather than guessing.
+    Returns [(value, multiplicity), ...] sorted by (re, im) descending:
+    one value per group of rows that group_rows forms on the single block
+    union, exact where every entry of its first row's sum snapped.
     """
-    cols = union_classes(e.d, union)
-    sums = e.P[:, list(cols)].sum(axis=1)
-    forms = []
-    for j in range(e.d + 1):
-        vals = [e.exact[j][i] for i in cols]
-        forms.append(radical_sum(vals) if all(v is not None for v in vals) else None)
-    scale = max(1.0, float(np.abs(sums).max()))
-    tol = CLUSTER_TOL * scale
-    clusters = []  # [value, form, mult]
-    for j in range(e.d + 1):
-        z = complex(sums[j]) if forms[j] is None else radical_sum_to_complex(forms[j])
-        hit = None
-        for cl in clusters:
-            if forms[j] is not None and cl[1] is not None:
-                same = forms[j] == cl[1]
-            else:
-                same = abs(z - cl[0]) <= tol
-            if same:
-                hit = cl
-                break
-        if hit is None:
-            clusters.append([z, forms[j], e.multiplicities[j]])
-        else:
-            hit[2] += e.multiplicities[j]
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            if clusters[a][1] is not None and clusters[b][1] is not None:
-                continue
-            if abs(clusters[a][0] - clusters[b][0]) < 10 * tol:
-                raise ClusteringAmbiguity(
-                    f"union spectrum values {clusters[a][0]} and {clusters[b][0]} "
-                    "are too close to separate at working precision"
-                )
-    clusters.sort(key=lambda cl: (-round(cl[0].real, 9), -round(cl[0].imag, 9)))
-    return [(cl[0], cl[2]) for cl in clusters]
+    sums, forms = block_sums(e, [union_classes(e.d, union)])
+    spec = []
+    for g in group_rows(sums, forms):
+        form = forms[g[0]][0]
+        z = complex(sums[g[0], 0]) if form is None else radical_sum_to_complex(form)
+        spec.append((z, sum(e.multiplicities[j] for j in g)))
+    spec.sort(key=lambda vm: (-round(vm[0].real, 9), -round(vm[0].imag, 9)))
+    return spec

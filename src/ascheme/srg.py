@@ -28,9 +28,7 @@ from .core import memoized, union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
-from .spectra import character_table, union_spectrum
-
-RESID_TOL = 1e-8
+from .spectra import RESID_TOL, character_table, union_spectrum
 
 
 @dataclass(frozen=True)

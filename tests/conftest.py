@@ -16,6 +16,8 @@ from ascheme.core import (
     canonical_form,
     merge_classes,
     scheme_from_entries,
+    symmetrize,
+    union_classes,
 )
 from ascheme.errors import (
     MalformedHeader,
@@ -25,8 +27,11 @@ from ascheme.errors import (
     NormalFormUnreachable,
     OutOfRangeEntry,
     ParseError,
+    ToleranceAmbiguity,
     TooLarge,
+    TypeUnclassifiable,
 )
+from ascheme.exact import radical_sum, radical_sum_to_complex
 from ascheme.finitefield import _mul
 from ascheme.spectra import CLUSTER_TOL, character_table
 
@@ -275,17 +280,198 @@ def reference_emit_scheme_file(s):
     return "\n".join(out) + "\n"
 
 
+# --- the comparison loops that spectra.group_rows replaced: references -----
+
+
+def _table_tol(values):
+    return CLUSTER_TOL * max(1.0, float(np.abs(values).max()))
+
+
+def _entries_equal(e, r1, c1, r2, c2, tol):
+    a, b = e.exact[r1][c1], e.exact[r2][c2]
+    if a is not None and b is not None:
+        return a == b
+    return abs(e.P[r1, c1] - e.P[r2, c2]) <= tol
+
+
+def _pattern_fits(e, row_perm, col_perm, tol):
+    d = e.d
+    for pos in range(1, d + 1):
+        c = col_perm[pos]
+        dev = row_perm[pos]
+        others = [row_perm[q] for q in range(1, d + 1) if q != pos]
+        for r1 in others[1:]:
+            if not _entries_equal(e, others[0], c, r1, c, tol):
+                return False
+        if others and _entries_equal(e, others[0], c, dev, c, tol):
+            return False  # a_i = b_i not allowed
+    return True
+
+
 def reference_normal_form_perms(e, fix_last_col=None):
     """(row_perm, col_perm) of the amorphic normal form by brute force over
     both permutations, the lexicographically first that fits, or
     NormalFormUnreachable.  (d!)^2 fits: for small d only."""
     d = e.d
-    tol = CLUSTER_TOL * max(1.0, float(np.abs(e.P).max()))
+    tol = _table_tol(e.P)
     rows = [(0,) + rp for rp in permutations(range(1, d + 1))]
     for cp in permutations(range(1, d + 1)):
         if fix_last_col is not None and cp[-1] != fix_last_col:
             continue
         for rp in rows:
-            if fusion._pattern_fits(e, rp, (0,) + cp, tol):
+            if _pattern_fits(e, rp, (0,) + cp, tol):
                 return rp, (0,) + cp
     raise NormalFormUnreachable("no row/column permutation reaches the amorphic shape")
+
+
+def reference_vote_perms(e, fix_last_col=None):
+    """(row_perm, col_perm) of the amorphic normal form by a per-column
+    vote: each row joins the first earlier row of equal entry."""
+    d = e.d
+    tol = _table_tol(e.P)
+    row_of = {}
+    for c in range(1, d + 1):
+        votes = {}
+        for r in range(1, d + 1):
+            key = next((k for k in votes if _entries_equal(e, r, c, k, c, tol)), r)
+            votes.setdefault(key, []).append(r)
+        singles = [rs for rs in votes.values() if len(rs) == 1]
+        majors = [rs for rs in votes.values() if len(rs) == d - 1]
+        if len(singles) != 1 or len(majors) != 1:
+            raise NormalFormUnreachable(f"column {c} lacks a unique deviating entry")
+        row_of[c] = singles[0][0]
+    if sorted(row_of.values()) != list(range(1, d + 1)):
+        raise NormalFormUnreachable("deviant rows do not form a bijection")
+    cp = (0,) + tuple(c for c in range(1, d + 1) if c != fix_last_col)
+    if fix_last_col is not None:
+        cp += (fix_last_col,)
+    rp = (0,) + tuple(row_of[c] for c in cp[1:])
+    if not _pattern_fits(e, rp, cp, tol):
+        raise NormalFormUnreachable("no row/column permutation reaches the amorphic shape")
+    return rp, cp
+
+
+def reference_union_spectrum(e, union):
+    """union_spectrum by clustering each row sum into the first cluster
+    within tolerance, then a pairwise check of the cluster values."""
+    cols = union_classes(e.d, union)
+    sums = e.P[:, list(cols)].sum(axis=1)
+    forms = []
+    for j in range(e.d + 1):
+        vals = [e.exact[j][i] for i in cols]
+        forms.append(radical_sum(vals) if all(v is not None for v in vals) else None)
+    tol = _table_tol(sums)
+    clusters = []  # [value, form, mult]
+    for j in range(e.d + 1):
+        z = complex(sums[j]) if forms[j] is None else radical_sum_to_complex(forms[j])
+        hit = None
+        for cl in clusters:
+            if forms[j] is not None and cl[1] is not None:
+                same = forms[j] == cl[1]
+            else:
+                same = abs(z - cl[0]) <= tol
+            if same:
+                hit = cl
+                break
+        if hit is None:
+            clusters.append([z, forms[j], e.multiplicities[j]])
+        else:
+            hit[2] += e.multiplicities[j]
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            if clusters[a][1] is not None and clusters[b][1] is not None:
+                continue
+            if abs(clusters[a][0] - clusters[b][0]) < 10 * tol:
+                raise ToleranceAmbiguity("union spectrum values too close to separate")
+    clusters.sort(key=lambda cl: (-round(cl[0].real, 9), -round(cl[0].imag, 9)))
+    return [(cl[0], cl[2]) for cl in clusters]
+
+
+def _reference_group_rows(sums, forms, tol):
+    """Rows grouped by signature, each compared with every earlier group's
+    first row until one agrees; a float near miss that no block separates
+    decisively raises."""
+    dp1, nb = sums.shape
+    groups = []
+    for j in range(dp1):
+        hit = None
+        for g in groups:
+            r = g[0]
+            agree = True
+            near_miss = False
+            for b in range(nb):
+                if forms[j][b] is not None and forms[r][b] is not None:
+                    if forms[j][b] != forms[r][b]:
+                        agree = False
+                        break
+                else:
+                    gap = abs(sums[j, b] - sums[r, b])
+                    if gap <= tol:
+                        continue
+                    agree = False
+                    if gap < 10 * tol:
+                        near_miss = True
+                    break
+            if agree:
+                hit = g
+                break
+            if near_miss:
+                decisive = any(
+                    abs(sums[j, b] - sums[r, b]) >= 10 * tol
+                    or (
+                        forms[j][b] is not None
+                        and forms[r][b] is not None
+                        and forms[j][b] != forms[r][b]
+                    )
+                    for b in range(nb)
+                )
+                if not decisive:
+                    raise ToleranceAmbiguity(f"rows {r} and {j} within the window")
+        if hit is None:
+            groups.append([j])
+        else:
+            hit.append(j)
+    return [tuple(g) for g in groups]
+
+
+def reference_row_map(x):
+    """The rows of x's table fusing to each symmetrization row: x's rows
+    grouped on the symmetrization's classes, then each group's sums
+    matched to the one symmetrization row within tolerance (a second row
+    within ten times it raises)."""
+    sym, corr = symmetrize(x)
+    x_t, sym_t = character_table(x), character_table(sym)
+    blocks = [[i for i in range(x.d + 1) if corr[i] == c] for c in range(sym.d + 1)]
+    sums, forms = spectra.block_sums(x_t, blocks)
+    groups = _reference_group_rows(sums, forms, _table_tol(sums))
+    assert len(groups) == sym.d + 1 and groups[0] == (0,)
+    tol = _table_tol(sym_t.P)
+    row_map = [None] * (sym.d + 1)
+    for g in groups:
+        dists = np.abs(sym_t.P - sums[g[0]][None, :]).max(axis=1)
+        near = np.flatnonzero(dists <= 10 * tol)
+        if len(near) != 1 or dists[near[0]] > tol:
+            raise ToleranceAmbiguity(f"fused row group {g} matches {len(near)} rows")
+        assert row_map[near[0]] is None
+        row_map[near[0]] = g
+    return tuple(row_map)
+
+
+def reference_skew_split(x):
+    """For a skew 4-class x with pairs (1, 2), (3, 4): the x rows nearest to
+    symmetrization rows 1 and 2 by their pair sums."""
+    x_t = character_table(x)
+    sym, corr = symmetrize(x)
+    sym_t = character_table(sym)
+    cA, cB = corr[1], corr[3]
+    tol = 1e-9 * max(1.0, float(np.abs(x_t.P).max()))
+    fused = np.stack([x_t.P[:, 1] + x_t.P[:, 2], x_t.P[:, 3] + x_t.P[:, 4]], axis=1)
+    target = np.stack([sym_t.P[1:, cA], sym_t.P[1:, cB]], axis=1)
+    rows_of = {1: [], 2: []}
+    for j in range(1, 5):
+        dist = np.abs(fused[j] - target).max(axis=1)
+        w = int(np.argmin(dist))
+        if dist[w] > tol or dist[1 - w] < 10 * tol:
+            raise TypeUnclassifiable(f"x row {j} does not match a unique symmetrization row")
+        rows_of[w + 1].append(j)
+    return tuple(rows_of[1]), tuple(rows_of[2])

@@ -164,6 +164,21 @@ def test_merge_classes_total_fusion_is_complete():
     assert k5.d == 1 and k5.valencies == (1, 4)
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[0], [1, 2], [2, 3, 4]],  # overlapping blocks
+        [[0, 1], [2, 3, 4]],  # 0 joined to a class
+        [[0], [1, 2], [3]],  # class 4 missing
+    ],
+)
+def test_merge_and_fuse_classes_reject_non_partitions(blocks):
+    s = catalog_scheme("cyclo-13-4")
+    for merge in (core.merge_classes, core.fuse_classes):
+        with pytest.raises(ValueError, match="partition 0..4"):
+            merge(s, blocks)
+
+
 def test_derived_fields_match_the_coloring(catalog):
     """transpose_map, valencies and symmetric, read off the l = 0 slice of
     p, equal counts on the coloring, for every catalog scheme and its

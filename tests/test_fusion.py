@@ -23,7 +23,6 @@ from ascheme.errors import (
     TransposeNotRelation,
 )
 from ascheme.fusion import (
-    FusionVerdict,
     amorphic_normal_form,
     bannai_muzychuk_check,
     canonical_partition,
@@ -526,9 +525,9 @@ def test_fusion_invariant_under_vertex_and_class_relabeling(catalog, data):
 
 
 def test_symmetrization_check_raises_with_asserts_stripped():
+    """A grouping that puts both symmetrization rows into one group is
+    refused by a typed error, not an assert."""
     stripped = compile_stripped(fusion)
-    stripped.bannai_muzychuk_check = lambda e, partition: FusionVerdict(
-        partition, False, None, None, {}
-    )
+    stripped.group_rows = lambda sums, forms: [tuple(range(len(sums)))]
     with pytest.raises(SymmetrizationCheckFailed):
         stripped.idempotent_matching(catalog_scheme("cyclo-7-2"))

@@ -15,6 +15,7 @@ from ascheme.core import MAX_D, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     CriterionDisagreement,
     SplitRowMismatch,
+    ToleranceAmbiguity,
     TooManyClasses,
     WitnessBoundUnreached,
     WitnessRejected,
@@ -40,6 +41,7 @@ from ascheme.generator import (
     predict_fission_table,
 )
 from ascheme.spectra import (
+    EigenTable,
     character_table,
     distinct_eigenvalue_count,
     intersection_matrices,
@@ -602,6 +604,24 @@ def test_skew_classification_type3():
     assert abs(c.radicands["y"]["computed"] * c.radicands["b"]["computed"] - 13.0) < 1e-6
     assert c.property_unions == {"1": 5, "2": 5, "3": 5, "4": 5}
     assert c.row_sums_ok and c.properties_ok
+
+
+def test_skew_classification_raises_in_the_ambiguity_window():
+    """A float in x's table moved so that row 1's pair sum lies 2e-8 from
+    row 2's, inside the window (6e-9, 6e-8) of the symmetrization's
+    valency 6, raises rather than giving a failing T4.1 verdict."""
+    x = build_cyclotomic(13, 4)  # a fresh scheme: the table planted below stays its own
+    assert x.transpose_pairs == ((1, 2), (3, 4))
+    e = character_table(x)
+    assert e.exact[1][1] is None
+    P = e.P.copy()
+    P[1, 1] += 2e-8
+    key = next(k for k, v in x._memo.items() if v is e)
+    x._memo[key] = EigenTable(P, e.multiplicities, e.exact, e.eigen_basis, e.n, e.valencies)
+    with pytest.raises(ToleranceAmbiguity):
+        classify_skew_4class(x)
+    with pytest.raises(ToleranceAmbiguity):
+        check_theorem_skew_types(x)
 
 
 def test_skew_type_depends_on_pair_convention():

@@ -1,19 +1,25 @@
+import ast
 import math
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ascheme import spectra
-from ascheme.catalog import catalog_scheme
-from ascheme.core import scheme_from_entries
+from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme.core import scheme_from_entries, symmetrize
 from ascheme.errors import (
-    ClusteringAmbiguity,
     MultiplicityNotIntegral,
     MultiplicitySumMismatch,
     NonCommutative,
+    NormalFormUnreachable,
+    NotPrime,
+    ToleranceAmbiguity,
 )
 from ascheme.exact import QuadVal
+from ascheme.fusion import amorphic_normal_form, idempotent_matching, symmetrization_row_map
 from ascheme.spectra import (
     EigenTable,
     character_table,
@@ -23,7 +29,13 @@ from ascheme.spectra import (
     union_spectrum,
 )
 
-from conftest import compile_stripped
+from conftest import (
+    compile_stripped,
+    reference_row_map,
+    reference_skew_split,
+    reference_union_spectrum,
+    reference_vote_perms,
+)
 
 SQRT5 = math.sqrt(5.0)
 SQRT7 = math.sqrt(7.0)
@@ -199,7 +211,7 @@ def test_clustering_ambiguity_raises():
         dtype=np.complex128,
     )
     e = EigenTable(P, (1, 3, 3), ((None,) * 3,) * 3, P.copy(), 7, (1, 3, 3))
-    with pytest.raises(ClusteringAmbiguity):
+    with pytest.raises(ToleranceAmbiguity):
         union_spectrum(e, (1,))
 
 
@@ -276,3 +288,75 @@ def test_tables_are_memoized_and_read_only():
             with pytest.raises(ValueError):
                 arr[0, 0] = 2
     assert e.P[0, 0] == 1 and trivial.P[0, 0] == 1
+
+
+def _perms_or_none(normal_form, e, fix):
+    try:
+        got = normal_form(e, fix)
+    except NormalFormUnreachable:
+        return None
+    return got if isinstance(got, tuple) else (got.row_perm, got.col_perm)
+
+
+def test_group_rows_decides_as_the_loops_it_replaced(catalog):
+    """union_spectrum, the amorphic normal form, the row map to the
+    symmetrization and T4.1's row split are each now one group_rows call;
+    on the catalog's tables, their symmetrizations and every nonsymmetric
+    cyclotomic (q, 4) with q <= 257, they decide as the comparison loops
+    they replaced (the references in conftest), spectra bit for bit."""
+    schemes = list(catalog.values())
+    for q in range(5, 258, 4):
+        if f"cyclo-{q}-4" in catalog:
+            continue
+        try:
+            s = build_cyclotomic(q, 4)
+        except NotPrime:
+            continue
+        if s.class_kind != "symmetric":
+            schemes.append(s)
+    tables = {id(t): t for x in schemes for t in (x, symmetrize(x)[0])}
+    spectra_seen = normal_forms = one_pair = splits = 0
+    for s in tables.values():
+        e = character_table(s)
+        for size in range(1, s.d + 1):
+            for u in combinations(range(1, s.d + 1), size):
+                assert union_spectrum(e, u) == reference_union_spectrum(e, u), u
+                spectra_seen += 1
+        if s.d >= 3 and s.class_kind == "symmetric":
+            for fix in [None, *range(1, s.d + 1)]:
+                got = _perms_or_none(amorphic_normal_form, e, fix)
+                assert got == _perms_or_none(reference_vote_perms, e, fix), fix
+            normal_forms += 1
+    for x in schemes:
+        row_map = symmetrization_row_map(x)
+        assert row_map == reference_row_map(x)
+        if len(x.transpose_pairs) == 1:
+            assert idempotent_matching(x).row_map == row_map
+            one_pair += 1
+        if x.d == 4 and x.class_kind == "skew-symmetric":
+            assert x.transpose_pairs == ((1, 2), (3, 4))
+            assert row_map[1:] == reference_skew_split(x)
+            splits += 1
+    assert (len(schemes), len(tables)) == (56, 89)
+    assert (spectra_seen, normal_forms, one_pair, splits) == (679, 19, 15, 17)
+
+
+def test_only_spectra_holds_a_tolerance():
+    """Table values are compared in spectra alone: no other module defines
+    a *_TOL name or reads CLUSTER_TOL, so a comparison loop written
+    elsewhere fails here."""
+    offenders = []
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        if path.name == "spectra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                defined = name if isinstance(node.ctx, ast.Store) else None
+            elif isinstance(node, ast.alias):
+                name, defined = node.name, node.asname
+            else:
+                continue
+            if name == "CLUSTER_TOL" or (defined or "").endswith("_TOL"):
+                offenders.append(f"{path.name}:{node.lineno}:{name}")
+    assert offenders == []
