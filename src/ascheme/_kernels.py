@@ -22,29 +22,41 @@ coloring's own structure leaves open:
   iff C_{t[b] t[a]} is, and p[t[b], t[a], l] is C_ab at the transpose of
   l's first arc.
 
-Coverage: left color a (1..d) multiplies only the right colors b with
-t[b] >= a.  A cell (a, b) with t[b] < a is the transpose of the cell
-(t[b], t[a]), and t[t[a]] = a > t[b], so that cell is made in row t[b].
+Coverage.  Put colors 1..d in any order pos.  Cell (a, b) is made
+directly iff pos(t[b]) >= pos(a).  Otherwise pos(t[b]) < pos(a) =
+pos(t[t[a]]), so its partner (t[b], t[a]) is made directly and (a, b) is
+read as that cell's transpose.  A product may make more cells than this
+asks for; each is a true C_ab and is checked like the rest.
 
-The counts come from float64 matmuls on packed digits.  Colors 1..d are
-put in order of t[b] (the color at position k is t[k + 1]) and the order
-is cut into blocks of r, counted from its end, so the suffix {b : t[b] >=
-a} is covered by the last ceil((d + 1 - a) / r) blocks.  Block g becomes
-one matrix P_g = sum_{b in g} base^pos(b) [e == b], and ([e == a] @ P_g)
-holds C_ab as its digit pos(b) in base `base`.  This is exact:
+Digit bounds.  Let rows[a] be the largest count of color a in any row.
+C_ab(x, y) is at most the count of a in row x, and at most the count of b
+in column y, which axiom (3) makes the count of t[b] in row y: so C_ab <=
+B_ab = min(rows[a], rows[t[b]]) on any input, scheme or not.
 
-- C_ab(x, y) is at most the count of color a in row x, so with base = 1 +
-  the largest count of any color in any row every count is one digit, on
-  any input (row 0's valency alone bounds nothing on a bad coloring);
-- r is the largest value with base^r <= 2^53, so every packed value is an
-  integer below 2^53;
-- every term of a product is 0 or a packed weight, all nonnegative, so
-  every partial sum BLAS forms, in any order, is an integer no larger than
-  the final packed value, and float64 holds it exactly.
+Packing (Kronecker substitution).  A product is M @ N with
+M = sum_{a in L} u_a [e == a] and N = sum_{b in R} v_b [e == b], so that
+(M @ N)(x, y) = sum_{a, b} u_a v_b C_ab(x, y).  The right weights are a
+mixed radix, v_1 = 1 and v_{j+1} = v_j (1 + max_{a in L} B_ab_j); then
+S_a = sum_b v_b C_ab has the C_ab as its digits and S_a <= s_a = sum_b v_b
+B_ab.  The left weights are a second mixed radix over the S_a, u_1 = 1 and
+u_{k+1} = u_k (1 + s_a_k), so the packed value has the S_a as its digits
+and is below U = prod_{a in L} (1 + s_a).  This is exact when U <= 2^53:
 
-That is sum_{k=1..d} ceil(k / r) products, in place of (d + 1)^2 matmuls
-of single colors: 10 for cyclotomic (31,2) squared (n = 961, d = 8, base
-226, r = 6).
+- every term of the product is 0 or some u_a v_b with C_ab >= 1, a
+  nonnegative integer no larger than the packed value, so every partial
+  sum BLAS forms, in any order, is an integer below 2^53 and float64
+  holds it exactly;
+- each digit is below its radix, so the packed value decodes uniquely:
+  S_a = value mod u_{k+1} div u_k, C_ab = S_a mod v_{j+1} div v_j.
+
+The plan (`plan`) orders colors by row bound, largest first.  Then a
+right color b that color a needs has rows[t[b]] <= rows[a], so B_ab is
+b's own bound.  The plan groups consecutive left colors, gives each group
+the right colors its first color needs, cuts those, smallest bound first,
+into blocks with U <= 2^53, and picks the grouping with the fewest
+products by a DP over the groups.  Cyclotomic (31,2) squared (n = 961,
+d = 8; valencies 1, four of 15 and four of 225) takes 5 products, where
+one radix of 226 for every cell took 10.
 
 Witness order.  A packed value is constant on a class iff each of its
 digits is, so each product needs one constancy check, and on valid input
@@ -58,15 +70,107 @@ The minimum over products is the first violating pair; a recount there
 gives the first color pair (a, b) whose count differs.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from .errors import ViolationNotReproduced
+
+# float64 holds every integer up to here exactly
+EXACT = 2**53
 
 
 def first_arcs(e, d):
     """Row-major index of the first arc of each color 0..d (0 if absent)."""
     flat = e.ravel()
     return np.array([np.argmax(flat == i) for i in range(d + 1)], dtype=np.int64)
+
+
+def row_bounds(e, d):
+    """The largest count of each color 0..d in any row of e, as a list."""
+    n, m = e.shape[0], d + 1
+    counts = np.bincount(((np.arange(n) * m)[:, None] + e).ravel(), minlength=n * m)
+    return counts.reshape(n, m).max(axis=0).tolist()
+
+
+def _cuts(bounds, cols, most):
+    """Where one product per block, with left rows of bounds `bounds`
+    ({bound: number of rows}), packs the columns of bounds `cols`
+    (ascending): the first column of each block, or None if one column
+    alone does not fit or more than `most` blocks are needed."""
+    starts, v, sums = [0], 1, dict.fromkeys(bounds, 0)
+    for k, c in enumerate(cols):
+        new = {r: s + v * min(r, c) for r, s in sums.items()}
+        if math.prod((1 + s) ** bounds[r] for r, s in new.items()) > EXACT:
+            if starts[-1] == k or len(starts) == most:
+                return None
+            starts.append(k)
+            new = {r: min(r, c) for r in bounds}
+            if math.prod((1 + s) ** bounds[r] for r, s in new.items()) > EXACT:
+                return None
+            v = 1
+        sums = new
+        v *= 1 + c
+    return starts
+
+
+def _weights(bounds):
+    """Mixed-radix weights for digits bounded by `bounds`, closed by the
+    product of their radices."""
+    w = [1]
+    for b in bounds:
+        w.append(w[-1] * (1 + b))
+    return tuple(w)
+
+
+def plan(rows, t):
+    """The kernel's products for row bounds rows[0..d] and transpose map t,
+    as a list of (left, right, u, v): the left and right colors, and their
+    integer weights, each list one longer than its colors and closed by the
+    product of its radices, so u[-1] bounds the packed values."""
+    d = len(rows) - 1
+    order = sorted(range(1, d + 1), key=lambda a: -rows[a])
+    # best[i] = (products, j, block starts) for the left colors order[i:],
+    # grouping order[i:j] first.  best[i] >= best[j] for i < j, and
+    # best[j] >= 1 for j < d, so the search for j, longest group first,
+    # stops once no shorter group can beat the best found.
+    best = {d: (0, d, None)}
+
+    def search(i):
+        if i in best:
+            return best[i]
+        # the bounds of the right colors order[i] needs, smallest first;
+        # none exceeds order[i]'s own, so each is its column's radix - 1
+        cols = [rows[c] for c in reversed(order[i:])]
+        found = None
+        for j in range(d, i, -1):
+            if found and found[0] <= 1 + (j < d):
+                break
+            most = found[0] - search(j)[0] - 1 if found else len(cols)
+            if most < 1:
+                break
+            starts = _cuts(Counter(rows[a] for a in order[i:j]), cols, most)
+            if starts:
+                found = (len(starts) + search(j)[0], j, starts)
+        best[i] = found
+        return found
+
+    search(0)
+    products, i = [], 0
+    while i < d:
+        _, j, starts = best[i]
+        right = [t[c] for c in reversed(order[i:])]
+        left = tuple(order[i:j])
+        for lo, hi in zip(starts, starts[1:] + [len(right)]):
+            block = right[lo:hi]
+            v = _weights(rows[t[b]] for b in block)
+            u = _weights(
+                sum(vb * min(rows[a], rows[t[b]]) for vb, b in zip(v, block)) for a in left
+            )
+            products.append((left, tuple(block), u, v))
+        i = j
+    return products
 
 
 def tensor_and_verify(e, d, t):
@@ -82,45 +186,43 @@ def tensor_and_verify(e, d, t):
     n = e.shape[0]
     m = d + 1
     t = np.asarray(t)
+    # every gather below indexes by this one copy: intp indices are not
+    # cast again on each take
+    idx = e.astype(np.intp)
     first = first_arcs(e, d)
     first_t = first % n * n + first // n
-    base = 1 + max(int(np.count_nonzero(e == a, axis=1).max()) for a in range(m))
-    r = 1
-    while r < d and base ** (r + 1) <= 2**53:
-        r += 1
-    blocks = [t[max(1, hi - r + 1):hi + 1] for hi in range(d, 0, -r)]
-    packed = []
-    for cols in blocks:
-        weight = np.zeros(m)
-        weight[cols] = [float(base**pos) for pos in range(len(cols))]
-        packed.append(weight[e])
     p = np.full((m, m, m), -1, dtype=np.int64)
     p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
     wit = np.full(9, -1, dtype=np.int64)
     bad = -1
-    for a in range(1, m):
-        left = (e == a).astype(np.float64)
-        for cols, pg in zip(blocks, packed[: -(-(m - a) // r)]):
-            prod = left @ pg
-            flat = prod.ravel()
-            ref, ref_t = flat[first], flat[first_t]
-            mismatch = prod != ref[e]
-            if mismatch.any():
-                fi = int(np.argmax(mismatch))
-                del mismatch
-                mismatch = prod != ref_t[t][e]
-                y = int(np.argmax(mismatch.any(axis=0)))
-                fi_t = y * n + int(np.argmax(mismatch[:, y]))
-                del mismatch
-                fi = min(fi, fi_t)
-                if bad < 0 or fi < bad:
-                    bad = fi
-            digits, digits_t = ref.astype(np.int64), ref_t.astype(np.int64)
-            for b in cols:
-                p[a, b] = digits % base
-                p[t[b], t[a]] = digits_t % base
-                digits //= base
-                digits_t //= base
+    for left, right, u, v in plan(row_bounds(idx, d), t.tolist()):
+        wl, wr = np.zeros(m), np.zeros(m)
+        wl[list(left)] = u[:-1]
+        wr[list(right)] = v[:-1]
+        # both operands are freed before the constancy check
+        prod = wl[idx] @ wr[idx]
+        flat = prod.ravel()
+        ref, ref_t = flat[first], flat[first_t]
+        mismatch = prod != ref[idx]
+        if mismatch.any():
+            fi = int(np.argmax(mismatch))
+            del mismatch
+            mismatch = prod != ref_t[t][idx]
+            y = int(np.argmax(mismatch.any(axis=0)))
+            fi_t = y * n + int(np.argmax(mismatch[:, y]))
+            del mismatch
+            fi = min(fi, fi_t)
+            if bad < 0 or fi < bad:
+                bad = fi
+        # the next product's operands must not meet this product
+        del prod, flat
+        packed, packed_t = ref.astype(np.int64), ref_t.astype(np.int64)
+        for k, a in enumerate(left):
+            s = packed % u[k + 1] // u[k]
+            s_t = packed_t % u[k + 1] // u[k]
+            for j, b in enumerate(right):
+                p[a, b] = s % v[j + 1] // v[j]
+                p[t[b], t[a]] = s_t % v[j + 1] // v[j]
     if bad < 0:
         return p, True, wit
     # rebuild the witness in scan order: first violating pair row-major,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import canonical_partition, fuse_classes, memoized, symmetrize
+from .core import canonical_partition, fuse_canonical, memoized, symmetrize
 from .errors import (
     AxiomViolation,
     MatchingAmbiguous,
@@ -71,7 +71,6 @@ def enumerate_admissible_partitions(s):
     return sorted(((0,),) + part for part in parts if _is_transpose_closed(part, tmap))
 
 
-@memoized(lambda s, partition: canonical_partition(partition, s.d))
 def fuse_direct(s, partition):
     """The fused IntersectionTensor, decided exactly by core.fuse_classes.
 
@@ -81,9 +80,15 @@ def fuse_direct(s, partition):
     witness of core.fuse_classes when the fusion is not a scheme.  The
     read-only tensor is kept in s's memo; a failing partition stores none.
     """
-    blocks = canonical_partition(partition, s.d)
+    return _fuse_direct(s, canonical_partition(partition, s.d))
+
+
+@memoized(lambda s, blocks: blocks)
+def _fuse_direct(s, blocks):
+    # blocks are canonical: the memo key, the message and the fusion share
+    # one canonical_partition
     try:
-        return fuse_classes(s, blocks)
+        return fuse_canonical(s, blocks)
     except AxiomViolation as exc:
         raise NotAScheme(
             f"fusion by {blocks} is not a scheme: {exc}", witness=exc

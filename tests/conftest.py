@@ -54,7 +54,7 @@ MEMOIZED = {
     "symmetrize": core._symmetrized,
     "generates": generator.generates,
     "srg_params_from_scheme": srg.srg_params_from_scheme,
-    "fuse_direct": fusion.fuse_direct,
+    "fuse_direct": fusion._fuse_direct,
 }
 
 

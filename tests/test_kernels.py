@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascheme import _kernels
 from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme
-from ascheme.core import verify_axioms
+from ascheme.core import MAX_D, MAX_N, verify_axioms
 from ascheme.errors import ViolationNotReproduced
 
 from conftest import (
@@ -90,15 +90,26 @@ def test_vanishing_violation_raises():
         run_kernel(e, 2, stripped)
 
 
-def _digit_groups(e, d):
-    """(r, blocks, products) as the kernel plans them: r colors per packed
-    digit block, the number of blocks (left color 1 needs them all), and
-    the number of products, sum over k = 1..d of ceil(k / r)."""
-    base = 1 + max(int(np.count_nonzero(e == a, axis=1).max()) for a in range(d + 1))
-    r = 1
-    while r < d and base ** (r + 1) <= 2**53:
-        r += 1
-    return r, -(-d // r), sum(-(-k // r) for k in range(1, d + 1))
+def _plan(e, d):
+    """The kernel's products for a coloring that passes axiom (3)."""
+    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
+    return _kernels.plan(_kernels.row_bounds(e, d), t.tolist())
+
+
+def _made(products):
+    """The cells (a, b) that some product makes directly."""
+    return {(a, b) for left, right, _, _ in products for a in left for b in right}
+
+
+SMALL_CYCLOTOMICS = [(3, 2), (4, 3), (5, 2), (5, 4), (7, 2), (7, 3), (8, 7), (9, 4)]
+# factor pairs whose products have n <= 40, so the scan oracle stays
+# quick, and d <= MAX_D
+FACTOR_PAIRS = [
+    (f, g)
+    for f in SMALL_CYCLOTOMICS
+    for g in SMALL_CYCLOTOMICS
+    if f[0] * g[0] <= 40 and (f[1] + 1) * (g[1] + 1) <= MAX_D + 1
+]
 
 
 @st.composite
@@ -107,12 +118,27 @@ def transpose_consistent_colorings(draw):
     which every color 0..d occurs.  Either the thin scheme of Z_n under a
     vertex permutation (a valid scheme), or random arcs where rows 1..n-1
     lean on color 1 while row 0 spreads its arcs over all colors, so row
-    0's counts are no bound on the others'.  The "wide" kind draws many
-    colors and a heavy lean, which needs two packed digit blocks."""
-    kind = draw(st.sampled_from(("thin", "lean", "wide")))
+    0's counts are no bound on the others', or a direct or wreath product
+    of two small cyclotomic schemes under a vertex permutation, valid or
+    with one arc pair recolored.  The "wide" kind draws many colors and a
+    heavy lean; the "mixed" kind has classes of several valencies, so the
+    digits of one product have different radices."""
+    kind = draw(st.sampled_from(("thin", "lean", "wide", "mixed")))
     wide = kind == "wide"
-    n = draw(st.integers(16 if wide else 2, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mixed":
+        f, g = draw(st.sampled_from(FACTOR_PAIRS))
+        how = draw(st.sampled_from(("direct", "wreath")))
+        s = build_product(build_cyclotomic(*f), build_cyclotomic(*g), how)
+        n, d, t = s.n, s.d, s.transpose_map
+        vperm = rng.permutation(n)
+        e = s.color.entries[np.ix_(vperm, vperm)].astype(np.int64)
+        if draw(st.booleans()):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            c = int(rng.choice([c for c in range(1, d + 1) if c != e[x, y]]))
+            e[x, y], e[y, x] = c, t[c]
+        return e, d
+    n = draw(st.integers(16 if wide else 2, 20))
     if kind == "thin":
         e = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
         vperm = rng.permutation(n)
@@ -162,14 +188,25 @@ def test_kernel_matches_scan_oracle(case):
 
 
 def test_digit_base_bounds_every_row():
-    # row 0 holds each color once, so a base taken from row 0 would be 2,
-    # while rows 1..19 hold color 1 eighteen times: the digits need base 19,
-    # which packs 12 colors per block, so left colors 1..7 need two blocks
+    # row 0 holds each color once, so digit bounds taken from row 0 would
+    # give cell (1, 1) radix 2, while rows 1..19 hold color 1 eighteen times
+    # or more and C_11 reaches 17 there: the kernel's bounds take every row
+    # (row 1 holds color 1 nineteen times), and give that cell radix 20
     e = np.zeros((20, 20), dtype=np.int64)
     e[0, 1:], e[1:, 0] = np.arange(1, 20), np.arange(1, 20)
     e[1:, 1:] = 1
     np.fill_diagonal(e, 0)
-    assert _digit_groups(e, 19) == (12, 2, 26)
+    t = list(range(20))
+    assert int(_kernels.pair_counts(e, 1, 2, 19)[1, 1]) == 17
+
+    def radix_11(rows):
+        for left, right, u, v in _kernels.plan(rows, t):
+            if 1 in left and 1 in right:
+                j = right.index(1)
+                return v[j + 1] // v[j]
+
+    assert radix_11(np.bincount(e[0], minlength=20).tolist()) == 2
+    assert radix_11(_kernels.row_bounds(e, 19)) == 20
     p1, ok1, w1 = run_kernel(e, 19)
     p2, ok2, w2 = scan_tensor_and_verify(e, 19)
     assert not ok1 and not ok2
@@ -177,29 +214,31 @@ def test_digit_base_bounds_every_row():
 
 
 def test_product_with_two_digit_groups_matches_brute():
-    # the Z13 thin scheme wreathed with Z3: d = 14 and outer valency 13, so
-    # base 14 packs 13 colors per block and left color 1 needs two
-    s = build_product(build_cyclotomic(13, 12), build_cyclotomic(3, 2), "wreath")
+    # the cyclotomic scheme of GF(17) with 8 classes of valency 2: all 8
+    # left colors form one group, and its 64 cells of radix 3 (102 bits)
+    # are cut into two blocks of 4 right colors
+    s = build_cyclotomic(17, 8)
     e = s.color.entries
-    assert s.d == 14 and _digit_groups(e, s.d) == (13, 2, 15)
+    products = _plan(e, s.d)
+    assert s.d == 8 and [len(right) for _, right, _, _ in products] == [4, 4]
+    assert all(left == tuple(range(1, 9)) for left, _, _, _ in products)
     p, ok, _ = run_kernel(e, s.d)
     assert ok
     assert (p == brute_intersection_numbers(e, s.d)).all()
 
 
 def test_first_violation_reached_only_through_a_transpose():
-    # the Z13 thin scheme wreathed with Z5: d = 16 and base 14, so r = 13
-    # and left colors a >= 4 multiply only the block t[4..16]; a cell (a, b)
-    # with t[b] <= 3 < a is never a digit of a product of row a.  The
-    # corrupted arc pair makes the first violating pair in scan order
-    # differ from its class's first arc in such cells alone, so the kernel
-    # meets it only in the transposed scan of a partner product.
+    # the Z13 thin scheme wreathed with Z5: d = 16.  The corrupted arc pair
+    # makes the first violating pair in scan order differ from its class's
+    # first arc only in cells (6, 2) and (6, 4), which no product makes
+    # directly: the plan makes only their partners (1, 5) and (3, 5), so
+    # the kernel meets the violation only in the transposed scan of a
+    # partner product.
     s = build_product(build_cyclotomic(13, 12), build_cyclotomic(5, 4), "wreath")
     e, d, t = s.color.entries.copy(), s.d, np.asarray(s.transpose_map)
     assert (t != np.arange(d + 1)).any()
     e[9, 11], e[11, 9] = 1, t[1]
-    r, blocks, _ = _digit_groups(e, d)
-    assert (d, r, blocks) == (16, 13, 2)
+    made = _made(_plan(e, d))
     p1, ok1, w1 = run_kernel(e, d)
     p2, ok2, w2 = scan_tensor_and_verify(e, d)
     assert not ok1 and not ok2
@@ -207,7 +246,46 @@ def test_first_violation_reached_only_through_a_transpose():
     x1, y1, x2, y2 = (int(v) for v in w1[[3, 4, 6, 7]])
     cells = np.argwhere(_kernels.pair_counts(e, x2, y2, d) != _kernels.pair_counts(e, x1, y1, d))
     assert len(cells)
-    assert all(t[b] < a and (d - t[b]) // r > (d - a) // r for a, b in cells)
+    assert all((a, b) not in made and (t[b], t[a]) in made for a, b in cells)
+
+
+@st.composite
+def row_bounds_and_transposes(draw):
+    """(rows, t): row bounds rows[0..d] of colors that can occur at
+    n <= MAX_N, and a transpose map pairing some colors 1..d."""
+    d = draw(st.integers(1, MAX_D))
+    top = draw(st.integers(1, MAX_N - 1))
+    rows = [1] + draw(st.lists(st.integers(1, top), min_size=d, max_size=d))
+    t = list(range(d + 1))
+    swap = draw(st.permutations(range(1, d + 1)))[: 2 * draw(st.integers(0, d // 2))]
+    for a, b in zip(swap[0::2], swap[1::2]):
+        t[a], t[b] = b, a
+    return rows, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_bounds_and_transposes(), st.randoms(use_true_random=False))
+def test_plan_packs_exactly_and_covers_every_cell(case, rnd):
+    rows, t = case
+    d = len(rows) - 1
+    products = _kernels.plan(rows, t)
+    for left, right, u, v in products:
+        bound = [[min(rows[a], rows[t[b]]) for b in right] for a in left]
+        # the largest packed value, every count at its bound, is exact
+        top = sum(u[k] * v[j] * bound[k][j] for k in range(len(left)) for j in range(len(right)))
+        assert top < u[-1] <= 2**53
+        # and counts drawn under their bounds decode back from the packing
+        counts = [[rnd.randint(0, c) for c in row] for row in bound]
+        packed = sum(u[k] * v[j] * counts[k][j] for k in range(len(left)) for j in range(len(right)))
+        decoded = [
+            [packed % u[k + 1] // u[k] % v[j + 1] // v[j] for j in range(len(right))]
+            for k in range(len(left))
+        ]
+        assert decoded == counts
+    made = _made(products)
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            assert (a, b) in made or (t[b], t[a]) in made
 
 
 def _kernel_peak(e, d):
@@ -227,20 +305,21 @@ def _ladder_961():
 
 
 def test_kernel_peak_memory_at_n_961():
-    # the kernel once held all d + 1 float64 masks; now the packed blocks,
-    # one left mask, one product and the product's class reference
-    # gathered for the constancy check are the n x n arrays live at once.
-    # With blocks of 6 out of colors 1..8, left colors 1 and 2 need two
-    # blocks and 3..8 one: 10 products, where 9 left colors times 2 groups
-    # of all 9 colors made 18
+    # the kernel once held all d + 1 float64 masks, then two packed blocks
+    # beside each product.  Now the intp copy of e, the product's two
+    # packed operands and the product are the n x n arrays live at once,
+    # and the operands are gone before the constancy check gathers the
+    # class values: 4 arrays, where two packed blocks beside each product
+    # made 5.25.  The plan makes 5 products, where one radix for every cell
+    # made 10.
     s = _ladder_961()
     e, n, m = s.color.entries, s.n, s.d + 1
-    r, blocks, products = _digit_groups(e, s.d)
-    assert (n, m, r, blocks, products) == (961, 9, 6, 2, 10)
+    assert (n, m) == (961, 9)
+    assert len(_plan(e, s.d)) <= 6
     ok, peak = _kernel_peak(e, s.d)
     assert ok
     assert peak < m
-    assert peak < blocks + 3.5
+    assert peak < 4.5
 
 
 def test_kernel_peak_memory_on_reject_at_n_961():
@@ -250,21 +329,19 @@ def test_kernel_peak_memory_on_reject_at_n_961():
     e, t = s.color.entries.copy(), s.transpose_map
     c = 1 + int(e[500, 17]) % s.d
     e[500, 17], e[17, 500] = c, t[c]
-    _, blocks, _ = _digit_groups(e, s.d)
     ok, peak = _kernel_peak(e, s.d)
     assert not ok
-    assert peak < blocks + 3.5
+    assert peak < 4.5
 
 
 def test_verify_axioms_peak_memory_at_n_961():
     # the transpose map's n x n transients are gone before the kernel runs,
     # so the axioms path stays under the kernel's own bound
     s = _ladder_961()
-    _, blocks, _ = _digit_groups(s.color.entries, s.d)
     tracemalloc.start()
     try:
         verify_axioms(s.color)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * s.n**2) < blocks + 3.5
+    assert peak / (8 * s.n**2) < 4.5
