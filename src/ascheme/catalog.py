@@ -9,6 +9,15 @@ Builders produce canonically labeled, fully verified schemes:
   * direct and wreath products,
   * small named constructions (complete, Petersen).
 
+Cyclotomic schemes and products hand over their intersection tensor; they
+never run the O(n^3) axiom kernel.  A cyclotomic scheme is a translation
+scheme, whose counts are the same along every translate of an arc, so
+row 0 decides axioms (3) and (4) exactly in O(n^2) work and gives p
+(Delsarte 1973).  A product's tensor is a closed form in its factors'
+verified tensors (Brouwer-Cohen-Neumaier 1989).  The other builders go
+through verify_axioms.  The catalog's axioms check runs the kernel on
+every entry's coloring and compares its tensor with the builder's.
+
 DEFAULT_CATALOG maps ids to zero-argument builders; run_catalog sweeps
 every entry through the full battery of checks and emits one JSON line
 per (entry, check).
@@ -21,15 +30,25 @@ from itertools import combinations
 import numpy as np
 
 from . import exact, fusion, generator, spectra, srg
-from .core import canonical_form, scheme_from_entries, verify_axioms
+from .core import (
+    IntersectionTensor,
+    Scheme,
+    canonical_form,
+    color_matrix,
+    scheme_from_entries,
+    verify_axioms,
+)
 from .errors import (
     BadDivisor,
+    BuilderTensorMismatch,
+    InconsistentIntersectionNumber,
     InfeasibleParameters,
     NonCommutative,
     NotPrime,
     NotStronglyRegular,
     NotTransitive,
     TooLarge,
+    TransposeNotRelation,
 )
 from .finitefield import field
 from .spectra import RESID_TOL
@@ -59,13 +78,62 @@ def _prime_power(q):
     return p, k
 
 
+def _translation_scheme(cls, diff, d):
+    """The translation scheme on a group of order n whose arc (x, y) has
+    class cls[y - x]: diff[x, y] is the index of y - x, with index 0 the
+    identity, and cls is a vector of classes 0..d with cls[0] = 0 alone.
+
+    e[x, y] = c(y - x) holds by construction, so translating by -x carries
+    every arc (x, y) to (0, y - x) together with its counts, and row 0
+    decides the axioms exactly in O(n^2) work:
+
+      * axiom (3): the class of -g is e[g, 0], so each class i must meet
+        a single class among the e[g, 0] with e[0, g] = i;
+      * axiom (4): H[g, i, j] = #{w : e[0, w] = i, e[w, g] = j}, one
+        bincount, must equal H at the first arc of the class of (0, g).
+
+    Then p[i, j, l] = H[first arc of l, i, j].  A failure raises
+    TransposeNotRelation or InconsistentIntersectionNumber, with the
+    witness verify_axioms gives: the first violation in row-major order
+    lies in row 0, as does the first arc of every class.
+    """
+    c = color_matrix(cls[diff], d)
+    e = c.entries
+    n, m = c.n, d + 1
+    e0 = e[0].astype(np.intp)
+    neg = e[:, 0].astype(np.intp)
+    firsts = np.argmax(e0 == np.arange(m)[:, None], axis=1)
+    t = neg[firsts]
+    bad = np.flatnonzero(neg != t[e0])
+    if bad.size:
+        g = int(bad[0])
+        raise TransposeNotRelation(int(e0[g]), 0, g, int(t[e0[g]]), int(neg[g]))
+    keys = (e0 * m)[:, None] + e
+    keys += np.arange(n) * (m * m)
+    H = np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
+    diffs = (H != H[firsts[e0]]).reshape(n, m * m)
+    bad = np.flatnonzero(diffs.any(axis=1))
+    if bad.size:
+        g = int(bad[0])
+        i, j = divmod(int(np.argmax(diffs[g])), m)
+        l = int(e0[g])
+        f = int(firsts[l])
+        raise InconsistentIntersectionNumber(
+            i, j, l, (0, f), int(H[f, i, j]), (0, g), int(H[g, i, j])
+        )
+    return Scheme(c, IntersectionTensor(np.ascontiguousarray(H[firsts].transpose(1, 2, 0))))
+
+
 def build_cyclotomic(q, m):
     """Cyclotomic scheme on GF(q): classes are cosets of the index-m
     subgroup of the multiplicative group, colored by difference.
 
     The affine maps x -> cx + b with c in the subgroup act transitively
     with these orbitals, so the axioms always hold; commutativity is
-    automatic for translation schemes over an abelian group.
+    automatic for translation schemes over an abelian group.  The scheme
+    is the translation scheme of the coset classes over (GF(q), +), so
+    _translation_scheme verifies it and gives p from row 0, with no call
+    of the axiom kernel.
     """
     p, k = _prime_power(q)
     F = field(p, k)
@@ -77,8 +145,7 @@ def build_cyclotomic(q, m):
     cls = np.zeros(F.q, dtype=np.int64)
     for e in range(1, F.q):
         cls[e] = 1 + F.log[e - 1] % m
-    s = scheme_from_entries(cls[diff], d=m)
-    return canonical_form(s)[0]
+    return canonical_form(_translation_scheme(cls, diff, m))[0]
 
 
 def cyclic_shift(n):
@@ -142,11 +209,19 @@ def build_schurian(n, generators):
 def build_product(s1, s2, kind):
     """Direct or wreath product on the vertex set X1 x X2.
 
-    direct: class of ((x1,x2),(y1,y2)) is the pair (c1(x1,y1), c2(x2,y2)).
+    direct: class of ((x1,x2),(y1,y2)) is the pair (c1(x1,y1), c2(x2,y2)),
+    labeled i1 (d2 + 1) + i2; p is the Kronecker product of the factors'
+    tensors.
     wreath: inner relations of s1 within each fiber of a point of s2,
     relations of s2 between fibers (blown up by J); vertex index is
     x2 * n1 + x1, so inner classes are I (x) A1_i and outer classes are
-    A2_j (x) J.
+    A2_j (x) J, labeled o_j = d1 + j.  With n1 = |X1| and k1 the
+    valencies of s1, p restricted to inner classes is p1, p[i, o_j, o_j] =
+    p[o_j, i, o_j] = k1[i] for inner i, p[o_a, o_b, o_c] = n1 p2[a, b, c]
+    and p[o_a, o_b, l] = n1 p2[a, b, 0] for inner l; all else is 0.
+
+    Both tensors follow from the factors' verified ones
+    (Brouwer-Cohen-Neumaier 1989), so no axiom kernel runs.
     """
     n1, n2 = s1.n, s2.n
     if n1 * n2 > MAX_PRODUCT_N:
@@ -154,19 +229,30 @@ def build_product(s1, s2, kind):
     e1 = s1.color.entries.astype(np.int64)
     e2 = s2.color.entries.astype(np.int64)
     d1, d2 = s1.d, s2.d
+    p1, p2 = s1.tensor.p, s2.tensor.p
     if kind == "direct":
         lab = e1[:, None, :, None] * (d2 + 1) + e2[None, :, None, :]
-        entries = lab.reshape(n1 * n2, n1 * n2)
-        s = scheme_from_entries(entries, d=(d1 + 1) * (d2 + 1) - 1)
+        m = (d1 + 1) * (d2 + 1)
+        c = color_matrix(lab.reshape(n1 * n2, n1 * n2), d=m - 1)
+        p = np.einsum("ijl,abc->iajblc", p1, p2).reshape(m, m, m)
     elif kind == "wreath":
         E2 = e2[:, None, :, None]
         E1 = e1[None, :, None, :]
         lab = np.where(E2 == 0, E1, d1 + E2)
         entries = np.broadcast_to(lab, (n2, n1, n2, n1)).reshape(n1 * n2, n1 * n2)
-        s = scheme_from_entries(entries, d=d1 + d2)
+        c = color_matrix(entries, d=d1 + d2)
+        m1, m = d1 + 1, d1 + d2 + 1
+        k1 = np.asarray(s1.valencies, dtype=np.int64)
+        o = np.arange(m1, m)
+        p = np.zeros((m, m, m), dtype=np.int64)
+        p[:m1, :m1, :m1] = p1
+        p[:m1, o, o] = k1[:, None]
+        p[o, :m1, o] = k1[None, :]
+        p[m1:, m1:, m1:] = n1 * p2[1:, 1:, 1:]
+        p[m1:, m1:, :m1] = n1 * p2[1:, 1:, :1]
     else:
         raise ValueError(f"unknown product kind {kind!r}")
-    return canonical_form(s)[0]
+    return canonical_form(Scheme(c, IntersectionTensor(p)))[0]
 
 
 def build_petersen():
@@ -300,7 +386,13 @@ GENERATOR_SWEEP_MAX_D = 6
 
 
 def _check_axioms(s):
-    verify_axioms(s.color)
+    """The kernel's verdict on s's coloring, and its tensor checked against
+    the one s was built with (a builder's closed form, for most entries)."""
+    kernel = verify_axioms(s.color).tensor.p
+    diff = np.argwhere(kernel != s.tensor.p)
+    if diff.size:
+        i, j, l = (int(v) for v in diff[0])
+        raise BuilderTensorMismatch(i, j, l, int(s.tensor.p[i, j, l]), int(kernel[i, j, l]))
     return True, True, {
         "n": s.n,
         "d": s.d,

@@ -7,7 +7,9 @@ color class is a color class, and (4) for each pair of colors (i, j) the
 count p_{ij}^l of z with (x,z) in R_i and (z,y) in R_j depends only on the
 color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
 verify_axioms checks (3) and (4) and collects the full tensor p; a Scheme
-is the coloring plus p.  A fusion of a verified scheme is decided by
+is the coloring plus p.  verify_axioms runs on parsed files and
+scheme_from_entries; catalog's cyclotomic and product builders decide or
+derive p themselves and build the Scheme directly.  A fusion of a verified scheme is decided by
 fuse_classes on p alone and yields the fused p, without rerunning the axiom
 kernel or building an n x n coloring.
 

@@ -235,6 +235,18 @@ class TooLarge(SchemeError):
     """Construction exceeds the supported size bounds."""
 
 
+class BuilderTensorMismatch(SchemeError):
+    """A builder's tensor differs from the one the axiom kernel finds on
+    the builder's coloring: a defect in the builder's closed form."""
+
+    def __init__(self, i, j, l, built, kernel):
+        self.i, self.j, self.l = i, j, l
+        self.built, self.kernel = built, kernel
+        super().__init__(
+            f"built p[{i},{j}]^{l} = {built} but the axiom kernel gives {kernel}"
+        )
+
+
 class FieldCheckFailed(SchemeError):
     """Building GF(p^k) broke an invariant of finite fields.
 

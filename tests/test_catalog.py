@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
+from ascheme import _kernels
 from ascheme.catalog import (
     CHECKS,
     build_cyclotomic,
@@ -22,15 +24,21 @@ from ascheme.catalog import (
     multiplier_perm,
     records_to_jsonl,
     run_catalog,
+    _check_axioms,
     _json_default,
     _run_checks,
+    _translation_scheme,
 )
+from ascheme.core import MAX_D, IntersectionTensor, Scheme, scheme_from_entries, verify_axioms
 from ascheme.errors import (
     BadDivisor,
+    BuilderTensorMismatch,
+    InconsistentIntersectionNumber,
     NonCommutative,
     NotPrime,
     NotTransitive,
     TooLarge,
+    TransposeNotRelation,
 )
 from ascheme.finitefield import field
 from ascheme.generator import generates
@@ -178,8 +186,6 @@ def test_product_direct_shapes():
 
 
 def test_product_wreath_matches_direct_construction():
-    from ascheme.core import scheme_from_entries
-
     e = np.zeros((10, 10), dtype=np.int64)
     for x in range(10):
         for y in range(10):
@@ -195,6 +201,213 @@ def test_product_validation():
         build_product(complete_scheme(65), complete_scheme(64), "direct")
     with pytest.raises(ValueError):
         build_product(complete_scheme(2), complete_scheme(2), "tensor")
+
+
+# --- builders hand over their tensor ----------------------------------------
+
+
+def _kernel_tensor(s):
+    return verify_axioms(s.color).tensor.p
+
+
+def _thin_s3():
+    """The thin scheme of S3, color of (x, y) the index of x^-1 y:
+    non-commutative, with three symmetric classes and one transpose pair."""
+    s3 = list(permutations(range(3)))
+    inv = [tuple(np.argsort(g)) for g in s3]
+    return scheme_from_entries(
+        [[s3.index(tuple(inv[x][i] for i in s3[y])) for y in range(6)] for x in range(6)]
+    )
+
+
+def _no_kernel_calls(monkeypatch):
+    """Make _kernels.tensor_and_verify record its calls and fail them."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise RuntimeError("the axiom kernel ran inside a builder")
+
+    monkeypatch.setattr(_kernels, "tensor_and_verify", refuse)
+    return calls
+
+
+def test_builders_tensors_equal_the_kernels(catalog, monkeypatch):
+    """Every catalog entry and the benchmark ladder's five builds carry the
+    tensor that the axiom kernel finds on their coloring; the cyclotomic
+    builder and build_product never call the kernel."""
+    for eid, s in catalog.items():
+        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), eid
+    c31 = build_cyclotomic(31, 2)
+    calls = _no_kernel_calls(monkeypatch)
+    ladder = [build_cyclotomic(q, m) for q, m in [(101, 2), (241, 6), (256, 5), (257, 2)]]
+    ladder.append(build_product(c31, c31, "direct"))
+    monkeypatch.undo()
+    assert calls == []
+    assert [(s.n, s.d) for s in ladder] == [(101, 2), (241, 6), (256, 5), (257, 2), (961, 8)]
+    for s in ladder:
+        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), (s.n, s.d)
+
+
+def test_product_tensors_equal_the_kernels(monkeypatch):
+    """Direct and wreath products, in both orders, of every pair of small
+    schemes (the non-commutative thin S3 among them): the closed-form
+    tensor equals the kernel's, and no product calls the kernel.  A direct
+    product past MAX_D classes is refused as before."""
+    factors = {
+        "k2": complete_scheme(2),
+        "k5": complete_scheme(5),
+        "qr3": build_cyclotomic(3, 2),
+        "paley5": build_cyclotomic(5, 2),
+        "qr7": build_cyclotomic(7, 2),
+        "cyclo-13-4": build_cyclotomic(13, 4),
+        "cyclo-16-5": build_cyclotomic(16, 5),
+        "thin-s3": _thin_s3(),
+    }
+    assert not factors["thin-s3"].is_commutative
+    calls = _no_kernel_calls(monkeypatch)
+    built, refused = {}, []
+    for (a, s1), (b, s2) in product(factors.items(), repeat=2):
+        assert s1.n * s2.n <= 400
+        built[a, b, "wreath"] = build_product(s1, s2, "wreath")
+        if (s1.d + 1) * (s2.d + 1) - 1 > MAX_D:
+            with pytest.raises(TooLarge):
+                build_product(s1, s2, "direct")
+            refused.append((a, b))
+        else:
+            built[a, b, "direct"] = build_product(s1, s2, "direct")
+    monkeypatch.undo()
+    assert calls == []
+    assert len(built) == 64 + 64 - len(refused) and len(refused) == 4
+    for key, s in built.items():
+        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), key
+    assert not built["thin-s3", "k2", "direct"].is_commutative
+
+
+def test_builder_tensor_mismatch_is_a_typed_error():
+    """The catalog's axioms check compares the builder's tensor with the
+    kernel's and names the first differing cell."""
+    s = build_cyclotomic(13, 4)
+    assert _check_axioms(s)[:2] == (True, True)
+    p = s.tensor.p.copy()
+    p[2, 3, 1] += 1
+    p[4, 4, 2] += 1
+    bad = Scheme(s.color, IntersectionTensor(p))
+    with pytest.raises(BuilderTensorMismatch) as info:
+        _check_axioms(bad)
+    exc = info.value
+    assert (exc.i, exc.j, exc.l) == (2, 3, 1)
+    assert (exc.built, exc.kernel) == (s.tensor.p[2, 3, 1] + 1, s.tensor.p[2, 3, 1])
+    rec = _run_checks(bad, ["axioms"])[0]
+    assert rec["error"].startswith("BuilderTensorMismatch: built p[2,3]^1")
+
+
+# --- the translation-scheme helper --------------------------------------------
+
+
+def _z(n):
+    """The difference table of Z_n: diff[x, y] = y - x mod n."""
+    return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+
+
+def _recount(e, i, j, pair):
+    x, y = pair
+    return int(np.count_nonzero((e[x, :] == i) & (e[:, y] == j)))
+
+
+def test_translation_scheme_rejects_a_non_coset_coloring():
+    """A transpose-consistent class vector over Z_13 that is no union of
+    cosets: both deciders raise the same InconsistentIntersectionNumber,
+    whose counts re-count on the 13 x 13 coloring."""
+    cls = np.array([0, 1, 1, 2, 1, 2, 2, 2, 2, 1, 2, 1, 1])
+    assert (cls == cls[-np.arange(13) % 13]).all()
+    diff = _z(13)
+    e = cls[diff]
+    with pytest.raises(InconsistentIntersectionNumber) as info:
+        _translation_scheme(cls, diff, 2)
+    with pytest.raises(InconsistentIntersectionNumber) as ref:
+        scheme_from_entries(e, 2)
+    exc = info.value
+    assert vars(exc) == vars(ref.value)
+    assert e[exc.pair_a] == exc.l == e[exc.pair_b]
+    assert exc.count_a != exc.count_b
+    assert _recount(e, exc.i, exc.j, exc.pair_a) == exc.count_a
+    assert _recount(e, exc.i, exc.j, exc.pair_b) == exc.count_b
+
+
+def test_translation_scheme_rejects_a_transpose_that_is_no_class():
+    """c(-g) is no function of c(g): class 1 holds 1 and 2, whose negatives
+    12 and 11 have classes 2 and 1."""
+    cls = np.array([0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2])
+    diff = _z(13)
+    with pytest.raises(TransposeNotRelation) as info:
+        _translation_scheme(cls, diff, 2)
+    with pytest.raises(TransposeNotRelation) as ref:
+        scheme_from_entries(cls[diff], 2)
+    assert vars(info.value) == vars(ref.value)
+    assert (info.value.x, info.value.y) == (0, 2)
+
+
+def test_translation_scheme_decides_as_verify_axioms():
+    """Random class vectors over Z_n and (Z_2)^k, half of them closed
+    under negation: the helper accepts exactly what verify_axioms accepts,
+    with the same tensor, and rejects with the same witness."""
+    rng = np.random.default_rng(14)
+    tables = [(n, _z(n)) for n in (5, 7, 8, 9, 12, 13, 16)]
+    tables += [(2 ** k, np.arange(2 ** k)[:, None] ^ np.arange(2 ** k)) for k in (3, 4)]
+    outcomes = Counter()
+    for n, diff in tables:
+        neg = diff[:, 0]
+        for trial in range(24):
+            d = int(rng.integers(1, 4))
+            cls = np.concatenate([[0], rng.integers(1, d + 1, n - 1)])
+            if trial % 2:
+                cls = np.minimum(cls, cls[neg])
+            if set(cls[1:]) != set(range(1, d + 1)):
+                continue
+            try:
+                want = scheme_from_entries(cls[diff], d)
+            except (TransposeNotRelation, InconsistentIntersectionNumber) as ref:
+                with pytest.raises(type(ref)) as got:
+                    _translation_scheme(cls, diff, d)
+                assert vars(got.value) == vars(ref), (n, cls)
+                outcomes[type(ref).__name__] += 1
+                continue
+            s = _translation_scheme(cls, diff, d)
+            assert np.array_equal(s.color.entries, want.color.entries)
+            assert np.array_equal(s.tensor.p, want.tensor.p), (n, cls)
+            outcomes["scheme"] += 1
+    assert set(outcomes) == {"scheme", "TransposeNotRelation", "InconsistentIntersectionNumber"}
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+# --- the paper's application: nonsymmetric cyclotomic (q, 4) ------------------
+
+
+def test_nonsymmetric_cyclotomic_4_class_sweep():
+    """Every cyclotomic (q, 4) with q <= 257 a prime power, q = 5 (mod 8),
+    is nonsymmetric: 15 schemes, 11 of them beyond the catalog.  Each
+    passes the whole battery, and T1.4 applies and holds."""
+    ids = set(catalog_ids())
+    qs, extra = [], 0
+    for q in range(5, 258, 8):
+        try:
+            s = build_cyclotomic(q, 4)
+        except NotPrime:
+            continue
+        qs.append(q)
+        extra += f"cyclo-{q}-4" not in ids
+        assert s.class_kind == "skew-symmetric", q
+        recs = {r["check"]: r for r in _run_checks(s, CHECKS)}
+        bad = [
+            (name, r["error"])
+            for name, r in recs.items()
+            if r["error"] is not None or (r["applicable"] and r["holds"] is False)
+        ]
+        assert bad == [], q
+        assert recs["T1.4"]["applicable"] and recs["T1.4"]["holds"], q
+    assert len(qs) == 15 and extra == 11
+    assert 125 in qs
 
 
 def test_catalog_all_entries_build(catalog):
