@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Run the full check battery over every cyclotomic scheme (q, m) with q a
+prime power, q <= 257, 2 <= m <= 6 and m dividing q - 1: 174 schemes.
+
+Run from the repository root:
+
+    python3 scripts/cyclotomic_sweep.py
+
+Each scheme's records get the id cyclo-<q>-<m> and are written as the
+catalog's JSONL, in (q, m) order.  The script prints the number of schemes,
+the number of failed or errored checks and the sha256 of that JSONL, so two
+versions of the package can be compared by digest.  It takes about a
+minute on a 2-vCPU machine, which keeps it out of the test suite.
+"""
+
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ascheme.catalog import (  # noqa: E402
+    CHECKS,
+    _prime_power,
+    _run_checks,
+    build_cyclotomic,
+    records_to_jsonl,
+)
+from ascheme.errors import NotPrime  # noqa: E402
+
+MAX_Q = 257
+MAX_M = 6
+
+
+def sweep_params():
+    """The (q, m) of the sweep, in order."""
+    out = []
+    for q in range(2, MAX_Q + 1):
+        try:
+            _prime_power(q)
+        except NotPrime:
+            continue
+        out += [(q, m) for m in range(2, MAX_M + 1) if (q - 1) % m == 0]
+    return out
+
+
+def main():
+    start = time.perf_counter()
+    records = []
+    for q, m in sweep_params():
+        s = build_cyclotomic(q, m)
+        records += [{"id": f"cyclo-{q}-{m}", **rec} for rec in _run_checks(s, CHECKS)]
+    bad = sum(
+        rec["error"] is not None or (rec["applicable"] and rec["holds"] is False)
+        for rec in records
+    )
+    digest = hashlib.sha256(records_to_jsonl(records).encode()).hexdigest()
+    print(f"schemes {len(records) // len(CHECKS)}  failed {bad}  "
+          f"seconds {time.perf_counter() - start:.1f}")
+    print(f"sha256 {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -126,7 +126,9 @@ class Scheme:
         """0/1 adjacency matrix of the union of the given classes."""
         if isinstance(classes, int):
             classes = (classes,)
-        return np.isin(self.color.entries, list(classes)).astype(np.int64)
+        lut = np.zeros(self.d + 1, dtype=np.int64)
+        lut[list(classes)] = 1
+        return lut[self.color.entries]
 
 
 def memoized(key):

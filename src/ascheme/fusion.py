@@ -7,7 +7,8 @@ Two independent deciders are kept deliberately separate:
   * fuse_direct decides on the integer intersection tensor: the blocks
     must be transpose-closed and their block sums of p_ij^l constant on
     each block; it is the authoritative oracle.  It returns the fused
-    tensor, kept in the scheme's memo, and builds no n x n coloring.
+    tensor, or raises NotAScheme with the witness of a failure; either
+    verdict is kept in the scheme's memo.  It builds no n x n coloring.
   * bannai_muzychuk_check groups character-table rows by their per-block
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
@@ -77,10 +78,34 @@ def fuse_direct(s, partition):
     New class labels follow block order (blocks sorted by smallest
     element, {0} first); no canonical relabeling is applied, so fused
     class j corresponds to partition block j.  Raises NotAScheme with the
-    witness of core.fuse_classes when the fusion is not a scheme.  The
-    read-only tensor is kept in s's memo; a failing partition stores none.
+    witness of core.fuse_classes when the fusion is not a scheme.  Each
+    verdict is kept in s's memo: the read-only tensor, or the refusal, from
+    which every call raises a fresh NotAScheme with the same message and
+    witness fields.
     """
-    return _fuse_direct(s, canonical_partition(partition, s.d))
+    fused = _fuse_direct(s, canonical_partition(partition, s.d))
+    if isinstance(fused, _Refusal):
+        witness = _fresh(fused.witness)
+        raise NotAScheme(fused.message, witness=witness) from witness
+    return fused
+
+
+@dataclass(frozen=True)
+class _Refusal:
+    """The memo's verdict on a partition that does not fuse: the message
+    and a copy of the witness without its traceback, whose frames would
+    hold the scheme."""
+
+    message: str
+    witness: AxiomViolation
+
+
+def _fresh(exc):
+    """An exception of exc's type with its args and fields, and no
+    traceback, cause or context."""
+    new = type(exc).__new__(type(exc), *exc.args)
+    new.__dict__.update(vars(exc))
+    return new
 
 
 @memoized(lambda s, blocks: blocks)
@@ -90,9 +115,7 @@ def _fuse_direct(s, blocks):
     try:
         return fuse_canonical(s, blocks)
     except AxiomViolation as exc:
-        raise NotAScheme(
-            f"fusion by {blocks} is not a scheme: {exc}", witness=exc
-        ) from exc
+        return _Refusal(f"fusion by {blocks} is not a scheme: {exc}", _fresh(exc))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ class i is the unique solution of K c = e_i, so the witnesses are the
 columns of K^-1, all found in one elimination of K.  They are re-checked
 in integers on the regular representation and, for n <= WITNESS_MAX_N, on
 the n x n adjacency matrices modulo enough primes that the Chinese
-remainder bound makes the check exact.  No verdict in this module depends
-on floating point.
+remainder bound makes the check exact.  The powers of B_union are built
+once per union, in integers: the minimal-polynomial echelon, K and the
+regular-representation check all read that one list.  No verdict in this
+module depends on floating point.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -99,24 +101,27 @@ class GenerationReport:
 def generates(s, union):
     """Exact generation verdict for the union digraph.
 
+    One list of powers B_union^0, ..., B_union^d, exact in integers
+    (exactla.matrix_powers), feeds every check; the minimal-polynomial
+    echelon appends B_union^(d+1) to it when it needs that power.
     eigen_count is the minimal-polynomial degree of B_union.  span_rank is
-    the rank of the Krylov matrix K = [e_0, B e_0, ..., B^d e_0], which is
-    dim span{I, B, ..., B^d}; the union generates iff both equal d+1.  The
-    witness for class i solves K c = e_i, so that sum_t c_t B^t = B_i; one
-    solve_exact call finds all d+1 of them.  They are re-checked in
-    integers on the regular representation, and for n <= WITNESS_MAX_N on
-    the n x n adjacency matrices, multi-modularly with a proven CRT bound
-    (witness_verified).  A failed check raises a GenerationCheckFailed
-    subclass naming the union and class.  The report is computed once per
-    (scheme, union).
+    the rank of the Krylov matrix K = [e_0, B e_0, ..., B^d e_0], column 0
+    of each power, which is dim span{I, B, ..., B^d}; the union generates
+    iff both equal d+1.  The witness for class i solves K c = e_i, so that
+    sum_t c_t B^t = B_i; one solve_exact call finds all d+1 of them.  They
+    are re-checked in integers against the same powers on the regular
+    representation, and for n <= WITNESS_MAX_N on the n x n adjacency
+    matrices, multi-modularly with a proven CRT bound (witness_verified).
+    A failed check raises a GenerationCheckFailed subclass naming the union
+    and class.  The report is computed once per (scheme, union).
     """
     u = union_classes(s.d, union)
     B = intersection_matrices(s)
     d = s.d
     BL = union_matrix(s, u)
-    eigen_count = exactla.minpoly_degree(BL)
     powers = exactla.matrix_powers(BL, d)
-    K = [[powers[t][r][0] for t in range(d + 1)] for r in range(d + 1)]
+    eigen_count = exactla.minpoly_degree(BL, powers)
+    K = np.stack([P[:, 0] for P in powers[: d + 1]], axis=1).tolist()
     span_rank = exactla.rank(K)
     if eigen_count != span_rank:
         raise CriterionDisagreement(
@@ -131,7 +136,7 @@ def generates(s, union):
         if None in sols:
             raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
         witness = tuple(tuple(sol) for sol in sols)
-        _check_regular(B, powers, u, witness)
+        _check_regular(B, powers[: d + 1], u, witness)
         if s.n <= WITNESS_MAX_N:
             _check_adjacency(s, u, witness)
             verified = True
@@ -145,18 +150,24 @@ def _scaled(poly):
 
 
 def _check_regular(B, powers, union, witness):
-    """den * sum_t c_t B_union^t == den * B_i in integers, for every class i."""
+    """den * sum_t c_t B_union^t == den * B_i in integers, for every class i.
+
+    One object-dtype product of the scaled witness rows with the flattened
+    powers B_union^0, ..., B_union^d gives every sum; the first mismatch in
+    (i, r, c) order is reported.
+    """
     m = len(B)
-    for i, poly in enumerate(witness):
-        den, coef = _scaled(poly)
-        for r in range(m):
-            for c in range(m):
-                acc = sum(ct * P[r][c] for ct, P in zip(coef, powers))
-                if acc != den * int(B[i][r][c]):
-                    raise WitnessRejected(
-                        f"fails the regular representation at ({r},{c})",
-                        union, i, "regular",
-                    )
+    scaled = [_scaled(poly) for poly in witness]
+    coef = np.array([cs for _, cs in scaled], dtype=object)
+    dens = np.array([den for den, _ in scaled], dtype=object)
+    got = coef @ np.stack([P.ravel() for P in powers]).astype(object)
+    want = dens[:, None] * np.stack([b.ravel() for b in B]).astype(object)
+    bad = np.argwhere(got != want)
+    if bad.size:
+        i, (r, c) = int(bad[0, 0]), divmod(int(bad[0, 1]), m)
+        raise WitnessRejected(
+            f"fails the regular representation at ({r},{c})", union, i, "regular"
+        )
 
 
 def _check_adjacency(s, union, witness):

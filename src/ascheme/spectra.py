@@ -270,10 +270,10 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
 
 
 def union_matrix(s, union):
-    """B_Lambda, the sum of B_i over the union, as rows of Python ints:
-    the exact input of the minimal polynomial and the Krylov matrix."""
+    """B_Lambda, the sum of B_i over the union, as an int64 array: the
+    exact input of the minimal polynomial and the Krylov matrix."""
     B = intersection_matrices(s)
-    return sum(B[i] for i in union_classes(s.d, union)).tolist()
+    return sum(B[i] for i in union_classes(s.d, union))
 
 
 def distinct_eigenvalue_count(s, union):

@@ -27,8 +27,35 @@ def test_int_matmul_matches_numpy():
 def test_matrix_powers():
     B = [[0, 1], [1, 1]]  # Fibonacci companion
     P = matrix_powers(B, 6)
-    assert P[0] == [[1, 0], [0, 1]]
-    assert P[6] == [[5, 8], [8, 13]]
+    assert P[0].tolist() == [[1, 0], [0, 1]]
+    assert P[6].tolist() == [[5, 8], [8, 13]]
+    # a power chain stays exact as it crosses the bound
+    P = matrix_powers([[2**20, 2**20], [2**20, 0]], 5)
+    assert P[3].dtype == np.int64 and P[4].dtype == object
+    assert P[5].tolist() == _reference_matmul(P[4].tolist(), [[2**20, 2**20], [2**20, 0]])
+
+
+def _reference_matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int_matmul_equals_python_int_products(data):
+    """Operands on both sides of the int64 bound: the product equals the
+    Python-int product, and runs in int64 exactly when the bound
+    max(1, largest row sum of |A|) * max(1, largest |B|) is below 2^63."""
+    n = data.draw(st.integers(1, 5))
+    bits = data.draw(st.integers(1, 70))
+    entry = st.integers(-(2**bits), 2**bits)
+    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    B = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    got = int_matmul(A, B)
+    assert got.tolist() == _reference_matmul(A, B)
+    bound = max(1, max(sum(map(abs, row)) for row in A)) * max(
+        1, max(abs(b) for row in B for b in row)
+    )
+    assert (got.dtype == np.int64) == (bound < 2**63)
 
 
 def test_minpoly_degree_oracles():

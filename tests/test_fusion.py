@@ -1,4 +1,7 @@
+import gc
 import sys
+import weakref
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascheme import _kernels, core, fusion
-from ascheme.catalog import build_cyclotomic, catalog_scheme
+from ascheme.catalog import _check_srg, build_cyclotomic, catalog_scheme
 from ascheme.core import (
     merge_classes,
     scheme_from_entries,
@@ -121,7 +124,8 @@ def test_fuse_direct_rook_graph():
 
 def test_fuse_direct_is_memoized_and_read_only():
     """One tensor per (scheme, partition), whatever the partition's
-    spelling; a failing partition stores nothing."""
+    spelling; a failing partition stores one verdict, from which each call
+    raises a fresh NotAScheme with the same message and witness."""
     s = catalog_scheme("cyclo-13-4")
     fused = fuse_direct(s, [[3, 4], [1, 2]])
     assert fuse_direct(s, ((0,), (1, 2), (3, 4))) is fused
@@ -129,10 +133,61 @@ def test_fuse_direct_is_memoized_and_read_only():
     with pytest.raises(ValueError):
         fused.p[0, 0, 0] = 2
     memo = len(s._memo)
-    for _ in range(2):
-        with pytest.raises(NotAScheme):
-            fuse_direct(s, [[1], [2, 3, 4]])
-    assert len(s._memo) == memo
+    raised = []
+    for part in ([[1], [2, 3, 4]], ((0,), (1,), (2, 3, 4))):
+        with pytest.raises(NotAScheme) as exc:
+            fuse_direct(s, part)
+        raised.append(exc.value)
+    assert len(s._memo) == memo + 1
+    first, again = raised
+    assert first is not again and first.witness is not again.witness
+    assert str(first) == str(again)
+    assert type(first.witness) is type(again.witness)
+    assert vars(first.witness) == vars(again.witness)
+    assert str(first.witness) == str(again.witness)
+    assert again.__cause__ is again.witness
+
+
+def test_failing_fusion_verdict_holds_no_reference_to_the_scheme():
+    """The stored refusal keeps no traceback: with the cycle collector off,
+    the scheme is freed as soon as the last name for it goes."""
+    s = catalog_scheme("cyclo-13-4")
+    with pytest.raises(NotAScheme):
+        fuse_direct(s, [[1], [2, 3, 4]])
+    ref = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_each_failing_partition_is_decided_once(monkeypatch):
+    """is_amorphic, cross_check_fusions and the catalog's srg check on fresh
+    schemes run the fusion body once per (scheme, partition), failing
+    partitions included."""
+    runs = Counter()
+    failed = set()
+    fuse = fusion.fuse_canonical
+
+    def counted(s, blocks):
+        runs[id(s), blocks] += 1
+        try:
+            return fuse(s, blocks)
+        except AxiomViolation:
+            failed.add((id(s), blocks))
+            raise
+
+    monkeypatch.setattr(fusion, "fuse_canonical", counted)
+    schemes = [catalog_scheme(eid) for eid in ("cyclo-13-4", "cyclo-17-4", "direct-k3-k3")]
+    for s in schemes:
+        for _ in range(2):
+            is_amorphic(s)
+            list(cross_check_fusions(s, character_table(s), enumerate_admissible_partitions(s)))
+            _check_srg(s)
+    assert len(failed) >= 10
+    assert set(runs.values()) == {1}
 
 
 def test_fuse_direct_not_a_scheme_witness():

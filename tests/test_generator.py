@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ascheme import exactla, generator
-from ascheme.catalog import build_cyclotomic, catalog_scheme, complete_scheme
+from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme, complete_scheme
 from ascheme.core import MAX_D, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     CriterionDisagreement,
+    NotPrime,
     SplitRowMismatch,
     ToleranceAmbiguity,
     TooManyClasses,
@@ -48,7 +49,7 @@ from ascheme.spectra import (
     union_spectrum,
 )
 
-from conftest import compile_stripped
+from conftest import compile_stripped, reference_generates
 
 T12_APPLICABLE = {
     "cyclo-7-2",
@@ -643,3 +644,46 @@ def test_skew_types_inapplicable():
     # nonsymmetric but with a symmetric nontrivial class: not skew
     assert not check_theorem_skew_types(catalog_scheme("schurian-z8-m3")).applicable
     assert not check_theorem_skew_types(catalog_scheme("cyclo-17-4")).applicable
+
+
+def _nonsymmetric_cyclotomic_4_class():
+    out = []
+    for q in range(5, 258, 8):
+        try:
+            out.append(build_cyclotomic(q, 4))
+        except NotPrime:
+            continue
+    return out
+
+
+def test_generates_equals_reference_pipeline(catalog, monkeypatch):
+    """Equal GenerationReports, witness Fractions included, from generates
+    and the list-based reference on every union of the catalog (407), of
+    the 15 nonsymmetric cyclotomic (q, 4) with q <= 257, and of cyclotomic
+    (31,2)^2 (n = 961, d = 8).  There the full union has k^(d+1) > 2^63,
+    so the object-dtype products run."""
+    dtypes = set()
+    matmul = exactla.int_matmul
+
+    def recorded(A, B):
+        out = matmul(A, B)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(exactla, "int_matmul", recorded)
+    c31 = build_cyclotomic(31, 2)
+    families = {
+        "catalog": [s for s in catalog.values() if s.is_commutative],
+        "cyclotomic (q, 4)": _nonsymmetric_cyclotomic_4_class(),
+        "(31,2)^2": [build_product(c31, c31, "direct")],
+    }
+    counts = {}
+    for name, schemes in families.items():
+        dtypes.clear()
+        counts[name] = 0
+        for s in schemes:
+            for rep in find_generating_unions(s):
+                assert rep == reference_generates(s, rep.union), (name, s.n, rep.union)
+                counts[name] += 1
+    assert counts == {"catalog": 407, "cyclotomic (q, 4)": 225, "(31,2)^2": 255}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
