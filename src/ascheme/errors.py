@@ -166,17 +166,13 @@ class WitnessUnsolvable(GenerationCheckFailed):
 class WitnessRejected(GenerationCheckFailed):
     """A witness polynomial does not reproduce its basis matrix.
 
-    check is "regular" for the (d+1) x (d+1) regular representation and
-    "adjacency" for the n x n adjacency matrices.
+    check is "regular": the witness failed on the (d+1) x (d+1) regular
+    representation.
     """
 
     def __init__(self, message, union, i, check):
         self.check = check
         super().__init__(message, union, i)
-
-
-class WitnessBoundUnreached(GenerationCheckFailed):
-    """The modular n x n check ran out of primes below its CRT bound."""
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ i = l), that column holds the coordinates of B_union^t in the basis {B_i},
 and X -> X e_0 is injective on the algebra.  The witness polynomial of
 class i is the unique solution of K c = e_i, so the witnesses are the
 columns of K^-1, all found in one elimination of K.  They are re-checked
-in integers on the regular representation and, for n <= WITNESS_MAX_N, on
-the n x n adjacency matrices modulo enough primes that the Chinese
-remainder bound makes the check exact.  The powers of B_union are built
-once per union, in integers: the minimal-polynomial echelon, K and the
-regular-representation check all read that one list.  No verdict in this
-module depends on floating point.
+in integers on the regular representation, which proves them on the n x n
+adjacency matrices too (see generates), so nothing here builds an n x n
+matrix.  The powers of B_union are built once per union, in integers: the
+minimal-polynomial echelon, K and the regular-representation check all
+read that one list.  No verdict in this module depends on floating point.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -38,7 +37,6 @@ from .errors import (
     SplitRowMismatch,
     TooManyClasses,
     TypeUnclassifiable,
-    WitnessBoundUnreached,
     WitnessRejected,
     WitnessUnsolvable,
 )
@@ -55,21 +53,11 @@ from .spectra import (
     character_table,
     group_rows,
     intersection_matrices,
-    union_matrix,
 )
 
+# witness_verified is set for generating unions with n up to this bound,
+# which fixes the reports' bytes; the proof itself holds for every n.
 WITNESS_MAX_N = 256
-# Largest primes below 2^27.  Two bounds keep the n x n check exact:
-# WITNESS_MAX_N * p < 2^53, so each float64 product of a power (residues
-# below p) with the 0/1 adjacency matrix sums at most n terms below p; and
-# (MAX_D + 1) * p^2 < 2^63, so the int64 combination of d + 1 residue
-# products with residue coefficients cannot overflow.
-WITNESS_PRIMES = (
-    134217689, 134217649, 134217617, 134217613, 134217593, 134217541,
-    134217529, 134217509, 134217497, 134217493, 134217487, 134217467,
-    134217439, 134217437, 134217409, 134217403, 134217401, 134217367,
-    134217361, 134217353, 134217323, 134217301, 134217277, 134217257,
-)
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,7 @@ class GenerationReport:
     span_rank: int
     generates: bool
     witness: tuple  # per class i, coefficients of B_union powers; None if not generating
-    witness_verified: bool
+    witness_verified: bool  # generating and n <= WITNESS_MAX_N: the witness is proven
 
     def to_json(self):
         return {
@@ -110,15 +98,22 @@ def generates(s, union):
     iff both equal d+1.  The witness for class i solves K c = e_i, so that
     sum_t c_t B^t = B_i; one solve_exact call finds all d+1 of them.  They
     are re-checked in integers against the same powers on the regular
-    representation, and for n <= WITNESS_MAX_N on the n x n adjacency
-    matrices, multi-modularly with a proven CRT bound (witness_verified).
-    A failed check raises a GenerationCheckFailed subclass naming the union
-    and class.  The report is computed once per (scheme, union).
+    representation, and that proves them on the adjacency matrices:
+    s.tensor is verified against s.color (by the axiom kernel, by the
+    translation-scheme row-0 check of the cyclotomic builder, or as closed
+    forms and block sums of verified tensors), so A_i A_j = sum_l p_ij^l A_l
+    and A_i -> B_i is an algebra homomorphism, the algebra being
+    associative.  It is injective, since B_i e_0 = e_i.  Hence
+    sum_t c_t B_union^t = B_i implies sum_t c_t A_union^t = A_i.
+    witness_verified records that proof for a generating union with
+    n <= WITNESS_MAX_N, as the catalog report has always read it.  A failed
+    check raises a GenerationCheckFailed subclass naming the union and
+    class.  The report is computed once per (scheme, union).
     """
     u = union_classes(s.d, union)
     B = intersection_matrices(s)
     d = s.d
-    BL = union_matrix(s, u)
+    BL = sum(B[i] for i in u)
     powers = exactla.matrix_powers(BL, d)
     eigen_count = exactla.minpoly_degree(BL, powers)
     K = np.stack([P[:, 0] for P in powers[: d + 1]], axis=1).tolist()
@@ -129,7 +124,6 @@ def generates(s, union):
         )
     gen = eigen_count == d + 1
     witness = None
-    verified = False
     if gen:
         units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
         sols = exactla.solve_exact(K, units)
@@ -137,9 +131,7 @@ def generates(s, union):
             raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
         witness = tuple(tuple(sol) for sol in sols)
         _check_regular(B, powers[: d + 1], u, witness)
-        if s.n <= WITNESS_MAX_N:
-            _check_adjacency(s, u, witness)
-            verified = True
+    verified = gen and s.n <= WITNESS_MAX_N
     return GenerationReport(u, eigen_count, span_rank, gen, witness, verified)
 
 
@@ -168,54 +160,6 @@ def _check_regular(B, powers, union, witness):
         raise WitnessRejected(
             f"fails the regular representation at ({r},{c})", union, i, "regular"
         )
-
-
-def _check_adjacency(s, union, witness):
-    """Check sum_t c_t A^t == A_i on the n x n matrices, for every class i.
-
-    Works modulo the primes of WITNESS_PRIMES in turn, all classes at once;
-    the powers come from _powers_mod, the combination with the witness
-    coefficients is int64.  Every entry of A^t is at most k^t (k the
-    union's valency), so the integer difference den * (sum_t c_t A^t - A_i)
-    is bounded by M = max_i (den_i + sum_t |den_i c_t| k^t).  Once the
-    product of the primes used exceeds 2M, agreement modulo each prime
-    proves equality.  Returns the number of primes used.
-    """
-    A = s.adjacency(union).astype(np.float64)
-    k = sum(s.valencies[i] for i in union)
-    scaled = [_scaled(poly) for poly in witness]
-    bound = 2 * max(
-        den + sum(abs(c) * k**t for t, c in enumerate(coef)) for den, coef in scaled
-    )
-    classes = np.arange(len(witness))[:, None, None]
-    target = s.color.entries[None, :, :] == classes
-    modulus = 1
-    for used, p in enumerate(WITNESS_PRIMES, 1):
-        coef = np.array([[c % p for c in cs] for _, cs in scaled], dtype=np.int64)
-        dens = np.array([den % p for den, _ in scaled], dtype=np.int64)
-        got = np.tensordot(coef, _powers_mod(A, p, len(witness)), axes=1) % p
-        bad = np.flatnonzero((got != target * dens[:, None, None]).any(axis=(1, 2)))
-        if bad.size:
-            raise WitnessRejected(
-                f"fails the adjacency matrices modulo {p}", union, int(bad[0]), "adjacency"
-            )
-        modulus *= p
-        if modulus > bound:
-            return used
-    raise WitnessBoundUnreached(
-        f"{len(WITNESS_PRIMES)} primes do not reach the CRT bound {bound}", union
-    )
-
-
-def _powers_mod(A, p, count):
-    """A^0, ..., A^(count - 1) modulo p as one int64 array, for a 0/1
-    float64 matrix A.  The products run on BLAS in float64: a power's
-    residues are below p, so every partial sum of a row times a 0/1 column
-    is an integer below n * p < 2^53 (see WITNESS_PRIMES) and exact."""
-    apow = [np.eye(A.shape[0])]
-    for _ in range(count - 1):
-        apow.append(np.fmod(apow[-1] @ A, p))
-    return np.stack(apow).astype(np.int64)
 
 
 def find_generating_unions(s):

@@ -18,7 +18,8 @@ symmetrization, T4.1's test of whether an entry is real and union_spectrum
 
 Counting distinct eigenvalues of a union digraph never relies on floats:
 the count is the degree of the minimal polynomial of the integer matrix
-B_Lambda (union_matrix) over Q, by exact Gaussian elimination.
+B_Lambda, the sum of the B_i over the union, over Q, by exact Gaussian
+elimination.
 union_spectrum is an independent cross-check, not the decision procedure.
 """
 
@@ -269,13 +270,6 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     return _read_only(EigenTable(P, mults, exact, basis, n, s.valencies))
 
 
-def union_matrix(s, union):
-    """B_Lambda, the sum of B_i over the union, as an int64 array: the
-    exact input of the minimal polynomial and the Krylov matrix."""
-    B = intersection_matrices(s)
-    return sum(B[i] for i in union_classes(s.d, union))
-
-
 def distinct_eigenvalue_count(s, union):
     """Exact number of distinct eigenvalues of the union digraph.
 
@@ -283,7 +277,8 @@ def distinct_eigenvalue_count(s, union):
     B_i are simultaneously diagonalizable for a commutative scheme, so the
     minimal polynomial is squarefree.
     """
-    return exactla.minpoly_degree(union_matrix(s, union))
+    B = intersection_matrices(s)
+    return exactla.minpoly_degree(sum(B[i] for i in union_classes(s.d, union)))
 
 
 def block_sums(e, blocks):

@@ -44,6 +44,12 @@ def catalog():
     return {eid: catalog_scheme(eid) for eid in catalog_ids()}
 
 
+def fresh_catalog():
+    """Every catalog scheme built anew: the session fixture's schemes hold
+    memos filled by earlier tests, where a memoized call runs nothing."""
+    return [catalog_scheme(eid) for eid in catalog_ids()]
+
+
 @pytest.fixture(scope="session")
 def tables(catalog):
     """Character tables for every commutative catalog scheme."""
@@ -567,10 +573,89 @@ def reference_solve_exact(A, rhs):
     return sols
 
 
+# --- generation: the n x n modular witness check ---------------------------
+#
+# generator.generates proves each witness on the regular representation
+# alone.  This oracle proves it on the n x n adjacency matrices themselves,
+# from the coloring, with no use of the tensor: sum_t c_t A^t == A_i,
+# checked modulo enough primes that the Chinese remainder bound makes the
+# check exact.
+
+# Largest primes below 2^27.  Two bounds keep the check exact for
+# n <= MAX_N: n * p < 2^53, so each float64 product of a power (residues
+# below p) with the 0/1 adjacency matrix sums at most n terms below p; and
+# (MAX_D + 1) * p^2 < 2^63, so the int64 combination of d + 1 residue
+# products with residue coefficients cannot overflow.
+WITNESS_PRIMES = (
+    134217689, 134217649, 134217617, 134217613, 134217593, 134217541,
+    134217529, 134217509, 134217497, 134217493, 134217487, 134217467,
+    134217439, 134217437, 134217409, 134217403, 134217401, 134217367,
+    134217361, 134217353, 134217323, 134217301, 134217277, 134217257,
+)
+
+
+class ModularCheckFailed(Exception):
+    """The modular oracle refused a witness: i is the first class whose
+    polynomial fails modulo some prime, or None when the primes ran out
+    below the CRT bound."""
+
+    def __init__(self, message, union, i=None):
+        self.union, self.i = tuple(union), i
+        super().__init__(f"union {list(self.union)}, class {i}: {message}")
+
+
+def reference_powers_mod(A, p, count):
+    """A^0, ..., A^(count - 1) modulo p as one int64 array, for a 0/1
+    float64 matrix A.  The products run on BLAS in float64: a power's
+    residues are below p, so every partial sum of a row times a 0/1 column
+    is an integer below n * p < 2^53 (see WITNESS_PRIMES) and exact."""
+    apow = [np.eye(A.shape[0])]
+    for _ in range(count - 1):
+        apow.append(np.fmod(apow[-1] @ A, p))
+    return np.stack(apow).astype(np.int64)
+
+
+def reference_check_adjacency(s, union, witness, primes=WITNESS_PRIMES):
+    """Check sum_t c_t A^t == A_i on the n x n matrices, for every class i.
+
+    Works modulo the primes in turn, all classes at once.  Every entry of
+    A^t is at most k^t (k the union's valency), so the integer difference
+    den * (sum_t c_t A^t - A_i) is bounded by
+    M = max_i (den_i + sum_t |den_i c_t| k^t).  Once the product of the
+    primes used exceeds 2M, agreement modulo each prime proves equality.
+    Returns the number of primes used; raises ModularCheckFailed.
+    """
+    A = s.adjacency(union).astype(np.float64)
+    k = sum(s.valencies[i] for i in union)
+    scaled = []
+    for poly in witness:
+        den = math.lcm(*(c.denominator for c in poly))
+        scaled.append((den, [c.numerator * (den // c.denominator) for c in poly]))
+    bound = 2 * max(
+        den + sum(abs(c) * k**t for t, c in enumerate(coef)) for den, coef in scaled
+    )
+    classes = np.arange(len(witness))[:, None, None]
+    target = s.color.entries[None, :, :] == classes
+    modulus = 1
+    for used, p in enumerate(primes, 1):
+        coef = np.array([[c % p for c in cs] for _, cs in scaled], dtype=np.int64)
+        dens = np.array([den % p for den, _ in scaled], dtype=np.int64)
+        got = np.tensordot(coef, reference_powers_mod(A, p, len(witness)), axes=1) % p
+        bad = np.flatnonzero((got != target * dens[:, None, None]).any(axis=(1, 2)))
+        if bad.size:
+            raise ModularCheckFailed(f"fails modulo {p}", union, int(bad[0]))
+        modulus *= p
+        if modulus > bound:
+            return used
+    raise ModularCheckFailed(f"{len(primes)} primes do not reach the CRT bound {bound}", union)
+
+
 def reference_generates(s, union):
     """The GenerationReport of generator.generates from the list-based
     pipeline: powers built twice in pure-Python products, a Fraction
-    echelon and solve, and a per-entry regular-representation check."""
+    echelon and solve, and a per-entry regular-representation check.  For
+    n <= WITNESS_MAX_N the witnesses are also proven on the n x n adjacency
+    matrices by the modular oracle."""
     u = union_classes(s.d, union)
     d = s.d
     B = [b.tolist() for b in spectra.intersection_matrices(s)]
@@ -594,7 +679,7 @@ def reference_generates(s, union):
                 for c in range(d + 1):
                     acc = sum(ct * P[r][c] for ct, P in zip(coef, powers))
                     assert acc == den * B[i][r][c]
-        # the n x n modular check is generator's own; on equal witnesses it
-        # reaches the same outcome, so only its condition is read here
-        verified = s.n <= generator.WITNESS_MAX_N
+        if s.n <= generator.WITNESS_MAX_N:
+            reference_check_adjacency(s, u, witness)
+            verified = True
     return generator.GenerationReport(u, eigen_count, span_rank, gen, witness, verified)

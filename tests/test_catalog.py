@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from ascheme.catalog import (
     _run_checks,
     _translation_scheme,
 )
-from ascheme.core import MAX_D, IntersectionTensor, Scheme, scheme_from_entries, verify_axioms
+from ascheme.core import (
+    MAX_D,
+    IntersectionTensor,
+    Scheme,
+    color_matrix,
+    scheme_from_entries,
+    verify_axioms,
+)
 from ascheme.errors import (
     BadDivisor,
     BuilderTensorMismatch,
@@ -302,6 +311,24 @@ def test_builder_tensor_mismatch_is_a_typed_error():
     assert rec["error"].startswith("BuilderTensorMismatch: built p[2,3]^1")
 
 
+def test_recolored_arc_pair_is_refused_before_generation(catalog):
+    """generates proves its witnesses on the tensor alone, so a coloring
+    that disagrees with its tensor must be refused before it runs.  Moving
+    one arc pair (0, y), (y, 0) of each catalog scheme from class 1 to
+    class 2 (and its transpose) makes verify_axioms raise
+    InconsistentIntersectionNumber, and so does the catalog's axioms check
+    when the corrupted coloring carries the builder's tensor."""
+    for eid, s in catalog.items():
+        e = s.color.entries.copy()
+        y = int(np.flatnonzero(e[0] == 1)[0])
+        e[0, y], e[y, 0] = 2, s.transpose_map[2]
+        color = color_matrix(e, s.d)
+        with pytest.raises(InconsistentIntersectionNumber):
+            verify_axioms(color)
+        rec = _run_checks(Scheme(color, s.tensor), ["axioms"])[0]
+        assert rec["error"].startswith("InconsistentIntersectionNumber"), eid
+
+
 # --- the translation-scheme helper --------------------------------------------
 
 
@@ -408,6 +435,20 @@ def test_nonsymmetric_cyclotomic_4_class_sweep():
         assert recs["T1.4"]["applicable"] and recs["T1.4"]["holds"], q
     assert len(qs) == 15 and extra == 11
     assert 125 in qs
+
+
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_sweep.py"
+
+
+def test_cyclotomic_sweep_digest():
+    """The full battery over all 174 cyclotomic (q, m), q <= 257 and
+    2 <= m <= 6, gives the pinned JSONL digest with no failed check."""
+    spec = importlib.util.spec_from_file_location("cyclotomic_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.sweep() == (
+        174, 0, "8620498067990f8fd6422399ea25fdaa75a9ce4ea6fabe78d0d00f2107bd664a"
+    )
 
 
 def test_catalog_all_entries_build(catalog):

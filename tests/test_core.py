@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +269,17 @@ def test_memo_frees_a_scheme_by_refcount(eid):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_package_has_no_assert_statement():
+    """Runtime invariants are typed errors: python -O strips assert
+    statements, so none may guard anything in the package."""
+    package = Path(core.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) >= 10
+    assert found == []

@@ -11,23 +11,20 @@ from scipy.optimize import linear_sum_assignment
 
 from ascheme import exactla, generator
 from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme, complete_scheme
-from ascheme.core import MAX_D, relabel_classes, scheme_from_entries
+from ascheme.core import MAX_D, MAX_N, Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     CriterionDisagreement,
     NotPrime,
     SplitRowMismatch,
     ToleranceAmbiguity,
     TooManyClasses,
-    WitnessBoundUnreached,
     WitnessRejected,
     WitnessUnsolvable,
 )
 from ascheme.exactla import matrix_powers, solve_exact
 from ascheme.generator import (
     WITNESS_MAX_N,
-    WITNESS_PRIMES,
     _bottleneck_value,
-    _check_adjacency,
     check_theorem_4class,
     check_theorem_amorphic,
     check_theorem_fission,
@@ -49,7 +46,15 @@ from ascheme.spectra import (
     union_spectrum,
 )
 
-from conftest import compile_stripped, reference_generates
+from conftest import (
+    WITNESS_PRIMES,
+    ModularCheckFailed,
+    compile_stripped,
+    fresh_catalog,
+    reference_check_adjacency,
+    reference_generates,
+    reference_powers_mod,
+)
 
 T12_APPLICABLE = {
     "cyclo-7-2",
@@ -152,26 +157,26 @@ def _moved(witness, i, t):
 def test_modular_check_rejects_coefficient_moved_by_one_over_den():
     s = catalog_scheme("cyclo-13-4")
     r = generates(s, (1,))
-    assert _check_adjacency(s, (1,), r.witness) >= 1
+    assert reference_check_adjacency(s, (1,), r.witness) >= 1
     for i in range(s.d + 1):
         for t in range(s.d + 1):
-            with pytest.raises(WitnessRejected) as exc:
-                _check_adjacency(s, (1,), _moved(r.witness, i, t))
-            assert (exc.value.union, exc.value.i, exc.value.check) == ((1,), i, "adjacency")
+            with pytest.raises(ModularCheckFailed) as exc:
+                reference_check_adjacency(s, (1,), _moved(r.witness, i, t))
+            assert (exc.value.union, exc.value.i) == ((1,), i)
 
 
 def test_modular_check_needs_several_primes_on_cyclotomic_241_6():
     s = build_cyclotomic(241, 6)
     r = generates(s, (1,))
     assert r.generates and r.witness_verified
-    assert _check_adjacency(s, (1,), r.witness) > 1
+    assert reference_check_adjacency(s, (1,), r.witness) > 1
 
 
-def test_modular_check_raises_below_crt_bound(monkeypatch):
+def test_modular_check_raises_below_crt_bound():
     s = build_cyclotomic(241, 6)
-    monkeypatch.setattr(generator, "WITNESS_PRIMES", WITNESS_PRIMES[:1])
-    with pytest.raises(WitnessBoundUnreached) as exc:
-        generates(s, (1,))
+    r = generates(s, (1,))
+    with pytest.raises(ModularCheckFailed) as exc:
+        reference_check_adjacency(s, (1,), r.witness, primes=WITNESS_PRIMES[:1])
     assert exc.value.union == (1,) and exc.value.i is None
 
 
@@ -179,9 +184,8 @@ def test_witness_primes_fit_int64():
     assert len(set(WITNESS_PRIMES)) == len(WITNESS_PRIMES)
     for p in WITNESS_PRIMES:
         assert sympy.isprime(p)
-        assert WITNESS_MAX_N * p * p < 2**63
         # float64 powers: a row of residues times a 0/1 column
-        assert WITNESS_MAX_N * p < 2**53
+        assert MAX_N * p < 2**53
         # int64 combination: d + 1 products of residues
         assert (MAX_D + 1) * p * p < 2**63
 
@@ -189,16 +193,52 @@ def test_witness_primes_fit_int64():
 def test_float64_powers_match_int64_reference():
     s = build_cyclotomic(241, 6)
     r = generates(s, (1,))
-    used = _check_adjacency(s, (1,), r.witness)
+    used = reference_check_adjacency(s, (1,), r.witness)
     assert used > 1
     A = s.adjacency((1,))
     for p in WITNESS_PRIMES[:used]:
         ref = [np.eye(s.n, dtype=np.int64)]
         for _ in range(s.d):
             ref.append(ref[-1] @ A % p)
-        got = generator._powers_mod(A.astype(np.float64), p, s.d + 1)
+        got = reference_powers_mod(A.astype(np.float64), p, s.d + 1)
         assert got.dtype == np.int64
         assert (got == np.stack(ref)).all()
+
+
+def test_modular_oracle_accepts_every_witness(catalog):
+    """The regular-representation proof and the n x n modular check agree:
+    every witness generates returns holds on the adjacency matrices, on
+    every generating union of the catalog, of the 15 nonsymmetric
+    cyclotomic (q, 4) with q <= 257 (n = 257 included, above
+    WITNESS_MAX_N) and of cyclotomic (241,6)."""
+    families = {
+        "catalog": list(catalog.values()),
+        "cyclotomic (q, 4)": _nonsymmetric_cyclotomic_4_class(),
+        "(241,6)": [build_cyclotomic(241, 6)],
+    }
+    counts = {}
+    for name, schemes in families.items():
+        counts[name] = 0
+        for s in schemes:
+            for rep in find_generating_unions(s):
+                if rep.generates:
+                    reference_check_adjacency(s, rep.union, rep.witness)
+                    counts[name] += 1
+    assert counts == {"catalog": 187, "cyclotomic (q, 4)": 180, "(241,6)": 54}
+
+
+def test_generation_builds_no_adjacency_matrix(monkeypatch):
+    """find_generating_unions decides every catalog scheme on the regular
+    representation and never builds an n x n adjacency matrix."""
+
+    def no_adjacency(self, classes):
+        raise AssertionError("generation must not build an adjacency matrix")
+
+    schemes = fresh_catalog()
+    monkeypatch.setattr(Scheme, "adjacency", no_adjacency)
+    reports = [find_generating_unions(s) for s in schemes]
+    assert sum(len(r) for r in reports) == 407
+    assert all(rep.witness_verified for r in reports for rep in r if rep.generates)
 
 
 def _tampered_solve(A, rhs):

@@ -26,7 +26,7 @@ from ascheme.srg import (
     srg_params_from_scheme,
 )
 
-from conftest import compile_stripped
+from conftest import compile_stripped, fresh_catalog
 
 
 def two_blocks_k5():
@@ -270,12 +270,6 @@ def test_weak_components_match_scipy(catalog):
                 assert [size_] * count == sorted(np.bincount(labels).tolist()), u
                 unions += 1
     assert unions == 504
-
-
-def fresh_catalog():
-    """Every catalog scheme built anew: the session fixture's schemes hold
-    memos filled by earlier tests, where a memoized call runs nothing."""
-    return [catalog_scheme(eid) for eid in cat.catalog_ids()]
 
 
 def test_srg_reads_only_the_tensor(monkeypatch):
