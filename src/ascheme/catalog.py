@@ -381,6 +381,15 @@ CHECKS = (
     "T4.1",
 )
 
+# the theorem checks by name, for catalog runs and `ascheme theorems`
+THEOREMS = {
+    "T1.2": generator.check_theorem_one_pair,
+    "T1.3": generator.check_theorem_amorphic,
+    "T1.4": generator.check_theorem_4class,
+    "T3.1": generator.check_theorem_fission,
+    "T4.1": generator.check_theorem_skew_types,
+}
+
 FUSION_ENUM_MAX_D = 5
 GENERATOR_SWEEP_MAX_D = 6
 
@@ -519,36 +528,32 @@ def _check_srg(s):
     return True, True, {"srg_unions": found, "non_srg_unions": non_srg}
 
 
+_PLAIN_CHECKS = {
+    "axioms": _check_axioms,
+    "spectra": _check_spectra,
+    "fusion": _check_fusion,
+    "amorphic": _check_amorphic,
+    "generators": _check_generators,
+    "srg": _check_srg,
+}
+
+
+def _record(name, error=None):
+    """The record of one check before it runs, or of one that raised."""
+    return {"check": name, "applicable": None, "holds": None, "evidence": None, "error": error}
+
+
 def _run_checks(s, checks):
-    theorem = {
-        "T1.2": generator.check_theorem_one_pair,
-        "T1.3": generator.check_theorem_amorphic,
-        "T1.4": generator.check_theorem_4class,
-        "T3.1": generator.check_theorem_fission,
-        "T4.1": generator.check_theorem_skew_types,
-    }
-    plain = {
-        "axioms": _check_axioms,
-        "spectra": _check_spectra,
-        "fusion": _check_fusion,
-        "amorphic": _check_amorphic,
-        "generators": _check_generators,
-        "srg": _check_srg,
-    }
     out = []
     for name in checks:
-        rec = {"check": name, "applicable": None, "holds": None, "evidence": None, "error": None}
+        rec = _record(name)
         try:
-            if name in theorem:
-                v = theorem[name](s)
-                rec["applicable"] = v.applicable
-                rec["holds"] = v.holds
-                rec["evidence"] = v.evidence
+            if name in THEOREMS:
+                v = THEOREMS[name](s)
+                verdict = v.applicable, v.holds, v.evidence
             else:
-                app, holds, ev = plain[name](s)
-                rec["applicable"] = app
-                rec["holds"] = holds
-                rec["evidence"] = ev
+                verdict = _PLAIN_CHECKS[name](s)
+            rec["applicable"], rec["holds"], rec["evidence"] = verdict
         except Exception as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
         out.append(rec)
@@ -560,16 +565,8 @@ def _run_entry(args):
     try:
         s = catalog_scheme(eid)
     except Exception as exc:
-        return eid, [
-            {
-                "check": name,
-                "applicable": None,
-                "holds": None,
-                "evidence": None,
-                "error": f"build failed: {type(exc).__name__}: {exc}",
-            }
-            for name in checks
-        ]
+        error = f"build failed: {type(exc).__name__}: {exc}"
+        return eid, [_record(name, error) for name in checks]
     return eid, _run_checks(s, checks)
 
 

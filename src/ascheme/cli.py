@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import catalog as cat
+from .catalog import THEOREMS
 from .core import (
     canonical_partition,
     emit_scheme_file,
@@ -21,28 +22,12 @@ from .core import (
 from .errors import AxiomViolation, ParseError, SchemeError
 from .fusion import cross_check_fusions, is_amorphic
 from .fusion import enumerate_admissible_partitions
-from .generator import (
-    check_theorem_4class,
-    check_theorem_amorphic,
-    check_theorem_fission,
-    check_theorem_one_pair,
-    check_theorem_skew_types,
-    find_generating_unions,
-    generates,
-)
+from .generator import find_generating_unions, generates
 from .spectra import DEFAULT_SEED, character_table
 
 
 class _InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
-
-THEOREMS = {
-    "T1.2": check_theorem_one_pair,
-    "T1.3": check_theorem_amorphic,
-    "T1.4": check_theorem_4class,
-    "T3.1": check_theorem_fission,
-    "T4.1": check_theorem_skew_types,
-}
 
 
 def _load_scheme(path):
@@ -142,14 +127,14 @@ def _render_table(e):
 
 def cmd_spectrum(args):
     s = _load_scheme(args.scheme)
-    e = character_table(s, seed=args.seed, precision=args.precision)
+    e = character_table(s, seed=args.seed)
     _emit(e.to_json(), args, lambda p: _render_table(e))
     return 0
 
 
 def cmd_fuse(args):
     s = _load_scheme(args.scheme)
-    e = character_table(s, seed=args.seed, precision=args.precision)
+    e = character_table(s, seed=args.seed)
     if args.partition:
         partitions = [_parse_partition(args.partition, s.d)]
     else:
@@ -277,10 +262,6 @@ def cmd_build(args):
 
 def _global_flags(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument(
-        "--precision", type=int, choices=(64, 128),
-        **(kw if suppress else {"default": 64}),
-    )
     parser.add_argument("--seed", type=int, **(kw if suppress else {"default": DEFAULT_SEED}))
     parser.add_argument(
         "--format", choices=("json", "text"),

@@ -164,15 +164,8 @@ class WitnessUnsolvable(GenerationCheckFailed):
 
 
 class WitnessRejected(GenerationCheckFailed):
-    """A witness polynomial does not reproduce its basis matrix.
-
-    check is "regular": the witness failed on the (d+1) x (d+1) regular
-    representation.
-    """
-
-    def __init__(self, message, union, i, check):
-        self.check = check
-        super().__init__(message, union, i)
+    """A witness polynomial does not reproduce its basis matrix on the
+    (d+1) x (d+1) regular representation."""
 
 
 # ---------------------------------------------------------------------------

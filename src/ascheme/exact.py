@@ -91,12 +91,6 @@ class QuadVal:
             return QuadVal(self.q, -self.r, self.v)
         return self
 
-    def algebraic_conjugate(self):
-        """Galois conjugate: flips the sign of the radical part."""
-        if self.r:
-            return QuadVal(self.q, -self.r, self.v)
-        return self
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             return QuadVal(self.q + other, self.r, self.v)
@@ -129,10 +123,6 @@ class QuadVal:
         q = self.q * other.q + self.r * other.r * v
         r = self.q * other.r + self.r * other.q
         return QuadVal(q) if r == 0 else QuadVal(q, r, v)
-
-    def abs2(self):
-        """|z|^2 as a QuadVal (rational when z is complex quadratic)."""
-        return self * self.conjugate()
 
     def to_complex(self):
         if self.r == 0:

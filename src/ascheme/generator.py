@@ -157,9 +157,7 @@ def _check_regular(B, powers, union, witness):
     bad = np.argwhere(got != want)
     if bad.size:
         i, (r, c) = int(bad[0, 0]), divmod(int(bad[0, 1]), m)
-        raise WitnessRejected(
-            f"fails the regular representation at ({r},{c})", union, i, "regular"
-        )
+        raise WitnessRejected(f"fails the regular representation at ({r},{c})", union, i)
 
 
 def find_generating_unions(s):

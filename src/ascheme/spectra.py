@@ -4,8 +4,10 @@ The table P is computed from the regular representation: the matrices
 B_i[l, j] = p_{ij}^l multiply like the adjacency matrices, and the row
 vector u_j = (p_0(j), ..., p_d(j)) satisfies u_j B_i = p_i(j) u_j.  So the
 left eigenrows of a random combination sum c_i B_i, normalized to have
-first coordinate 1, are exactly the rows of P.  Degenerate draws are
-detected and retried with doubled working precision (mpmath).
+first coordinate 1, are exactly the rows of P.  A draw whose eigenvalues
+do not separate is detected and retried with coefficients from a range ten
+times wider: equal eigenvalues are a coincidence of the draw, which no
+working precision would separate.
 
 Every equality between table values is decided by one routine,
 group_rows, on per-row block sums (block_sums): two sums are compared
@@ -116,29 +118,6 @@ def _eigenrows_float(M, B, sep_tol):
     return _normalize_and_check(U, B)
 
 
-def _eigenrows_mp(M, B, dps):
-    from mpmath import mp
-
-    old = mp.dps
-    try:
-        mp.dps = dps
-        A = mp.matrix(M.T.tolist())
-        E, ER = mp.eig(A, left=False, right=True)
-        scale = max(1.0, max(abs(complex(e)) for e in E))
-        m = len(E)
-        for a in range(m):
-            for b in range(a + 1, m):
-                if abs(complex(E[a] - E[b])) <= 10.0 ** (-(dps // 2)) * scale:
-                    return None
-        U = np.array(
-            [[complex(ER[r, c]) for r in range(m)] for c in range(m)],
-            dtype=np.complex128,
-        )
-    finally:
-        mp.dps = old
-    return _normalize_and_check(U, B)
-
-
 def _normalize_and_check(U, B):
     if np.any(np.abs(U[:, 0]) < 1e-10):
         return None
@@ -211,14 +190,14 @@ def _read_only(e):
     return e
 
 
-@memoized(lambda s, seed=DEFAULT_SEED, precision=64: (seed, precision))
-def character_table(s, seed=DEFAULT_SEED, precision=64):
+@memoized(lambda s, seed=DEFAULT_SEED: seed)
+def character_table(s, seed=DEFAULT_SEED):
     """Compute the character table of a commutative scheme.
 
-    seed drives the random combination coefficients; precision 128 starts
-    directly on the software-float path.  Each retry draws a fresh
-    combination and doubles the working precision.  The table is computed
-    once per (scheme, seed, precision) and is read-only.
+    seed drives the random combination coefficients: attempt a draws them
+    from [-10^(a+1), 10^(a+1)], so each retry makes a chance collision of
+    two rows' eigenvalues ten times less likely.  The table is computed
+    once per (scheme, seed) and is read-only.
     """
     B = intersection_matrices(s)
     d = s.d
@@ -231,14 +210,15 @@ def character_table(s, seed=DEFAULT_SEED, precision=64):
     k = np.array(s.valencies, dtype=np.float64)
     rows = None
     for attempt in range(MAX_RETRIES + 1):
-        c = rng.integers(-10, 11, size=d)
+        bound = 10 ** (attempt + 1)
+        c = rng.integers(-bound, bound + 1, size=d)
         if not np.any(c):
             continue
+        # an integer matrix: each of its d <= MAX_D terms has entries at
+        # most 10^9 * MAX_N in size, and 10^9 * 32 * 4096 < 2^53, so
+        # float64 holds M exactly
         M = sum(int(c[i]) * B[i + 1] for i in range(d)).astype(np.float64)
-        if attempt == 0 and precision == 64:
-            U = _eigenrows_float(M, B, sep_tol=1e-6)
-        else:
-            U = _eigenrows_mp(M, B, dps=17 * 2 ** max(1, attempt))
+        U = _eigenrows_float(M, B, sep_tol=1e-6)
         if U is None:
             continue
         # locate the Perron row (valencies) and pin it exactly

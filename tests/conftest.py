@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from ascheme import _kernels, core, exactla, fusion, generator, spectra, srg
 from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
@@ -286,6 +287,25 @@ def reference_emit_scheme_file(s):
     out = [f"{canon.n} {canon.d}"]
     out.extend(" ".join(str(int(v)) for v in row) for row in e)
     return "\n".join(out) + "\n"
+
+
+# --- character tables in software floats: a reference for spectra -----------
+
+
+def reference_eigenrows_mp(s):
+    """The rows of s's character table, in no fixed order, from mpmath's
+    eigenvectors at 34 significant digits: the left eigenrows of a random
+    integer combination of the regular representation's matrices, each
+    scaled to first coordinate 1."""
+    B = spectra.intersection_matrices(s)
+    c = np.random.default_rng(1).integers(-10, 11, size=s.d)
+    M = sum(int(ci) * b for ci, b in zip(c, B[1:]))
+    m = s.d + 1
+    with mp.workdps(34):
+        _, ER = mp.eig(mp.matrix(M.T.tolist()), left=False, right=True)
+        return np.array(
+            [[complex(ER[r, j] / ER[0, j]) for r in range(m)] for j in range(m)]
+        )
 
 
 # --- the comparison loops that spectra.group_rows replaced: references -----

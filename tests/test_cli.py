@@ -112,9 +112,14 @@ def test_spectrum_json_and_flag_positions(pentagon_file, capsys):
 
 
 def test_spectrum_seed_precision_flags(pentagon_file, capsys):
-    assert main(["spectrum", pentagon_file, "--seed", "7", "--precision", "128"]) == 0
+    """--seed is a global flag; --precision is not, since the table has
+    one float64 path, and the parser rejects it with exit code 2."""
+    assert main(["spectrum", pentagon_file, "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "character table" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", pentagon_file, "--precision", "128"])
+    assert exc.value.code == 2
 
 
 def test_fuse_single_partition(pentagon_file, capsys):
@@ -272,8 +277,7 @@ def test_console_script_installed(pentagon_file):
 
 def test_cli_import_loads_no_heavy_dependencies():
     """One-shot commands pay for every module `import ascheme.cli` loads;
-    scipy, sympy and numba have no place there, and mpmath loads only
-    when a character table needs extra precision."""
+    scipy, sympy, numba and mpmath have no place there."""
     import ascheme
 
     env = dict(os.environ, PYTHONPATH=str(Path(ascheme.__file__).parents[1]))

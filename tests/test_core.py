@@ -283,3 +283,21 @@ def test_package_has_no_assert_statement():
     ]
     assert len(list(package.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_package_does_not_import_mpmath():
+    """numpy is the one runtime dependency: no module of the package
+    imports mpmath, at the top or inside a function."""
+    package = Path(core.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "mpmath"]
+    assert len(list(package.glob("*.py"))) >= 10
+    assert found == []
