@@ -31,6 +31,7 @@ import numpy as np
 
 from . import exact, fusion, generator, spectra, srg
 from .core import (
+    MAX_N,
     IntersectionTensor,
     Scheme,
     canonical_form,
@@ -50,7 +51,7 @@ from .errors import (
     TooLarge,
     TransposeNotRelation,
 )
-from .finitefield import field
+from .finitefield import MAX_Q, field
 from .spectra import RESID_TOL
 
 MAX_PRODUCT_N = 4096
@@ -58,9 +59,12 @@ MAX_SCHURIAN_N = 60
 
 
 def complete_scheme(n):
-    """K_n as a one-class scheme."""
+    """K_n as a one-class scheme; TooLarge for n > MAX_N is raised before
+    any n x n array is built."""
     if n < 2:
         raise ValueError("complete scheme needs n >= 2")
+    if n > MAX_N:
+        raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
     e = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return scheme_from_entries(e, d=1)
 
@@ -133,8 +137,11 @@ def build_cyclotomic(q, m):
     automatic for translation schemes over an abelian group.  The scheme
     is the translation scheme of the coset classes over (GF(q), +), so
     _translation_scheme verifies it and gives p from row 0, with no call
-    of the axiom kernel.
+    of the axiom kernel.  TooLarge for q > MAX_Q is raised before the
+    O(q) factor search.
     """
+    if q > MAX_Q:
+        raise TooLarge(f"field size {q} exceeds {MAX_Q}")
     p, k = _prime_power(q)
     F = field(p, k)
     if m < 1 or (q - 1) % m != 0:

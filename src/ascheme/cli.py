@@ -23,21 +23,26 @@ from .errors import AxiomViolation, ParseError, SchemeError
 from .fusion import cross_check_fusions, is_amorphic
 from .fusion import enumerate_admissible_partitions
 from .generator import find_generating_unions, generates
-from .spectra import DEFAULT_SEED, character_table
+from .spectra import character_table
 
 
 class _InputError(Exception):
     """Bad file or argument; maps to exit code 2."""
 
 
-def _load_scheme(path):
+def _load_color(path):
+    """The parsed color matrix of a scheme file; main maps a read failure
+    and a ParseError to exit code 2."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}")
-    color = parse_scheme_file(text)
-    return verify_axioms(color)
+    return parse_scheme_file(text)
+
+
+def _load_scheme(path):
+    return verify_axioms(_load_color(path))
 
 
 def _fail(msg, code):
@@ -50,6 +55,11 @@ def _emit(payload, args, text_render):
         out = json.dumps(payload, indent=2, sort_keys=True, default=cat._json_default) + "\n"
     else:
         out = text_render(payload)
+    _write(out, args)
+
+
+def _write(out, args):
+    """out to the --out file, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -74,15 +84,7 @@ def _parse_partition(text, d):
 
 
 def cmd_verify(args):
-    try:
-        with open(args.scheme) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(f"cannot read {args.scheme}: {exc}", code=2)
-    try:
-        color = parse_scheme_file(text)
-    except ParseError as exc:
-        return _fail(f"parse error: {exc}", code=2)
+    color = _load_color(args.scheme)
     try:
         s = verify_axioms(color)
     except AxiomViolation as exc:
@@ -127,14 +129,14 @@ def _render_table(e):
 
 def cmd_spectrum(args):
     s = _load_scheme(args.scheme)
-    e = character_table(s, seed=args.seed)
+    e = character_table(s)
     _emit(e.to_json(), args, lambda p: _render_table(e))
     return 0
 
 
 def cmd_fuse(args):
     s = _load_scheme(args.scheme)
-    e = character_table(s, seed=args.seed)
+    e = character_table(s)
     if args.partition:
         partitions = [_parse_partition(args.partition, s.d)]
     else:
@@ -224,12 +226,7 @@ def cmd_catalog_run(args):
         if bad:
             return _fail(f"unknown checks: {bad}; available: {list(cat.CHECKS)}", code=2)
     records = cat.run_catalog(entry_ids=ids, checks=checks, workers=args.workers)
-    out = cat.records_to_jsonl(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(cat.records_to_jsonl(records), args)
     return cat.catalog_exit_code(records)
 
 
@@ -251,18 +248,12 @@ def cmd_build(args):
             )
     except (SchemeError, ValueError) as exc:
         return _fail(f"build failed: {exc}", code=2)
-    text = emit_scheme_file(s)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(emit_scheme_file(s), args)
     return 0
 
 
 def _global_flags(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--seed", type=int, **(kw if suppress else {"default": DEFAULT_SEED}))
     parser.add_argument(
         "--format", choices=("json", "text"),
         **(kw if suppress else {"default": "text"}),

@@ -155,10 +155,6 @@ class GenerationCheckFailed(SchemeError):
         super().__init__(f"{where}: {message}")
 
 
-class CriterionDisagreement(GenerationCheckFailed):
-    """Minimal-polynomial degree and Krylov rank differ."""
-
-
 class WitnessUnsolvable(GenerationCheckFailed):
     """A generating union gave no solution of K c = e_i."""
 

@@ -110,27 +110,21 @@ def matrix_powers(B, tmax):
     return powers
 
 
-def minpoly_degree(B, powers=None):
+def minpoly_degree(B):
     """Degree of the minimal polynomial of an integer matrix over Q.
 
     Adds flattened powers I, B, B^2, ... to an echelon basis until one
     becomes dependent.  For a diagonalizable matrix this equals the number
-    of distinct eigenvalues.  powers, when given, is a list [B^0, B^1, ...]
-    as matrix_powers returns it; the echelon reads its powers from there
-    and appends any it needs beyond its end, so a caller that reads them
-    too builds each power once.
+    of distinct eigenvalues.
     """
     B = _exact(B)
-    n = len(B)
-    if powers is None:
-        powers = [np.eye(n, dtype=np.int64)]
+    power = np.eye(len(B), dtype=np.int64)
     basis = {}
-    for deg in range(n + 1):
-        if deg == len(powers):
-            powers.append(int_matmul(powers[-1], B))
-        if not _echelon_insert(basis, powers[deg].ravel().tolist()):
+    for deg in range(len(B) + 1):
+        if not _echelon_insert(basis, power.ravel().tolist()):
             return deg
-    raise MinpolyDegreeExceeded(n)  # cannot happen: minpoly degree <= n
+        power = int_matmul(power, B)
+    raise MinpolyDegreeExceeded(len(B))  # cannot happen: minpoly degree <= n
 
 
 def solve_exact(A, rhs):

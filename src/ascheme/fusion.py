@@ -263,12 +263,9 @@ class IdempotentMatching:
     """Row correspondence between a one-pair scheme and its symmetrization.
 
     row_map[j] lists the x-table rows fusing to symmetrization row j;
-    exactly one entry (split_row) has length two.  class_map[i] is the
-    symmetrization class of x-class i.
+    exactly one entry (split_row) has length two.
     """
 
-    sym: object
-    class_map: tuple
     row_map: tuple
     split_row: int
 
@@ -315,12 +312,11 @@ def idempotent_matching(x):
         raise ValueError(
             f"idempotent matching needs exactly one transpose pair, found {len(pairs)}"
         )
-    sym, corr = symmetrize(x)
     row_map = symmetrization_row_map(x)
     split = [j for j, g in enumerate(row_map) if len(g) == 2]
     singles = [j for j, g in enumerate(row_map) if len(g) == 1]
-    if len(split) != 1 or len(singles) != sym.d:
+    if len(split) != 1 or len(singles) != len(row_map) - 1:
         raise MatchingAmbiguous(
             f"expected exactly one split row, found {len(split)}"
         )
-    return IdempotentMatching(sym, tuple(corr), row_map, split[0])
+    return IdempotentMatching(row_map, split[0])

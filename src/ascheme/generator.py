@@ -1,20 +1,21 @@
 """Generation criterion and machine checks of the structural theorems.
 
 A union digraph generates the Bose-Mesner algebra iff its regular-
-representation matrix B_union has d+1 distinct eigenvalues.  Both sides of
-that criterion are computed exactly and from different matrices: the
-eigenvalue count is the minimal-polynomial degree of B_union over Q, and
-the algebra dimension is the rank of the (d+1) x (d+1) Krylov matrix K
-whose column t is B_union^t e_0.  Since B_i e_0 = e_i (p_{i0}^l is 1 iff
-i = l), that column holds the coordinates of B_union^t in the basis {B_i},
-and X -> X e_0 is injective on the algebra.  The witness polynomial of
-class i is the unique solution of K c = e_i, so the witnesses are the
-columns of K^-1, all found in one elimination of K.  They are re-checked
-in integers on the regular representation, which proves them on the n x n
-adjacency matrices too (see generates), so nothing here builds an n x n
-matrix.  The powers of B_union are built once per union, in integers: the
-minimal-polynomial echelon, K and the regular-representation check all
-read that one list.  No verdict in this module depends on floating point.
+representation matrix B_union has d+1 distinct eigenvalues.  That count is
+decided once, exactly: it is the rank over Q of the (d+1) x (d+1) Krylov
+matrix K whose column t is B_union^t e_0, the coordinates of B_union^t in
+the basis {B_i} (proof in generates).  The minimal-polynomial degree,
+spectra.distinct_eigenvalue_count, is an independent oracle for the tests.
+The witness polynomial of class i is the unique solution of K c = e_i, so
+the witnesses are the columns of K^-1, all found in one elimination of K.
+They are re-checked in integers on the regular representation, which
+proves them on the n x n adjacency matrices too (see generates), so
+nothing here builds an n x n matrix.  The powers of B_union are built once
+per union, in integers: K and the regular-representation check read that
+one list.  No generation verdict depends on floating point.  T3.1
+compares its predicted fission table with the computed one within
+RESID_TOL, rows aligned by the row map to the symmetrization that
+idempotent_matching fixes.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -33,7 +34,6 @@ import numpy as np
 from . import exactla
 from .core import canonical_form, memoized, symmetrize, union_classes
 from .errors import (
-    CriterionDisagreement,
     SplitRowMismatch,
     TooManyClasses,
     TypeUnclassifiable,
@@ -62,8 +62,9 @@ WITNESS_MAX_N = 256
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Verdict for one union: exact eigenvalue count, Krylov (power-span) rank,
-    and (when generating) the polynomials expressing each basis matrix."""
+    """Verdict for one union: its exact eigenvalue count, which is the
+    Krylov (power-span) rank and is reported under both names, and (when
+    generating) the polynomials expressing each basis matrix."""
 
     union: tuple
     eigen_count: int
@@ -90,12 +91,17 @@ def generates(s, union):
     """Exact generation verdict for the union digraph.
 
     One list of powers B_union^0, ..., B_union^d, exact in integers
-    (exactla.matrix_powers), feeds every check; the minimal-polynomial
-    echelon appends B_union^(d+1) to it when it needs that power.
-    eigen_count is the minimal-polynomial degree of B_union.  span_rank is
-    the rank of the Krylov matrix K = [e_0, B e_0, ..., B^d e_0], column 0
-    of each power, which is dim span{I, B, ..., B^d}; the union generates
-    iff both equal d+1.  The witness for class i solves K c = e_i, so that
+    (exactla.matrix_powers), feeds every check.  The union generates iff
+    B_union has d+1 distinct eigenvalues, and that count is the rank of the
+    Krylov matrix K = [e_0, B e_0, ..., B^d e_0], column 0 of each power:
+    B_union is diagonalizable (the B_i of a commutative scheme are), so the
+    count is the degree of its minimal polynomial, which is
+    dim span{I, B, ..., B^d} as the degree is at most d+1.  Every power of
+    B_union lies in span{B_i}, since the tensor is verified (below), and
+    X -> X e_0 is injective there, since B_i e_0 = e_i (p_{i0}^l is 1 iff
+    i = l).  So the rank of K, the image of span{I, B, ..., B^d}, is the
+    eigenvalue count; the report gives it as both eigen_count and
+    span_rank.  The witness for class i solves K c = e_i, so that
     sum_t c_t B^t = B_i; one solve_exact call finds all d+1 of them.  They
     are re-checked in integers against the same powers on the regular
     representation, and that proves them on the adjacency matrices:
@@ -113,16 +119,10 @@ def generates(s, union):
     u = union_classes(s.d, union)
     B = intersection_matrices(s)
     d = s.d
-    BL = sum(B[i] for i in u)
-    powers = exactla.matrix_powers(BL, d)
-    eigen_count = exactla.minpoly_degree(BL, powers)
-    K = np.stack([P[:, 0] for P in powers[: d + 1]], axis=1).tolist()
+    powers = exactla.matrix_powers(sum(B[i] for i in u), d)
+    K = np.stack([P[:, 0] for P in powers], axis=1).tolist()
     span_rank = exactla.rank(K)
-    if eigen_count != span_rank:
-        raise CriterionDisagreement(
-            f"minimal-polynomial degree {eigen_count} != Krylov rank {span_rank}", u
-        )
-    gen = eigen_count == d + 1
+    gen = span_rank == d + 1
     witness = None
     if gen:
         units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
@@ -130,9 +130,9 @@ def generates(s, union):
         if None in sols:
             raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
         witness = tuple(tuple(sol) for sol in sols)
-        _check_regular(B, powers[: d + 1], u, witness)
+        _check_regular(B, powers, u, witness)
     verified = gen and s.n <= WITNESS_MAX_N
-    return GenerationReport(u, eigen_count, span_rank, gen, witness, verified)
+    return GenerationReport(u, span_rank, span_rank, gen, witness, verified)
 
 
 def _scaled(poly):
@@ -369,7 +369,6 @@ def permute_table_columns(e, perm):
         P,
         e.multiplicities,
         exact,
-        e.eigen_basis[:, cols].copy(),
         e.n,
         tuple(e.valencies[c] for c in cols),
     )
@@ -445,61 +444,9 @@ def predict_fission_table(sym_t, split_row, a):
         P,
         tuple(mults),
         tuple(tuple(r) for r in rows_exact),
-        P.copy(),
         sym_t.n,
         valencies,
     )
-
-
-def _bottleneck_value(cost):
-    """Minimum over row-to-column matchings of the largest matched cost.
-
-    Binary search over the distinct costs for the smallest threshold whose
-    admitted entries hold a perfect matching, found by augmenting paths.
-    """
-    m = cost.shape[0]
-
-    def perfect(allowed):
-        owner = [-1] * m
-
-        def augment(i, seen):
-            for j in np.flatnonzero(allowed[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    if owner[j] < 0 or augment(owner[j], seen):
-                        owner[j] = i
-                        return True
-            return False
-
-        return all(augment(i, [False] * m) for i in range(m))
-
-    values = np.unique(cost)
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if perfect(cost <= values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(values[lo])
-
-
-def compare_fission_tables(predicted, computed):
-    """Max entrywise deviation after optimally matching rows.
-
-    Columns must already be aligned; rows are matched by minimizing the
-    worst per-row deviation (bottleneck assignment), so conjugate-pair
-    order does not matter.
-    """
-    if predicted.P.shape != computed.P.shape:
-        raise SplitRowMismatch(
-            f"table shapes differ: {predicted.P.shape} vs {computed.P.shape}"
-        )
-    m = predicted.P.shape[0]
-    cost = np.empty((m, m))
-    for i in range(m):
-        cost[i] = np.abs(predicted.P[i][None, :] - computed.P).max(axis=1)
-    return _bottleneck_value(cost)
 
 
 def check_theorem_fission(x):
@@ -508,7 +455,10 @@ def check_theorem_fission(x):
     Applicable to one-pair schemes with amorphic symmetrization.  The
     radicand a is extracted from the computed split row, snapped to a
     rational; holds when a < 0 and the predicted table matches the
-    computed one entrywise within 1e-8 after column alignment.
+    computed one entrywise within 1e-8 after column alignment.  Rows are
+    aligned by the symmetrization row map of idempotent_matching: the
+    predicted row of symmetrization row j meets the x row that fuses to
+    it, and the two rows of the split pair are tried in both orders.
     """
     tid = "T3.1"
     refused = _needs_one_pair(x, tid) or _needs_amorphic_symmetrization(x, tid)
@@ -537,8 +487,11 @@ def check_theorem_fission(x):
     predicted = predict_fission_table(sym_aligned, split, a)
     class_of = {corr[i]: i for i in range(1, x.d + 1) if i not in (p1, p2)}
     x_cols = [0] + [class_of[c] for c in col_perm[1:-1]] + [p1, p2]
-    computed = permute_table_columns(x_t, x_cols)
-    dev = compare_fission_tables(predicted, computed)
+    devs = []
+    for pair in (match.row_map[split], match.row_map[split][::-1]):
+        rows = [r for j, g in enumerate(match.row_map) for r in (pair if j == split else g)]
+        devs.append(float(np.abs(predicted.P - x_t.P[np.ix_(rows, x_cols)]).max()))
+    dev = min(devs)
     return TheoremVerdict(tid, True, dev < RESID_TOL, {
         "a": str(a),
         "split_row": split,

@@ -18,11 +18,12 @@ The spectral fusion check, the amorphic normal form, the row map to the
 symmetrization, T4.1's test of whether an entry is real and union_spectrum
 (the rows grouped on the one block Lambda) all call it.
 
-Counting distinct eigenvalues of a union digraph never relies on floats:
-the count is the degree of the minimal polynomial of the integer matrix
-B_Lambda, the sum of the B_i over the union, over Q, by exact Gaussian
-elimination.
-union_spectrum is an independent cross-check, not the decision procedure.
+Counting distinct eigenvalues of a union digraph never relies on floats.
+generator.generates decides generation from the rank of a Krylov matrix;
+distinct_eigenvalue_count is an independent exact oracle for the same
+count, the degree of the minimal polynomial of the integer matrix
+B_Lambda, the sum of the B_i over the union, over Q.  union_spectrum, read
+from the table, is a float cross-check of both, not a decision procedure.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .exact import (
     snap_rational_value,
 )
 
-DEFAULT_SEED = 0x5EED
+SEED = 0x5EED  # the draws are fixed, so every table is deterministic
 MAX_RETRIES = 8
 CLUSTER_TOL = 1e-9  # relative: two table values within it are equal
 RESID_TOL = 1e-8  # absolute: a computed value within it of its prediction holds
@@ -71,15 +72,13 @@ class EigenTable:
     P[j, i] is the eigenvalue of A_i on the j-th common eigenspace; row 0
     is the valency row and column 0 is all ones.  exact[j][i] is a QuadVal
     when the entry snapped to a rational or quadratic value, else None.
-    eigen_basis holds the raw eigenrows as computed, before snapping.  The
-    tables of character_table are shared by all its callers, so their P
-    and eigen_basis are read-only.
+    The tables of character_table are shared by all its callers, so their
+    P is read-only.
     """
 
     P: np.ndarray
     multiplicities: tuple
     exact: tuple
-    eigen_basis: np.ndarray
     n: int
     valencies: tuple
 
@@ -186,18 +185,17 @@ def multiplicities(P, valencies, n):
 
 def _read_only(e):
     e.P.setflags(write=False)
-    e.eigen_basis.setflags(write=False)
     return e
 
 
-@memoized(lambda s, seed=DEFAULT_SEED: seed)
-def character_table(s, seed=DEFAULT_SEED):
+@memoized(lambda s: ())
+def character_table(s):
     """Compute the character table of a commutative scheme.
 
-    seed drives the random combination coefficients: attempt a draws them
-    from [-10^(a+1), 10^(a+1)], so each retry makes a chance collision of
-    two rows' eigenvalues ten times less likely.  The table is computed
-    once per (scheme, seed) and is read-only.
+    Attempt a draws the random combination coefficients from
+    [-10^(a+1), 10^(a+1)] with the fixed SEED, so each retry makes a chance
+    collision of two rows' eigenvalues ten times less likely.  The table is
+    computed once per scheme and is read-only.
     """
     B = intersection_matrices(s)
     d = s.d
@@ -205,8 +203,8 @@ def character_table(s, seed=DEFAULT_SEED):
     if d == 0:
         one = QuadVal.rational(1)
         P = np.ones((1, 1), dtype=np.complex128)
-        return _read_only(EigenTable(P, (1,), ((one,),), P.copy(), n, s.valencies))
-    rng = np.random.default_rng(seed)
+        return _read_only(EigenTable(P, (1,), ((one,),), n, s.valencies))
+    rng = np.random.default_rng(SEED)
     k = np.array(s.valencies, dtype=np.float64)
     rows = None
     for attempt in range(MAX_RETRIES + 1):
@@ -242,12 +240,11 @@ def character_table(s, seed=DEFAULT_SEED):
         )
 
     order = [0] + sorted(range(1, d + 1), key=row_key)
-    basis = rows[order].copy()
     P, exact = _snap_table(rows[order].copy(), s.valencies)
     mults = tuple(multiplicities(P, s.valencies, n))
     if mults[0] != 1 or sum(mults) != n:
         raise MultiplicitySumMismatch(f"multiplicities {list(mults)}, n = {n}")
-    return _read_only(EigenTable(P, mults, exact, basis, n, s.valencies))
+    return _read_only(EigenTable(P, mults, exact, n, s.valencies))
 
 
 def distinct_eigenvalue_count(s, union):

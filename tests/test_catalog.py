@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -12,7 +13,7 @@ from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from ascheme import _kernels
+from ascheme import _kernels, catalog
 from ascheme.catalog import (
     CHECKS,
     build_cyclotomic,
@@ -33,6 +34,7 @@ from ascheme.catalog import (
 )
 from ascheme.core import (
     MAX_D,
+    MAX_N,
     IntersectionTensor,
     Scheme,
     color_matrix,
@@ -142,6 +144,31 @@ def test_cyclotomic_validation():
         build_cyclotomic(7, 0)
     with pytest.raises(TooLarge):
         build_cyclotomic(263, 2)
+
+
+def test_cyclotomic_size_guard_precedes_the_factor_search(monkeypatch):
+    """q = 9999991 is prime; the O(q) search for its smallest factor took
+    about 1 s, and a q near 10^9 minutes, before the field refused it."""
+
+    def no_search(q):
+        raise AssertionError(f"factored q = {q} before the size guard")
+
+    monkeypatch.setattr(catalog, "_prime_power", no_search)
+    with pytest.raises(TooLarge, match="field size 9999991 exceeds 257"):
+        build_cyclotomic(9999991, 2)
+
+
+def test_complete_scheme_size_guard_precedes_the_arrays():
+    """K_n for n = MAX_N + 1 is refused before its n x n arrays exist
+    (three of 134 MB each were built before)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"n = {MAX_N + 1} exceeds"):
+            complete_scheme(MAX_N + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_schurian_z4_is_thin():

@@ -112,14 +112,15 @@ def test_spectrum_json_and_flag_positions(pentagon_file, capsys):
 
 
 def test_spectrum_seed_precision_flags(pentagon_file, capsys):
-    """--seed is a global flag; --precision is not, since the table has
-    one float64 path, and the parser rejects it with exit code 2."""
-    assert main(["spectrum", pentagon_file, "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "character table" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", pentagon_file, "--precision", "128"])
-    assert exc.value.code == 2
+    """Neither --seed nor --precision is a flag: the table has one float64
+    path with fixed draws, and the parser rejects both with exit code 2."""
+    for flag in (["--seed", "7"], ["--precision", "128"]):
+        for argv in (["spectrum", pentagon_file, *flag], [*flag, "spectrum", pentagon_file]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+    assert main(["spectrum", pentagon_file]) == 0
+    assert "character table" in capsys.readouterr().out
 
 
 def test_fuse_single_partition(pentagon_file, capsys):

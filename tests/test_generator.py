@@ -1,19 +1,15 @@
-import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from ascheme import exactla, generator
 from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme, complete_scheme
 from ascheme.core import MAX_D, MAX_N, Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
-    CriterionDisagreement,
     NotPrime,
     SplitRowMismatch,
     ToleranceAmbiguity,
@@ -24,20 +20,19 @@ from ascheme.errors import (
 from ascheme.exactla import matrix_powers, solve_exact
 from ascheme.generator import (
     WITNESS_MAX_N,
-    _bottleneck_value,
     check_theorem_4class,
     check_theorem_amorphic,
     check_theorem_fission,
     check_theorem_one_pair,
     check_theorem_skew_types,
     classify_skew_4class,
-    compare_fission_tables,
     find_generating_unions,
     generates,
     minimal_generating,
     permute_table_columns,
     predict_fission_table,
 )
+from ascheme.fusion import idempotent_matching
 from ascheme.spectra import (
     EigenTable,
     character_table,
@@ -237,6 +232,18 @@ def test_generation_builds_no_adjacency_matrix(monkeypatch):
     assert all(rep.witness_verified for r in reports for rep in r if rep.generates)
 
 
+def test_generation_runs_no_minimal_polynomial(monkeypatch):
+    """generates decides from the Krylov rank alone: the minimal-polynomial
+    echelon, kept for distinct_eigenvalue_count, is not on its path."""
+
+    def no_minpoly(B):
+        raise AssertionError("generation must not compute a minimal polynomial")
+
+    monkeypatch.setattr(exactla, "minpoly_degree", no_minpoly)
+    reports = [find_generating_unions(s) for s in fresh_catalog()]
+    assert sum(len(r) for r in reports) == 407
+
+
 def _tampered_solve(A, rhs):
     xs = solve_exact(A, rhs)
     for x in xs:
@@ -254,7 +261,6 @@ def _unsolvable_from_class_2(A, rhs):
         ("solve_exact", _tampered_solve, WitnessRejected, 0),
         ("solve_exact", lambda A, rhs: [None] * len(rhs), WitnessUnsolvable, 0),
         ("solve_exact", _unsolvable_from_class_2, WitnessUnsolvable, 2),
-        ("rank", lambda vectors: 2, CriterionDisagreement, None),
     ],
 )
 def test_failed_generation_check_raises_typed_error(monkeypatch, attr, fake, error, i):
@@ -262,6 +268,16 @@ def test_failed_generation_check_raises_typed_error(monkeypatch, attr, fake, err
     with pytest.raises(error) as exc:
         generates(catalog_scheme("cyclo-7-2"), (1,))
     assert exc.value.union == (1,) and exc.value.i == i
+
+
+def test_false_full_rank_raises_witness_unsolvable(monkeypatch):
+    """A rank that claims d+1 on a union that does not generate cannot
+    produce a witness: e_1 is outside the span of K's columns e_0 and
+    (0, 1, 1), so K c = e_1 has no solution."""
+    monkeypatch.setattr(exactla, "rank", lambda vectors: len(vectors))
+    with pytest.raises(WitnessUnsolvable) as exc:
+        generates(catalog_scheme("cyclo-7-2"), (1, 2))
+    assert exc.value.union == (1, 2) and exc.value.i == 1
 
 
 def test_tampered_witness_raises_with_asserts_stripped(monkeypatch):
@@ -515,7 +531,9 @@ def test_predict_fission_table_qr7():
     assert rho.q == Fraction(-1, 2) and rho.r == Fraction(1, 2) and rho.v == -7
     assert pred.exact[2][1] == rho.conjugate()
     computed = character_table(x)
-    assert compare_fission_tables(pred, computed) < 1e-12
+    # the split pair in either order
+    devs = [np.abs(pred.P - computed.P[rows]).max() for rows in ([0, 1, 2], [0, 2, 1])]
+    assert min(devs) < 1e-12
 
 
 def test_predict_fission_table_validation():
@@ -529,57 +547,28 @@ def test_predict_fission_table_validation():
         predict_fission_table(odd, 1, Fraction(-4))
 
 
-def test_compare_fission_tables_row_order_invariant():
-    x = catalog_scheme("cyclo-7-2")
-    e = character_table(x)
-    swapped = permute_table_columns(e, (0, 1, 2))
-    P = e.P[[0, 2, 1]].copy()
-    exact = (e.exact[0], e.exact[2], e.exact[1])
-    from ascheme.spectra import EigenTable
-
-    shuffled = EigenTable(
-        P, e.multiplicities, exact, P.copy(), e.n, e.valencies
-    )
-    assert compare_fission_tables(shuffled, swapped) < 1e-12
-    with pytest.raises(SplitRowMismatch):
-        compare_fission_tables(e, character_table(catalog_scheme("cyclo-13-4")))
-
-
-def _brute_min_max(cost):
-    m = cost.shape[0]
-    return min(max(cost[i, s[i]] for i in range(m)) for s in itertools.permutations(range(m)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_compare_fission_tables_is_bottleneck_matching(data):
-    """Small integer tables force ties; the value is the brute-force
-    min-max, unchanged by a row permutation of the computed table, and
-    never above the max of a min-sum assignment."""
-    m = data.draw(st.integers(1, 6))
-    cols = data.draw(st.integers(1, 3))
-    entries = st.integers(-2, 2)
-    pred = np.array(data.draw(st.lists(entries, min_size=m * cols, max_size=m * cols)))
-    comp = np.array(data.draw(st.lists(entries, min_size=m * cols, max_size=m * cols)))
-    pred = pred.reshape(m, cols).astype(np.complex128)
-    comp = comp.reshape(m, cols).astype(np.complex128)
-    rows = np.array(data.draw(st.permutations(range(m))))
-    cost = np.abs(pred[:, None, :] - comp[None, :, :]).max(axis=2)
-    value = compare_fission_tables(SimpleNamespace(P=pred), SimpleNamespace(P=comp))
-    assert value == _brute_min_max(cost)
-    assert value == compare_fission_tables(SimpleNamespace(P=pred), SimpleNamespace(P=comp[rows]))
-    rix, cix = linear_sum_assignment(cost)
-    assert value <= cost[rix, cix].max()
-
-
-def test_bottleneck_value_at_largest_table():
-    rng = np.random.default_rng(5)
-    m = 33
-    cost = rng.integers(2, 10, size=(m, m)).astype(float)
-    cost[np.arange(m), rng.permutation(m)] = 1.0
-    assert _bottleneck_value(cost) == 1.0
-    cost[0, :] = 7.0
-    assert _bottleneck_value(cost) == 7.0
+def test_fission_rows_follow_the_row_map():
+    """T3.1 matches rows by the symmetrization row map: planting x's table
+    with rows 1..d reversed, which also swaps the split pair, leaves every
+    verdict and its evidence unchanged."""
+    for eid in EXPECTED_A:
+        want = check_theorem_fission(catalog_scheme(eid))
+        x = catalog_scheme(eid)  # a fresh scheme: the table planted below stays its own
+        e = character_table(x)
+        before = idempotent_matching(x)
+        rows = [0, *range(x.d, 0, -1)]
+        key = next(k for k, v in x._memo.items() if v is e)
+        x._memo[key] = EigenTable(
+            e.P[rows],
+            tuple(e.multiplicities[r] for r in rows),
+            tuple(e.exact[r] for r in rows),
+            e.n,
+            e.valencies,
+        )
+        after = idempotent_matching(x)
+        pair = before.row_map[before.split_row]
+        assert tuple(rows[r] for r in after.row_map[after.split_row]) == pair[::-1], eid
+        assert check_theorem_fission(x) == want, eid
 
 
 def test_permute_table_columns_validation():
@@ -653,7 +642,7 @@ def test_skew_classification_raises_in_the_ambiguity_window():
     P = e.P.copy()
     P[1, 1] += 2e-8
     key = next(k for k, v in x._memo.items() if v is e)
-    x._memo[key] = EigenTable(P, e.multiplicities, e.exact, e.eigen_basis, e.n, e.valencies)
+    x._memo[key] = EigenTable(P, e.multiplicities, e.exact, e.n, e.valencies)
     with pytest.raises(ToleranceAmbiguity):
         classify_skew_4class(x)
     with pytest.raises(ToleranceAmbiguity):
