@@ -20,13 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ascheme.catalog import (  # noqa: E402
-    CHECKS,
-    _prime_power,
-    _run_checks,
-    build_cyclotomic,
-    records_to_jsonl,
-)
+from ascheme.builders import _prime_power, build_cyclotomic  # noqa: E402
+from ascheme.catalog import CHECKS, _run_checks, records_to_jsonl  # noqa: E402
 from ascheme.errors import NotPrime  # noqa: E402
 
 MAX_Q = 257

@@ -4,26 +4,29 @@ Exit codes: 0 for success (and all-pass batch runs), 1 for a negative
 analysis verdict (axiom violation, failed theorem, failed batch check),
 2 for input errors (unreadable files, malformed scheme data, bad
 arguments).
+
+Each command imports the modules it runs inside its function, so a
+one-shot `verify` loads only core (with _kernels) and errors, and `build`
+adds builders and finitefield.  The check names for the parser come from
+the package root's table, not from generator.
 """
 
 import argparse
 import json
 import sys
 
-from . import catalog as cat
-from .catalog import THEOREMS
+from . import _CHECKS
 from .core import (
     canonical_partition,
     emit_scheme_file,
+    json_default,
     parse_scheme_file,
     union_classes,
     verify_axioms,
 )
 from .errors import AxiomViolation, ParseError, SchemeError
-from .fusion import cross_check_fusions, is_amorphic
-from .fusion import enumerate_admissible_partitions
-from .generator import find_generating_unions, generates
-from .spectra import character_table
+
+_THEOREMS = [name for name, fn in _CHECKS.items() if fn]
 
 
 class _InputError(Exception):
@@ -52,7 +55,7 @@ def _fail(msg, code):
 
 def _emit(payload, args, text_render):
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True, default=cat._json_default) + "\n"
+        out = json.dumps(payload, indent=2, sort_keys=True, default=json_default) + "\n"
     else:
         out = text_render(payload)
     _write(out, args)
@@ -128,6 +131,8 @@ def _render_table(e):
 
 
 def cmd_spectrum(args):
+    from .spectra import character_table
+
     s = _load_scheme(args.scheme)
     e = character_table(s)
     _emit(e.to_json(), args, lambda p: _render_table(e))
@@ -135,6 +140,9 @@ def cmd_spectrum(args):
 
 
 def cmd_fuse(args):
+    from .fusion import cross_check_fusions, enumerate_admissible_partitions
+    from .spectra import character_table
+
     s = _load_scheme(args.scheme)
     e = character_table(s)
     if args.partition:
@@ -160,6 +168,8 @@ def cmd_fuse(args):
 
 
 def cmd_amorphic(args):
+    from .fusion import is_amorphic
+
     s = _load_scheme(args.scheme)
     am, cert = is_amorphic(s)
     payload = {"is_amorphic": am, **cert}
@@ -173,6 +183,8 @@ def cmd_amorphic(args):
 
 
 def cmd_generators(args):
+    from .generator import find_generating_unions, generates
+
     s = _load_scheme(args.scheme)
     if args.union:
         reports = [generates(s, _parse_union(args.union, s.d))]
@@ -195,9 +207,11 @@ def cmd_generators(args):
 
 
 def cmd_theorems(args):
+    from . import generator
+
     s = _load_scheme(args.scheme)
-    names = [args.theorem] if args.theorem else list(THEOREMS)
-    verdicts = [THEOREMS[t](s) for t in names]
+    names = [args.theorem] if args.theorem else _THEOREMS
+    verdicts = [getattr(generator, _CHECKS[t])(s) for t in names]
     payload = [v.to_json() for v in verdicts]
     def render(p):
         lines = []
@@ -214,6 +228,8 @@ def cmd_theorems(args):
 
 
 def cmd_catalog_run(args):
+    from . import catalog as cat
+
     ids = args.ids if args.ids else None
     if ids:
         known = set(cat.catalog_ids())
@@ -231,15 +247,17 @@ def cmd_catalog_run(args):
 
 
 def cmd_build(args):
+    from . import builders
+
     spec = args.spec
     try:
-        if spec in cat.catalog_ids():
-            s = cat.catalog_scheme(spec)
+        if spec in builders.catalog_ids():
+            s = builders.catalog_scheme(spec)
         elif spec.startswith("cyclotomic:"):
             q, m = (int(t) for t in spec.split(":", 1)[1].split(","))
-            s = cat.build_cyclotomic(q, m)
+            s = builders.build_cyclotomic(q, m)
         elif spec.startswith("complete:"):
-            s = cat.complete_scheme(int(spec.split(":", 1)[1]))
+            s = builders.complete_scheme(int(spec.split(":", 1)[1]))
         else:
             return _fail(
                 f"unknown build spec {spec!r}; use a catalog id, "
@@ -296,12 +314,12 @@ def main(argv=None):
 
     p = sub.add_parser("theorems", help="run the structural theorem checks", parents=[common])
     p.add_argument("scheme")
-    p.add_argument("--theorem", choices=sorted(THEOREMS))
+    p.add_argument("--theorem", choices=sorted(_THEOREMS))
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("catalog-run", help="batch checks over the bundled catalog", parents=[common])
     p.add_argument("--ids", nargs="*", help="subset of catalog ids")
-    p.add_argument("--checks", nargs="*", help=f"subset of {list(cat.CHECKS)}")
+    p.add_argument("--checks", nargs="*", help=f"subset of {list(_CHECKS)}")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_catalog_run)
 

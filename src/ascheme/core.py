@@ -8,10 +8,10 @@ count p_{ij}^l of z with (x,z) in R_i and (z,y) in R_j depends only on the
 color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
 verify_axioms checks (3) and (4) and collects the full tensor p; a Scheme
 is the coloring plus p.  verify_axioms runs on parsed files and
-scheme_from_entries; catalog's cyclotomic and product builders decide or
-derive p themselves and build the Scheme directly.  A fusion of a verified scheme is decided by
-fuse_classes on p alone and yields the fused p, without rerunning the axiom
-kernel or building an n x n coloring.
+scheme_from_entries; the cyclotomic and product builders (builders)
+decide or derive p themselves and build the Scheme directly.  A fusion of
+a verified scheme is decided by fuse_classes on p alone and yields the
+fused p, without rerunning the axiom kernel or building an n x n coloring.
 
 Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
@@ -24,6 +24,7 @@ parameters) is computed once and kept in the scheme's memo (memoized).
 """
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,6 +358,24 @@ def emit_scheme_file(s):
         chars[:, -1, -1] = ord("\n")
         rows[a:b] = chars[keep.take(e[a:b], axis=0)].reshape(b - a, row_len)
     return str(buf.data, "ascii")
+
+
+def json_default(obj):
+    """json's fallback for the numpy scalars and Fractions in reports: a
+    numpy scalar as the Python number, a Fraction as its string 'p/q'.
+
+    Fractions are matched as numbers.Rational, which numpy has loaded
+    already, so a one-shot launch does not import fractions for this.
+    """
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, numbers.Rational):
+        return str(obj)
+    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def verify_axioms(c):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ascheme.catalog import catalog_scheme, complete_scheme
+from ascheme.builders import catalog_scheme, complete_scheme
 from ascheme.cli import main
 from ascheme.errors import NotAScheme
 from ascheme.exact import QuadVal

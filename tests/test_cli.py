@@ -295,6 +295,62 @@ def test_cli_import_loads_no_heavy_dependencies():
     assert not loaded & {"scipy", "sympy", "numba", "mpmath"}
 
 
+# A one-shot launch as the `ascheme` console script makes it; the ascheme
+# modules it loaded go to the last line of stderr.
+_FOOTPRINT = (
+    "import sys\n"
+    "from ascheme.cli import main\n"
+    "code = main()\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'ascheme'), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+VERIFY_MODULES = {"ascheme", "ascheme.cli", "ascheme.core", "ascheme._kernels", "ascheme.errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["verify", "FILE"], VERIFY_MODULES),
+        (["verify", "FILE", "--format", "json"], VERIFY_MODULES),
+        (["build", "cyclo-13-4"], VERIFY_MODULES | {"ascheme.builders", "ascheme.finitefield"}),
+    ],
+)
+def test_one_shot_launch_loads_only_the_modules_it_runs(argv, loaded, pentagon_file):
+    """verify needs the parser, the axiom kernel and the errors; build adds
+    the builders and GF(q).  No decider, catalog battery or exact
+    arithmetic is imported or compiled for them."""
+    import ascheme
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ascheme.__file__).parents[1]))
+    argv = [pentagon_file if a == "FILE" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) == loaded
+
+
+def test_check_names_have_one_source(capsys):
+    """The --theorem choices, the --checks help, catalog.CHECKS and
+    catalog.THEOREMS agree, and each theorem check is decided by the
+    generator function whose verdict carries its name."""
+    from ascheme import catalog, generator
+
+    theorems = [c for c in catalog.CHECKS if c in catalog.THEOREMS]
+    assert list(catalog.THEOREMS) == theorems == ["T1.2", "T1.3", "T1.4", "T3.1", "T4.1"]
+    assert set(catalog.CHECKS) - set(theorems) == set(catalog._PLAIN_CHECKS)
+    s = catalog_scheme("cyclo-13-4")
+    for name, decide in catalog.THEOREMS.items():
+        assert getattr(generator, decide.__name__) is decide
+        assert decide(s).theorem_id == name
+    with pytest.raises(SystemExit):
+        main(["theorems", "--help"])
+    assert "--theorem {" + ",".join(sorted(theorems)) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["catalog-run", "--help"])
+    assert f"subset of {list(catalog.CHECKS)}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_loads_no_numpy_ma(pentagon_file):
     """numpy.ma costs a one-shot launch about 15 ms; parsing and
     validating a scheme file must not pull it in."""

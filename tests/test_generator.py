@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from ascheme import exactla, generator
-from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme, complete_scheme
+from ascheme.builders import build_cyclotomic, build_product, catalog_scheme, complete_scheme
 from ascheme.core import MAX_D, MAX_N, Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     NotPrime,
