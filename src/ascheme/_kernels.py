@@ -68,6 +68,24 @@ column-major scan of the product against the class values at the
 transposed first arcs; every cell is then seen, directly or transposed.
 The minimum over products is the first violating pair; a recount there
 gives the first color pair (a, b) whose count differs.
+
+Every product reads its class values, at the first arcs and at their
+transposes, as m dot products each of an operand row with an operand
+column, so they do not depend on which part of the product is made.
+Those sums are exact in any order for the same reason as the products:
+each term is 0 or a u_a v_b no larger than the packed value, so every
+partial sum is a nonnegative integer below 2^53.  Once a product has
+shown a violation at scan index bad, a later product matters only where
+it could show an earlier one.  Put r = bad // n + 1.  A direct cell that
+fails at pair (x, y) before bad has x <= bad // n, so it lies in rows < r
+of the product; a transposed cell C_ab^T fails at pair (y, x) where the
+product fails at (x, y), and y*n + x < bad puts that in columns < r.  So
+a later product makes only its rows < r and its columns < r, 2rn^2
+multiply-adds against n^3 for the whole product: the kernel cuts a
+product only while 2r < n, and otherwise makes it whole.  A rejected
+coloring then costs the products up to the first that fails, then
+2rn^2 multiply-adds and O(n^2) gathers for each later one, and p still
+holds the histogram at every class's first arc.
 """
 
 import math
@@ -182,6 +200,14 @@ def tensor_and_verify(e, d, t):
     e[x, z] = i and e[z, y] = j for the first arc (x, y) of color l.  When
     ok is False, witness holds (i, j, l, x1, y1, count1, x2, y2, count2)
     for the first two conflicting pairs in scan order.
+
+    Once a product fails at scan index bad, each later product makes only
+    its rows and columns < r = bad // n + 1: rows < r hold every direct
+    cell that could fail before bad, and columns < r every transposed one.
+    Its class values come from m dot products of an operand row with an
+    operand column, exact in any summation order as every term and
+    partial sum is a nonnegative integer below 2^53.  While 2r >= n the
+    product is made whole, so none costs more than n^3 multiply-adds.
     """
     n = e.shape[0]
     m = d + 1
@@ -190,32 +216,48 @@ def tensor_and_verify(e, d, t):
     # cast again on each take
     idx = e.astype(np.intp)
     first = first_arcs(e, d)
-    first_t = first % n * n + first // n
+    fx, fy = np.divmod(first, n)
     p = np.full((m, m, m), -1, dtype=np.int64)
     p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
     wit = np.full(9, -1, dtype=np.int64)
-    bad = -1
+    # the first violating scan index so far, n^2 for none
+    bad = n * n
     for left, right, u, v in plan(row_bounds(idx, d), t.tolist()):
+        # rows and columns < r hold every cell that can fail before bad;
+        # once 2r >= n they cost more than the whole product
+        r = bad // n + 1
+        if 2 * r >= n:
+            r = n
         wl, wr = np.zeros(m), np.zeros(m)
         wl[list(left)] = u[:-1]
         wr[list(right)] = v[:-1]
-        # both operands are freed before the constancy check
-        prod = wl[idx] @ wr[idx]
-        flat = prod.ravel()
-        ref, ref_t = flat[first], flat[first_t]
-        mismatch = prod != ref[idx]
-        if mismatch.any():
-            fi = int(np.argmax(mismatch))
+        lhs, rhs = wl[idx], wr[idx]
+        ref = np.einsum("ij,ji->i", lhs[fx], rhs[:, fy])
+        ref_t = np.einsum("ij,ji->i", lhs[fy], rhs[:, fx])
+        # the kernel's only products; both operands are freed before the
+        # constancy check
+        head = np.matmul(lhs[:r], rhs)
+        side = head if r == n else np.matmul(lhs, rhs[:, :r])
+        del lhs, rhs
+        # mismatch lives into the next product: freeing it let the heap
+        # shrink, and the next product's arrays took about 2000 more page
+        # faults, 10% of a valid call at n = 961
+        mismatch = head != ref[idx[:r]]
+        failed = bool(mismatch.any())
+        if failed:
+            bad = min(bad, int(np.argmax(mismatch)))
+        del head
+        # on a whole product the transposed cells fail only where the
+        # direct ones do
+        if failed or r < n:
             del mismatch
-            mismatch = prod != ref_t[t][idx]
-            y = int(np.argmax(mismatch.any(axis=0)))
-            fi_t = y * n + int(np.argmax(mismatch[:, y]))
-            del mismatch
-            fi = min(fi, fi_t)
-            if bad < 0 or fi < bad:
-                bad = fi
+            mismatch = side != ref_t[t][idx[:, :r]]
+            cols = mismatch.any(axis=0)
+            if cols.any():
+                y = int(np.argmax(cols))
+                bad = min(bad, y * n + int(np.argmax(mismatch[:, y])))
         # the next product's operands must not meet this product
-        del prod, flat
+        del side
         packed, packed_t = ref.astype(np.int64), ref_t.astype(np.int64)
         for k, a in enumerate(left):
             s = packed % u[k + 1] // u[k]
@@ -223,7 +265,7 @@ def tensor_and_verify(e, d, t):
             for j, b in enumerate(right):
                 p[a, b] = s % v[j + 1] // v[j]
                 p[t[b], t[a]] = s_t % v[j + 1] // v[j]
-    if bad < 0:
+    if bad == n * n:
         return p, True, wit
     # rebuild the witness in scan order: first violating pair row-major,
     # then first color pair (a, b) lexicographically
@@ -233,8 +275,7 @@ def tensor_and_verify(e, d, t):
     for a in range(m):
         for b in range(m):
             if cnt[a, b] != p[a, b, l]:
-                fx, fy = divmod(int(first[l]), n)
-                wit[:] = (a, b, l, fx, fy, p[a, b, l], x, y, cnt[a, b])
+                wit[:] = (a, b, l, fx[l], fy[l], p[a, b, l], x, y, cnt[a, b])
                 return p, False, wit
     raise ViolationNotReproduced(f"pair ({x}, {y}) violates axiom (4) but recounts clean")
 

@@ -10,7 +10,13 @@ import pytest
 from mpmath import mp
 
 from ascheme import _kernels, core, exactla, fusion, generator, spectra, srg
-from ascheme.catalog import catalog_ids, catalog_scheme, run_catalog
+from ascheme.catalog import (
+    build_cyclotomic,
+    build_product,
+    catalog_ids,
+    catalog_scheme,
+    run_catalog,
+)
 from ascheme.core import (
     MAX_D,
     MAX_N,
@@ -132,6 +138,18 @@ def run_kernel(e, d, kernels=_kernels):
     with the transpose map read at each color's first arc."""
     t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
     return kernels.tensor_and_verify(e, d, t)
+
+
+def corrupted_ladder_961():
+    """(e, d): cyclotomic(31,2) x cyclotomic(31,2) (n = 961, d = 8) with
+    arc (500, 17) and its reverse recolored, so axiom (3) still holds and
+    axiom (4) fails."""
+    c = build_cyclotomic(31, 2)
+    s = build_product(c, c, "direct")
+    e, t = s.color.entries.copy(), s.transpose_map
+    b = 1 + int(e[500, 17]) % s.d
+    e[500, 17], e[17, 500] = b, t[b]
+    return e, s.d
 
 
 def scan_tensor_and_verify(e, d):

@@ -10,6 +10,8 @@ from ascheme.catalog import catalog_scheme
 from ascheme.cli import main
 from ascheme.core import emit_scheme_file, parse_scheme_file, verify_axioms
 
+from conftest import corrupted_ladder_961
+
 PENTAGON = """\
 5 2
 0 1 2 2 1
@@ -79,6 +81,19 @@ def test_verify_axiom_violation(tmp_path, capsys):
     f.write_text(BROKEN_COUNTS)
     assert main(["verify", str(f)]) == 1
     assert "invalid:" in capsys.readouterr().out
+
+
+def test_verify_rejects_corrupted_n_961(tmp_path, capsys):
+    # the scheme file holds the coloring's own labels, so the witness names
+    # the classes and pairs the kernel sees
+    e, d = corrupted_ladder_961()
+    f = tmp_path / "corrupted.txt"
+    f.write_text(f"{e.shape[0]} {d}\n" + "".join(" ".join(map(str, r)) + "\n" for r in e.tolist()))
+    assert main(["verify", str(f)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid: intersection number p[5,6]^2 not constant: "
+        "pair (0, 3) gives 105, pair (0, 17) gives 104\n"
+    )
 
 
 def test_verify_parse_error(tmp_path, capsys):

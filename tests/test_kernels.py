@@ -12,6 +12,7 @@ from ascheme.errors import ViolationNotReproduced
 from conftest import (
     brute_intersection_numbers,
     compile_stripped,
+    corrupted_ladder_961,
     run_kernel,
     scan_tensor_and_verify,
 )
@@ -175,16 +176,68 @@ def test_kernel_matches_scan_oracle(case):
         assert (p1 == p2).all()
     else:
         assert (w1 == w2).all()
-    # p holds the histogram at every class's first arc, met or not; a class
-    # absent from row 0 has its first arc in a row whose counts row 0's do
-    # not bound
+    # a class absent from row 0 has its first arc in a row whose counts
+    # row 0's do not bound
+    assert_first_arc_histograms(p1, e, d)
+
+
+def assert_first_arc_histograms(p, e, d):
+    """p holds the histogram at every class's first arc, met or not."""
     n = e.shape[0]
     for l in range(d + 1):
         x, y = divmod(int(np.argmax(e.ravel() == l)), n)
         hist = np.zeros((d + 1, d + 1), dtype=np.int64)
         for z in range(n):
             hist[e[x, z], e[z, y]] += 1
-        assert (p1[:, :, l] == hist).all()
+        assert (p[:, :, l] == hist).all()
+
+
+REJECTED = [
+    ("cyclotomic-17-8", lambda: build_cyclotomic(17, 8)),
+    ("cyclotomic-49-6", lambda: build_cyclotomic(49, 6)),
+    ("cyclotomic-101-4", lambda: build_cyclotomic(101, 4)),
+    (
+        "wreath-13-2-7-2",
+        lambda: build_product(build_cyclotomic(13, 2), build_cyclotomic(7, 2), "wreath"),
+    ),
+    (
+        "wreath-13-12-5-4",
+        lambda: build_product(build_cyclotomic(13, 12), build_cyclotomic(5, 4), "wreath"),
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("name, build", REJECTED, ids=[name for name, _ in REJECTED])
+def test_kernel_rejects_like_scan_oracle(name, build, seed):
+    # 1-3 arcs recolored, each with its reverse, in schemes whose plans make
+    # two or more products.  Every product after the first that fails makes
+    # only the rows and columns that could hold an earlier violation; on
+    # the Z13 wreath Z5 scheme several seeds have such a product find one
+    s = build()
+    n, d, t = s.n, s.d, s.transpose_map
+    assert len(_plan(s.color.entries, d)) >= 2
+    rng = np.random.default_rng([seed, n, d])
+    e = s.color.entries.astype(np.int64)
+    for _ in range(1 + (seed - 1) % 3):
+        x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+        c = int(rng.choice([c for c in range(1, d + 1) if c != e[x, y]]))
+        e[x, y], e[y, x] = c, t[c]
+    _check_rejected(e, d)
+
+
+def test_kernel_rejects_like_scan_oracle_at_n_961():
+    e, d = corrupted_ladder_961()
+    assert len(_plan(e, d)) >= 2
+    _check_rejected(e, d)
+
+
+def _check_rejected(e, d):
+    p1, ok1, w1 = run_kernel(e, d)
+    p2, ok2, w2 = scan_tensor_and_verify(e, d)
+    assert not ok1 and not ok2
+    assert (w1 == w2).all()
+    assert_first_arc_histograms(p1, e, d)
 
 
 def test_digit_base_bounds_every_row():
@@ -234,10 +287,33 @@ def test_first_violation_reached_only_through_a_transpose():
     # directly: the plan makes only their partners (1, 5) and (3, 5), so
     # the kernel meets the violation only in the transposed scan of a
     # partner product.
+    e, d, t = _thin_wreath_corrupted()
+    assert (t != np.arange(d + 1)).any()
+    w = _check_transposed_witness(e, d, t)
+    assert tuple(w[6:8]) == (1, 9)
+
+
+def test_first_violation_reached_only_through_a_transpose_of_a_cut_product():
+    # a second arc pair recolored in the scheme above: the first product
+    # fails first at pair (1, 9), so the third is cut to rows and columns
+    # < 2, and only its transposed cells, in column 0, show the first
+    # violating pair (0, 30)
+    e, d, t = _thin_wreath_corrupted()
+    e[9, 30], e[30, 9] = 1, t[1]
+    w = _check_transposed_witness(e, d, t)
+    assert tuple(w[6:8]) == (0, 30)
+
+
+def _thin_wreath_corrupted():
     s = build_product(build_cyclotomic(13, 12), build_cyclotomic(5, 4), "wreath")
     e, d, t = s.color.entries.copy(), s.d, np.asarray(s.transpose_map)
-    assert (t != np.arange(d + 1)).any()
     e[9, 11], e[11, 9] = 1, t[1]
+    return e, d, t
+
+
+def _check_transposed_witness(e, d, t):
+    """The kernel's witness, checked against the scan oracle's, differs from
+    its class's first arc only in cells that no product makes directly."""
     made = _made(_plan(e, d))
     p1, ok1, w1 = run_kernel(e, d)
     p2, ok2, w2 = scan_tensor_and_verify(e, d)
@@ -247,6 +323,7 @@ def test_first_violation_reached_only_through_a_transpose():
     cells = np.argwhere(_kernels.pair_counts(e, x2, y2, d) != _kernels.pair_counts(e, x1, y1, d))
     assert len(cells)
     assert all((a, b) not in made and (t[b], t[a]) in made for a, b in cells)
+    return w1
 
 
 @st.composite
@@ -323,15 +400,57 @@ def test_kernel_peak_memory_at_n_961():
 
 
 def test_kernel_peak_memory_on_reject_at_n_961():
-    # a failing product also scans its transpose against the composed class
-    # table, one bool array at a time, under the same bound
-    s = _ladder_961()
-    e, t = s.color.entries.copy(), s.transpose_map
-    c = 1 + int(e[500, 17]) % s.d
-    e[500, 17], e[17, 500] = c, t[c]
-    ok, peak = _kernel_peak(e, s.d)
+    # the first product fails and also scans its transpose against the
+    # composed class table, one bool array at a time; every later product
+    # makes only its rows and columns < r beside its two operands, which
+    # is less than a whole product while 2r < n: all under the same bound
+    e, d = corrupted_ladder_961()
+    ok, peak = _kernel_peak(e, d)
     assert not ok
     assert peak < 4.5
+
+
+class _CountingNumpy:
+    """numpy, with the multiply-adds of every np.matmul call counted."""
+
+    def __init__(self):
+        self.macs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y):
+        self.macs += x.shape[0] * x.shape[1] * y.shape[1]
+        return np.matmul(x, y)
+
+
+def _kernel_macs(monkeypatch, e, d):
+    """(ok, multiply-adds) of one kernel call, in n x n x n products."""
+    counting = _CountingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "np", counting)
+        _, ok, _ = run_kernel(e, d)
+    return ok, counting.macs / e.shape[0] ** 3
+
+
+def test_kernel_work_on_reject_at_n_961(monkeypatch):
+    # the first of the 5 planned products fails in row 0, so each later one
+    # makes only row 0 and column 0: about one product in all, where making
+    # every product whole took 5
+    e, d = corrupted_ladder_961()
+    assert len(_plan(e, d)) == 5
+    ok, products = _kernel_macs(monkeypatch, e, d)
+    assert not ok
+    assert 1 <= products <= 1.3
+
+
+def test_kernel_work_at_n_961(monkeypatch):
+    # a valid coloring makes every planned product whole, and nothing more
+    s = _ladder_961()
+    e, d = s.color.entries, s.d
+    ok, products = _kernel_macs(monkeypatch, e, d)
+    assert ok
+    assert products == len(_plan(e, d)) == 5
 
 
 def test_verify_axioms_peak_memory_at_n_961():
