@@ -46,7 +46,6 @@ from .errors import (
 )
 from .finitefield import MAX_Q, field
 
-MAX_PRODUCT_N = 4096
 MAX_SCHURIAN_N = 60
 
 
@@ -223,8 +222,8 @@ def build_product(s1, s2, kind):
     (Brouwer-Cohen-Neumaier 1989), so no axiom kernel runs.
     """
     n1, n2 = s1.n, s2.n
-    if n1 * n2 > MAX_PRODUCT_N:
-        raise TooLarge(f"product order {n1 * n2} exceeds {MAX_PRODUCT_N}")
+    if n1 * n2 > MAX_N:
+        raise TooLarge(f"product order {n1 * n2} exceeds {MAX_N}")
     e1 = s1.color.entries.astype(np.int64)
     e2 = s2.color.entries.astype(np.int64)
     d1, d2 = s1.d, s2.d

@@ -72,10 +72,9 @@ def _check_spectra(s):
 def _check_fusion(s):
     if s.d > FUSION_ENUM_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds enumeration bound"}
-    e = spectra.character_table(s)
     parts = fusion.enumerate_admissible_partitions(s)
     schemes = 0
-    for verdict, direct in fusion.cross_check_fusions(s, e, parts):
+    for verdict, direct in fusion.cross_check_fusions(s, parts):
         if verdict.is_scheme != direct:
             return True, False, {
                 "partition": [list(b) for b in verdict.partition],
@@ -212,11 +211,11 @@ def run_catalog(entry_ids=None, checks=None, workers=1):
     """Run verification checks over catalog entries.
 
     Returns a list of JSON-ready records ordered by (entry id, check
-    order), one per (entry, check); per-entry failures are captured in
-    the record's error field and never abort the run.  Output is
-    byte-identical for any worker count.
+    order), one per (entry, check): an entry or check named twice runs
+    once.  Per-entry failures are captured in the record's error field and
+    never abort the run.  Output is byte-identical for any worker count.
     """
-    ids = sorted(catalog_ids() if entry_ids is None else entry_ids)
+    ids = sorted(set(catalog_ids() if entry_ids is None else entry_ids))
     checks = list(CHECKS) if checks is None else [c for c in CHECKS if c in checks]
     jobs = [(eid, checks) for eid in ids]
     if workers > 1:

@@ -141,16 +141,14 @@ def cmd_spectrum(args):
 
 def cmd_fuse(args):
     from .fusion import cross_check_fusions, enumerate_admissible_partitions
-    from .spectra import character_table
 
     s = _load_scheme(args.scheme)
-    e = character_table(s)
     if args.partition:
         partitions = [_parse_partition(args.partition, s.d)]
     else:
         partitions = enumerate_admissible_partitions(s)
     payload = []
-    for verdict, direct in cross_check_fusions(s, e, partitions):
+    for verdict, direct in cross_check_fusions(s, partitions):
         rec = verdict.to_json()
         rec["direct_agrees"] = direct == verdict.is_scheme
         payload.append(rec)

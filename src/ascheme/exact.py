@@ -7,46 +7,36 @@ q, r rational and v a squarefree integer; negative v covers the complex
 case.  That form is closed under conjugation, rational scaling, and
 addition of values sharing a radicand, which is all the table machinery
 needs.  Sums mixing radicands (row sums, block signatures) use
-radical_sum, a canonical multi-radicand form usable as a dict key.
+radical_sum, a canonical multi-radicand form usable as a dict key.  One
+evaluator, radical_sum_to_complex, turns both forms into complex floats,
+and snap_fraction is the one snap of a float to a small-denominator
+rational.  squarefree_split finds square factors by plain trial division.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-_SMALL_PRIMES = None
-
-
-def _primes_upto(n):
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None or _SMALL_PRIMES[-1] < n:
-        sieve = [True] * (n + 1)
-        sieve[0] = sieve[1] = False
-        for i in range(2, int(n**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-        _SMALL_PRIMES = [i for i, ok in enumerate(sieve) if ok]
-    return _SMALL_PRIMES
-
-
 def squarefree_split(m):
-    """m = f^2 * v with v squarefree; returns (f, v).  m may be negative."""
+    """m = f^2 * v with v squarefree; returns (f, v).  m may be negative.
+
+    Trial division by p = 2, 3, 4, ... while p^2 <= m: each p leaves m
+    prime to p, so a composite p finds no factor left to divide.
+    """
     if m == 0:
         return 0, 0
     sign = -1 if m < 0 else 1
     m = abs(m)
-    f, v = 1, 1
-    for p in _primes_upto(max(3, math.isqrt(m) + 1)):
-        if p * p > m:
-            break
+    f, v, p = 1, 1, 2
+    while p * p <= m:
         while m % (p * p) == 0:
             f *= p
             m //= p * p
         if m % p == 0:
             v *= p
             m //= p
-    v *= m
-    return f, sign * v
+        p += 1
+    return f, sign * v * m
 
 
 @dataclass(frozen=True)
@@ -125,12 +115,7 @@ class QuadVal:
         return QuadVal(q) if r == 0 else QuadVal(q, r, v)
 
     def to_complex(self):
-        if self.r == 0:
-            return complex(float(self.q), 0.0)
-        root = math.sqrt(abs(self.v))
-        if self.v > 0:
-            return complex(float(self.q) + float(self.r) * root, 0.0)
-        return complex(float(self.q), float(self.r) * root)
+        return radical_sum_to_complex((self.q, ((self.v, self.r),) if self.r else ()))
 
     def __str__(self):
         if self.r == 0:
@@ -163,15 +148,16 @@ def radical_sum(values):
 
 
 def radical_sum_to_complex(rs):
+    """q + sum of c * sqrt(v) as a complex float, for rs = (q, ((v, c), ...))
+    as radical_sum gives it; the one evaluator of radicals here."""
     q, rads = rs
-    z = complex(float(q), 0.0)
+    re, im = float(q), 0.0
     for v, c in rads:
-        root = math.sqrt(abs(v))
         if v > 0:
-            z += complex(float(c) * root, 0.0)
+            re += float(c) * math.sqrt(v)
         else:
-            z += complex(0.0, float(c) * root)
-    return z
+            im += float(c) * math.sqrt(-v)
+    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +168,11 @@ def snap_fraction(x, tol, max_den=2):
     """Nearest rational with denominator <= max_den, or None outside tol."""
     best = None
     for den in range(1, max_den + 1):
-        cand = Fraction(round(x * den), den)
-        err = abs(x - float(cand))
+        num = round(x * den)
+        err = abs(x - num / den)
         if err <= tol and (best is None or err < best[0]):
-            best = (err, cand)
-    return None if best is None else best[1]
+            best = (err, num, den)
+    return None if best is None else Fraction(best[1], best[2])
 
 
 def snap_rational_value(z, tol):

@@ -2,13 +2,14 @@
 
 Everything here works on small dense systems (dimensions bounded by the
 square of the class count), so exact elimination is fast enough and keeps
-every decision tolerance-free.  Elimination is fraction-free: rank,
-minimal-polynomial degree and solve_exact work on rows of Python integers,
-cross-multiplying by the two pivot entries and dividing each new row by the
+every decision tolerance-free.  rank, minpoly_degree and solve_exact run
+one fraction-free echelon, _echelon_insert, on rows of Python integers: it
+cross-multiplies by the two pivot entries and divides each new row by the
 gcd of its entries, which keeps every row a nonzero multiple of the row a
 rational elimination would give.  A row that holds a non-integer is scaled
-to integers once, on entry; solve_exact builds Fractions only when it reads
-the solutions.
+to integers once, on entry, by scale_to_integers, which also scales the
+witnesses of generator for their integer check; solve_exact builds
+Fractions only when it reads the solutions.
 
 int_matmul multiplies on numpy and is exact by a bound it proves from its
 operands.  Let R be the largest row sum of |A| and M the largest |B| (each
@@ -28,15 +29,15 @@ import numpy as np
 
 from .errors import MinpolyDegreeExceeded
 
-def _integers(vec):
-    """vec as a list of Python ints (bool included), scaled by the lcm of
-    its denominators when some entry is not one."""
+def scale_to_integers(vec):
+    """(den, ints): den the lcm of the denominators of a vector of ints
+    (bool included) and Fractions, and ints the Python ints den * vec."""
     v = list(vec)
     if all(map(isinstance, v, repeat(int))):
-        return v
-    v = [Fraction(a) for a in v]
+        return 1, v
+    v = [a if isinstance(a, Fraction) else Fraction(a) for a in v]
     den = math.lcm(*(a.denominator for a in v))
-    return [a.numerator * (den // a.denominator) for a in v]
+    return den, [a.numerator * (den // a.denominator) for a in v]
 
 
 def _eliminate(row, pivot_row, col):
@@ -49,33 +50,31 @@ def _eliminate(row, pivot_row, col):
     return [a // g for a in v] if g > 1 else v
 
 
-def _echelon_insert(basis, vec):
-    """Reduce vec against an echelon basis; insert if independent.
+def _echelon_insert(basis, vec, width=None):
+    """Reduce vec against an echelon basis; insert it if independent.
 
-    basis is a dict pivot_index -> integer row.  vec may hold ints or
-    Fractions; integer vectors are taken as they are.  The rank over Q is
-    that of the rational elimination.  Returns True when vec was
-    independent and inserted.
+    basis is a dict pivot_index -> integer row, each row zero at the pivots
+    of the rows inserted before it.  vec may hold ints or Fractions, and is
+    scaled to integers once.  Pivots are taken among the first width
+    entries (all of them by default).  Returns None when vec was inserted,
+    else its reduced row, which is zero there.  The rank over Q is that of
+    the rational elimination.
     """
-    v = _integers(vec)
+    _, v = scale_to_integers(vec)
     for piv, row in basis.items():
         if v[piv]:
             v = _eliminate(v, row, piv)
-    for i, a in enumerate(v):
+    for i, a in enumerate(v[:width]):
         if a:
             basis[i] = v
-            return True
-    return False
+            return None
+    return v
 
 
 def rank(vectors):
     """Rank of a list of equal-length rational vectors."""
     basis = {}
-    r = 0
-    for vec in vectors:
-        if _echelon_insert(basis, vec):
-            r += 1
-    return r
+    return sum(_echelon_insert(basis, vec) is None for vec in vectors)
 
 
 def _exact(M):
@@ -121,7 +120,7 @@ def minpoly_degree(B):
     power = np.eye(len(B), dtype=np.int64)
     basis = {}
     for deg in range(len(B) + 1):
-        if not _echelon_insert(basis, power.ravel().tolist()):
+        if _echelon_insert(basis, power.ravel().tolist()) is not None:
             return deg
         power = int_matmul(power, B)
     raise MinpolyDegreeExceeded(len(B))  # cannot happen: minpoly degree <= n
@@ -131,41 +130,42 @@ def solve_exact(A, rhs):
     """One rational solution of A x = b for each b in rhs, or None for each
     b that is inconsistent.
 
-    A is a list of rows and every b has one entry per row.  A single
-    fraction-free Gauss-Jordan pass runs over A with all right-hand sides
-    appended as extra columns; pivots are chosen in A's columns only, so
-    each solution is the one a pass with b alone would give.  Each row
-    stays a nonzero multiple of the row a rational pass gives, so the
-    pivots, and the solutions x_c = (row entry of b) / (pivot), are those
-    of the rational pass.  Free variables, if any, are set to zero; for
-    the systems in this package the solution is unique whenever it exists.
+    A is a list of rows and every b has one entry per row.  The rows of
+    [A | rhs], all right-hand sides appended as extra columns, go through
+    the echelon of rank and minpoly_degree with pivots kept in A's
+    columns, so each solution is the one a pass with b alone would give.
+    A row that reduces to zero in A's columns leaves a residue, and b is
+    inconsistent iff some residue is nonzero in b's column.  One
+    back-substitution pass, latest row first, then clears every other
+    pivot from each row.  The pivot columns are those of every echelon
+    form of A, the leading columns of its row space, and each row stays a
+    nonzero multiple of its rational counterpart, so the solutions
+    x_c = (row entry of b) / (pivot) are those of a rational Gauss-Jordan
+    pass.  Free variables, if any, are set to zero; for the systems in
+    this package the solution is unique whenever it exists.
     """
-    m = len(A)
-    if m == 0:
+    if not A:
         return [[] for _ in rhs]
     k = len(A[0])
-    aug = [_integers([*row, *(b[i] for b in rhs)]) for i, row in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        sel = next((i for i in range(r, m) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                aug[i] = _eliminate(aug[i], aug[r], c)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    basis = {}
+    residues = [
+        res
+        for i, row in enumerate(A)
+        if (res := _echelon_insert(basis, [*row, *(b[i] for b in rhs)], k)) is not None
+    ]
+    solved = []
+    for piv, row in reversed(basis.items()):
+        for c, other in solved:
+            if row[c]:
+                row = _eliminate(row, other, c)
+        solved.append((piv, row))
     sols = []
     for j in range(k, k + len(rhs)):
-        if any(aug[i][j] for i in range(r, m)):
+        if any(res[j] for res in residues):
             sols.append(None)
             continue
         x = [Fraction(0)] * k
-        for row_idx, c in enumerate(pivots):
-            x[c] = Fraction(aug[row_idx][j], aug[row_idx][c])
+        for c, row in solved:
+            x[c] = Fraction(row[j], row[c])
         sols.append(x)
     return sols

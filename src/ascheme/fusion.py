@@ -176,9 +176,10 @@ def bannai_muzychuk_check(e, partition):
     return FusionVerdict(blocks, False, None, None, witness)
 
 
-def cross_check_fusions(s, e, partitions):
+def cross_check_fusions(s, partitions):
     """Both deciders on each partition, in order: yields the spectral
-    FusionVerdict from table e and whether fuse_direct fuses."""
+    FusionVerdict from s's character table and whether fuse_direct fuses."""
+    e = character_table(s)
     for blocks in partitions:
         verdict = bannai_muzychuk_check(e, blocks)
         try:

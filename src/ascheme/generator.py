@@ -25,7 +25,6 @@ no truth claim).
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .errors import (
     WitnessRejected,
     WitnessUnsolvable,
 )
-from .exact import QuadVal
+from .exact import QuadVal, snap_fraction
 from .fusion import (
     amorphic_normal_form,
     idempotent_matching,
@@ -135,12 +134,6 @@ def generates(s, union):
     return GenerationReport(u, span_rank, span_rank, gen, witness, verified)
 
 
-def _scaled(poly):
-    """(den, integer coefficients) with den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in poly))
-    return den, [c.numerator * (den // c.denominator) for c in poly]
-
-
 def _check_regular(B, powers, union, witness):
     """den * sum_t c_t B_union^t == den * B_i in integers, for every class i.
 
@@ -149,7 +142,7 @@ def _check_regular(B, powers, union, witness):
     (i, r, c) order is reported.
     """
     m = len(B)
-    scaled = [_scaled(poly) for poly in witness]
+    scaled = [exactla.scale_to_integers(poly) for poly in witness]
     coef = np.array([cs for _, cs in scaled], dtype=object)
     dens = np.array([den for den, _ in scaled], dtype=object)
     got = coef @ np.stack([P.ravel() for P in powers]).astype(object)
@@ -453,12 +446,13 @@ def check_theorem_fission(x):
     """Fission-table shape prediction (T3.1).
 
     Applicable to one-pair schemes with amorphic symmetrization.  The
-    radicand a is extracted from the computed split row, snapped to a
-    rational; holds when a < 0 and the predicted table matches the
-    computed one entrywise within 1e-8 after column alignment.  Rows are
-    aligned by the symmetrization row map of idempotent_matching: the
-    predicted row of symmetrization row j meets the x row that fuses to
-    it, and the two rows of the split pair are tried in both orders.
+    radicand a is extracted from the computed split row and snapped by
+    exact.snap_fraction to the nearest rational with denominator at most
+    64 within RESID_TOL; holds when a < 0 and the predicted table matches
+    the computed one entrywise within RESID_TOL after column alignment.
+    Rows are aligned by the symmetrization row map of idempotent_matching:
+    the predicted row of symmetrization row j meets the x row that fuses
+    to it, and the two rows of the split pair are tried in both orders.
     """
     tid = "T3.1"
     refused = _needs_one_pair(x, tid) or _needs_amorphic_symmetrization(x, tid)
@@ -477,9 +471,8 @@ def check_theorem_fission(x):
     rho = complex(x_t.P[ra, p1])
     pd_split = complex(sym_t.P[split, c_star])
     aval = (2 * rho - pd_split) ** 2
-    a = Fraction(aval.real).limit_denominator(64)
-    snapped = abs(aval.imag) < RESID_TOL and abs(aval.real - float(a)) < RESID_TOL
-    if not snapped or a >= 0:
+    a = snap_fraction(aval.real, RESID_TOL, max_den=64) if abs(aval.imag) < RESID_TOL else None
+    if a is None or a >= 0:
         return TheoremVerdict(tid, True, False, {
             "reason": "extracted radicand not a negative rational",
             "a": [aval.real, aval.imag],

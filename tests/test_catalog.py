@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import random
@@ -532,6 +533,13 @@ def test_run_catalog_worker_counts_agree():
         assert set(rec) == {"id", "check", "applicable", "holds", "evidence", "error"}
 
 
+def test_run_catalog_runs_a_repeated_id_once():
+    one = run_catalog(["cyclo-7-2"])
+    assert run_catalog(["cyclo-7-2", "cyclo-7-2"]) == one
+    assert run_catalog(["cyclo-7-2", "cyclo-7-2"], workers=2) == one
+    assert len(one) == len(CHECKS)
+
+
 def test_run_catalog_build_failure_is_captured():
     recs = run_catalog(["no-such-entry"])
     assert len(recs) == len(CHECKS)
@@ -603,6 +611,20 @@ def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
         "fuse_direct": 303,
     }
     assert catalog_exit_code(records) == 0
+
+
+CATALOG_DIGEST = "8b29e25fce0d61046dfcc031742a85639609d84e5a744c4ee0be0b15af332686"
+
+
+def test_catalog_report_digest(battery_body_runs):
+    """The full battery over the catalog gives the pinned JSONL digest with
+    one worker and with two.  Like test_cyclotomic_sweep_digest, it holds
+    for one numpy/LAPACK build: the report carries LAPACK floats, such as
+    spectra's max_row_sum_residual and T4.1's entries and radicands, whose
+    last bits another build may round differently."""
+    _, records = battery_body_runs
+    for recs in (records, run_catalog(workers=2)):
+        assert hashlib.sha256(records_to_jsonl(recs).encode()).hexdigest() == CATALOG_DIGEST
 
 
 def test_generates_solves_once_per_generating_union(battery_body_runs):

@@ -225,6 +225,13 @@ def test_catalog_run_subset(capsys):
     assert all(r["id"] == "cyclo-5-2" for r in recs)
 
 
+def test_catalog_run_repeated_id_runs_once(capsys):
+    assert main(["catalog-run", "--ids", "cyclo-7-2"]) == 0
+    once = capsys.readouterr().out
+    assert main(["catalog-run", "--ids", "cyclo-7-2", "cyclo-7-2"]) == 0
+    assert capsys.readouterr().out == once
+
+
 def test_catalog_run_unknown_inputs(capsys):
     assert main(["catalog-run", "--ids", "nope"]) == 2
     assert "unknown catalog ids" in capsys.readouterr().err

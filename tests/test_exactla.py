@@ -74,7 +74,7 @@ def test_minpoly_degree_oracles():
 
 
 def test_minpoly_degree_overflow_raises_typed_error(monkeypatch):
-    monkeypatch.setattr(exactla, "_echelon_insert", lambda basis, vec: True)
+    monkeypatch.setattr(exactla, "_echelon_insert", lambda basis, vec: None)
     with pytest.raises(MinpolyDegreeExceeded) as exc:
         minpoly_degree([[1, 0], [0, 2]])
     assert exc.value.dim == 2

@@ -184,7 +184,7 @@ def test_each_failing_partition_is_decided_once(monkeypatch):
     for s in schemes:
         for _ in range(2):
             is_amorphic(s)
-            list(cross_check_fusions(s, character_table(s), enumerate_admissible_partitions(s)))
+            list(cross_check_fusions(s, enumerate_admissible_partitions(s)))
             _check_srg(s)
     assert len(failed) >= 10
     assert set(runs.values()) == {1}
@@ -454,7 +454,7 @@ def test_fusion_deciders_build_no_coloring(monkeypatch):
     parts = enumerate_admissible_partitions(s)
     assert all(
         v.is_scheme == direct
-        for v, direct in cross_check_fusions(s, character_table(s), parts)
+        for v, direct in cross_check_fusions(s, parts)
     )
     for size in range(1, s.d):
         for u in combinations(range(1, s.d + 1), size):

@@ -464,3 +464,37 @@ def test_verify_axioms_peak_memory_at_n_961():
     finally:
         tracemalloc.stop()
     assert peak / (8 * s.n**2) < 4.5
+
+
+def _plan_sizes_under_relabeling(s, seeds):
+    """The number of products the plan makes for s under its own labels
+    and under one random class relabeling per seed.  Relabeling the classes
+    by sigma moves the row bound of a to sigma(a) and turns the transpose
+    map t into sigma t sigma^-1, which is what the kernel would read from
+    the relabeled coloring."""
+    rows, t = _kernels.row_bounds(s.color.entries, s.d), list(s.transpose_map)
+    sizes = {len(_kernels.plan(rows, t))}
+    for seed in seeds:
+        sigma = [0, *(1 + np.random.default_rng(seed).permutation(s.d)).tolist()]
+        rows2, t2 = [0] * (s.d + 1), [0] * (s.d + 1)
+        for a in range(s.d + 1):
+            rows2[sigma[a]] = rows[a]
+            t2[sigma[a]] = sigma[t[a]]
+        sizes.add(len(_kernels.plan(rows2, t2)))
+    return sizes
+
+
+def test_plan_size_does_not_depend_on_class_labels(catalog):
+    # the catalog and the perfbench ladder's schemes, three relabelings each
+    ladder = [build_cyclotomic(q, m) for q, m in ((101, 2), (241, 6), (256, 5), (257, 2))]
+    for s in [*catalog.values(), *ladder, _ladder_961()]:
+        assert len(_plan_sizes_under_relabeling(s, range(3))) == 1
+
+
+def test_plan_sizes_of_the_two_wreaths_at_n_2009():
+    # cyclotomic (49, 24) wreath (41, 8) has row bounds 2 (x24) and 245
+    # (x8); (41, 8) wreath (49, 24) has 5 (x8) and 82 (x24).  They are two
+    # schemes, and each keeps its count under relabeling
+    a, b = build_cyclotomic(49, 24), build_cyclotomic(41, 8)
+    assert _plan_sizes_under_relabeling(build_product(a, b, "wreath"), range(3)) == {26}
+    assert _plan_sizes_under_relabeling(build_product(b, a, "wreath"), range(3)) == {57}
