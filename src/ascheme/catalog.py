@@ -13,11 +13,10 @@ perfbench's ladder reads them.
 """
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
-from . import _CHECKS, exact, fusion, generator, spectra, srg
+from . import _CHECKS, fusion, generator, spectra, srg
 from .builders import build_cyclotomic, build_product, catalog_ids, catalog_scheme
 from .core import json_default, verify_axioms
 from .errors import BuilderTensorMismatch, InfeasibleParameters, NotStronglyRegular
@@ -49,15 +48,19 @@ def _check_axioms(s):
 
 
 def _check_spectra(s):
+    """Each non-valency row of the table sums to 0: exactly, on the integer
+    keys of spectra.block_sums, where every entry snapped, and otherwise
+    within RESID_TOL.  A failing exact row reports its sum as exact_sum,
+    written as its key over 4."""
     e = spectra.character_table(s)
     worst = 0.0
     exact_rows = 0
+    _, forms = spectra.block_sums(e, [range(s.d + 1)])
     for j in range(1, s.d + 1):
-        vals = [e.exact[j][i] for i in range(s.d + 1)]
-        if all(v is not None for v in vals):
-            form = exact.radical_sum(vals)
-            if form != (Fraction(0), ()):
-                return True, False, {"row": j, "exact_sum": str(form)}
+        form = forms[j][0]
+        if form is not None:
+            if form != (0, ()):
+                return True, False, {"row": j, "exact_sum": f"{form} / 4"}
             exact_rows += 1
         else:
             worst = max(worst, abs(complex(e.P[j].sum())))
@@ -214,10 +217,13 @@ def run_catalog(entry_ids=None, checks=None, workers=1):
     order), one per (entry, check): an entry or check named twice runs
     once.  Per-entry failures are captured in the record's error field and
     never abort the run.  Output is byte-identical for any worker count.
+    The pool has at most one worker per entry, and a run left with one
+    worker runs in this process.
     """
     ids = sorted(set(catalog_ids() if entry_ids is None else entry_ids))
     checks = list(CHECKS) if checks is None else [c for c in CHECKS if c in checks]
     jobs = [(eid, checks) for eid in ids]
+    workers = min(workers, len(jobs))
     if workers > 1:
         import multiprocessing as mp
 

@@ -228,6 +228,8 @@ def cmd_theorems(args):
 def cmd_catalog_run(args):
     from . import catalog as cat
 
+    if args.workers < 1:
+        return _fail(f"--workers must be at least 1, got {args.workers}", code=2)
     ids = args.ids if args.ids else None
     if ids:
         known = set(cat.catalog_ids())

@@ -141,6 +141,12 @@ def memoized(key):
     A call that raises stores nothing, so the next call runs f again.  No
     result may refer to s itself: the memo would then hold its own scheme,
     and a scheme that is dropped would wait for the cycle collector.
+
+    The decorated function's fill(s, args, compute) returns f(s, a) for
+    each a of args, in order.  It calls compute once, on the list of the a
+    that have no value kept yet, and keeps the values compute yields for
+    them, in order, as it yields them: so a batch routine can stand in for
+    f on many arguments at once.
     """
 
     def wrap(f):
@@ -151,6 +157,13 @@ def memoized(key):
                 s._memo[k] = f(s, *args, **kwargs)
             return s._memo[k]
 
+        def fill(s, args, compute):
+            todo = [a for a in args if (f, key(s, a)) not in s._memo]
+            for a, value in zip(todo, compute(todo)):
+                s._memo[f, key(s, a)] = value
+            return [s._memo[f, key(s, a)] for a in args]
+
+        cached.fill = fill
         return cached
 
     return wrap

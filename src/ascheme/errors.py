@@ -104,6 +104,15 @@ class ToleranceAmbiguity(SchemeError):
     """A floating comparison fell into the ambiguous band around the tolerance."""
 
 
+class EntryNotQuarterIntegral(SchemeError):
+    """A snapped table entry q + r*sqrt(v) has 4q or 4r not an integer, so it
+    is not (u +- sqrt(w))/2 with u and w of denominator at most 2."""
+
+    def __init__(self, row, col, value):
+        self.row, self.col, self.value = row, col, value
+        super().__init__(f"entry ({row}, {col}) = {value} is not a quarter-integral radical")
+
+
 # ---------------------------------------------------------------------------
 # fusion errors
 

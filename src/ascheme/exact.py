@@ -6,9 +6,10 @@ Character table entries of the schemes treated here are either rational
 q, r rational and v a squarefree integer; negative v covers the complex
 case.  That form is closed under conjugation, rational scaling, and
 addition of values sharing a radicand, which is all the table machinery
-needs.  Sums mixing radicands (row sums, block signatures) use
-radical_sum, a canonical multi-radicand form usable as a dict key.  One
-evaluator, radical_sum_to_complex, turns both forms into complex floats,
+needs.  radical_sum, a canonical multi-radicand form of a sum, is the
+tests' oracle for spectra.block_sums, whose integer keys are its forms
+times 4 and decide every equality at run time.  One evaluator,
+radical_sum_to_complex, turns all these forms into complex floats,
 and snap_fraction is the one snap of a float to a small-denominator
 rational.  squarefree_split finds square factors by plain trial division.
 """
@@ -147,16 +148,20 @@ def radical_sum(values):
     return (q, tuple(sorted(rads.items())))
 
 
-def radical_sum_to_complex(rs):
-    """q + sum of c * sqrt(v) as a complex float, for rs = (q, ((v, c), ...))
-    as radical_sum gives it; the one evaluator of radicals here."""
+def radical_sum_to_complex(rs, den=1):
+    """(q + sum of c * sqrt(v)) / den as a complex float, for
+    rs = (q, ((v, c), ...)) as radical_sum gives it, or den times that in
+    integers, as spectra.block_sums gives it with den = 4; the one
+    evaluator of radicals here.  float(c) / den is float(c / den) for every
+    integer c below 2^53 and power-of-two den, so both forms of one sum
+    evaluate to the same floats."""
     q, rads = rs
-    re, im = float(q), 0.0
+    re, im = float(q) / den, 0.0
     for v, c in rads:
         if v > 0:
-            re += float(c) * math.sqrt(v)
+            re += float(c) / den * math.sqrt(v)
         else:
-            im += float(c) * math.sqrt(-v)
+            im += float(c) / den * math.sqrt(-v)
     return complex(re, im)
 
 

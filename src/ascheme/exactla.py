@@ -17,8 +17,7 @@ taken as at least 1).  Every entry of A and B is then at most R * M in
 absolute value, and every partial sum of a_ik * b_kj over k is at most
 sum_k |a_ik| * M <= R * M.  So when R * M < 2^63 the int64 product cannot
 overflow at any step; otherwise the product runs in object dtype on Python
-integers, which never overflow.  For the nonnegative powers of a regular
-representation every partial sum is moreover at most the final entry.
+integers, which never overflow.
 """
 
 import math
@@ -98,15 +97,6 @@ def int_matmul(A, B):
     largest = max(map(abs, B.ravel().tolist()), default=0)
     dtype = np.int64 if max(row_sum, 1) * max(largest, 1) < 2**63 else object
     return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
-
-
-def matrix_powers(B, tmax):
-    """[B^0, B^1, ..., B^tmax] as arrays, exact (see int_matmul)."""
-    B = _exact(B)
-    powers = [np.eye(len(B), dtype=np.int64)]
-    for _ in range(tmax):
-        powers.append(int_matmul(powers[-1], B))
-    return powers
 
 
 def minpoly_degree(B):

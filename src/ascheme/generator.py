@@ -11,11 +11,11 @@ the witnesses are the columns of K^-1, all found in one elimination of K.
 They are re-checked in integers on the regular representation, which
 proves them on the n x n adjacency matrices too (see generates), so
 nothing here builds an n x n matrix.  The powers of B_union are built once
-per union, in integers: K and the regular-representation check read that
-one list.  No generation verdict depends on floating point.  T3.1
-compares its predicted fission table with the computed one within
-RESID_TOL, rows aligned by the row map to the symmetrization that
-idempotent_matching fixes.
+per union, in integers and in batches of unions: K and the
+regular-representation check read that one array.  No generation verdict
+depends on floating point.  T3.1 compares its predicted fission table
+with the computed one within RESID_TOL, rows aligned by the row map to
+the symmetrization that idempotent_matching fixes.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -89,12 +89,15 @@ class GenerationReport:
 def generates(s, union):
     """Exact generation verdict for the union digraph.
 
-    One list of powers B_union^0, ..., B_union^d, exact in integers
-    (exactla.matrix_powers), feeds every check.  The union generates iff
-    B_union has d+1 distinct eigenvalues, and that count is the rank of the
-    Krylov matrix K = [e_0, B e_0, ..., B^d e_0], column 0 of each power:
-    B_union is diagonalizable (the B_i of a commutative scheme are), so the
-    count is the degree of its minimal polynomial, which is
+    The verdict is _reports run on a batch of one union;
+    find_generating_unions runs the same routine on batches of all the
+    unions and keeps each report where this function finds it.  One array
+    of powers B_union^0, ..., B_union^d, exact in integers (_union_powers),
+    feeds every check.  The union generates iff B_union has d+1 distinct
+    eigenvalues, and that count is the rank of the Krylov matrix
+    K = [e_0, B e_0, ..., B^d e_0], column 0 of each power: B_union is
+    diagonalizable (the B_i of a commutative scheme are), so the count is
+    the degree of its minimal polynomial, which is
     dim span{I, B, ..., B^d} as the degree is at most d+1.  Every power of
     B_union lies in span{B_i}, since the tensor is verified (below), and
     X -> X e_0 is injective there, since B_i e_0 = e_i (p_{i0}^l is 1 iff
@@ -115,46 +118,89 @@ def generates(s, union):
     check raises a GenerationCheckFailed subclass naming the union and
     class.  The report is computed once per (scheme, union).
     """
-    u = union_classes(s.d, union)
-    B = intersection_matrices(s)
+    return _reports(s, [union_classes(s.d, union)])[0]
+
+
+def _union_powers(B, unions):
+    """powers[u, t] = B_union^t for t = 0..d and each union u, from the
+    stacked matrices B[i] = B_i, with d batched products.
+
+    B_union is one product of the 0/1 membership matrix with B.  Let k be
+    the largest row sum of |B_union| over the batch.  Every entry of
+    |B_union|^t is at most k^t, and each partial sum of a product
+    B^(t-1) B is at most the entry of |B|^(t-1) |B| it ends in, so when
+    k^d < 2^63 the int64 products cannot overflow at any step (for a
+    scheme, k is at most n - 1); otherwise they run in object dtype on
+    Python integers.
+    """
+    m = B.shape[0]
+    member = np.zeros((len(unions), m), dtype=np.int64)
+    for r, u in enumerate(unions):
+        member[r, list(u)] = 1
+    BL = np.tensordot(member, B, axes=1)
+    k = max(int(np.abs(BL).sum(axis=2).max()), 1)
+    dtype = np.int64 if k ** (m - 1) < 2**63 else object
+    BL = BL.astype(dtype)
+    powers = np.empty((len(unions), m, m, m), dtype=dtype)
+    powers[:, 0] = np.eye(m, dtype=np.int64)
+    for t in range(1, m):
+        powers[:, t] = np.matmul(powers[:, t - 1], BL)
+    return powers
+
+
+def _reports(s, unions):
+    """The GenerationReports of unions, sorted class tuples, all read from
+    one array of their powers (see generates)."""
     d = s.d
-    powers = exactla.matrix_powers(sum(B[i] for i in u), d)
-    K = np.stack([P[:, 0] for P in powers], axis=1).tolist()
-    span_rank = exactla.rank(K)
-    gen = span_rank == d + 1
-    witness = None
-    if gen:
-        units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
-        sols = exactla.solve_exact(K, units)
-        if None in sols:
-            raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
-        witness = tuple(tuple(sol) for sol in sols)
-        _check_regular(B, powers, u, witness)
-    verified = gen and s.n <= WITNESS_MAX_N
-    return GenerationReport(u, span_rank, span_rank, gen, witness, verified)
+    B = np.stack(intersection_matrices(s))
+    powers = _union_powers(B, unions)
+    Ks = powers[:, :, :, 0].transpose(0, 2, 1).tolist()
+    units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
+    reports = []
+    for u, K, P in zip(unions, Ks, powers):
+        span_rank = exactla.rank(K)
+        gen = span_rank == d + 1
+        witness = None
+        if gen:
+            sols = exactla.solve_exact(K, units)
+            if None in sols:
+                raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
+            witness = tuple(tuple(sol) for sol in sols)
+            _check_regular(B, P, u, witness)
+        verified = gen and s.n <= WITNESS_MAX_N
+        reports.append(GenerationReport(u, span_rank, span_rank, gen, witness, verified))
+    return reports
 
 
 def _check_regular(B, powers, union, witness):
     """den * sum_t c_t B_union^t == den * B_i in integers, for every class i.
 
-    One object-dtype product of the scaled witness rows with the flattened
-    powers B_union^0, ..., B_union^d gives every sum; the first mismatch in
-    (i, r, c) order is reported.
+    One exact product (exactla.int_matmul) of the scaled witness rows with
+    the flattened powers B_union^0, ..., B_union^d gives every sum; the
+    first mismatch in (i, r, c) order is reported.
     """
     m = len(B)
     scaled = [exactla.scale_to_integers(poly) for poly in witness]
-    coef = np.array([cs for _, cs in scaled], dtype=object)
-    dens = np.array([den for den, _ in scaled], dtype=object)
-    got = coef @ np.stack([P.ravel() for P in powers]).astype(object)
-    want = dens[:, None] * np.stack([b.ravel() for b in B]).astype(object)
+    got = exactla.int_matmul([cs for _, cs in scaled], powers.reshape(m, -1))
+    want = np.array([den for den, _ in scaled], dtype=object)[:, None] * B.reshape(m, -1)
     bad = np.argwhere(got != want)
     if bad.size:
         i, (r, c) = int(bad[0, 0]), divmod(int(bad[0, 1]), m)
         raise WitnessRejected(f"fails the regular representation at ({r},{c})", union, i)
 
 
+# the unions one _reports call takes at most: their powers hold at most
+# this many entries, which bounds the memory of find_generating_unions
+CHUNK_ENTRIES = 1 << 14
+
+
 def find_generating_unions(s):
-    """Reports for every nonempty union, ordered by (size, indices)."""
+    """Reports for every nonempty union, ordered by (size, indices).
+
+    The unions whose report is not in s's memo yet go through _reports in
+    chunks, each holding the powers of at most CHUNK_ENTRIES entries, and
+    every report is kept where generates(s, union) finds it.
+    """
     if s.d > 12:
         raise TooManyClasses(f"d = {s.d} exceeds the 2^d search guard")
     unions = []
@@ -162,7 +208,13 @@ def find_generating_unions(s):
         u = tuple(i + 1 for i in range(s.d) if mask >> i & 1)
         unions.append(u)
     unions.sort(key=lambda u: (len(u), u))
-    return [generates(s, u) for u in unions]
+    step = max(1, CHUNK_ENTRIES // (s.d + 1) ** 3)
+
+    def chunked(todo):
+        for start in range(0, len(todo), step):
+            yield from _reports(s, todo[start : start + step])
+
+    return generates.fill(s, unions, chunked)
 
 
 def minimal_generating(reports):

@@ -16,7 +16,11 @@ CLUSTER_TOL times the largest sum; a gap inside the window between that
 tolerance and ten times it raises ToleranceAmbiguity instead of guessing.
 The spectral fusion check, the amorphic normal form, the row map to the
 symmetrization, T4.1's test of whether an entry is real and union_spectrum
-(the rows grouped on the one block Lambda) all call it.
+(the rows grouped on the one block Lambda) all call it.  The exact sums
+are integers: each table keeps, from its first block_sums call, one int64
+array of four times its snapped entries on the basis 1, sqrt(v_1),
+sqrt(v_2), ... (EigenTable.quarters), and the exact block sums of any
+partition are one product of that array with the 0/1 block indicators.
 
 Counting distinct eigenvalues of a union digraph never relies on floats.
 generator.generates decides generation from the rank of a Krylov matrix;
@@ -27,6 +31,7 @@ from the table, is a float cross-check of both, not a decision procedure.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from . import exactla
 from .core import memoized, union_classes
 from .errors import (
     EigenSeparationFailure,
+    EntryNotQuarterIntegral,
     MultiplicityNotIntegral,
     MultiplicitySumMismatch,
     NonCommutative,
@@ -41,7 +47,6 @@ from .errors import (
 )
 from .exact import (
     QuadVal,
-    radical_sum,
     radical_sum_to_complex,
     snap_quadratic_pair,
     snap_rational_value,
@@ -104,6 +109,47 @@ class EigenTable:
             "multiplicities": list(self.multiplicities),
             "exactness": self.exactness(),
         }
+
+    @cached_property
+    def quarters(self):
+        """(radicands, X, floating): the snapped entries as integers, built
+        on first use and kept with the table, read-only as its P.
+
+        radicands lists the v of the quadratic entries, ascending.  For the
+        entry q + r*sqrt(v) in row j and column i, X[j, 0, i] = 4q and
+        X[j, 1 + radicands.index(v), i] = 4r; every other coordinate is 0,
+        and floating[j, i] is 1 where the entry did not snap.  A snapped
+        entry is (u +- sqrt(w))/2 with u and w of denominator at most 2
+        (exact.snap_quadratic_pair), so 4q and 4r are integers; an entry
+        that breaks this raises EntryNotQuarterIntegral.  |q| and |r| are
+        at most the class valency, as |p_i(j)| <= k_i, so a sum of a row's
+        coordinates is far inside int64.
+        """
+        dp1 = self.d + 1
+        radicands = sorted({v.v for row in self.exact for v in row if v is not None and v.r})
+        slot = {v: k for k, v in enumerate(radicands, 1)}
+        X = np.zeros((dp1, len(radicands) + 1, dp1), dtype=np.int64)
+        floating = np.zeros((dp1, dp1), dtype=np.int64)
+        for j, row in enumerate(self.exact):
+            for i, val in enumerate(row):
+                if val is None:
+                    floating[j, i] = 1
+                    continue
+                X[j, 0, i] = _quarter(val.q, j, i, val)
+                if val.r:
+                    X[j, slot[val.v], i] = _quarter(val.r, j, i, val)
+        X.setflags(write=False)
+        floating.setflags(write=False)
+        return tuple(radicands), X, floating
+
+
+def _quarter(x, j, i, val):
+    """4x for a rational x of the entry val at (j, i), as an int, made
+    without building a Fraction."""
+    num, den = 4 * x.numerator, x.denominator
+    if num % den:
+        raise EntryNotQuarterIntegral(j, i, val)
+    return num // den
 
 
 def _eigenrows_float(M, B, sep_tol):
@@ -260,17 +306,36 @@ def distinct_eigenvalue_count(s, union):
 
 def block_sums(e, blocks):
     """Per-row block sums of table e: the complex matrix sums[j, b] and
-    forms[j][b], the radical_sum of the entries where every one snapped,
-    else None."""
-    dp1 = e.d + 1
-    sums = np.empty((dp1, len(blocks)), dtype=np.complex128)
-    forms = [[None] * len(blocks) for _ in range(dp1)]
+    forms[j][b], the exact sum where every entry of the block snapped, else
+    None.
+
+    sums[:, b] is P[:, b].sum(axis=1), block by block.  A form is four
+    times the sum as the integer key (a, ((v, c), ...)): a plus the sum of
+    c * sqrt(v) over the radicands v with c nonzero, ascending.  Distinct
+    squarefree radicands are linearly independent over Q, so two forms are
+    equal, across tables too, exactly when the sums are; the keys are
+    radical_sum's forms scaled by 4, and radical_sum_to_complex(form,
+    den=4) evaluates them.  They come from one int64 product of
+    e.quarters with the 0/1 block indicators.
+    """
+    radicands, X, floating = e.quarters
+    sums = np.empty((e.d + 1, len(blocks)), dtype=np.complex128)
+    member = np.zeros((e.d + 1, len(blocks)), dtype=np.int64)
     for bi, b in enumerate(blocks):
-        sums[:, bi] = e.P[:, list(b)].sum(axis=1)
-        for j in range(dp1):
-            vals = [e.exact[j][i] for i in b]
-            if all(v is not None for v in vals):
-                forms[j][bi] = radical_sum(vals)
+        cols = list(b)
+        sums[:, bi] = e.P[:, cols].sum(axis=1)
+        member[cols, bi] = 1
+    coords = (X @ member).tolist()
+    unknown = (floating @ member).tolist()
+    forms = [
+        [
+            None
+            if unknown[j][b]
+            else (c[0][b], tuple((v, r[b]) for v, r in zip(radicands, c[1:]) if r[b]))
+            for b in range(len(blocks))
+        ]
+        for j, c in enumerate(coords)
+    ]
     return sums, forms
 
 
@@ -318,13 +383,14 @@ def union_spectrum(e, union):
 
     Returns [(value, multiplicity), ...] sorted by (re, im) descending:
     one value per group of rows that group_rows forms on the single block
-    union, exact where every entry of its first row's sum snapped.
+    union, evaluated from the exact sum where every entry of its first
+    row's sum snapped.
     """
     sums, forms = block_sums(e, [union_classes(e.d, union)])
     spec = []
     for g in group_rows(sums, forms):
         form = forms[g[0]][0]
-        z = complex(sums[g[0], 0]) if form is None else radical_sum_to_complex(form)
+        z = complex(sums[g[0], 0]) if form is None else radical_sum_to_complex(form, den=4)
         spec.append((z, sum(e.multiplicities[j] for j in g)))
     spec.sort(key=lambda vm: (-round(vm[0].real, 9), -round(vm[0].imag, 9)))
     return spec

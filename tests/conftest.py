@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import sys
 import types
@@ -57,6 +58,18 @@ def fresh_catalog():
     return [catalog_scheme(eid) for eid in catalog_ids()]
 
 
+SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_sweep.py"
+
+
+def sweep_schemes():
+    """The 174 cyclotomic schemes of scripts/cyclotomic_sweep.py, in its
+    order, built anew."""
+    spec = importlib.util.spec_from_file_location("cyclotomic_sweep", SWEEP_SCRIPT)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [build_cyclotomic(q, m) for q, m in sweep.sweep_params()]
+
+
 @pytest.fixture(scope="session")
 def tables(catalog):
     """Character tables for every commutative catalog scheme."""
@@ -90,10 +103,15 @@ def battery_body_runs():
     """(body name, scheme) for each run of a memoized body during one
     run_catalog(workers=1), which builds its schemes afresh, in call
     order.  A profile hook sees each frame of a body's code, so memo hits,
-    which never enter the body, are not counted.  Calls of
-    exactla.solve_exact are listed too, as "solve_exact" with the scheme
-    of the generates body that made them."""
-    names = {fn.__wrapped__.__code__: name for name, fn in MEMOIZED.items()}
+    which never enter the body, are not counted.  Generation reports are
+    made in batches, by generator._reports, for generates and for
+    find_generating_unions alike: each union of a batch is listed as one
+    "generates" run.  Calls of exactla.solve_exact are listed too, as
+    "solve_exact" with the scheme of the batch that made them."""
+    names = {
+        fn.__wrapped__.__code__: name for name, fn in MEMOIZED.items() if name != "generates"
+    }
+    reports = generator._reports.__code__
     solve = exactla.solve_exact.__code__
     runs = []
 
@@ -102,6 +120,9 @@ def battery_body_runs():
             return
         if frame.f_code in names:
             runs.append((names[frame.f_code], frame.f_locals["s"]))
+        elif frame.f_code is reports:
+            s = frame.f_locals["s"]
+            runs.extend(("generates", s) for _ in frame.f_locals["unions"])
         elif frame.f_code is solve:
             runs.append(("solve_exact", frame.f_back.f_locals["s"]))
 
@@ -688,12 +709,12 @@ def reference_check_adjacency(s, union, witness, primes=WITNESS_PRIMES):
     raise ModularCheckFailed(f"{len(primes)} primes do not reach the CRT bound {bound}", union)
 
 
-def reference_generates(s, union):
+def reference_generates(s, union, adjacency=True):
     """The GenerationReport of generator.generates from the list-based
     pipeline: powers built twice in pure-Python products, a Fraction
     echelon and solve, and a per-entry regular-representation check.  For
     n <= WITNESS_MAX_N the witnesses are also proven on the n x n adjacency
-    matrices by the modular oracle."""
+    matrices by the modular oracle, unless adjacency is false."""
     u = union_classes(s.d, union)
     d = s.d
     B = [b.tolist() for b in spectra.intersection_matrices(s)]
@@ -718,6 +739,7 @@ def reference_generates(s, union):
                     acc = sum(ct * P[r][c] for ct, P in zip(coef, powers))
                     assert acc == den * B[i][r][c]
         if s.n <= generator.WITNESS_MAX_N:
-            reference_check_adjacency(s, u, witness)
+            if adjacency:
+                reference_check_adjacency(s, u, witness)
             verified = True
     return generator.GenerationReport(u, eigen_count, span_rank, gen, witness, verified)

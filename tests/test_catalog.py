@@ -533,6 +533,39 @@ def test_run_catalog_worker_counts_agree():
         assert set(rec) == {"id", "check", "applicable", "holds", "evidence", "error"}
 
 
+def test_run_catalog_caps_the_pool_at_the_entry_count(monkeypatch):
+    """A pool gets at most one worker per entry, and a run left with one
+    worker runs in process.  The pool constructor is replaced by one that
+    records its size and runs the jobs in this process, so nothing forks."""
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: Context)
+    ids = ["cyclo-5-2", "cyclo-7-2", "petersen"]
+    one = run_catalog(ids, checks=["axioms"])
+    assert run_catalog(ids, checks=["axioms"], workers=5000) == one
+    assert run_catalog(ids, checks=["axioms"], workers=2) == one
+    assert run_catalog(ids[:1], checks=["axioms"], workers=5000) == one[:1]
+    assert sizes == [3, 2]
+
+
 def test_run_catalog_runs_a_repeated_id_once():
     one = run_catalog(["cyclo-7-2"])
     assert run_catalog(["cyclo-7-2", "cyclo-7-2"]) == one
@@ -601,7 +634,9 @@ def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
     (scheme, arguments): 62 tables, 21 symmetrizations, 422 generation
     reports and 202 SRG parameter sets.  fuse_direct runs 303 times: once
     for each of the 226 (scheme, partition) pairs that fuse and once for
-    each of the 77 that do not, whose refusal is kept in the memo too."""
+    each of the 77 that do not, whose refusal is kept in the memo too.
+    The generation reports are made in batches, and the 422 made are the
+    422 kept in the schemes' memos, so none is made twice."""
     runs, records = battery_body_runs
     assert Counter(name for name, _ in runs if name in MEMOIZED) == {
         "character_table": 62,
@@ -610,6 +645,9 @@ def test_memoized_bodies_run_once_per_distinct_input(battery_body_runs):
         "srg_params_from_scheme": 202,
         "fuse_direct": 303,
     }
+    schemes = {id(s): s for name, s in runs if name == "generates"}
+    kept = sum(f is generates.__wrapped__ for s in schemes.values() for f, _ in s._memo)
+    assert kept == 422
     assert catalog_exit_code(records) == 0
 
 
@@ -628,9 +666,10 @@ def test_catalog_report_digest(battery_body_runs):
 
 
 def test_generates_solves_once_per_generating_union(battery_body_runs):
-    """generates finds all d + 1 witnesses of a generating union with one
-    solve_exact call: 195 calls in one run_catalog(workers=1), one per
-    generating report in each scheme's memo, and none for the others."""
+    """A generation batch finds all d + 1 witnesses of a generating union
+    with one solve_exact call: 195 calls in one run_catalog(workers=1),
+    one per generating report in each scheme's memo, and none for the
+    others."""
     runs, _ = battery_body_runs
     solves = Counter(id(s) for name, s in runs if name == "solve_exact")
     schemes = {id(s): s for name, s in runs if name == "generates"}

@@ -239,6 +239,15 @@ def test_catalog_run_unknown_inputs(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+def test_catalog_run_rejects_fewer_than_one_worker(capsys, monkeypatch):
+    from ascheme import catalog
+
+    monkeypatch.setattr(catalog, "run_catalog", None)  # nothing may run
+    for n in ("0", "-3"):
+        assert main(["catalog-run", "--ids", "cyclo-5-2", "--workers", n]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+
 def test_catalog_run_out_and_workers(tmp_path, capsys):
     f1 = tmp_path / "one.jsonl"
     f2 = tmp_path / "two.jsonl"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascheme import exactla
 from ascheme.errors import MinpolyDegreeExceeded
-from ascheme.exactla import int_matmul, matrix_powers, minpoly_degree, rank, solve_exact
+from ascheme.exactla import int_matmul, minpoly_degree, rank, solve_exact
 
 
 def test_rank_basic():
@@ -22,17 +22,6 @@ def test_int_matmul_matches_numpy():
     B = rng.integers(-5, 6, (6, 6))
     got = int_matmul(A.tolist(), B.tolist())
     assert (np.array(got) == A @ B).all()
-
-
-def test_matrix_powers():
-    B = [[0, 1], [1, 1]]  # Fibonacci companion
-    P = matrix_powers(B, 6)
-    assert P[0].tolist() == [[1, 0], [0, 1]]
-    assert P[6].tolist() == [[5, 8], [8, 13]]
-    # a power chain stays exact as it crosses the bound
-    P = matrix_powers([[2**20, 2**20], [2**20, 0]], 5)
-    assert P[3].dtype == np.int64 and P[4].dtype == object
-    assert P[5].tolist() == _reference_matmul(P[4].tolist(), [[2**20, 2**20], [2**20, 0]])
 
 
 def _reference_matmul(A, B):

@@ -17,7 +17,7 @@ from ascheme.errors import (
     WitnessRejected,
     WitnessUnsolvable,
 )
-from ascheme.exactla import matrix_powers, solve_exact
+from ascheme.exactla import solve_exact
 from ascheme.generator import (
     WITNESS_MAX_N,
     check_theorem_4class,
@@ -48,7 +48,9 @@ from conftest import (
     fresh_catalog,
     reference_check_adjacency,
     reference_generates,
+    reference_matrix_powers,
     reference_powers_mod,
+    sweep_schemes,
 )
 
 T12_APPLICABLE = {
@@ -122,7 +124,7 @@ def _flattened_power_witness(s, union):
     B = intersection_matrices(s)
     d = s.d
     BL = [[int(sum(B[i][r][c] for i in union)) for c in range(d + 1)] for r in range(d + 1)]
-    powers = matrix_powers(BL, d)
+    powers = reference_matrix_powers(BL, d)
     rows = [[P[r][c] for P in powers] for r in range(d + 1) for c in range(d + 1)]
     rhs = [
         [int(B[i][r][c]) for r in range(d + 1) for c in range(d + 1)] for i in range(d + 1)
@@ -680,34 +682,121 @@ def _nonsymmetric_cyclotomic_4_class():
     return out
 
 
-def test_generates_equals_reference_pipeline(catalog, monkeypatch):
-    """Equal GenerationReports, witness Fractions included, from generates
-    and the list-based reference on every union of the catalog (407), of
-    the 15 nonsymmetric cyclotomic (q, 4) with q <= 257, and of cyclotomic
-    (31,2)^2 (n = 961, d = 8).  There the full union has k^(d+1) > 2^63,
-    so the object-dtype products run."""
-    dtypes = set()
-    matmul = exactla.int_matmul
+def _recorded_union_powers(monkeypatch):
+    """The dtypes of the power batches generation builds from now on."""
+    dtypes = []
+    powers = generator._union_powers
 
-    def recorded(A, B):
-        out = matmul(A, B)
-        dtypes.add(out.dtype)
+    def recorded(B, unions):
+        out = powers(B, unions)
+        dtypes.append(out.dtype)
         return out
 
-    monkeypatch.setattr(exactla, "int_matmul", recorded)
+    monkeypatch.setattr(generator, "_union_powers", recorded)
+    return dtypes
+
+
+def test_generates_equals_reference_pipeline(monkeypatch):
+    """Equal GenerationReports, witness Fractions included, from
+    find_generating_unions and the list-based reference on every union of
+    the catalog (407), of the 174 schemes of the cyclotomic sweep (3254),
+    of the 15 nonsymmetric cyclotomic (q, 4) with q <= 257, and of
+    cyclotomic (31,2)^2 (n = 961, d = 8).  The batches run in int64,
+    except on (31,2)^2: there every batch holds a union of valency
+    k >= 240, and k^d >= 2^63, so the object-dtype products run.
+    The sweep's witnesses are checked on the regular representation alone;
+    the modular n x n check of all of them would take about 40 s."""
+    dtypes = _recorded_union_powers(monkeypatch)
     c31 = build_cyclotomic(31, 2)
     families = {
-        "catalog": [s for s in catalog.values() if s.is_commutative],
+        "catalog": [s for s in fresh_catalog() if s.is_commutative],
+        "sweep": sweep_schemes(),
         "cyclotomic (q, 4)": _nonsymmetric_cyclotomic_4_class(),
         "(31,2)^2": [build_product(c31, c31, "direct")],
     }
-    counts = {}
+    counts, seen = {}, {}
     for name, schemes in families.items():
         dtypes.clear()
         counts[name] = 0
         for s in schemes:
             for rep in find_generating_unions(s):
-                assert rep == reference_generates(s, rep.union), (name, s.n, rep.union)
+                ref = reference_generates(s, rep.union, adjacency=name != "sweep")
+                assert rep == ref, (name, s.n, rep.union)
                 counts[name] += 1
-    assert counts == {"catalog": 407, "cyclotomic (q, 4)": 225, "(31,2)^2": 255}
-    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        seen[name] = set(dtypes)
+    assert counts == {
+        "catalog": 407,
+        "sweep": 3254,
+        "cyclotomic (q, 4)": 225,
+        "(31,2)^2": 255,
+    }
+    assert seen == {
+        "catalog": {np.dtype(np.int64)},
+        "sweep": {np.dtype(np.int64)},
+        "cyclotomic (q, 4)": {np.dtype(np.int64)},
+        "(31,2)^2": {np.dtype(object)},
+    }
+
+
+def test_generates_is_a_batch_of_one_on_either_side_of_the_bound(monkeypatch):
+    """generates runs the batch routine on its one union.  On cyclotomic
+    (31,2)^2 (n = 961, d = 8) the class-5 union has valency 225, and
+    225^8 < 2^63, so its powers run in int64; the generating union (1, 6)
+    has valency 240, and 240^8 >= 2^63, so its powers, witnesses and
+    regular-representation check run in object dtype.  Both reports equal
+    the reference pipeline's."""
+    dtypes = _recorded_union_powers(monkeypatch)
+    c31 = build_cyclotomic(31, 2)
+    s = build_product(c31, c31, "direct")
+    assert (s.valencies[5], s.valencies[1] + s.valencies[6]) == (225, 240)
+    assert 225**8 < 2**63 <= 240**8
+    for u in [(5,), (1, 6)]:
+        assert generates(s, u) == reference_generates(s, u)
+    assert dtypes == [np.dtype(np.int64), np.dtype(object)]
+    assert generates(s, (1, 6)).generates
+
+
+def test_find_generating_unions_crosses_chunk_boundaries(monkeypatch):
+    """With chunks of 4 unions, cyclo-13-4 (d = 4, 15 unions) goes through
+    the batch routine in chunks of 4, 4, 4 and 2 after a generates call
+    has made the report of (2,): every report is made once, and every
+    report equals the reference pipeline's."""
+    s = build_cyclotomic(13, 4)
+    batches = []
+    reports = generator._reports
+
+    def recorded(s, unions):
+        batches.append(list(unions))
+        return reports(s, unions)
+
+    monkeypatch.setattr(generator, "_reports", recorded)
+    monkeypatch.setattr(generator, "CHUNK_ENTRIES", 4 * (s.d + 1) ** 3)
+    single = generates(s, (2,))
+    reps = find_generating_unions(s)
+    assert [len(b) for b in batches] == [1, 4, 4, 4, 2]
+    made = [u for b in batches for u in b]
+    assert sorted(made) == sorted(r.union for r in reps)
+    assert reps[1] is single
+    for rep in reps:
+        assert rep == reference_generates(s, rep.union)
+
+
+def test_union_powers_switch_to_object_dtype_at_the_bound():
+    """_union_powers gives B_union^0..B_union^d exactly, in int64 while
+    k^d < 2^63 for the largest row sum k of the batch's B_union and in
+    object dtype from there on; the Fibonacci companion as a check of the
+    powers themselves."""
+    I = np.eye(3, dtype=np.int64)
+    fib = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]])
+    powers = generator._union_powers(np.stack([I, fib, I]), [(1,)])
+    assert powers.dtype == np.int64
+    assert powers[0, 2].tolist() == [[1, 1, 0], [1, 2, 0], [0, 0, 0]]
+    # the batch's largest row sum is that of union (1, 2), k + 1
+    for k, dtype in ((3037000498, np.int64), (3037000499, object)):
+        assert ((k + 1) ** 2 < 2**63) == (dtype is np.int64)
+        B1 = np.array([[0, k, 0], [k, 0, 0], [0, 0, k]], dtype=np.int64)
+        powers = generator._union_powers(np.stack([I, B1, I]), [(1,), (1, 2)])
+        assert powers.dtype == dtype
+        for b, u in enumerate([(1,), (1, 2)]):
+            BL = (B1 + I * (len(u) - 1)).tolist()
+            assert powers[b].tolist() == reference_matrix_powers(BL, 2)

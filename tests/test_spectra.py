@@ -11,6 +11,7 @@ from ascheme import spectra
 from ascheme.catalog import build_cyclotomic, catalog_scheme
 from ascheme.core import scheme_from_entries, symmetrize
 from ascheme.errors import (
+    EntryNotQuarterIntegral,
     MultiplicityNotIntegral,
     MultiplicitySumMismatch,
     NonCommutative,
@@ -18,10 +19,17 @@ from ascheme.errors import (
     NotPrime,
     ToleranceAmbiguity,
 )
-from ascheme.exact import QuadVal
-from ascheme.fusion import amorphic_normal_form, idempotent_matching, symmetrization_row_map
+from ascheme.exact import QuadVal, radical_sum, radical_sum_to_complex
+from ascheme.fusion import (
+    amorphic_normal_form,
+    bannai_muzychuk_check,
+    enumerate_admissible_partitions,
+    idempotent_matching,
+    symmetrization_row_map,
+)
 from ascheme.spectra import (
     EigenTable,
+    block_sums,
     character_table,
     distinct_eigenvalue_count,
     intersection_matrices,
@@ -36,6 +44,7 @@ from conftest import (
     reference_skew_split,
     reference_union_spectrum,
     reference_vote_perms,
+    sweep_schemes,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -387,3 +396,102 @@ def test_only_spectra_holds_a_tolerance():
             if name == "CLUSTER_TOL" or (defined or "").endswith("_TOL"):
                 offenders.append(f"{path.name}:{node.lineno}:{name}")
     assert offenders == []
+
+
+def _radical_sum_forms(tables_blocks):
+    """radical_sum's forms of the block sums, stacked over (table, blocks)
+    pairs: None where an entry of the block did not snap."""
+    out = []
+    for e, blocks in tables_blocks:
+        for j in range(e.d + 1):
+            vals = [[e.exact[j][i] for i in b] for b in blocks]
+            out.append([None if None in v else radical_sum(v) for v in vals])
+    return out
+
+
+def _check_keys(forms, reference, key_of, ref_of):
+    """The integer keys and radical_sum's forms are known in the same cells,
+    and evaluate to repr-identical floats.  key_of and ref_of map each form
+    seen so far to the other's, so the two induce the same equality
+    relation over every cell checked with the same maps.  Returns the
+    number of exact cells."""
+    cells = 0
+    for row, ref_row in zip(forms, reference, strict=True):
+        for key, ref in zip(row, ref_row, strict=True):
+            assert (key is None) == (ref is None)
+            if key is None:
+                continue
+            assert key_of.setdefault(ref, key) == key
+            assert ref_of.setdefault(key, ref) == ref
+            assert repr(radical_sum_to_complex(key, den=4)) == repr(radical_sum_to_complex(ref))
+            cells += 1
+    return cells
+
+
+def test_integer_keys_decide_as_radical_sum(catalog):
+    """block_sums' integer keys against radical_sum, the oracle they
+    replaced: on every admissible partition and every single-class block
+    of every catalog table and every table of the 174-scheme cyclotomic
+    sweep, and on the stacked rows of each symmetrization row map, the
+    keys induce the same equality relation as radical_sum's forms, and
+    radical_sum_to_complex evaluates both to repr-identical floats.  The
+    relation is checked across all of these cells at once, so across
+    tables too."""
+    schemes = [s for s in catalog.values() if s.is_commutative] + sweep_schemes()
+    counts = {"partitions": 0, "row maps": 0, "cells": 0}
+    maps = {}, {}
+    for s in schemes:
+        e = character_table(s)
+        partitions = enumerate_admissible_partitions(s)
+        singles = [tuple((c,) for c in range(s.d + 1))]
+        for blocks in partitions + singles:
+            forms = block_sums(e, blocks)[1]
+            counts["cells"] += _check_keys(forms, _radical_sum_forms([(e, blocks)]), *maps)
+        counts["partitions"] += len(partitions)
+        sym, corr = symmetrize(s)
+        pairs = [
+            (e, [[i for i in range(s.d + 1) if corr[i] == c] for c in range(sym.d + 1)]),
+            (character_table(sym), [(c,) for c in range(sym.d + 1)]),
+        ]
+        stacked = [f for t, blocks in pairs for f in block_sums(t, blocks)[1]]
+        counts["cells"] += _check_keys(stacked, _radical_sum_forms(pairs), *maps)
+        counts["row maps"] += 1
+    assert counts == {"partitions": 5288, "row maps": 219, "cells": 70648}
+    assert len(maps[0]) == len(maps[1]) == 310
+
+
+def test_block_sums_build_no_fraction(monkeypatch):
+    """On an existing table, block_sums, the spectral fusion check and
+    union_spectrum work in integers: the first block_sums call builds the
+    table's integer array from its snapped entries, and no call constructs
+    a Fraction."""
+    tables = [character_table(catalog_scheme(eid)) for eid in ("cyclo-13-2", "petersen")]
+    assert any(v is not None and v.r for t in tables for row in t.exact for v in row)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for e in tables:
+        assert "quarters" not in vars(e)
+        block_sums(e, [(c,) for c in range(e.d + 1)])
+        bannai_muzychuk_check(e, ((0,), (1,), tuple(range(2, e.d + 1))))
+        union_spectrum(e, (1,))
+    assert made == []
+    Fraction(1, 2)
+    assert made == [(1, 2)]
+
+
+def test_entry_off_the_quarter_lattice_raises_typed_error():
+    """An exact entry whose four-fold coordinates are not integers has no
+    integer key: block_sums raises EntryNotQuarterIntegral, naming it."""
+    one = QuadVal.rational(1)
+    third = QuadVal.rational(Fraction(1, 3))
+    P = np.array([[1, 2], [1, 1 / 3]], dtype=np.complex128)
+    e = EigenTable(P, (1, 1), ((one, QuadVal.rational(2)), (one, third)), 3, (1, 2))
+    with pytest.raises(EntryNotQuarterIntegral) as exc:
+        block_sums(e, [(0,), (1,)])
+    assert (exc.value.row, exc.value.col, exc.value.value) == (1, 1, third)
