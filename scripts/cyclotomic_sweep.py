@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ascheme.builders import _prime_power, build_cyclotomic  # noqa: E402
-from ascheme.catalog import CHECKS, _run_checks, records_to_jsonl  # noqa: E402
+from ascheme.catalog import CHECKS, _run_checks, check_failed, records_to_jsonl  # noqa: E402
 from ascheme.errors import NotPrime  # noqa: E402
 
 MAX_Q = 257
@@ -46,10 +46,7 @@ def sweep():
     for q, m in sweep_params():
         s = build_cyclotomic(q, m)
         records += [{"id": f"cyclo-{q}-{m}", **rec} for rec in _run_checks(s, CHECKS)]
-    bad = sum(
-        rec["error"] is not None or (rec["applicable"] and rec["holds"] is False)
-        for rec in records
-    )
+    bad = sum(map(check_failed, records))
     digest = hashlib.sha256(records_to_jsonl(records).encode()).hexdigest()
     return len(records) // len(CHECKS), bad, digest
 

@@ -9,13 +9,13 @@ Builders produce canonically labeled, fully verified schemes:
   * direct and wreath products,
   * small named constructions (complete, Petersen).
 
-Cyclotomic schemes and products hand over their intersection tensor; they
-never run the O(n^3) axiom kernel.  A cyclotomic scheme is a translation
-scheme, whose counts are the same along every translate of an arc, so
+No builder runs the O(n^3) axiom kernel.  Every construction but the
+products has a vertex-transitive group that preserves its coloring, so
 row 0 decides axioms (3) and (4) exactly in O(n^2) work and gives p
-(Delsarte 1973).  A product's tensor is a closed form in its factors'
-verified tensors (Brouwer-Cohen-Neumaier 1989).  The other builders go
-through verify_axioms.
+(_transitive_scheme; Delsarte 1973 for translation schemes).  A
+product's tensor is a closed form in its factors' verified tensors
+(Brouwer-Cohen-Neumaier 1989).  verify_axioms and its kernel serve
+colorings from outside and the catalog's axioms cross-check.
 
 DEFAULT_CATALOG maps ids to zero-argument builders; catalog_scheme builds
 one entry.  The battery that checks the entries is in catalog; this
@@ -33,7 +33,6 @@ from .core import (
     Scheme,
     canonical_form,
     color_matrix,
-    scheme_from_entries,
 )
 from .errors import (
     BadDivisor,
@@ -57,7 +56,7 @@ def complete_scheme(n):
     if n > MAX_N:
         raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
     e = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return scheme_from_entries(e, d=1)
+    return _transitive_scheme(color_matrix(e, 1))
 
 
 def _prime_power(q):
@@ -73,28 +72,32 @@ def _prime_power(q):
     return p, k
 
 
-def _translation_scheme(cls, diff, d):
-    """The translation scheme on a group of order n whose arc (x, y) has
-    class cls[y - x]: diff[x, y] is the index of y - x, with index 0 the
-    identity, and cls is a vector of classes 0..d with cls[0] = 0 alone.
+def _transitive_scheme(c):
+    """The Scheme of a ColorMatrix c whose coloring some vertex-transitive
+    group G preserves, verified from row 0 in O(n^2) work.
 
-    e[x, y] = c(y - x) holds by construction, so translating by -x carries
-    every arc (x, y) to (0, y - x) together with its counts, and row 0
-    decides the axioms exactly in O(n^2) work:
+    For any arc (x, y), an element g of G with g(x) = 0 maps it to
+    (0, g(y)), and (y, x) to (g(y), 0), keeping every count
+    #{w : e[x, w] = i, e[w, y] = j}.  So each arc has the class pair and
+    the counts of some arc in row 0, and row 0 decides the axioms exactly:
 
-      * axiom (3): the class of -g is e[g, 0], so each class i must meet
-        a single class among the e[g, 0] with e[0, g] = i;
+      * axiom (3): each class i must meet a single class among the
+        reverses e[g, 0] of the arcs (0, g) of class i;
       * axiom (4): H[g, i, j] = #{w : e[0, w] = i, e[w, g] = j}, one
         bincount, must equal H at the first arc of the class of (0, g).
 
-    Then p[i, j, l] = H[first arc of l, i, j].  A failure raises
-    TransposeNotRelation or InconsistentIntersectionNumber, with the
-    witness verify_axioms gives: the first violation in row-major order
-    lies in row 0, as does the first arc of every class.
+    Then p[i, j, l] = H[first arc of l, i, j].  Every class occurs, so it
+    has an arc in row 0, and its first arc in row-major order lies there.
+    A violation anywhere has an image in row 0, so the first one lies
+    there too.  A failure therefore raises TransposeNotRelation or
+    InconsistentIntersectionNumber with the witness verify_axioms gives.
+
+    The caller vouches for G: the translations, for a cyclotomic (or any
+    translation) scheme; the generated group, for orbitals; S_n, for K_n;
+    S_5, which preserves the disjointness of 2-subsets, for Petersen.
     """
-    c = color_matrix(cls[diff], d)
     e = c.entries
-    n, m = c.n, d + 1
+    n, m = c.n, c.d + 1
     e0 = e[0].astype(np.intp)
     neg = e[:, 0].astype(np.intp)
     firsts = np.argmax(e0 == np.arange(m)[:, None], axis=1)
@@ -127,9 +130,8 @@ def build_cyclotomic(q, m):
     with these orbitals, so the axioms always hold; commutativity is
     automatic for translation schemes over an abelian group.  The scheme
     is the translation scheme of the coset classes over (GF(q), +), so
-    _translation_scheme verifies it and gives p from row 0, with no call
-    of the axiom kernel.  TooLarge for q > MAX_Q is raised before the
-    O(q) factor search.
+    _transitive_scheme verifies it from row 0.  TooLarge for q > MAX_Q is
+    raised before the O(q) factor search.
     """
     if q > MAX_Q:
         raise TooLarge(f"field size {q} exceeds {MAX_Q}")
@@ -143,7 +145,7 @@ def build_cyclotomic(q, m):
     cls = np.zeros(F.q, dtype=np.int64)
     for e in range(1, F.q):
         cls[e] = 1 + F.log[e - 1] % m
-    return canonical_form(_translation_scheme(cls, diff, m))[0]
+    return canonical_form(_transitive_scheme(color_matrix(cls[diff], m)))[0]
 
 
 def cyclic_shift(n):
@@ -156,12 +158,39 @@ def multiplier_perm(n, a):
     return tuple(a * i % n for i in range(n))
 
 
+def _orbitals(n, gens):
+    """(color, d): the orbitals of the group generated by gens on n points,
+    numbered by their first pair in row-major order.
+
+    Min-label propagation: each pair starts with its row-major index, and
+    each generator's pair map passes the smaller label on until nothing
+    changes, which leaves every pair with the least index of its orbit (a
+    generator's inverse is one of its powers).  The group is transitive
+    iff the diagonal is one orbital, and the orbit of 0 has as many points
+    as the diagonal has pairs labeled 0; NotTransitive otherwise.
+    """
+    idx = np.arange(n * n)
+    lab, prev = idx.copy(), None
+    moves = [(g[:, None] * n + g).ravel() for g in gens]
+    while prev is None or (lab != prev).any():
+        prev = lab.copy()
+        for mv in moves:
+            lab[mv] = np.minimum(lab[mv], lab)
+    orbit = int(np.count_nonzero(np.diagonal(lab.reshape(n, n)) == 0))
+    if orbit != n:
+        raise NotTransitive(f"point orbit of 0 has size {orbit} < {n}")
+    reps = np.flatnonzero(lab == idx)
+    return np.searchsorted(reps, lab).reshape(n, n), len(reps) - 1
+
+
 def build_schurian(n, generators):
     """Orbital scheme of the permutation group generated on n points.
 
-    Raises NotTransitive when the point action has more than one orbit,
-    NonCommutative when the orbital algebra is not commutative, and
-    TooLarge beyond 60 points.
+    The orbitals come from _orbitals by min-label propagation in numpy;
+    the group preserves them and is transitive, so _transitive_scheme
+    verifies them from row 0.  Raises NotTransitive
+    when the point action has more than one orbit, NonCommutative when
+    the orbital algebra is not commutative, and TooLarge beyond 60 points.
     """
     if n > MAX_SCHURIAN_N:
         raise TooLarge(f"degree {n} exceeds the limit {MAX_SCHURIAN_N}")
@@ -170,36 +199,12 @@ def build_schurian(n, generators):
         g = tuple(int(x) for x in g)
         if sorted(g) != list(range(n)):
             raise ValueError("generator is not a permutation of range(n)")
-        gens.append(g)
-    orbit = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                stack.append(g[x])
-    if len(orbit) != n:
-        raise NotTransitive(f"point orbit of 0 has size {len(orbit)} < {n}")
-    color = np.full((n, n), -1, dtype=np.int64)
-    nxt = 0
-    for sx in range(n):
-        for sy in range(n):
-            if color[sx, sy] >= 0:
-                continue
-            color[sx, sy] = nxt
-            stack = [(sx, sy)]
-            while stack:
-                x, y = stack.pop()
-                for g in gens:
-                    if color[g[x], g[y]] < 0:
-                        color[g[x], g[y]] = nxt
-                        stack.append((g[x], g[y]))
-            nxt += 1
-    s = scheme_from_entries(color, d=nxt - 1)
+        gens.append(np.array(g, dtype=np.int64))
+    color, d = _orbitals(n, gens)
+    s = _transitive_scheme(color_matrix(color, d))
     if not s.is_commutative:
         raise NonCommutative(
-            f"orbital algebra on {n} points with {nxt - 1} classes is not commutative"
+            f"orbital algebra on {n} points with {d} classes is not commutative"
         )
     return canonical_form(s)[0]
 
@@ -254,16 +259,12 @@ def build_product(s1, s2, kind):
 
 
 def build_petersen():
-    """Petersen graph as a 2-class scheme on the 2-subsets of a 5-set."""
-    V = list(combinations(range(5), 2))
-    n = len(V)
-    e = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            e[a, b] = 1 if not set(V[a]) & set(V[b]) else 2
-    return canonical_form(scheme_from_entries(e, d=2))[0]
+    """Petersen graph as a 2-class scheme on the 2-subsets of a 5-set:
+    S_5 acts transitively and keeps disjointness, so _transitive_scheme
+    verifies it."""
+    V = [set(v) for v in combinations(range(5), 2)]
+    e = [[0 if a == b else 1 if not a & b else 2 for b in V] for a in V]
+    return canonical_form(_transitive_scheme(color_matrix(e, 2)))[0]
 
 
 def _johnson_5_2_generators():

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _CHECKS, fusion, generator, spectra, srg
 from .builders import build_cyclotomic, build_product, catalog_ids, catalog_scheme
-from .core import json_default, verify_axioms
+from .core import json_default, mask_unions, verify_axioms
 from .errors import BuilderTensorMismatch, InfeasibleParameters, NotStronglyRegular
 from .spectra import RESID_TOL
 
@@ -147,8 +147,7 @@ def _check_srg(s):
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
     found = []
     non_srg = 0
-    for mask in range(1, 2 ** s.d):
-        u = tuple(i + 1 for i in range(s.d) if mask >> i & 1)
+    for u in mask_unions(s.d):
         if set(u) != {s.transpose_map[i] for i in u} or len(u) == s.d:
             continue
         try:
@@ -247,10 +246,11 @@ def records_to_jsonl(records):
     ) + "\n"
 
 
+def check_failed(rec):
+    """Whether a record's check raised, or applied and does not hold."""
+    return rec["error"] is not None or bool(rec["applicable"] and rec["holds"] is False)
+
+
 def catalog_exit_code(records):
     """0 all pass, 1 any failed or errored check, 2 reserved for input errors."""
-    bad = any(
-        rec["error"] is not None or (rec["applicable"] and rec["holds"] is False)
-        for rec in records
-    )
-    return 1 if bad else 0
+    return 1 if any(map(check_failed, records)) else 0

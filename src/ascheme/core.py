@@ -7,11 +7,12 @@ color class is a color class, and (4) for each pair of colors (i, j) the
 count p_{ij}^l of z with (x,z) in R_i and (z,y) in R_j depends only on the
 color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
 verify_axioms checks (3) and (4) and collects the full tensor p; a Scheme
-is the coloring plus p.  verify_axioms runs on parsed files and
-scheme_from_entries; the cyclotomic and product builders (builders)
-decide or derive p themselves and build the Scheme directly.  A fusion of
-a verified scheme is decided by fuse_classes on p alone and yields the
-fused p, without rerunning the axiom kernel or building an n x n coloring.
+is the coloring plus p.  verify_axioms runs on parsed files,
+scheme_from_entries and the catalog's axioms cross-check; the builders
+(builders) decide or derive p themselves and build the Scheme directly.
+A fusion of a verified scheme is decided by fuse_classes on p alone and
+yields the fused p, without rerunning the axiom kernel or building an
+n x n coloring.
 
 Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
@@ -175,6 +176,12 @@ def union_classes(d, union):
     if not u or u[0] < 1 or u[-1] > d:
         raise ValueError(f"union must be a nonempty subset of 1..{d}")
     return u
+
+
+def mask_unions(d):
+    """Every nonempty union of classes 1..d as a sorted tuple, in the order
+    of its bitmask (bit i - 1 set for class i)."""
+    return [tuple(i + 1 for i in range(d) if mask >> i & 1) for mask in range(1, 2**d)]
 
 
 def _validate_entries(arr, d, row_loc=None):

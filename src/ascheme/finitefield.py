@@ -10,7 +10,9 @@ small enough that dense q x q tables stay trivial.
 Polynomial arithmetic over GF(p) is done here on plain coefficient lists
 (constant term first); irreducibility is decided by trial division by
 every monic polynomial of degree at most k/2, at most 30 candidates for
-q <= 257.
+q <= 257.  The generator is the first element whose powers, walked once
+until they return to 1, reach all q - 1 units; those powers are the exp
+table.
 """
 
 from dataclasses import dataclass
@@ -134,17 +136,6 @@ class Field:
         return digits
 
 
-def _order(mul, e, p, k):
-    q = p**k
-    t, cur = 1, e
-    while cur != 1:
-        cur = mul(cur, e)
-        t += 1
-        if t > q:
-            raise FieldCheckFailed(f"element {e} has no finite order", p, k, "order")
-    return t
-
-
 def field(p, k=1):
     """Build GF(p^k); deterministic modulus and generator."""
     if p >= _MR_LIMIT:
@@ -157,20 +148,17 @@ def field(p, k=1):
     if q > MAX_Q:
         raise TooLarge(f"field size {q} exceeds {MAX_Q}")
     low_modulus = _lex_first_irreducible(p, k)
-
-    def mul(a, b):
-        return _mul(a, b, p, k, low_modulus)
-
-    gen = None
-    for e in range(2 if q > 2 else 1, q):
-        if _order(mul, e, p, k) == q - 1:
-            gen = e
+    for gen in range(2 if q > 2 else 1, q):
+        exp, cur = [1], gen
+        while cur != 1:
+            exp.append(cur)
+            if len(exp) > q:
+                raise FieldCheckFailed(f"element {gen} has no finite order", p, k, "order")
+            cur = _mul(cur, gen, p, k, low_modulus)
+        if len(exp) == q - 1:
             break
-    if gen is None:
+    else:
         raise FieldCheckFailed("multiplicative group has no generator", p, k, "generator")
-    exp = [1]
-    for _ in range(q - 2):
-        exp.append(mul(exp[-1], gen))
     log = [0] * (q - 1)
     for t, e in enumerate(exp):
         log[e - 1] = t

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .core import canonical_form, memoized, symmetrize, union_classes
+from .core import canonical_form, mask_unions, memoized, symmetrize, union_classes
 from .errors import (
     SplitRowMismatch,
     TooManyClasses,
@@ -108,7 +108,7 @@ def generates(s, union):
     are re-checked in integers against the same powers on the regular
     representation, and that proves them on the adjacency matrices:
     s.tensor is verified against s.color (by the axiom kernel, by the
-    translation-scheme row-0 check of the cyclotomic builder, or as closed
+    builders' row-0 check of a vertex-transitive coloring, or as closed
     forms and block sums of verified tensors), so A_i A_j = sum_l p_ij^l A_l
     and A_i -> B_i is an algebra homomorphism, the algebra being
     associative.  It is injective, since B_i e_0 = e_i.  Hence
@@ -203,11 +203,7 @@ def find_generating_unions(s):
     """
     if s.d > 12:
         raise TooManyClasses(f"d = {s.d} exceeds the 2^d search guard")
-    unions = []
-    for mask in range(1, 2 ** s.d):
-        u = tuple(i + 1 for i in range(s.d) if mask >> i & 1)
-        unions.append(u)
-    unions.sort(key=lambda u: (len(u), u))
+    unions = sorted(mask_unions(s.d), key=lambda u: (len(u), u))
     step = max(1, CHUNK_ENTRIES // (s.d + 1) ** 3)
 
     def chunked(todo):
@@ -339,7 +335,7 @@ def check_theorem_amorphic(x):
             if i == p2:
                 continue
             u = tuple(sorted({i, p1}))
-            rep = next(r for r in reports if r.union == u)
+            rep = generates(x, u)
             if rep.eigen_count == x.d + 1 and rep.generates:
                 found = {"i": i, "union": list(u)}
                 break

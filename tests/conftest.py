@@ -35,6 +35,7 @@ from ascheme.errors import (
     NonSquareBody,
     NonzeroDiagonal,
     NormalFormUnreachable,
+    NotTransitive,
     OutOfRangeEntry,
     ParseError,
     ToleranceAmbiguity,
@@ -89,6 +90,39 @@ MEMOIZED = {
 def trivial_scheme():
     """The one-point scheme (d = 0)."""
     return scheme_from_entries(np.zeros((1, 1), dtype=np.int64), d=0)
+
+
+def reference_orbitals(n, gens):
+    """(color, d): the orbitals of the group generated by the permutation
+    tuples gens on n points, by pure-Python search: the point orbit of 0
+    first (NotTransitive unless it is all n points), then each unlabeled
+    pair in row-major order starts the next orbital."""
+    orbit = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                stack.append(g[x])
+    if len(orbit) != n:
+        raise NotTransitive(f"point orbit of 0 has size {len(orbit)} < {n}")
+    color = np.full((n, n), -1, dtype=np.int64)
+    nxt = 0
+    for sx in range(n):
+        for sy in range(n):
+            if color[sx, sy] >= 0:
+                continue
+            color[sx, sy] = nxt
+            stack = [(sx, sy)]
+            while stack:
+                x, y = stack.pop()
+                for g in gens:
+                    if color[g[x], g[y]] < 0:
+                        color[g[x], g[y]] = nxt
+                        stack.append((g[x], g[y]))
+            nxt += 1
+    return color, nxt - 1
 
 
 def fused_scheme(s, partition):

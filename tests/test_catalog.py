@@ -24,11 +24,13 @@ from ascheme.builders import (
     complete_scheme,
     cyclic_shift,
     multiplier_perm,
-    _translation_scheme,
+    _orbitals,
+    _transitive_scheme,
 )
 from ascheme.catalog import (
     CHECKS,
     catalog_exit_code,
+    check_failed,
     records_to_jsonl,
     run_catalog,
     _check_axioms,
@@ -58,7 +60,15 @@ from ascheme.finitefield import field
 from ascheme.generator import generates
 from ascheme.spectra import character_table
 
-from conftest import MEMOIZED, field_add, field_mul, field_neg, field_sub, trivial_scheme
+from conftest import (
+    MEMOIZED,
+    field_add,
+    field_mul,
+    field_neg,
+    field_sub,
+    reference_orbitals,
+    trivial_scheme,
+)
 
 
 # --- finite fields -----------------------------------------------------------
@@ -271,21 +281,35 @@ def _no_kernel_calls(monkeypatch):
     return calls
 
 
-def test_builders_tensors_equal_the_kernels(catalog, monkeypatch):
-    """Every catalog entry and the benchmark ladder's five builds carry the
-    tensor that the axiom kernel finds on their coloring; the cyclotomic
-    builder and build_product never call the kernel."""
-    for eid, s in catalog.items():
-        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), eid
-    c31 = build_cyclotomic(31, 2)
+# Z_n with the multipliers by a: orbital schemes of Z_n x| <a>
+ORBITAL_CASES = [(12, 5), (13, 3), (60, 7)]
+
+
+def _z_orbital_generators(n, a):
+    return [cyclic_shift(n), multiplier_perm(n, a)]
+
+
+def test_builders_tensors_equal_the_kernels(monkeypatch):
+    """No builder calls the axiom kernel, and every build carries the
+    tensor that the kernel finds on its coloring: each catalog entry built
+    anew (cyclotomic, Schurian, Petersen, complete and product schemes),
+    the benchmark ladder's five builds, K_n at four n and three orbital
+    schemes of Z_n x| <a>."""
     calls = _no_kernel_calls(monkeypatch)
+    built = {eid: catalog_scheme(eid) for eid in catalog_ids()}
     ladder = [build_cyclotomic(q, m) for q, m in [(101, 2), (241, 6), (256, 5), (257, 2)]]
-    ladder.append(build_product(c31, c31, "direct"))
+    ladder.append(build_product(built["cyclo-31-2"], built["cyclo-31-2"], "direct"))
+    for n in (2, 3, 7, 50):
+        built[f"K{n}"] = complete_scheme(n)
+    for n, a in ORBITAL_CASES:
+        built[f"orbital-{n}-{a}"] = build_schurian(n, _z_orbital_generators(n, a))
     monkeypatch.undo()
     assert calls == []
     assert [(s.n, s.d) for s in ladder] == [(101, 2), (241, 6), (256, 5), (257, 2), (961, 8)]
-    for s in ladder:
-        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), (s.n, s.d)
+    assert (built["K50"].n, built["orbital-60-7"].n) == (50, 60)
+    built.update(enumerate(ladder))
+    for key, s in built.items():
+        assert np.array_equal(s.tensor.p, _kernel_tensor(s)), key
 
 
 def test_product_tensors_equal_the_kernels(monkeypatch):
@@ -359,7 +383,7 @@ def test_recolored_arc_pair_is_refused_before_generation(catalog):
         assert rec["error"].startswith("InconsistentIntersectionNumber"), eid
 
 
-# --- the translation-scheme helper --------------------------------------------
+# --- the row-0 verifier and the orbitals ------------------------------------
 
 
 def _z(n):
@@ -381,7 +405,7 @@ def test_translation_scheme_rejects_a_non_coset_coloring():
     diff = _z(13)
     e = cls[diff]
     with pytest.raises(InconsistentIntersectionNumber) as info:
-        _translation_scheme(cls, diff, 2)
+        _transitive_scheme(color_matrix(cls[diff], 2))
     with pytest.raises(InconsistentIntersectionNumber) as ref:
         scheme_from_entries(e, 2)
     exc = info.value
@@ -398,7 +422,7 @@ def test_translation_scheme_rejects_a_transpose_that_is_no_class():
     cls = np.array([0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2])
     diff = _z(13)
     with pytest.raises(TransposeNotRelation) as info:
-        _translation_scheme(cls, diff, 2)
+        _transitive_scheme(color_matrix(cls[diff], 2))
     with pytest.raises(TransposeNotRelation) as ref:
         scheme_from_entries(cls[diff], 2)
     assert vars(info.value) == vars(ref.value)
@@ -426,16 +450,97 @@ def test_translation_scheme_decides_as_verify_axioms():
                 want = scheme_from_entries(cls[diff], d)
             except (TransposeNotRelation, InconsistentIntersectionNumber) as ref:
                 with pytest.raises(type(ref)) as got:
-                    _translation_scheme(cls, diff, d)
+                    _transitive_scheme(color_matrix(cls[diff], d))
                 assert vars(got.value) == vars(ref), (n, cls)
                 outcomes[type(ref).__name__] += 1
                 continue
-            s = _translation_scheme(cls, diff, d)
+            s = _transitive_scheme(color_matrix(cls[diff], d))
             assert np.array_equal(s.color.entries, want.color.entries)
             assert np.array_equal(s.tensor.p, want.tensor.p), (n, cls)
             outcomes["scheme"] += 1
     assert set(outcomes) == {"scheme", "TransposeNotRelation", "InconsistentIntersectionNumber"}
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _random_generator_sets():
+    """Seeded generator sets on n <= 24 points, conjugated by a random
+    relabeling of the points.  A quarter of them generate the left-regular
+    action of the dihedral group of order n, n even (point r + (n/2) f),
+    whose orbital scheme is not commutative for n >= 6.  Each other set
+    has one to three of: a random permutation, a rotation, a multiplier,
+    a transposition, and the rotation with a multiplier (Z_n x| <a>);
+    about half of them generate an intransitive group."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for case in range(100):
+        n = int(rng.integers(2, 25))
+        gens = []
+        if case % 4 == 3:
+            m = 3 + n % 10
+            n = 2 * m
+            r, f = np.arange(n) % m, np.arange(n) // m
+            gens = [(r + 1) % m + m * f, -r % m + m * (1 - f)]
+            kinds = []
+        else:
+            kinds = rng.integers(0, 5, int(rng.integers(1, 4)))
+        units = [a for a in range(1, n) if np.gcd(a, n) == 1]
+        for kind in kinds:
+            if kind == 0:
+                gens.append(rng.permutation(n))
+            elif kind == 1:
+                gens.append((np.arange(n) + int(rng.integers(1, n))) % n)
+            elif kind == 2:
+                g = np.arange(n)
+                a, b = rng.choice(n, 2, replace=False)
+                g[[a, b]] = g[[b, a]]
+                gens.append(g)
+            else:
+                gens.append(np.array(multiplier_perm(n, int(rng.choice(units)))))
+                if kind == 4:
+                    gens.append(np.array(cyclic_shift(n)))
+        relabel = rng.permutation(n)
+        inv = np.argsort(relabel)
+        cases.append((n, [tuple(int(x) for x in relabel[g[inv]]) for g in gens]))
+    return cases + [(n, _z_orbital_generators(n, a)) for n, a in ORBITAL_CASES]
+
+
+def test_orbitals_equal_the_search_oracle():
+    """_orbitals gives the pure-Python search's coloring and d on every
+    transitive generator set, and its NotTransitive message on every
+    other."""
+    outcomes = Counter()
+    for n, gens in _random_generator_sets():
+        arrays = [np.array(g) for g in gens]
+        try:
+            want, d = reference_orbitals(n, gens)
+        except NotTransitive as ref:
+            with pytest.raises(NotTransitive) as got:
+                _orbitals(n, arrays)
+            assert str(got.value) == str(ref), (n, gens)
+            outcomes["intransitive"] += 1
+            continue
+        color, got_d = _orbitals(n, arrays)
+        assert got_d == d and np.array_equal(color, want), (n, gens)
+        outcomes[min(d, 3)] += 1
+    assert set(outcomes) == {"intransitive", 1, 2, 3}, outcomes
+    assert min(outcomes.values()) >= 3, outcomes
+
+
+def test_row0_verifier_decides_orbitals_as_verify_axioms():
+    """On every transitive orbital coloring of the generator sets above,
+    commutative or not, the row-0 verifier returns the tensor that
+    verify_axioms finds."""
+    kinds = Counter()
+    for n, gens in _random_generator_sets():
+        try:
+            color, d = reference_orbitals(n, gens)
+        except NotTransitive:
+            continue
+        c = color_matrix(color, d)
+        s = _transitive_scheme(c)
+        assert np.array_equal(s.tensor.p, verify_axioms(c).tensor.p), (n, gens)
+        kinds[s.is_commutative] += 1
+    assert min(kinds[True], kinds[False]) >= 5, kinds
 
 
 # --- the paper's application: nonsymmetric cyclotomic (q, 4) ------------------
@@ -456,11 +561,7 @@ def test_nonsymmetric_cyclotomic_4_class_sweep():
         extra += f"cyclo-{q}-4" not in ids
         assert s.class_kind == "skew-symmetric", q
         recs = {r["check"]: r for r in _run_checks(s, CHECKS)}
-        bad = [
-            (name, r["error"])
-            for name, r in recs.items()
-            if r["error"] is not None or (r["applicable"] and r["holds"] is False)
-        ]
+        bad = [(name, r["error"]) for name, r in recs.items() if check_failed(r)]
         assert bad == [], q
         assert recs["T1.4"]["applicable"] and recs["T1.4"]["holds"], q
     assert len(qs) == 15 and extra == 11

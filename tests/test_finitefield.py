@@ -104,7 +104,7 @@ def test_field_rejects_non_primes_before_size():
     [
         ("_irreducible", lambda f, p: False, "modulus"),
         ("_mul", lambda a, b, p, k, modulus: a, "order"),
-        ("_order", lambda mul, e, p, k: 1, "generator"),
+        ("_mul", lambda a, b, p, k, modulus: 1, "generator"),
     ],
 )
 def test_field_checks_raise_with_asserts_stripped(name, fake, check):
