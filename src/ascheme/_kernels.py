@@ -21,6 +21,43 @@ coloring's own structure leaves open:
   class of l onto the class of t[l], so C_ab is constant on every class
   iff C_{t[b] t[a]} is, and p[t[b], t[a], l] is C_ab at the transpose of
   l's first arc.
+- Row counts.  Let k[x, a] be the count of color a in row x.  Summed over
+  b, C_ab(x, y) counts the z with e[x,z] = a, and C_a0(x, y) = [e[x,y] =
+  a], so sum_{b >= 1} C_ab(x, y) = k[x, a] - [e[x,y] = a].  Summed over
+  a, it counts the z with e[z,y] = b, which axiom (3) makes the count of
+  t[b] in row y: sum_{a >= 1} C_ab(x, y) = k[y, t[b]] - [e[x,y] = b].
+  Both hold at every pair, scheme or not.
+
+Regular rows: one color derived.  When every row's counts equal row 0's,
+k, the kernel picks c, the color of largest row bound (lowest label
+first), makes no cell with right color c or left color t[c], and fills
+them at each class's first arc from the sums above:
+
+    p[a, c, l] = k_a - [l = a] - sum_{b not in {0, c}} p[a, b, l]     for a != t[c]
+    p[t[c], b, l] = k_{t[b]} - [l = b] - sum_{a not in {0, t[c]}} p[a, b, l]   for b != c
+
+and the corner (t[c], c) by the row sum of t[c].  These are the
+histograms at the first arcs, as the sums hold there.  A derived cell
+leaves its class value at a pair (x, y) of class l only if a computed
+cell (made directly or read as a transpose) leaves its own there.  For
+if every C_ab with a != t[c] and b != c takes its class value at (x, y),
+then the row sums give C_ac(x, y) = p[a, c, l] for a != t[c], the column
+sums give C_{t[c] b}(x, y) = p[t[c], b, l] for b != c, and the row sum of
+t[c] gives the corner.  So the first violating pair is the first where a
+computed cell fails, and the witness rebuilt there is the scan's.  The
+t[c] row must not be read as the transposes of the p[., c] values: off a
+scheme, C_ac is not constant on a class, so its value at the transpose of
+l's first arc need not be p at the first arc of t[l].
+
+Irregular rows: a rejection bounded before any product.  Let x0 be the
+first row whose counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a],
+so at the pair (x0, x0), of class 0 with first arc (0, 0), some
+C_{a t[a]} leaves its class value: the first violation in scan order is
+at index x0 (n + 1) or before, and the kernel starts from that bound (see
+the cuts below).  It keeps the full plan.
+
+First arcs.  The first arc of each color is the first row that the row
+counts show holding it, and one argmax in that row.
 
 Coverage.  Put colors 1..d in any order pos.  Cell (a, b) is made
 directly iff pos(t[b]) >= pos(a).  Otherwise pos(t[b]) < pos(a) =
@@ -54,9 +91,11 @@ right color b that color a needs has rows[t[b]] <= rows[a], so B_ab is
 b's own bound.  The plan groups consecutive left colors, gives each group
 the right colors its first color needs, cuts those, smallest bound first,
 into blocks with U <= 2^53, and picks the grouping with the fewest
-products by a DP over the groups.  Cyclotomic (31,2) squared (n = 961,
-d = 8; valencies 1, four of 15 and four of 225) takes 5 products, where
-one radix of 226 for every cell took 10.
+products by a DP over the groups.  A derived color c is left out of
+the order on the left as t[c], and so out of every right list as c.
+Cyclotomic (31,2) squared (n = 961, d = 8; valencies 1, four of 15 and
+four of 225) takes 4 products, 5 without its derived color, where one
+radix of 226 for every cell took 10.
 
 Witness order.  A packed value is constant on a class iff each of its
 digits is, so each product needs one constancy check, and on valid input
@@ -85,7 +124,19 @@ multiply-adds against n^3 for the whole product: the kernel cuts a
 product only while 2r < n, and otherwise makes it whole.  A rejected
 coloring then costs the products up to the first that fails, then
 2rn^2 multiply-adds and O(n^2) gathers for each later one, and p still
-holds the histogram at every class's first arc.
+holds the histogram at every class's first arc.  With irregular rows bad
+starts at x0 (n + 1), so every product is cut, from the first, to its
+rows and columns < x0 + 1 while 2(x0 + 1) < n.
+
+Workspace.  Each call allocates its two operands and its product once,
+n x n float64 each, and fills them in place with np.take(...,
+mode="clip") and np.matmul(..., out=) for every product, so its page
+faults do not depend on what the heap keeps between products.  A cut
+product writes its rows < r and then its columns < r into the first 2rn
+entries of the product buffer.  Once the product is made, the operands
+are free: the class tables are gathered into the left one, and the bool
+mismatch is written over the first n^2 bytes of the right one.  With the
+intp copy of e that is 4 n x n float64 arrays, and O(mn) beside them.
 """
 
 import math
@@ -99,17 +150,28 @@ from .errors import ViolationNotReproduced
 EXACT = 2**53
 
 
-def first_arcs(e, d):
-    """Row-major index of the first arc of each color 0..d (0 if absent)."""
-    flat = e.ravel()
-    return np.array([np.argmax(flat == i) for i in range(d + 1)], dtype=np.int64)
-
-
-def row_bounds(e, d):
-    """The largest count of each color 0..d in any row of e, as a list."""
+def row_counts(e, d):
+    """counts[x, i]: the number of arcs of color i in row x of e, an
+    n x (d+1) matrix."""
     n, m = e.shape[0], d + 1
     counts = np.bincount(((np.arange(n) * m)[:, None] + e).ravel(), minlength=n * m)
-    return counts.reshape(n, m).max(axis=0).tolist()
+    return counts.reshape(n, m)
+
+
+def first_arcs(e, counts):
+    """Row-major index of the first arc of each color (0 if absent), from
+    e's row counts: the first row that holds the color, then its first
+    column there."""
+    n, m = counts.shape
+    x = (counts > 0).argmax(axis=0)
+    return x * n + (e[x] == np.arange(m)[:, None]).argmax(axis=1)
+
+
+def derived_color(rows):
+    """The color c whose cells a coloring with regular rows and row bounds
+    rows[0..d] derives from row and column sums: the largest bound, lowest
+    label first.  None when d = 0."""
+    return rows.index(max(rows[1:]), 1) if len(rows) > 1 else None
 
 
 def _cuts(bounds, cols, most):
@@ -142,28 +204,31 @@ def _weights(bounds):
     return tuple(w)
 
 
-def plan(rows, t):
+def plan(rows, t, c=None):
     """The kernel's products for row bounds rows[0..d] and transpose map t,
     as a list of (left, right, u, v): the left and right colors, and their
     integer weights, each list one longer than its colors and closed by the
-    product of its radices, so u[-1] bounds the packed values."""
-    d = len(rows) - 1
-    order = sorted(range(1, d + 1), key=lambda a: -rows[a])
+    product of its radices, so u[-1] bounds the packed values.  With a
+    derived color c, no product has right color c or left color t[c]."""
+    order = sorted(
+        (a for a in range(1, len(rows)) if c is None or a != t[c]), key=lambda a: -rows[a]
+    )
+    size = len(order)
     # best[i] = (products, j, block starts) for the left colors order[i:],
     # grouping order[i:j] first.  best[i] >= best[j] for i < j, and
-    # best[j] >= 1 for j < d, so the search for j, longest group first,
+    # best[j] >= 1 for j < size, so the search for j, longest group first,
     # stops once no shorter group can beat the best found.
-    best = {d: (0, d, None)}
+    best = {size: (0, size, None)}
 
     def search(i):
         if i in best:
             return best[i]
         # the bounds of the right colors order[i] needs, smallest first;
         # none exceeds order[i]'s own, so each is its column's radix - 1
-        cols = [rows[c] for c in reversed(order[i:])]
+        cols = [rows[a] for a in reversed(order[i:])]
         found = None
-        for j in range(d, i, -1):
-            if found and found[0] <= 1 + (j < d):
+        for j in range(size, i, -1):
+            if found and found[0] <= 1 + (j < size):
                 break
             most = found[0] - search(j)[0] - 1 if found else len(cols)
             if most < 1:
@@ -176,9 +241,9 @@ def plan(rows, t):
 
     search(0)
     products, i = [], 0
-    while i < d:
+    while i < size:
         _, j, starts = best[i]
-        right = [t[c] for c in reversed(order[i:])]
+        right = [t[a] for a in reversed(order[i:])]
         left = tuple(order[i:j])
         for lo, hi in zip(starts, starts[1:] + [len(right)]):
             block = right[lo:hi]
@@ -201,8 +266,9 @@ def tensor_and_verify(e, d, t):
     ok is False, witness holds (i, j, l, x1, y1, count1, x2, y2, count2)
     for the first two conflicting pairs in scan order.
 
-    Once a product fails at scan index bad, each later product makes only
-    its rows and columns < r = bad // n + 1: rows < r hold every direct
+    Once a product fails at scan index bad, or a row's counts differ from
+    row 0's first at row x0 and bad = x0 (n + 1), each later product makes
+    only its rows and columns < r = bad // n + 1: rows < r hold every direct
     cell that could fail before bad, and columns < r every transposed one.
     Its class values come from m dot products of an operand row with an
     operand column, exact in any summation order as every term and
@@ -215,14 +281,24 @@ def tensor_and_verify(e, d, t):
     # every gather below indexes by this one copy: intp indices are not
     # cast again on each take
     idx = e.astype(np.intp)
-    first = first_arcs(e, d)
-    fx, fy = np.divmod(first, n)
+    counts = row_counts(idx, d)
+    fx, fy = np.divmod(first_arcs(idx, counts), n)
+    # the first row whose counts differ from row 0's, 0 if none: the pair
+    # (x0, x0) then violates axiom (4), as C_{a t[a]}(x, x) counts a in row x
+    x0 = int((counts != counts[0]).any(axis=1).argmax())
+    rows = counts.max(axis=0).tolist()
+    c = None if x0 else derived_color(rows)
     p = np.full((m, m, m), -1, dtype=np.int64)
-    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
+    eye = np.eye(m, dtype=np.int64)
+    p[0] = p[:, 0] = eye
     wit = np.full(9, -1, dtype=np.int64)
     # the first violating scan index so far, n^2 for none
-    bad = n * n
-    for left, right, u, v in plan(row_bounds(idx, d), t.tolist()):
+    bad = x0 * (n + 1) if x0 else n * n
+    # the workspace (see the module notes); every take uses mode="clip",
+    # which writes into out directly, where "raise" buffers the gather
+    lhs, rhs, prod = np.empty((3, n, n))
+    mismatch = rhs.reshape(-1).view(np.bool_)
+    for left, right, u, v in plan(rows, t.tolist(), c):
         # rows and columns < r hold every cell that can fail before bad;
         # once 2r >= n they cost more than the whole product
         r = bad // n + 1
@@ -231,33 +307,32 @@ def tensor_and_verify(e, d, t):
         wl, wr = np.zeros(m), np.zeros(m)
         wl[list(left)] = u[:-1]
         wr[list(right)] = v[:-1]
-        lhs, rhs = wl[idx], wr[idx]
+        np.take(wl, idx, out=lhs, mode="clip")
+        np.take(wr, idx, out=rhs, mode="clip")
         ref = np.einsum("ij,ji->i", lhs[fx], rhs[:, fy])
         ref_t = np.einsum("ij,ji->i", lhs[fy], rhs[:, fx])
-        # the kernel's only products; both operands are freed before the
-        # constancy check
-        head = np.matmul(lhs[:r], rhs)
-        side = head if r == n else np.matmul(lhs, rhs[:, :r])
-        del lhs, rhs
-        # mismatch lives into the next product: freeing it let the heap
-        # shrink, and the next product's arrays took about 2000 more page
-        # faults, 10% of a valid call at n = 961
-        mismatch = head != ref[idx[:r]]
-        failed = bool(mismatch.any())
+        # the kernel's only products
+        head = np.matmul(lhs[:r], rhs, out=prod[:r])
+        if r == n:
+            side = head
+        else:
+            side = prod.reshape(-1)[r * n : 2 * r * n].reshape(n, r)
+            np.matmul(lhs, rhs[:, :r], out=side)
+        np.take(ref, idx[:r], out=lhs[:r], mode="clip")
+        head_mismatch = np.not_equal(head, lhs[:r], out=mismatch[: r * n].reshape(r, n))
+        failed = bool(head_mismatch.any())
         if failed:
-            bad = min(bad, int(np.argmax(mismatch)))
-        del head
+            bad = min(bad, int(np.argmax(head_mismatch)))
         # on a whole product the transposed cells fail only where the
         # direct ones do
         if failed or r < n:
-            del mismatch
-            mismatch = side != ref_t[t][idx[:, :r]]
-            cols = mismatch.any(axis=0)
+            table = lhs.reshape(-1)[: n * r].reshape(n, r)
+            np.take(ref_t[t], idx[:, :r], out=table, mode="clip")
+            side_mismatch = np.not_equal(side, table, out=mismatch[: n * r].reshape(n, r))
+            cols = side_mismatch.any(axis=0)
             if cols.any():
                 y = int(np.argmax(cols))
-                bad = min(bad, y * n + int(np.argmax(mismatch[:, y])))
-        # the next product's operands must not meet this product
-        del side
+                bad = min(bad, y * n + int(np.argmax(side_mismatch[:, y])))
         packed, packed_t = ref.astype(np.int64), ref_t.astype(np.int64)
         for k, a in enumerate(left):
             s = packed % u[k + 1] // u[k]
@@ -265,6 +340,16 @@ def tensor_and_verify(e, d, t):
             for j, b in enumerate(right):
                 p[a, b] = s % v[j + 1] // v[j]
                 p[t[b], t[a]] = s_t % v[j + 1] // v[j]
+    if c is not None:
+        # row sums for right color c, column sums for left color t[c],
+        # then the corner by the row sum of t[c]
+        k, tc = counts[0], t[c]
+        ra = [a for a in range(1, m) if a != tc]
+        rb = [b for b in range(1, m) if b != c]
+        made = p[ra][:, rb]
+        p[ra, c] = k[ra, None] - eye[ra] - made.sum(axis=1)
+        p[tc, rb] = k[t[rb], None] - eye[rb] - made.sum(axis=0)
+        p[tc, c] = k[tc] - eye[tc] - p[tc, rb].sum(axis=0)
     if bad == n * n:
         return p, True, wit
     # rebuild the witness in scan order: first violating pair row-major,

@@ -44,8 +44,9 @@ from .errors import (
 )
 
 # Input guards.  At both limits, with 32 classes of about 128 arcs per row
-# each (row bounds 128), _kernels.plan makes 88 float64 products of
-# 4096 x 4096 matrices, 0.14 TFLOP each; one radix for every cell took 90.
+# each (row bounds 128), _kernels.plan makes 83 float64 products of
+# 4096 x 4096 matrices, 0.14 TFLOP each, when every row has the same
+# counts, and 88 when not; one radix for every cell took 90.
 MAX_N = 4096
 MAX_D = 32
 
@@ -416,7 +417,7 @@ def verify_axioms(c):
     # first arc whose reverse breaks the rule.
     pairs = np.bincount(flat * m + flat_t, minlength=m * m).reshape(m, m)
     if (np.count_nonzero(pairs, axis=1) > 1).any():
-        t = flat_t[_kernels.first_arcs(e, d)]
+        t = flat_t[_kernels.first_arcs(e, _kernels.row_counts(e, d))]
         x, y = divmod(int(np.flatnonzero(flat_t != t[flat])[0]), n)
         i = int(e[x, y])
         raise TransposeNotRelation(i, x, y, int(t[i]), int(e[y, x]))

@@ -191,7 +191,8 @@ def brute_intersection_numbers(e, d):
 def run_kernel(e, d, kernels=_kernels):
     """`kernels.tensor_and_verify` on a coloring that passes axiom (3),
     with the transpose map read at each color's first arc."""
-    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
+    counts = _kernels.row_counts(e, d)
+    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, counts)]
     return kernels.tensor_and_verify(e, d, t)
 
 

@@ -92,9 +92,13 @@ def test_vanishing_violation_raises():
 
 
 def _plan(e, d):
-    """The kernel's products for a coloring that passes axiom (3)."""
-    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, d)]
-    return _kernels.plan(_kernels.row_bounds(e, d), t.tolist())
+    """The kernel's products for a coloring that passes axiom (3): without
+    the derived color's cells when every row's counts equal row 0's."""
+    counts = _kernels.row_counts(e, d)
+    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, counts)]
+    rows = counts.max(axis=0).tolist()
+    c = _kernels.derived_color(rows) if (counts == counts[0]).all() else None
+    return _kernels.plan(rows, t.tolist(), c)
 
 
 def _made(products):
@@ -210,19 +214,21 @@ REJECTED = [
 @pytest.mark.parametrize("seed", range(1, 11))
 @pytest.mark.parametrize("name, build", REJECTED, ids=[name for name, _ in REJECTED])
 def test_kernel_rejects_like_scan_oracle(name, build, seed):
-    # 1-3 arcs recolored, each with its reverse, in schemes whose plans make
-    # two or more products.  Every product after the first that fails makes
-    # only the rows and columns that could hold an earlier violation; on
-    # the Z13 wreath Z5 scheme several seeds have such a product find one
+    # 1-3 arcs recolored, each with its reverse.  That changes the counts
+    # of their rows, so the kernel keeps the full plan, two or more products
+    # here, and cuts each to the rows and columns that could hold a
+    # violation before the first row x0 whose counts differ from row 0's,
+    # at (x0, x0) or earlier; on the Z13 wreath Z5 scheme several seeds
+    # have a cut product find one
     s = build()
     n, d, t = s.n, s.d, s.transpose_map
-    assert len(_plan(s.color.entries, d)) >= 2
     rng = np.random.default_rng([seed, n, d])
     e = s.color.entries.astype(np.int64)
     for _ in range(1 + (seed - 1) % 3):
         x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
         c = int(rng.choice([c for c in range(1, d + 1) if c != e[x, y]]))
         e[x, y], e[y, x] = c, t[c]
+    assert len(_plan(e, d)) >= 2
     _check_rejected(e, d)
 
 
@@ -233,11 +239,97 @@ def test_kernel_rejects_like_scan_oracle_at_n_961():
 
 
 def _check_rejected(e, d):
+    p1, ok1, w1 = _check_like_scan_oracle(e, d)
+    assert not ok1
+    return w1
+
+
+def _check_like_scan_oracle(e, d):
+    """The kernel's p, ok and witness, checked against the scan oracle's: the
+    same verdict and witness, and the same histogram at the first arc of
+    every class the scan met."""
     p1, ok1, w1 = run_kernel(e, d)
     p2, ok2, w2 = scan_tensor_and_verify(e, d)
-    assert not ok1 and not ok2
+    assert ok1 == ok2
     assert (w1 == w2).all()
+    met = (p2 >= 0).all(axis=(0, 1))
+    assert (p1[:, :, met] == p2[:, :, met]).all()
     assert_first_arc_histograms(p1, e, d)
+    return p1, ok1, w1
+
+
+def _switched(s, rng):
+    """s's coloring after one rectangle switch: arcs (x, y) and (x2, y2) of
+    color a and arcs (x, y2) and (x2, y) of color b trade colors, and each
+    reverse arc takes the transpose color.  Every row keeps its counts, and
+    axiom (3) still holds.  None if 100 draws find no such rectangle."""
+    e, n, t = s.color.entries.astype(np.int64), s.n, s.transpose_map
+    for _ in range(100):
+        x, x2 = (int(v) for v in rng.choice(n, size=2, replace=False))
+        y = int(rng.integers(n))
+        a, b = int(e[x, y]), int(e[x2, y])
+        ys = np.flatnonzero((e[x] == b) & (e[x2] == a))
+        if a and b and a != b and ys.size:
+            y2 = int(rng.choice(ys))
+            e[x, y] = e[x2, y2] = b
+            e[x, y2] = e[x2, y] = a
+            e[y, x] = e[y2, x2] = t[b]
+            e[y2, x] = e[y, x2] = t[a]
+            return e
+    return None
+
+
+def _small_direct():
+    """Cyclotomic (7, 2) x cyclotomic (5, 2): n = 35, d = 8, with
+    nonsymmetric classes."""
+    return build_product(build_cyclotomic(7, 2), build_cyclotomic(5, 2), "direct")
+
+
+def test_kernel_matches_scan_oracle_on_regular_rows(catalog):
+    # rectangle switches keep every row's counts, so the kernel derives one
+    # color's cells from row and column sums; the switched colorings have
+    # symmetric and nonsymmetric classes and are mostly not schemes.  The
+    # derived cells must give the scan oracle's verdict, witness and first-
+    # arc histograms, and some witnesses fall on a derived cell
+    ladder = [build_cyclotomic(q, m) for q, m in ((101, 2), (241, 6), (256, 5), (257, 2))]
+    direct = _small_direct()
+    assert not all(direct.symmetric)
+    sources = [*(s for s in catalog.values() if s.d >= 2), *ladder, direct]
+    rejected = derived_witness = 0
+    for k, s in enumerate(sources):
+        for seed in range(2 if s.n <= 41 else 1):
+            e = _switched(s, np.random.default_rng([seed, k]))
+            if e is None:
+                continue
+            counts = _kernels.row_counts(e, s.d)
+            assert (counts == counts[0]).all()
+            _, ok, w = _check_like_scan_oracle(e, s.d)
+            if not ok:
+                rejected += 1
+                c = _kernels.derived_color(counts[0].tolist())
+                derived_witness += w[1] == c or w[0] == s.transpose_map[c]
+    assert rejected >= 70 and derived_witness >= 40
+
+
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_kernel_rejects_like_scan_oracle_from_the_first_irregular_row(catalog, row):
+    # one arc pair recolored in row 0, so row 1 is the first whose counts
+    # differ from row 0's and every product is cut to rows and columns < 2;
+    # or between the last two rows, so the first such row is n - 2 and no
+    # product is cut
+    pool = [s for s in catalog.values() if s.n >= 5]
+    for s in [*pool, build_cyclotomic(101, 2), _small_direct()]:
+        n, d, t = s.n, s.d, s.transpose_map
+        x, y = (0, 2) if row == "first" else (n - 1, n - 2)
+        e = s.color.entries.astype(np.int64)
+        b = 1 + int(e[x, y]) % d
+        e[x, y], e[y, x] = b, t[b]
+        counts = _kernels.row_counts(e, d)
+        differs = (counts != counts[0]).any(axis=1)
+        if not differs.any():
+            continue
+        assert int(differs.argmax()) == (1 if row == "first" else n - 2)
+        _check_rejected(e, d)
 
 
 def test_digit_base_bounds_every_row():
@@ -259,7 +351,7 @@ def test_digit_base_bounds_every_row():
                 return v[j + 1] // v[j]
 
     assert radix_11(np.bincount(e[0], minlength=20).tolist()) == 2
-    assert radix_11(_kernels.row_bounds(e, 19)) == 20
+    assert radix_11(_kernels.row_counts(e, 19).max(axis=0).tolist()) == 20
     p1, ok1, w1 = run_kernel(e, 19)
     p2, ok2, w2 = scan_tensor_and_verify(e, 19)
     assert not ok1 and not ok2
@@ -267,14 +359,15 @@ def test_digit_base_bounds_every_row():
 
 
 def test_product_with_two_digit_groups_matches_brute():
-    # the cyclotomic scheme of GF(17) with 8 classes of valency 2: all 8
-    # left colors form one group, and its 64 cells of radix 3 (102 bits)
-    # are cut into two blocks of 4 right colors
+    # the cyclotomic scheme of GF(17) with 8 symmetric classes of valency
+    # 2: color 1's cells are derived, the 7 left colors 2..8 form one
+    # group, and its 49 cells of radix 3 (78 bits) are cut into blocks of 4
+    # and 3 right colors
     s = build_cyclotomic(17, 8)
     e = s.color.entries
     products = _plan(e, s.d)
-    assert s.d == 8 and [len(right) for _, right, _, _ in products] == [4, 4]
-    assert all(left == tuple(range(1, 9)) for left, _, _, _ in products)
+    assert s.d == 8 and [len(right) for _, right, _, _ in products] == [4, 3]
+    assert all(left == tuple(range(2, 9)) for left, _, _, _ in products)
     p, ok, _ = run_kernel(e, s.d)
     assert ok
     assert (p == brute_intersection_numbers(e, s.d)).all()
@@ -294,10 +387,11 @@ def test_first_violation_reached_only_through_a_transpose():
 
 
 def test_first_violation_reached_only_through_a_transpose_of_a_cut_product():
-    # a second arc pair recolored in the scheme above: the first product
-    # fails first at pair (1, 9), so the third is cut to rows and columns
-    # < 2, and only its transposed cells, in column 0, show the first
-    # violating pair (0, 30)
+    # a second arc pair recolored in the scheme above: row 9 is the first
+    # whose counts differ from row 0's, so every product is cut to rows and
+    # columns < 10.  The first product fails first at pair (1, 9), so the
+    # third is cut to rows and columns < 2, and only its transposed cells,
+    # in column 0, show the first violating pair (0, 30)
     e, d, t = _thin_wreath_corrupted()
     e[9, 30], e[30, 9] = 1, t[1]
     w = _check_transposed_witness(e, d, t)
@@ -315,10 +409,7 @@ def _check_transposed_witness(e, d, t):
     """The kernel's witness, checked against the scan oracle's, differs from
     its class's first arc only in cells that no product makes directly."""
     made = _made(_plan(e, d))
-    p1, ok1, w1 = run_kernel(e, d)
-    p2, ok2, w2 = scan_tensor_and_verify(e, d)
-    assert not ok1 and not ok2
-    assert (w1 == w2).all()
+    w1 = _check_rejected(e, d)
     x1, y1, x2, y2 = (int(v) for v in w1[[3, 4, 6, 7]])
     cells = np.argwhere(_kernels.pair_counts(e, x2, y2, d) != _kernels.pair_counts(e, x1, y1, d))
     assert len(cells)
@@ -341,11 +432,14 @@ def row_bounds_and_transposes(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(row_bounds_and_transposes(), st.randoms(use_true_random=False))
-def test_plan_packs_exactly_and_covers_every_cell(case, rnd):
+@given(row_bounds_and_transposes(), st.booleans(), st.randoms(use_true_random=False))
+def test_plan_packs_exactly_and_covers_every_cell(case, derive, rnd):
+    # with a derived color c, every cell in right color c or left color
+    # t[c] comes from the row and column sums
     rows, t = case
     d = len(rows) - 1
-    products = _kernels.plan(rows, t)
+    c = _kernels.derived_color(rows) if derive else None
+    products = _kernels.plan(rows, t, c)
     for left, right, u, v in products:
         bound = [[min(rows[a], rows[t[b]]) for b in right] for a in left]
         # the largest packed value, every count at its bound, is exact
@@ -362,7 +456,9 @@ def test_plan_packs_exactly_and_covers_every_cell(case, rnd):
     made = _made(products)
     for a in range(1, d + 1):
         for b in range(1, d + 1):
-            assert (a, b) in made or (t[b], t[a]) in made
+            assert (a, b) in made or (t[b], t[a]) in made or c in (b, t[a])
+    if c is not None:
+        assert all(b != c and a != t[c] for a, b in made)
 
 
 def _kernel_peak(e, d):
@@ -383,12 +479,12 @@ def _ladder_961():
 
 def test_kernel_peak_memory_at_n_961():
     # the kernel once held all d + 1 float64 masks, then two packed blocks
-    # beside each product.  Now the intp copy of e, the product's two
-    # packed operands and the product are the n x n arrays live at once,
-    # and the operands are gone before the constancy check gathers the
-    # class values: 4 arrays, where two packed blocks beside each product
-    # made 5.25.  The plan makes 5 products, where one radix for every cell
-    # made 10.
+    # beside each product.  Now the intp copy of e and one workspace per
+    # call, the two packed operands and the product, are the n x n arrays,
+    # and the bool mismatch is written over the right operand once the
+    # product is made: 4 arrays, where two packed blocks beside each
+    # product made 5.25.  The plan makes 4 products, where one radix for
+    # every cell made 10.
     s = _ladder_961()
     e, n, m = s.color.entries, s.n, s.d + 1
     assert (n, m) == (961, 9)
@@ -400,10 +496,9 @@ def test_kernel_peak_memory_at_n_961():
 
 
 def test_kernel_peak_memory_on_reject_at_n_961():
-    # the first product fails and also scans its transpose against the
-    # composed class table, one bool array at a time; every later product
-    # makes only its rows and columns < r beside its two operands, which
-    # is less than a whole product while 2r < n: all under the same bound
+    # every product is cut, from the first, and writes its rows and
+    # columns < r into the same workspace as a whole product: all under
+    # the same bound
     e, d = corrupted_ladder_961()
     ok, peak = _kernel_peak(e, d)
     assert not ok
@@ -419,9 +514,9 @@ class _CountingNumpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, x, y):
+    def matmul(self, x, y, out=None):
         self.macs += x.shape[0] * x.shape[1] * y.shape[1]
-        return np.matmul(x, y)
+        return np.matmul(x, y, out=out)
 
 
 def _kernel_macs(monkeypatch, e, d):
@@ -434,14 +529,14 @@ def _kernel_macs(monkeypatch, e, d):
 
 
 def test_kernel_work_on_reject_at_n_961(monkeypatch):
-    # the first of the 5 planned products fails in row 0, so each later one
-    # makes only row 0 and column 0: about one product in all, where making
-    # every product whole took 5
+    # row 17 is the first whose counts differ from row 0's, so the first
+    # product makes only its rows and columns < 18; it fails in row 0, so
+    # each later one makes only row 0 and column 0: about a twentieth of
+    # one product in all, where making every product whole took 5
     e, d = corrupted_ladder_961()
-    assert len(_plan(e, d)) == 5
     ok, products = _kernel_macs(monkeypatch, e, d)
     assert not ok
-    assert 1 <= products <= 1.3
+    assert products <= 0.1
 
 
 def test_kernel_work_at_n_961(monkeypatch):
@@ -450,7 +545,7 @@ def test_kernel_work_at_n_961(monkeypatch):
     e, d = s.color.entries, s.d
     ok, products = _kernel_macs(monkeypatch, e, d)
     assert ok
-    assert products == len(_plan(e, d)) == 5
+    assert products == len(_plan(e, d)) == 4
 
 
 def test_verify_axioms_peak_memory_at_n_961():
@@ -467,20 +562,21 @@ def test_verify_axioms_peak_memory_at_n_961():
 
 
 def _plan_sizes_under_relabeling(s, seeds):
-    """The number of products the plan makes for s under its own labels
+    """The number of products the kernel makes for s under its own labels
     and under one random class relabeling per seed.  Relabeling the classes
-    by sigma moves the row bound of a to sigma(a) and turns the transpose
+    by sigma moves the row count of a to sigma(a) and turns the transpose
     map t into sigma t sigma^-1, which is what the kernel would read from
-    the relabeled coloring."""
-    rows, t = _kernels.row_bounds(s.color.entries, s.d), list(s.transpose_map)
-    sizes = {len(_kernels.plan(rows, t))}
+    the relabeled coloring; the derived color is then the lowest label of
+    largest count under the new labels."""
+    rows, t = _kernels.row_counts(s.color.entries, s.d)[0].tolist(), list(s.transpose_map)
+    sizes = {len(_kernels.plan(rows, t, _kernels.derived_color(rows)))}
     for seed in seeds:
         sigma = [0, *(1 + np.random.default_rng(seed).permutation(s.d)).tolist()]
         rows2, t2 = [0] * (s.d + 1), [0] * (s.d + 1)
         for a in range(s.d + 1):
             rows2[sigma[a]] = rows[a]
             t2[sigma[a]] = sigma[t[a]]
-        sizes.add(len(_kernels.plan(rows2, t2)))
+        sizes.add(len(_kernels.plan(rows2, t2, _kernels.derived_color(rows2))))
     return sizes
 
 
@@ -494,7 +590,8 @@ def test_plan_size_does_not_depend_on_class_labels(catalog):
 def test_plan_sizes_of_the_two_wreaths_at_n_2009():
     # cyclotomic (49, 24) wreath (41, 8) has row bounds 2 (x24) and 245
     # (x8); (41, 8) wreath (49, 24) has 5 (x8) and 82 (x24).  They are two
-    # schemes, and each keeps its count under relabeling
+    # schemes, and each keeps its count under relabeling: 23 and 53, where
+    # making every cell took 26 and 57
     a, b = build_cyclotomic(49, 24), build_cyclotomic(41, 8)
-    assert _plan_sizes_under_relabeling(build_product(a, b, "wreath"), range(3)) == {26}
-    assert _plan_sizes_under_relabeling(build_product(b, a, "wreath"), range(3)) == {57}
+    assert _plan_sizes_under_relabeling(build_product(a, b, "wreath"), range(3)) == {23}
+    assert _plan_sizes_under_relabeling(build_product(b, a, "wreath"), range(3)) == {53}
