@@ -28,11 +28,11 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    MAX_N,
     IntersectionTensor,
     Scheme,
     canonical_form,
     color_matrix,
+    size_guard,
 )
 from .errors import (
     BadDivisor,
@@ -40,21 +40,17 @@ from .errors import (
     NonCommutative,
     NotPrime,
     NotTransitive,
-    TooLarge,
     TransposeNotRelation,
 )
-from .finitefield import MAX_Q, field
-
-MAX_SCHURIAN_N = 60
+from .finitefield import field
 
 
 def complete_scheme(n):
-    """K_n as a one-class scheme; TooLarge for n > MAX_N is raised before
-    any n x n array is built."""
+    """K_n as a one-class scheme; size_guard raises TooLarge before any
+    n x n array is built."""
     if n < 2:
         raise ValueError("complete scheme needs n >= 2")
-    if n > MAX_N:
-        raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
+    size_guard(n)
     e = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return _transitive_scheme(color_matrix(e, 1))
 
@@ -130,21 +126,24 @@ def build_cyclotomic(q, m):
     with these orbitals, so the axioms always hold; commutativity is
     automatic for translation schemes over an abelian group.  The scheme
     is the translation scheme of the coset classes over (GF(q), +), so
-    _transitive_scheme verifies it from row 0.  TooLarge for q > MAX_Q is
-    raised before the O(q) factor search.
+    _transitive_scheme verifies it from row 0.  The difference table is
+    an int32 array built one base-p digit at a time, so the build peaks
+    near two q x q int64 arrays.  size_guard raises TooLarge for q > MAX_N
+    before the O(q) factor search.
     """
-    if q > MAX_Q:
-        raise TooLarge(f"field size {q} exceeds {MAX_Q}")
+    size_guard(q)
     p, k = _prime_power(q)
     F = field(p, k)
     if m < 1 or (q - 1) % m != 0:
         raise BadDivisor(f"m = {m} does not divide q - 1 = {q - 1}")
-    D = F.digit_matrix()
-    pw = p ** np.arange(F.k, dtype=np.int64)
-    diff = ((D[None, :, :] - D[:, None, :]) % p * pw).sum(axis=2)
-    cls = np.zeros(F.q, dtype=np.int64)
-    for e in range(1, F.q):
-        cls[e] = 1 + F.log[e - 1] % m
+    # diff[x, y] is the code of y - x, built one base-p digit at a time:
+    # each step puts a digit below the ones so far
+    a = np.arange(p, dtype=np.int32)
+    diff = sub = (a[None, :] - a[:, None]) % p
+    for _ in range(k - 1):
+        diff = ((p * diff)[:, None, :, None] + sub[:, None, :]).reshape(p * len(diff), -1)
+    cls = np.zeros(q, dtype=np.int32)
+    cls[1:] = 1 + np.array(F.log) % m
     return canonical_form(_transitive_scheme(color_matrix(cls[diff], m)))[0]
 
 
@@ -162,24 +161,30 @@ def _orbitals(n, gens):
     """(color, d): the orbitals of the group generated by gens on n points,
     numbered by their first pair in row-major order.
 
-    Min-label propagation: each pair starts with its row-major index, and
-    each generator's pair map passes the smaller label on until nothing
-    changes, which leaves every pair with the least index of its orbit (a
-    generator's inverse is one of its powers).  The group is transitive
-    iff the diagonal is one orbital, and the orbit of 0 has as many points
-    as the diagonal has pairs labeled 0; NotTransitive otherwise.
+    Min-label propagation: each pair starts with its row-major index and
+    takes the smaller label of its preimage under each generator until
+    nothing changes, which leaves every pair with the least index of its
+    orbit (a generator's inverse is one of its powers).  A label is always
+    the index of a pair in the same orbit and never above the pair's own,
+    so each sweep also replaces every label by its pair's label (pointer
+    jumping), and labels settle in a few sweeps, not one step per sweep.
+    The group is transitive iff the diagonal is one orbital, and the
+    orbit of 0 has as many points as the diagonal has pairs labeled 0;
+    NotTransitive otherwise.
     """
-    idx = np.arange(n * n)
-    lab, prev = idx.copy(), None
-    moves = [(g[:, None] * n + g).ravel() for g in gens]
+    idx = np.arange(n * n, dtype=np.int32)
+    lab, prev = idx, None
+    inverses = [np.argsort(g).astype(np.int32) for g in gens]
+    moves = [(h[:, None] * n + h).ravel() for h in inverses]
     while prev is None or (lab != prev).any():
-        prev = lab.copy()
+        prev = lab
         for mv in moves:
-            lab[mv] = np.minimum(lab[mv], lab)
+            lab = np.minimum(lab, lab[mv])
+        lab = lab[lab]
     orbit = int(np.count_nonzero(np.diagonal(lab.reshape(n, n)) == 0))
     if orbit != n:
         raise NotTransitive(f"point orbit of 0 has size {orbit} < {n}")
-    reps = np.flatnonzero(lab == idx)
+    reps = np.flatnonzero(lab == idx).astype(np.int32)
     return np.searchsorted(reps, lab).reshape(n, n), len(reps) - 1
 
 
@@ -188,18 +193,18 @@ def build_schurian(n, generators):
 
     The orbitals come from _orbitals by min-label propagation in numpy;
     the group preserves them and is transitive, so _transitive_scheme
-    verifies them from row 0.  Raises NotTransitive
-    when the point action has more than one orbit, NonCommutative when
-    the orbital algebra is not commutative, and TooLarge beyond 60 points.
+    verifies them from row 0.  Raises TooLarge (size_guard) for
+    n > MAX_N before any n x n array exists, NotTransitive when the point
+    action has more than one orbit, and NonCommutative when the orbital
+    algebra is not commutative.
     """
-    if n > MAX_SCHURIAN_N:
-        raise TooLarge(f"degree {n} exceeds the limit {MAX_SCHURIAN_N}")
+    size_guard(n)
     gens = []
     for g in generators:
         g = tuple(int(x) for x in g)
         if sorted(g) != list(range(n)):
             raise ValueError("generator is not a permutation of range(n)")
-        gens.append(np.array(g, dtype=np.int64))
+        gens.append(np.array(g, dtype=np.int32))
     color, d = _orbitals(n, gens)
     s = _transitive_scheme(color_matrix(color, d))
     if not s.is_commutative:
@@ -227,8 +232,7 @@ def build_product(s1, s2, kind):
     (Brouwer-Cohen-Neumaier 1989), so no axiom kernel runs.
     """
     n1, n2 = s1.n, s2.n
-    if n1 * n2 > MAX_N:
-        raise TooLarge(f"product order {n1 * n2} exceeds {MAX_N}")
+    size_guard(n1 * n2)
     e1 = s1.color.entries.astype(np.int64)
     e2 = s2.color.entries.astype(np.int64)
     d1, d2 = s1.d, s2.d

@@ -3,7 +3,8 @@
 Exit codes: 0 for success (and all-pass batch runs), 1 for a negative
 analysis verdict (axiom violation, failed theorem, failed batch check),
 2 for input errors (unreadable files, malformed scheme data, bad
-arguments).
+arguments, and a scheme beyond a size or class-count guard: TooLarge,
+TooManyClasses).
 
 Each command imports the modules it runs inside its function, so a
 one-shot `verify` loads only core (with _kernels) and errors, and `build`
@@ -24,7 +25,7 @@ from .core import (
     union_classes,
     verify_axioms,
 )
-from .errors import AxiomViolation, ParseError, SchemeError
+from .errors import AxiomViolation, ParseError, SchemeError, TooLarge, TooManyClasses
 
 _THEOREMS = [name for name, fn in _CHECKS.items() if fn]
 
@@ -334,6 +335,8 @@ def main(argv=None):
         return _fail(str(exc), code=2)
     except ParseError as exc:
         return _fail(f"parse error: {exc}", code=2)
+    except (TooLarge, TooManyClasses) as exc:
+        return _fail(str(exc), code=2)
     except SchemeError as exc:
         return _fail(str(exc), code=1)
 

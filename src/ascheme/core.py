@@ -185,13 +185,20 @@ def mask_unions(d):
     return [tuple(i + 1 for i in range(d) if mask >> i & 1) for mask in range(1, 2**d)]
 
 
-def _validate_entries(arr, d, row_loc=None):
-    n = arr.shape[0]
-    loc = row_loc if row_loc is not None else (lambda r: r)
+def size_guard(n, d=0):
+    """TooLarge unless n <= MAX_N and d <= MAX_D: the one size guard of
+    parsed files, color matrices and every builder, raised before any
+    n x n work."""
     if n > MAX_N:
         raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
     if d > MAX_D:
         raise TooLarge(f"d = {d} exceeds the supported maximum {MAX_D}")
+
+
+def _validate_entries(arr, d, row_loc=None):
+    n = arr.shape[0]
+    loc = row_loc if row_loc is not None else (lambda r: r)
+    size_guard(n, d)
     if n > 1 and d < 1:
         raise OutOfRangeEntry("d must be at least 1 for n > 1")
     diag = np.diagonal(arr)
@@ -301,8 +308,9 @@ def _decode_rows(lines, n):
 def parse_scheme_file(text):
     """Parse the scheme file format: 'n d' header then n rows of n colors.
 
-    '#' starts a comment anywhere on a line; blank lines are skipped.  An
-    entry is any token that int() reads.  The body is decoded in row blocks
+    '#' starts a comment anywhere on a line; blank lines are skipped.  A
+    header beyond MAX_N or MAX_D raises TooLarge before any row is read.
+    An entry is any token that int() reads.  The body is decoded in row blocks
     (_decode_rows): lines of ASCII digits, spaces and tabs in numpy, any
     other line by str.split and int, so both give the same values and the
     same errors at the same line.  emit_scheme_file's output parses back
@@ -325,6 +333,7 @@ def parse_scheme_file(text):
         raise MalformedHeader(f"header must be two integers, got {header!r}", line=hnum)
     if n < 1 or d < 0:
         raise MalformedHeader(f"header values out of range: n={n} d={d}", line=hnum)
+    size_guard(n, d)
     body = lines[1:]
     if len(body) != n:
         raise NonSquareBody(

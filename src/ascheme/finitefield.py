@@ -4,26 +4,23 @@ Elements are encoded as integers 0..q-1 via base-p digits (digit i is the
 coefficient of x^i).  The modulus is the lexicographically first monic
 irreducible of degree k over GF(p), so the same (p, k) always yields the
 same field, the same generator, and hence the same discrete-log table.
-Field sizes are capped at 257: large enough for every bundled scheme,
-small enough that dense q x q tables stay trivial.
+A field has at most core.MAX_N elements, the size guard of every scheme.
 
 Polynomial arithmetic over GF(p) is done here on plain coefficient lists
 (constant term first); irreducibility is decided by trial division by
-every monic polynomial of degree at most k/2, at most 30 candidates for
-q <= 257.  The generator is the first element whose powers, walked once
-until they return to 1, reach all q - 1 units; those powers are the exp
-table.
+every monic polynomial of degree at most k/2, at most 126 candidates
+(for 2^12) when q <= MAX_N.  The generator is the first element whose
+powers, walked once until they return to 1, reach all q - 1 units; those
+powers are the exp table.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import MAX_N
 from .errors import FieldCheckFailed, NotPrime, TooLarge
 
-MAX_Q = 257
 # Miller-Rabin with the twelve prime bases 2..37 is exact below this bound
-# (Sorenson and Webster, 2015); far above it, q exceeds MAX_Q anyway.
+# (Sorenson and Webster, 2015); far above it, q exceeds MAX_N anyway.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
 
@@ -126,27 +123,18 @@ class Field:
     exp: tuple  # exp[t] = generator^t, t in 0..q-2
     log: tuple  # log[e] for e in 1..q-1 (index e-1)
 
-    def digit_matrix(self):
-        """q x k matrix of base-p digits, digit i = coefficient of x^i."""
-        e = np.arange(self.q)
-        digits = np.empty((self.q, self.k), dtype=np.int64)
-        for i in range(self.k):
-            digits[:, i] = e % self.p
-            e = e // self.p
-        return digits
-
 
 def field(p, k=1):
     """Build GF(p^k); deterministic modulus and generator."""
     if p >= _MR_LIMIT:
-        raise TooLarge(f"field characteristic {p} exceeds {MAX_Q}")
+        raise TooLarge(f"field characteristic {p} exceeds {MAX_N}")
     if not isprime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
+    if k >= MAX_N.bit_length() or p**k > MAX_N:  # as p >= 2, k >= 13 alone exceeds
+        raise TooLarge(f"GF({p}^{k}) has more than {MAX_N} elements")
     q = p**k
-    if q > MAX_Q:
-        raise TooLarge(f"field size {q} exceeds {MAX_Q}")
     low_modulus = _lex_first_irreducible(p, k)
     for gen in range(2 if q > 2 else 1, q):
         exp, cur = [1], gen

@@ -331,6 +331,11 @@ def reference_parse_scheme_file(text):
         raise MalformedHeader(f"header must be two integers, got {header!r}", line=hnum)
     if n < 1 or d < 0:
         raise MalformedHeader(f"header values out of range: n={n} d={d}", line=hnum)
+    # the size guard reads the header alone, before the row count or any row
+    if n > MAX_N:
+        raise TooLarge(f"n = {n} exceeds the supported maximum {MAX_N}")
+    if d > MAX_D:
+        raise TooLarge(f"d = {d} exceeds the supported maximum {MAX_D}")
     body = lines[1:]
     if len(body) != n:
         raise NonSquareBody(

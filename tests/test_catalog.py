@@ -41,6 +41,7 @@ from ascheme.core import (
     MAX_N,
     IntersectionTensor,
     Scheme,
+    canonical_form,
     color_matrix,
     json_default,
     scheme_from_entries,
@@ -56,8 +57,8 @@ from ascheme.errors import (
     TooLarge,
     TransposeNotRelation,
 )
-from ascheme.finitefield import field
-from ascheme.generator import generates
+from ascheme.finitefield import field, isprime
+from ascheme.generator import check_theorem_4class, generates
 from ascheme.spectra import character_table
 
 from conftest import (
@@ -101,8 +102,6 @@ def test_field_gf9_arithmetic():
     assert field_add(F, 4, 5) == 6  # (x+1) + (x+2) = 2x
     assert field_mul(F, 3, 3) == 2  # x * x = -1
     assert field_neg(F, field_neg(F, 7)) == 7
-    assert F.digit_matrix().shape == (9, 2)
-    assert F.digit_matrix()[5].tolist() == [2, 1]  # 5 = 2 + 1*x
 
 
 def test_field_validation():
@@ -111,8 +110,8 @@ def test_field_validation():
     with pytest.raises(ValueError):
         field(5, 0)
     with pytest.raises(TooLarge):
-        field(263)
-    assert field(257).q == 257  # boundary stays allowed
+        field(4099)
+    assert field(2, 12).q == MAX_N  # boundary stays allowed
 
 
 # --- builders ----------------------------------------------------------------
@@ -146,6 +145,19 @@ def test_cyclotomic_beyond_prime():
     assert s.class_kind == "symmetric"
 
 
+def test_cyclotomic_coloring_matches_field_arithmetic():
+    """build_cyclotomic's numpy difference table colors (x, y) by the coset
+    of y - x that conftest's element-by-element field arithmetic gives,
+    once both colorings take the canonical class labels."""
+    for q, m in [(13, 4), (9, 4), (16, 5), (25, 3), (27, 2), (49, 4), (64, 3),
+                 (81, 5), (121, 8), (125, 4), (32, 31)]:
+        F = field(*builders._prime_power(q))
+        ref = [[0 if x == y else 1 + F.log[field_sub(F, y, x) - 1] % m for y in range(q)]
+               for x in range(q)]
+        want = canonical_form(scheme_from_entries(ref))[0].color.entries
+        assert np.array_equal(build_cyclotomic(q, m).color.entries, want), (q, m)
+
+
 def test_cyclotomic_validation():
     with pytest.raises(NotPrime):
         build_cyclotomic(6, 5)
@@ -156,7 +168,7 @@ def test_cyclotomic_validation():
     with pytest.raises(BadDivisor):
         build_cyclotomic(7, 0)
     with pytest.raises(TooLarge):
-        build_cyclotomic(263, 2)
+        build_cyclotomic(4099, 2)
 
 
 def test_cyclotomic_size_guard_precedes_the_factor_search(monkeypatch):
@@ -167,7 +179,7 @@ def test_cyclotomic_size_guard_precedes_the_factor_search(monkeypatch):
         raise AssertionError(f"factored q = {q} before the size guard")
 
     monkeypatch.setattr(builders, "_prime_power", no_search)
-    with pytest.raises(TooLarge, match="field size 9999991 exceeds 257"):
+    with pytest.raises(TooLarge, match=f"n = 9999991 exceeds the supported maximum {MAX_N}"):
         build_cyclotomic(9999991, 2)
 
 
@@ -204,10 +216,18 @@ def test_schurian_validation():
         build_schurian(4, [(1, 0, 2, 3)])
     with pytest.raises(ValueError):
         build_schurian(3, [(0, 0, 1)])
-    with pytest.raises(TooLarge):
-        build_schurian(61, [cyclic_shift(61)])
     with pytest.raises(ValueError):
         multiplier_perm(8, 2)
+    # refused before any n x n array exists, as complete_scheme is
+    gens = [cyclic_shift(MAX_N + 1)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"n = {MAX_N + 1} exceeds"):
+            build_schurian(MAX_N + 1, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_schurian_noncommutative_rejected():
@@ -566,6 +586,73 @@ def test_nonsymmetric_cyclotomic_4_class_sweep():
         assert recs["T1.4"]["applicable"] and recs["T1.4"]["holds"], q
     assert len(qs) == 15 and extra == 11
     assert 125 in qs
+
+
+def _battery_holds(s):
+    """The whole battery on s finds no failed check, T1.4 applies and
+    holds, and T4.1 does too when s is skew-symmetric."""
+    recs = {r["check"]: r for r in _run_checks(s, CHECKS)}
+    assert [(name, r["error"]) for name, r in recs.items() if check_failed(r)] == []
+    assert recs["T1.4"]["applicable"] and recs["T1.4"]["holds"]
+    if s.class_kind == "skew-symmetric":
+        assert recs["T4.1"]["applicable"] and recs["T4.1"]["holds"]
+
+
+def _orbit_schemes_4_class(lo, hi):
+    """(n, a) for every nonsymmetric 4-class orbit scheme of Z_n x| <a>,
+    lo <= n < hi: the subgroup <a> of the units mod n, -1 not in it, has
+    4 orbits on the nonzero residues; a is the least generator of <a>."""
+    out = []
+    for n in range(lo, hi):
+        seen = set()
+        for a in range(2, n):
+            if np.gcd(a, n) != 1:
+                continue
+            H = frozenset(pow(a, t, n) for t in range(n))
+            if H in seen:
+                continue
+            seen.add(H)
+            orbits = {min(h * x % n for h in H) for x in range(1, n)}
+            if n - 1 not in H and len(orbits) == 4:
+                out.append((n, a))
+    return out
+
+
+def test_nonsymmetric_4_class_schemes_beyond_the_old_caps():
+    """The paper's application above the caps the builders had (q <= 257
+    for fields, n <= 60 for orbitals): every nonsymmetric cyclotomic
+    (q, 4) with q prime, q = 5 (mod 8) and 257 < q < 600, and every
+    nonsymmetric 4-class orbit scheme of Z_n x| <a> with 60 < n < 120,
+    five of them on a composite n that no field gives.  Each passes the
+    whole battery; T1.4 holds on all, T4.1 on the skew ones."""
+    qs = [q for q in range(261, 600, 8) if isprime(q)]
+    assert len(qs) == 13
+    for q in qs:
+        s = build_cyclotomic(q, 4)
+        assert s.class_kind == "skew-symmetric", q
+        _battery_holds(s)
+    orbit = _orbit_schemes_4_class(61, 120)
+    assert [n for n, _ in orbit] == [61, 87, 95, 101, 109, 111, 115, 119]
+    for n, a in orbit:
+        s = build_schurian(n, [cyclic_shift(n), multiplier_perm(n, a)])
+        assert (s.n, s.d) == (n, 4) and s.class_kind != "symmetric", (n, a)
+        _battery_holds(s)
+
+
+@pytest.mark.parametrize("q", [2197, 3125])
+def test_nonsymmetric_cyclotomic_4_class_on_prime_powers_near_max_n(q):
+    """(13^3, 4) and (5^5, 4) build at a peak of at most 3 n^2 int64 cells,
+    and T1.4 holds on them."""
+    tracemalloc.start()
+    try:
+        s = build_cyclotomic(q, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * q * q * 8, peak / (8 * q * q)
+    assert s.class_kind == "skew-symmetric"
+    v = check_theorem_4class(s)
+    assert v.applicable and v.holds
 
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_sweep.py"

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from ascheme.builders import build_cyclotomic
 from ascheme.catalog import catalog_scheme
 from ascheme.cli import main
-from ascheme.core import emit_scheme_file, parse_scheme_file, verify_axioms
+from ascheme.core import MAX_D, MAX_N, emit_scheme_file, parse_scheme_file, verify_axioms
 
 from conftest import corrupted_ladder_961
 
@@ -101,6 +102,25 @@ def test_verify_parse_error(tmp_path, capsys):
     f.write_text("2 9\n0 1\n1 0\n")
     assert main(["verify", str(f)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_size_guards_are_input_errors(tmp_path, capsys):
+    """A file beyond MAX_N or MAX_D, and a scheme beyond an enumeration
+    guard (cyclotomic (27, 13) has d = 13), exit 2 as input errors, with
+    the guard's message."""
+    for header, message in (
+        (f"{MAX_N + 1} 1", f"n = {MAX_N + 1} exceeds the supported maximum {MAX_N}"),
+        (f"3 {MAX_D + 1}", f"d = {MAX_D + 1} exceeds the supported maximum {MAX_D}"),
+    ):
+        f = tmp_path / "big.txt"
+        f.write_text(header + "\n0 1 1\n1 0 1\n1 1 0\n")
+        assert main(["verify", str(f)]) == 2
+        assert message in capsys.readouterr().err
+    f = tmp_path / "cyclo-27-13.txt"
+    f.write_text(emit_scheme_file(build_cyclotomic(27, 13)))
+    for command in ("amorphic", "fuse", "generators"):
+        assert main([command, str(f)]) == 2
+        assert "d = 13 exceeds" in capsys.readouterr().err
 
 
 def test_verify_missing_file(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ascheme import core
 from ascheme.catalog import build_cyclotomic, build_product
 from ascheme.core import (
+    MAX_D,
     canonical_class_order,
     emit_scheme_file,
     parse_scheme_file,
@@ -18,6 +19,7 @@ from ascheme.core import (
     scheme_from_entries,
     verify_axioms,
 )
+from ascheme.errors import TooLarge
 
 from conftest import (
     _reference_validate_entries,
@@ -260,3 +262,25 @@ def test_validate_entries_names_the_reference_entry():
         assert _validation_error(core._validate_entries, bad, 4) == _validation_error(
             _reference_validate_entries, bad, 4
         )
+
+
+def test_header_size_guard_precedes_decoding(monkeypatch):
+    """A header n beyond MAX_N (patched to 8 here, so the file stays small)
+    or d beyond MAX_D raises TooLarge before any row is decoded, and the
+    line-by-line reference raises it too."""
+
+    def no_decode(lines, n):
+        raise AssertionError("rows decoded before the size guard")
+
+    k9 = "9 1\n" + "".join(
+        " ".join("0" if x == y else "1" for y in range(9)) + "\n" for x in range(9)
+    )
+    wide = f"3 {MAX_D + 1}\n0 1 2\n1 0 2\n1 2 0\n"
+    monkeypatch.setattr(core, "MAX_N", 8)
+    monkeypatch.setattr(core, "_decode_rows", no_decode)
+    for text, message in ((k9, "n = 9 exceeds the supported maximum 8"),
+                          (wide, f"d = {MAX_D + 1} exceeds")):
+        with pytest.raises(TooLarge, match=message):
+            parse_scheme_file(text)
+    monkeypatch.undo()
+    assert_parses_alike(wide)
