@@ -55,9 +55,9 @@ def _check_spectra(s):
     e = spectra.character_table(s)
     worst = 0.0
     exact_rows = 0
-    _, forms = spectra.block_sums(e, [range(s.d + 1)])
+    _, keys = spectra.block_sums(e, [[range(s.d + 1)]])
     for j in range(1, s.d + 1):
-        form = forms[j][0]
+        form = spectra.key_form(e.quarters[0], keys[0, j, 0])
         if form is not None:
             if form != (0, ()):
                 return True, False, {"row": j, "exact_sum": f"{form} / 4"}
@@ -101,10 +101,11 @@ def _check_amorphic(s):
     if s.class_kind == "symmetric" and s.d >= 2:
         # every 2-block fusion of an amorphic symmetric scheme is strongly regular
         checked = 0
-        for blocks in fusion.enumerate_admissible_partitions(s):
-            if len(blocks) != 3:
-                continue
-            for b in (blocks[1], blocks[2]):
+        parts = fusion.enumerate_admissible_partitions(s)
+        pairs = [blocks[1:] for blocks in parts if len(blocks) == 3]
+        srg.fill_unions(s, [b for pair in pairs for b in pair])
+        for pair in pairs:
+            for b in pair:
                 try:
                     srg.srg_params_from_scheme(s, b)
                 except NotStronglyRegular:
@@ -143,28 +144,37 @@ def _check_generators(s):
 
 
 def _check_srg(s):
+    """Every proper transpose-closed union's SRG parameters and, for each
+    strongly regular one, its eigenvalue roundtrip and connectivity
+    classification.  The unions' fusions and closed subsets are decided
+    in stacked batches first (srg.fill_unions), and the spectra of the
+    strongly regular ones when the first classification needs them."""
     if s.d > GENERATOR_SWEEP_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
-    found = []
-    non_srg = 0
-    for u in mask_unions(s.d):
-        if set(u) != {s.transpose_map[i] for i in u} or len(u) == s.d:
-            continue
+    unions = [
+        u for u in mask_unions(s.d) if set(u) == {s.transpose_map[i] for i in u} and len(u) != s.d
+    ]
+    srg.fill_unions(s, unions)
+    params = {}
+    for u in unions:
         try:
-            params = srg.srg_params_from_scheme(s, u)
+            params[u] = srg.srg_params_from_scheme(s, u)
         except (NotStronglyRegular, InfeasibleParameters):
-            non_srg += 1
             continue
+    found = []
+    for u, p in params.items():
         if (
-            srg.lambda_from_eigen(params.k, params.r_exact, params.s_exact) != params.lam
-            or srg.mu_from_eigen(params.k, params.r_exact, params.s_exact) != params.mu
+            srg.lambda_from_eigen(p.k, p.r_exact, p.s_exact) != p.lam
+            or srg.mu_from_eigen(p.k, p.r_exact, p.s_exact) != p.mu
         ):
             return True, False, {"union": list(u), "reason": "eigenvalue roundtrip failed"}
+        if not found:
+            srg.fill_spectra(s, list(params))
         cls = srg.connectivity_classification(s, u)
         if not cls["consistent"]:
             return True, False, {"union": list(u), "classification": cls}
-        found.append({"union": list(u), "params": params.to_json()})
-    return True, True, {"srg_unions": found, "non_srg_unions": non_srg}
+        found.append({"union": list(u), "params": p.to_json()})
+    return True, True, {"srg_unions": found, "non_srg_unions": len(unions) - len(params)}
 
 
 _PLAIN_CHECKS = {

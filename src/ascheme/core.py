@@ -12,7 +12,8 @@ scheme_from_entries and the catalog's axioms cross-check; the builders
 (builders) decide or derive p themselves and build the Scheme directly.
 A fusion of a verified scheme is decided by fuse_classes on p alone and
 yields the fused p, without rerunning the axiom kernel or building an
-n x n coloring.
+n x n coloring; fuse_canonical decides a whole stack of partitions with
+one product.
 
 Class labels carry no meaning, so a canonical relabeling is provided:
 classes sort by (valency, lexicographically smallest indicator row, first
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    AxiomViolation,
     InconsistentIntersectionNumber,
     MalformedHeader,
     MissingRelationIndex,
@@ -146,9 +148,9 @@ def memoized(key):
 
     The decorated function's fill(s, args, compute) returns f(s, a) for
     each a of args, in order.  It calls compute once, on the list of the a
-    that have no value kept yet, and keeps the values compute yields for
-    them, in order, as it yields them: so a batch routine can stand in for
-    f on many arguments at once.
+    that have no value kept yet, the first of each key only, and keeps the
+    values compute yields for them, in order, as it yields them: so a
+    batch routine can stand in for f on many arguments at once.
     """
 
     def wrap(f):
@@ -160,15 +162,31 @@ def memoized(key):
             return s._memo[k]
 
         def fill(s, args, compute):
-            todo = [a for a in args if (f, key(s, a)) not in s._memo]
-            for a, value in zip(todo, compute(todo)):
-                s._memo[f, key(s, a)] = value
+            todo = {}
+            for a in args:
+                if (f, key(s, a)) not in s._memo:
+                    todo.setdefault(key(s, a), a)
+            for k, value in zip(todo, compute(list(todo.values()))):
+                s._memo[f, k] = value
             return [s._memo[f, key(s, a)] for a in args]
 
         cached.fill = fill
         return cached
 
     return wrap
+
+
+# A stacked decision (fuse_canonical, spectra.block_sums and the batches
+# built on them) takes at most this many entries in its largest array
+STACK_ENTRIES = 1 << 16
+
+
+def stack_chunks(items, entries):
+    """items in consecutive chunks, each of at most STACK_ENTRIES // entries
+    items (at least one), for a stacked decision that takes `entries`
+    array entries per item."""
+    step = max(1, STACK_ENTRIES // entries)
+    return [items[a : a + step] for a in range(0, len(items), step)]
 
 
 def union_classes(d, union):
@@ -574,48 +592,79 @@ def fuse_classes(s, blocks):
     """The read-only tensor of the fusion whose class b is the union of
     the classes in block b of canonical_partition(blocks, s.d), decided on
     s's tensor alone, with no coloring built (Bannai-Ito 1984;
-    Brouwer-Cohen-Neumaier 1989, section 2).
+    Brouwer-Cohen-Neumaier 1989, section 2): fuse_canonical on a stack of
+    one, raising its refusal."""
+    fused = fuse_canonical(s, [canonical_partition(blocks, s.d)])[0]
+    if isinstance(fused, AxiomViolation):
+        raise fused
+    return fused
 
-    It is a scheme iff the blocks are closed under the transpose map and
-    each block sum q_IJ^l = sum_{i in I, j in J} p_ij^l is constant over l
-    in every block K; those values are the fused tensor.  A failure raises
-    TransposeNotRelation at the first arc of the offending class, or
+
+def fuse_canonical(s, stack):
+    """For each partition of stack, given as canonical_partition returns
+    it and not checked again, the read-only fused IntersectionTensor, or
+    the AxiomViolation that refuses it, returned unraised.
+
+    A partition fuses iff its blocks are closed under the transpose map
+    and each block sum q_IJ^l = sum_{i in I, j in J} p_ij^l is constant
+    over l in every block K; those values are the fused tensor.  A
+    failure is TransposeNotRelation at the first arc of the first class
+    whose transpose leaves its block's image, or else
     InconsistentIntersectionNumber at the first arcs of two classes of K
-    whose block sums differ, with the sums as counts.
+    whose block sums differ, at the first such (l, I, J), with the sums as
+    counts.
+
+    The stack is decided together: its 0/1 block indicators, padded to
+    d + 1 blocks, make one int64 product with p, and both tests run on
+    the stacked lookup tables.  A padded block holds no class, so its sums
+    are 0 and never differ.
     """
-    return fuse_canonical(s, canonical_partition(blocks, s.d))
-
-
-def fuse_canonical(s, blocks):
-    """fuse_classes for blocks as canonical_partition returns them, which
-    are not checked again."""
-    d = s.d
-    lut = _block_lut(d, blocks)
-    ref = np.array([min(b) for b in blocks])
-    tlut = lut[np.asarray(s.transpose_map)]
-    bad = np.flatnonzero(tlut != tlut[ref[lut]])
-    if bad.size:
-        i = int(bad[0])
-        x, y = _first_arc(s, i)
-        raise TransposeNotRelation(
-            int(lut[i]), x, y, int(tlut[ref[lut[i]]]), int(tlut[i])
-        )
-    ind = np.zeros((d + 1, len(blocks)), dtype=np.int64)
-    ind[np.arange(d + 1), lut] = 1
-    # q[l, I, J] = sum over i in I, j in J of p[i, j, l]
-    q = ind.T @ s.tensor.p.transpose(2, 0, 1) @ ind
-    mism = np.argwhere(q != q[ref[lut]])
-    if mism.size:
-        l2, bi, bj = (int(v) for v in mism[0])
-        l1 = int(ref[lut[l2]])
-        raise InconsistentIntersectionNumber(
-            bi, bj, int(lut[l2]),
-            _first_arc(s, l1), int(q[l1, bi, bj]),
-            _first_arc(s, l2), int(q[l2, bi, bj]),
-        )
-    p = np.ascontiguousarray(q[ref].transpose(1, 2, 0))
-    p.setflags(write=False)
-    return IntersectionTensor(p)
+    m = s.d + 1
+    luts, refs = [], []
+    for blocks in stack:
+        row = [0] * m
+        for b, block in enumerate(blocks):
+            for i in block:
+                row[i] = b
+        luts.append(row)
+        refs.append([block[0] for block in blocks] + [0] * (m - len(blocks)))
+    # lut[k, i]: the block holding class i; ref[k, b]: block b's first class
+    lut = np.array(luts, dtype=np.intp).reshape(-1, m)
+    ref = np.array(refs, dtype=np.intp).reshape(-1, m)
+    rows = np.arange(len(stack))[:, None]
+    # refl[k, i]: the first class of the block holding class i
+    refl = ref[rows, lut]
+    tlut = lut[:, s.transpose_map]
+    tbad = tlut != tlut[rows, refl]
+    ind = (lut[:, :, None] == np.arange(m)).astype(np.int64)
+    # q[k, l, I, J] = sum over i in I, j in J of p[i, j, l]
+    q = ind.transpose(0, 2, 1)[:, None] @ s.tensor.p.transpose(2, 0, 1) @ ind[:, None]
+    mism = (q != q[rows, refl]).reshape(-1, m**3)
+    first_t, first_q = tbad.argmax(axis=1).tolist(), mism.argmax(axis=1).tolist()
+    out = []
+    for k, (blocks, t_fails, q_fails) in enumerate(
+        zip(stack, tbad.any(axis=1).tolist(), mism.any(axis=1).tolist())
+    ):
+        if t_fails:
+            i = first_t[k]
+            x, y = _first_arc(s, i)
+            out.append(TransposeNotRelation(
+                int(lut[k, i]), x, y, int(tlut[k, refl[k, i]]), int(tlut[k, i])
+            ))
+        elif q_fails:
+            l2, bi, bj = np.unravel_index(first_q[k], (m, m, m))
+            l1 = int(refl[k, l2])
+            out.append(InconsistentIntersectionNumber(
+                int(bi), int(bj), int(lut[k, l2]),
+                _first_arc(s, l1), int(q[k, l1, bi, bj]),
+                _first_arc(s, int(l2)), int(q[k, l2, bi, bj]),
+            ))
+        else:
+            nb = len(blocks)
+            p = np.ascontiguousarray(q[k, ref[k, :nb], :nb, :nb].transpose(1, 2, 0))
+            p.setflags(write=False)
+            out.append(IntersectionTensor(p))
+    return out
 
 
 def symmetrize(s):

@@ -13,6 +13,19 @@ Two independent deciders are kept deliberately separate:
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
 
+Each decider runs on a stack of partitions, and its single-partition
+entry point is a stack of one.  fuses fills the memo of fuse_direct for
+many partitions with one core.fuse_canonical product per stack, and
+spectral_verdicts decides many partitions with one spectra.block_sums
+and one spectra.group_rows call per stack; a stack holds at most
+core.STACK_ENTRIES entries in its largest array.  cross_check_fusions,
+and so the catalog's fusion check and the CLI's fuse command, run both
+on the whole list of admissible partitions, which
+enumerate_admissible_partitions makes once per scheme, in canonical
+form, so that nothing canonicalizes them again.  is_amorphic reads the
+memo in order and fuses a partition that is not kept yet alone, so on a
+fresh scheme it stops at the first refusal.
+
 Amorphicity is always decided by the exact oracle.  Every comparison of
 table values here (the spectral criterion, each normal-form column, the
 row map) is one call of spectra.group_rows, which owns the tolerance.
@@ -22,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import canonical_partition, fuse_canonical, memoized, symmetrize
+from .core import (
+    canonical_partition,
+    fuse_canonical,
+    memoized,
+    stack_chunks,
+    symmetrize,
+)
 from .errors import (
     AxiomViolation,
     MatchingAmbiguous,
@@ -31,7 +50,7 @@ from .errors import (
     SymmetrizationCheckFailed,
     TooManyClasses,
 )
-from .spectra import block_sums, character_table, group_rows
+from .spectra import block_sums, character_table, group_rows, pair_tests
 
 MAX_ENUM_D = 12
 
@@ -58,27 +77,33 @@ def _is_transpose_closed(blocks, tmap):
     return all(frozenset(tmap[i] for i in b) in block_set for b in blocks)
 
 
+@memoized(lambda s: ())
+def _admissible(s):
+    if s.d > MAX_ENUM_D:
+        raise TooManyClasses(f"d = {s.d} exceeds enumeration guard {MAX_ENUM_D}")
+    tmap = s.transpose_map
+    parts = _partitions_of(range(1, s.d + 1))
+    return tuple(sorted(((0,),) + part for part in parts if _is_transpose_closed(part, tmap)))
+
+
 def enumerate_admissible_partitions(s):
     """All partitions of {1..d} closed under the transpose pairing as a
     block system, each extended by the singleton block {0}.
 
     Includes the discrete and total partitions; ordered lexicographically
-    by sorted block lists.
+    by sorted block lists, each as canonical_partition returns it.  The
+    enumeration runs once per scheme; each call returns a new list.
     """
-    if s.d > MAX_ENUM_D:
-        raise TooManyClasses(f"d = {s.d} exceeds enumeration guard {MAX_ENUM_D}")
-    tmap = s.transpose_map
-    parts = _partitions_of(range(1, s.d + 1))
-    return sorted(((0,),) + part for part in parts if _is_transpose_closed(part, tmap))
+    return list(_admissible(s))
 
 
 def fuse_direct(s, partition):
-    """The fused IntersectionTensor, decided exactly by core.fuse_classes.
+    """The fused IntersectionTensor, decided exactly by core.fuse_canonical.
 
     New class labels follow block order (blocks sorted by smallest
     element, {0} first); no canonical relabeling is applied, so fused
     class j corresponds to partition block j.  Raises NotAScheme with the
-    witness of core.fuse_classes when the fusion is not a scheme.  Each
+    witness of core.fuse_canonical when the fusion is not a scheme.  Each
     verdict is kept in s's memo: the read-only tensor, or the refusal, from
     which every call raises a fresh NotAScheme with the same message and
     witness fields.
@@ -93,8 +118,8 @@ def fuse_direct(s, partition):
 @dataclass(frozen=True)
 class _Refusal:
     """The memo's verdict on a partition that does not fuse: the message
-    and a copy of the witness without its traceback, whose frames would
-    hold the scheme."""
+    and the witness, which was never raised, so it has no traceback whose
+    frames would hold the scheme."""
 
     message: str
     witness: AxiomViolation
@@ -108,14 +133,37 @@ def _fresh(exc):
     return new
 
 
+def _decide(s, parts):
+    """The memo's verdicts on the canonical partitions parts, from one
+    fuse_canonical stack: each fused tensor, or the _Refusal of a
+    partition that does not fuse."""
+    return [
+        _Refusal(f"fusion by {blocks} is not a scheme: {fused}", fused)
+        if isinstance(fused, AxiomViolation)
+        else fused
+        for blocks, fused in zip(parts, fuse_canonical(s, parts))
+    ]
+
+
 @memoized(lambda s, blocks: blocks)
 def _fuse_direct(s, blocks):
     # blocks are canonical: the memo key, the message and the fusion share
     # one canonical_partition
-    try:
-        return fuse_canonical(s, blocks)
-    except AxiomViolation as exc:
-        return _Refusal(f"fusion by {blocks} is not a scheme: {exc}", _fresh(exc))
+    return _decide(s, [blocks])[0]
+
+
+def fuses(s, partitions):
+    """Whether each partition, given as canonical_partition returns it,
+    fuses to a scheme: fuse_direct's verdict, kept in s's memo.  The
+    partitions not decided yet are decided together, in stacks of at most
+    core.STACK_ENTRIES tensor entries, one fuse_canonical product each."""
+    m = s.d + 1
+
+    def decide(todo):
+        for chunk in stack_chunks(todo, m**3):
+            yield from _decide(s, chunk)
+
+    return [not isinstance(v, _Refusal) for v in _fuse_direct.fill(s, partitions, decide)]
 
 
 @dataclass(frozen=True)
@@ -144,63 +192,73 @@ def bannai_muzychuk_check(e, partition):
     per-block row sums, fall into exactly as many groups as there are
     blocks, with the valency row alone in its group.  The groups are then
     the dual partition and the common block sums form the fused table.
+    This is spectral_verdicts on one partition.
     """
-    blocks = canonical_partition(partition, e.d)
-    sums, forms = block_sums(e, blocks)
-    groups = group_rows(sums, forms)
-    ok = len(groups) == len(blocks) and groups[0] == (0,)
-    if ok:
-        fused = np.array([sums[g[0]] for g in groups])
-        return FusionVerdict(blocks, True, tuple(groups), fused, None)
-    if groups[0] != (0,) and len(groups) <= len(blocks):
-        witness = {"perron_group": sorted(groups[0])}
-    else:
-        # more signature groups than blocks: any dual partition would have
-        # to merge two rows whose sums differ in some block; group_rows
-        # found one where they differ decisively, so the search ends
-        r1, r2 = groups[len(blocks) - 1][0], groups[len(blocks)][0]
-        pair = sums[[r1, r2]]
-        bad = next(
-            b
-            for b in range(len(blocks))
-            if len(group_rows(pair[:, b : b + 1], [[forms[r1][b]], [forms[r2][b]]])) == 2
-        )
-        witness = {
-            "block": bad,
-            "rows": [r1, r2],
-            "sums": [
-                [sums[r1, bad].real, sums[r1, bad].imag],
-                [sums[r2, bad].real, sums[r2, bad].imag],
-            ],
-        }
-    return FusionVerdict(blocks, False, None, None, witness)
+    return spectral_verdicts(e, [canonical_partition(partition, e.d)])[0]
+
+
+def spectral_verdicts(e, partitions):
+    """bannai_muzychuk_check's FusionVerdict on each partition, given as
+    canonical_partition returns it, from one block_sums and one group_rows
+    call per stack of at most core.STACK_ENTRIES compared entries.
+
+    When there are more row groups than blocks, the witness names the
+    first block where the first rows of the last two groups that a dual
+    partition would have to merge differ decisively: at the tolerance
+    and on the keys that group_rows decided them with.
+    """
+    m = e.d + 1
+    out = []
+    for chunk in stack_chunks(partitions, m**3 * (len(e.quarters[0]) + 2)):
+        sums, keys = block_sums(e, chunk)
+        tests = pair_tests(sums, keys)
+        for k, (blocks, groups) in enumerate(zip(chunk, group_rows(sums, keys, tests))):
+            nb = len(blocks)
+            if len(groups) == nb and groups[0] == (0,):
+                fused = sums[k, [g[0] for g in groups], :nb]
+                out.append(FusionVerdict(blocks, True, tuple(groups), fused, None))
+                continue
+            if groups[0] != (0,) and len(groups) <= nb:
+                witness = {"perron_group": sorted(groups[0])}
+            else:
+                # more signature groups than blocks: any dual partition would
+                # have to merge two rows whose sums differ decisively in some
+                # block, so the search ends
+                r1, r2 = groups[nb - 1][0], groups[nb][0]
+                bad = int(np.argmax(tests[0][k, r1, r2, :nb]))
+                witness = {
+                    "block": bad,
+                    "rows": [r1, r2],
+                    "sums": [
+                        [sums[k, r1, bad].real, sums[k, r1, bad].imag],
+                        [sums[k, r2, bad].real, sums[k, r2, bad].imag],
+                    ],
+                }
+            out.append(FusionVerdict(blocks, False, None, None, witness))
+    return out
 
 
 def cross_check_fusions(s, partitions):
-    """Both deciders on each partition, in order: yields the spectral
-    FusionVerdict from s's character table and whether fuse_direct fuses."""
-    e = character_table(s)
-    for blocks in partitions:
-        verdict = bannai_muzychuk_check(e, blocks)
-        try:
-            fuse_direct(s, blocks)
-            direct = True
-        except NotAScheme:
-            direct = False
-        yield verdict, direct
+    """Both deciders on each partition, given as canonical_partition
+    returns it, in order: a list of the spectral FusionVerdict from s's
+    character table and whether fuse_direct fuses.  Each decider takes
+    the partitions in stacks (spectral_verdicts, fuses)."""
+    verdicts = spectral_verdicts(character_table(s), partitions)
+    return list(zip(verdicts, fuses(s, partitions)))
 
 
 def is_amorphic(s):
     """Exhaustive exact amorphicity check.
 
     True iff every admissible partition fuses to a scheme; the
-    certificate records the partition count or the first failure.
+    certificate records the partition count or the first failure.  The
+    partitions are read in order from s's memo, where a check that fused
+    them all in stacks has kept them; the first one not kept is fused
+    alone, so a scheme with an empty memo stops at its first refusal.
     """
-    parts = enumerate_admissible_partitions(s)
+    parts = _admissible(s)
     for part in parts:
-        try:
-            fuse_direct(s, part)
-        except NotAScheme:
+        if isinstance(_fuse_direct(s, part), _Refusal):
             return False, {
                 "is_amorphic": False,
                 "witness": [list(b) for b in part],
@@ -239,9 +297,8 @@ def amorphic_normal_form(e, fix_last_col=None):
     if fix_last_col is not None and not 1 <= fix_last_col <= d:
         raise ValueError(f"fix_last_col must be a class in 1..{d}, got {fix_last_col}")
     row_of = {}
-    for c in range(1, d + 1):
-        sums, forms = block_sums(e, [(c,)])
-        groups = group_rows(sums[1:], forms[1:])
+    sums, keys = block_sums(e, [[(c,)] for c in range(1, d + 1)])
+    for c, groups in enumerate(group_rows(sums[:, 1:], keys[:, 1:]), 1):
         if sorted(map(len, groups)) != [1, d - 1]:
             raise NormalFormUnreachable(f"column {c} lacks a unique deviating entry")
         row_of[c] = 1 + next(g[0] for g in groups if len(g) == 1)
@@ -280,17 +337,23 @@ def symmetrization_row_map(x):
     of x's symmetrization, for any commutative x.
 
     One group_rows call over x's rows summed on the symmetrization's
-    classes, stacked with the symmetrization's rows, decides it: each
+    classes, stacked with the symmetrization's rows, with both tables'
+    keys on one basis, decides it: each
     group must hold exactly one symmetrization row, else
     SymmetrizationCheckFailed.  Both tables are the memoized ones.
     """
     sym, corr = symmetrize(x)
     blocks = [[i for i in range(x.d + 1) if corr[i] == c] for c in range(sym.d + 1)]
-    x_sums, x_forms = block_sums(character_table(x), blocks)
-    s_sums, s_forms = block_sums(character_table(sym), [(c,) for c in range(sym.d + 1)])
+    x_t, sym_t = character_table(x), character_table(sym)
+    basis = sorted(set(x_t.quarters[0]) | set(sym_t.quarters[0]))
+    x_sums, x_keys = block_sums(x_t, [blocks], basis)
+    s_sums, s_keys = block_sums(sym_t, [[(c,) for c in range(sym.d + 1)]], basis)
     m = x.d + 1
     row_map = [None] * (sym.d + 1)
-    for g in group_rows(np.vstack([x_sums, s_sums]), x_forms + s_forms):
+    (groups,) = group_rows(
+        np.concatenate([x_sums, s_sums], axis=1), np.concatenate([x_keys, s_keys], axis=1)
+    )
+    for g in groups:
         syms = [j - m for j in g if j >= m]
         if len(syms) != 1:
             raise SymmetrizationCheckFailed(

@@ -601,9 +601,11 @@ def classify_skew_4class(x):
     jb = rep_row(rows_of[2], 1)
     rho, tau = complex(x_t.P[ja, 1]), complex(x_t.P[ja, 3])
     sigma, omega = complex(x_t.P[jb, 1]), complex(x_t.P[jb, 3])
-    # an entry is complex iff it differs from its conjugate
+    # an entry is complex iff it differs from its conjugate; the keys mark
+    # both sums as known only as floats
+    floats = np.ones((1, 2, 1, 1), dtype=np.int64)
     im = {
-        name: len(group_rows(np.array([[z], [z.conjugate()]]), [[None], [None]])) == 2
+        name: len(group_rows(np.array([[[z], [z.conjugate()]]]), floats)[0]) == 2
         for name, z in (("rho", rho), ("sigma", sigma), ("tau", tau), ("omega", omega))
     }
     rad = lambda z: 4 * z.imag ** 2

@@ -15,12 +15,17 @@ exactly when every entry in both snapped, and otherwise agree within
 CLUSTER_TOL times the largest sum; a gap inside the window between that
 tolerance and ten times it raises ToleranceAmbiguity instead of guessing.
 The spectral fusion check, the amorphic normal form, the row map to the
-symmetrization, T4.1's test of whether an entry is real and union_spectrum
+symmetrization, T4.1's test of whether an entry is real and union_spectra
 (the rows grouped on the one block Lambda) all call it.  The exact sums
 are integers: each table keeps, from its first block_sums call, one int64
 array of four times its snapped entries on the basis 1, sqrt(v_1),
 sqrt(v_2), ... (EigenTable.quarters), and the exact block sums of any
 partition are one product of that array with the 0/1 block indicators.
+
+Both routines take a stack: block_sums sums a list of block lists at
+once, padded with empty blocks, and group_rows groups the rows of each
+entry from one comparison of every pair of rows in every block
+(pair_tests).  A single block list or table is a stack of one.
 
 Counting distinct eigenvalues of a union digraph never relies on floats.
 generator.generates decides generation from the rank of a Krylov matrix;
@@ -304,93 +309,133 @@ def distinct_eigenvalue_count(s, union):
     return exactla.minpoly_degree(sum(B[i] for i in union_classes(s.d, union)))
 
 
-def block_sums(e, blocks):
-    """Per-row block sums of table e: the complex matrix sums[j, b] and
-    forms[j][b], the exact sum where every entry of the block snapped, else
-    None.
+def block_sums(e, stack, basis=None):
+    """Per-row block sums of table e for each block list of stack, padded
+    with empty blocks to the longest: the complex sums[k, j, b] and the
+    int64 keys[k, j, b], one vector per sum.
 
-    sums[:, b] is P[:, b].sum(axis=1), block by block.  A form is four
-    times the sum as the integer key (a, ((v, c), ...)): a plus the sum of
-    c * sqrt(v) over the radicands v with c nonzero, ascending.  Distinct
-    squarefree radicands are linearly independent over Q, so two forms are
-    equal, across tables too, exactly when the sums are; the keys are
-    radical_sum's forms scaled by 4, and radical_sum_to_complex(form,
-    den=4) evaluates them.  They come from one int64 product of
-    e.quarters with the 0/1 block indicators.
+    sums[k, :, b] is P[:, block].sum(axis=1) for block b of stack[k], to
+    the last bit.  A key is four times the exact sum in coordinates: the
+    rational part, then the coefficient of sqrt(v) for each radicand v of
+    basis (e's own, ascending, by default; it must hold them), then the
+    number of the block's entries that did not snap.  A sum is exact where
+    that count is 0, and two exact sums are equal, across tables too when
+    both keys are on one basis, exactly when their keys are: distinct
+    squarefree radicands are linearly independent over Q.  key_form
+    writes a key as radical_sum's form scaled by 4.  The keys of the
+    whole stack are one int64 product of e.quarters with the 0/1 block
+    indicators.
     """
     radicands, X, floating = e.quarters
-    sums = np.empty((e.d + 1, len(blocks)), dtype=np.complex128)
-    member = np.zeros((e.d + 1, len(blocks)), dtype=np.int64)
-    for bi, b in enumerate(blocks):
-        cols = list(b)
-        sums[:, bi] = e.P[:, cols].sum(axis=1)
-        member[cols, bi] = 1
-    coords = (X @ member).tolist()
-    unknown = (floating @ member).tolist()
-    forms = [
+    basis = radicands if basis is None else tuple(basis)
+    m = e.d + 1
+    nb = max(map(len, stack), default=0)
+    width = max((len(b) for blocks in stack for b in blocks), default=0)
+    pad = [m] * width
+    # cols[k, b]: block b's classes, padded with m, a column of zeros
+    cols = np.array(
         [
-            None
-            if unknown[j][b]
-            else (c[0][b], tuple((v, r[b]) for v, r in zip(radicands, c[1:]) if r[b]))
-            for b in range(len(blocks))
-        ]
-        for j, c in enumerate(coords)
-    ]
-    return sums, forms
+            [(list(b) + pad)[:width] for b in blocks] + [pad] * (nb - len(blocks))
+            for blocks in stack
+        ],
+        dtype=np.intp,
+    ).reshape(len(stack), nb, width)
+    member = (cols[..., None] == np.arange(m)).any(axis=2).astype(np.int64).transpose(0, 2, 1)
+    padded = np.zeros((m, m + 1), dtype=np.complex128)
+    padded[:, :m] = e.P
+    # summed over the last axis, the trailing zeros leave every bit as is
+    sums = padded[:, cols].sum(axis=-1).transpose(1, 0, 2)
+    on_basis = np.zeros((m, len(basis) + 1, m), dtype=np.int64)
+    on_basis[:, [0] + [1 + basis.index(v) for v in radicands]] = X
+    coords = (on_basis.reshape(-1, m) @ member).reshape(len(stack), m, -1, nb)
+    keys = np.concatenate([coords, (floating @ member)[:, :, None]], axis=2)
+    return sums, keys.transpose(0, 1, 3, 2)
 
 
-def group_rows(sums, forms):
-    """Group the rows of sums whose block sums all agree, in order of
-    their first rows; each row joins the first group whose first row it
-    agrees with.
+def key_form(basis, key):
+    """The exact sum of a block_sums key on basis as the integer form
+    (a, ((v, c), ...)): a plus the sum of c * sqrt(v) over the radicands
+    with c nonzero, ascending, all four times the sum; None where an entry
+    did not snap.  radical_sum_to_complex(form, den=4) evaluates it."""
+    *coords, unknown = (int(c) for c in key)
+    if unknown:
+        return None
+    return coords[0], tuple((v, c) for v, c in zip(basis, coords[1:]) if c)
 
-    Sums agree exactly when both forms are known, and otherwise within
-    CLUSTER_TOL times the largest |sum| (at least 1).  Two rows that do not
-    agree but differ nowhere by ten times that or more raise
-    ToleranceAmbiguity instead of a grouping.
+
+def pair_tests(sums, keys):
+    """For each stack entry, pair of rows and block: whether the two sums
+    differ decisively, and whether they lie in the ambiguity window.
+
+    Two exact sums differ decisively iff their keys do.  Otherwise the
+    gap decides at CLUSTER_TOL times the entry's largest |sum| (at least
+    1): decisively at ten times that or more, and inside the window above
+    it and below ten times it.
     """
-    tol = CLUSTER_TOL * max(1.0, float(np.abs(sums).max()))
-    rows = sums.tolist()
-    groups = []
-    for j, row in enumerate(rows):
-        for g in groups:
-            r = g[0]
-            window = False
-            for b, z in enumerate(row):
-                fj, fr = forms[j][b], forms[r][b]
-                if fj is not None and fr is not None:
-                    if fj != fr:
-                        break
-                    continue
-                gap = abs(z - rows[r][b])
-                if gap >= 10 * tol:
-                    break
-                window = window or gap > tol
-            else:
-                if window:
+    scale = np.abs(sums).max(axis=(1, 2), initial=1.0)
+    tol = (CLUSTER_TOL * scale)[:, None, None, None]
+    known = keys[..., -1] == 0
+    both = known[:, :, None] & known[:, None]
+    gap = np.abs(sums[:, :, None] - sums[:, None])
+    differ = (keys[:, :, None] != keys[:, None]).any(axis=-1)
+    return np.where(both, differ, gap >= 10 * tol), ~both & (gap > tol)
+
+
+def group_rows(sums, keys, tests=None):
+    """Group the rows of each stack entry of block_sums' (sums, keys)
+    whose block sums all agree, in order of their first rows; each row
+    joins the first group whose first row it agrees with.
+
+    Two rows agree when no block sum differs decisively and none lies in
+    the window: pair_tests(sums, keys), or tests where the caller has
+    made them already.  Two rows that differ in no block decisively, but
+    in some inside the window, raise ToleranceAmbiguity instead of a
+    grouping.  Returns one grouping per stack entry.
+    """
+    decisive, window = pair_tests(sums, keys) if tests is None else tests
+    # 0: the rows differ, 1: they agree, 2: they are ambiguous
+    state = np.where(decisive.any(axis=-1), 0, 1 + window.any(axis=-1)).tolist()
+    out = []
+    for pairs in state:
+        groups = []
+        for j, row in enumerate(pairs):
+            for g in groups:
+                if row[g[0]] == 2:
                     raise ToleranceAmbiguity(
-                        f"rows {r} and {j} have block sums within the ambiguity window"
+                        f"rows {g[0]} and {j} have block sums within the ambiguity window"
                     )
-                g.append(j)
-                break
-        else:
-            groups.append([j])
-    return [tuple(g) for g in groups]
+                if row[g[0]]:
+                    g.append(j)
+                    break
+            else:
+                groups.append([j])
+        out.append([tuple(g) for g in groups])
+    return out
+
+
+def union_spectra(e, unions):
+    """Eigenvalue multisets of union digraphs from the character table,
+    one per union, from one block_sums and one group_rows call.
+
+    Each is [(value, multiplicity), ...] sorted by (re, im) descending:
+    one value per group of rows that group_rows forms on the single block
+    union, evaluated from the exact sum where its first row's sum is
+    exact.
+    """
+    radicands = e.quarters[0]
+    sums, keys = block_sums(e, [[union_classes(e.d, u)] for u in unions])
+    out = []
+    for k, groups in enumerate(group_rows(sums, keys)):
+        spec = []
+        for g in groups:
+            form = key_form(radicands, keys[k, g[0], 0])
+            z = complex(sums[k, g[0], 0]) if form is None else radical_sum_to_complex(form, den=4)
+            spec.append((z, sum(e.multiplicities[j] for j in g)))
+        spec.sort(key=lambda vm: (-round(vm[0].real, 9), -round(vm[0].imag, 9)))
+        out.append(spec)
+    return out
 
 
 def union_spectrum(e, union):
-    """Eigenvalue multiset of a union digraph from the character table.
-
-    Returns [(value, multiplicity), ...] sorted by (re, im) descending:
-    one value per group of rows that group_rows forms on the single block
-    union, evaluated from the exact sum where every entry of its first
-    row's sum snapped.
-    """
-    sums, forms = block_sums(e, [union_classes(e.d, union)])
-    spec = []
-    for g in group_rows(sums, forms):
-        form = forms[g[0]][0]
-        z = complex(sums[g[0], 0]) if form is None else radical_sum_to_complex(form, den=4)
-        spec.append((z, sum(e.multiplicities[j] for j in g)))
-    spec.sort(key=lambda vm: (-round(vm[0].real, 9), -round(vm[0].imag, 9)))
-    return spec
+    """The eigenvalue multiset of one union digraph: union_spectra of one."""
+    return union_spectra(e, [union])[0]

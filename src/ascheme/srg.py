@@ -8,9 +8,12 @@ names two pairs whose counts differ.  Weak components come from the
 intersection tensor as well: the classes reachable from class 0 through
 the union and its transpose form a closed subset, which every component
 has as its class set.  Nothing here builds an n x n matrix (the fusion
-yields only its tensor) or searches a graph.  SRG parameters are memoized
-on the scheme, next to its character table, so connectivity_classification
-reads both without recomputing them.  The eigenvalue routines work from
+yields only its tensor) or searches a graph.  SRG parameters, closed
+subsets and union spectra are memoized on the scheme, next to its
+character table, so connectivity_classification reads them without
+recomputing them; fill_unions and fill_spectra decide them for many
+unions at once, one stacked fusion product, one boolean closure over the
+tensor and one block_sums call per stack.  The eigenvalue routines work from
 (n, k, lambda, mu) alone: the restricted eigenvalues and their
 multiplicities follow from the quadratic whose discriminant separates the
 conference case (irrational eigenvalues, equal multiplicities) from the
@@ -24,11 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import memoized, union_classes
+from . import fusion
+from .core import memoized, stack_chunks, union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
-from .spectra import RESID_TOL, character_table, union_spectrum
+from .spectra import RESID_TOL, character_table, union_spectra, union_spectrum
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,73 @@ def _components(s, union):
     pairs (x, y) joined by a walk.  That closed subset is the same at every
     x, so all components have the size sum_l k_l.
     """
-    step = sorted({c for i in union for c in (i, s.transpose_map[i])})
-    reached, grown = None, np.arange(s.d + 1) == 0
-    while not np.array_equal(reached, grown):
-        reached = grown
-        grown = reached | s.tensor.p[np.ix_(reached, step)].any(axis=(0, 1))
-    size = int(np.asarray(s.valencies)[reached].sum())
+    size = int(np.asarray(s.valencies)[_closed_subset(s, union)].sum())
     return s.n // size, size
+
+
+@memoized(lambda s, union: union)
+def _closed_subset(s, union):
+    return _closures(s, [union])[0]
+
+
+def _closures(s, unions):
+    """The closed subset of each union's classes (sorted tuples) as a
+    read-only bool vector over 0..d: one boolean closure over the tensor
+    for the whole stack, grown from class 0 until no union's subset
+    grows."""
+    m = s.d + 1
+    t = s.transpose_map
+    step = np.zeros((len(unions), m), dtype=np.int64)
+    for k, u in enumerate(unions):
+        step[k, [c for i in u for c in (i, t[i])]] = 1
+    # walk[i, j, l] = 1 iff p_ij^l > 0
+    walk = (s.tensor.p > 0).astype(np.int64).reshape(m, m * m)
+    reached = np.zeros((len(unions), m), dtype=bool)
+    reached[:, 0] = True
+    while True:
+        via = (reached @ walk).reshape(-1, m, m)
+        grown = reached | (step[:, None] @ via)[:, 0].astype(bool)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    reached.setflags(write=False)
+    return list(reached)
+
+
+def fill_unions(s, unions):
+    """Decide, for each union of unions, proper and transpose-closed as
+    sorted tuples, its {union, complement} fusion and its closed subset
+    into s's memo, each in stacked batches, where srg_params_from_scheme
+    and connectivity_classification read them."""
+    m = s.d + 1
+    fusion.fuses(s, [_split(s.d, u) for u in unions])
+    _closed_subset.fill(
+        s, unions, lambda todo: [r for c in stack_chunks(todo, m * m) for r in _closures(s, c)]
+    )
+
+
+def _split(d, u):
+    """The partition {0}, u, complement of a proper union u of 1..d, as
+    canonical_partition returns it."""
+    return tuple(sorted([(0,), u, tuple(i for i in range(1, d + 1) if i not in u)]))
+
+
+@memoized(lambda s, union: union)
+def _spectrum(s, union):
+    return union_spectrum(character_table(s), union)
+
+
+def fill_spectra(s, unions):
+    """Keep the spectrum of each union (sorted tuples) in s's memo, where
+    connectivity_classification reads it: spectra.union_spectra in
+    stacked batches."""
+    e = character_table(s)
+
+    def spectra(todo):
+        for chunk in stack_chunks(todo, (s.d + 1) ** 2 * (len(e.quarters[0]) + 2)):
+            yield from union_spectra(e, chunk)
+
+    _spectrum.fill(s, unions, spectra)
 
 
 @memoized(lambda s, union: union_classes(s.d, union))
@@ -108,17 +172,17 @@ def srg_params_from_scheme(s, union):
     on the next call.
     """
     u = _validate_union(s, union)
-    comp = [i for i in range(1, s.d + 1) if i not in u]
-    if not comp:
+    if len(u) == s.d:
         raise NotStronglyRegular(
             f"union {u} covers all classes; the complete graph has no mu"
         )
     k = int(sum(s.valencies[i] for i in u))
     # fused labels follow block order by smallest element; find the union
-    iu = 1 if min(u) < min(comp) else 2
+    blocks = _split(s.d, u)
+    iu = blocks.index(u)
     ic = 3 - iu
     try:
-        p = fuse_direct(s, [[0], list(u), comp]).p
+        p = fuse_direct(s, blocks).p
     except NotAScheme as exc:
         raise _not_strongly_regular(u, exc.witness, {iu: "union", ic: "complement"}) from exc
     # the union is symmetric, so its fused valency is p_{uu}^0
@@ -243,7 +307,7 @@ def connectivity_classification(s, union):
     u = _validate_union(s, union)
     ncomp, size = _components(s, u)
     k = int(sum(s.valencies[i] for i in u))
-    spec = union_spectrum(character_table(s), u)
+    spec = _spectrum(s, u)
     val_mult = sum(m for z, m in spec if abs(z - k) < RESID_TOL)
     clique_spec = all(
         abs(z - k) < RESID_TOL or abs(z + 1) < RESID_TOL for z, m in spec

@@ -140,12 +140,20 @@ def battery_body_runs():
     which never enter the body, are not counted.  Generation reports are
     made in batches, by generator._reports, for generates and for
     find_generating_unions alike: each union of a batch is listed as one
-    "generates" run.  Calls of exactla.solve_exact are listed too, as
-    "solve_exact" with the scheme of the batch that made them."""
-    names = {
-        fn.__wrapped__.__code__: name for name, fn in MEMOIZED.items() if name != "generates"
+    "generates" run.  Fusion verdicts are made in stacks, by
+    fusion._decide, for fuse_direct and for fusion.fuses alike: each
+    partition of a stack is listed as one "fuse_direct" run.  Calls of
+    exactla.solve_exact are listed too, as "solve_exact" with the scheme
+    of the batch that made them."""
+    batched = {
+        generator._reports.__code__: ("generates", "unions"),
+        fusion._decide.__code__: ("fuse_direct", "parts"),
     }
-    reports = generator._reports.__code__
+    names = {
+        fn.__wrapped__.__code__: name
+        for name, fn in MEMOIZED.items()
+        if name not in ("generates", "fuse_direct")
+    }
     solve = exactla.solve_exact.__code__
     runs = []
 
@@ -154,9 +162,10 @@ def battery_body_runs():
             return
         if frame.f_code in names:
             runs.append((names[frame.f_code], frame.f_locals["s"]))
-        elif frame.f_code is reports:
+        elif frame.f_code in batched:
+            name, args = batched[frame.f_code]
             s = frame.f_locals["s"]
-            runs.extend(("generates", s) for _ in frame.f_locals["unions"])
+            runs.extend((name, s) for _ in frame.f_locals[args])
         elif frame.f_code is solve:
             runs.append(("solve_exact", frame.f_back.f_locals["s"]))
 
@@ -494,6 +503,15 @@ def reference_union_spectrum(e, union):
     return [(cl[0], cl[2]) for cl in clusters]
 
 
+def block_forms(e, blocks, basis=None):
+    """spectra.block_sums of one block list, as the 2-D sums and the
+    nested forms[j][b] (spectra.key_form of each key) that the reference
+    loops compare."""
+    sums, keys = spectra.block_sums(e, [blocks], basis)
+    basis = e.quarters[0] if basis is None else basis
+    return sums[0], [[spectra.key_form(basis, key) for key in row] for row in keys[0]]
+
+
 def _reference_group_rows(sums, forms, tol):
     """Rows grouped by signature, each compared with every earlier group's
     first row until one agrees; a float near miss that no block separates
@@ -549,7 +567,7 @@ def reference_row_map(x):
     sym, corr = symmetrize(x)
     x_t, sym_t = character_table(x), character_table(sym)
     blocks = [[i for i in range(x.d + 1) if corr[i] == c] for c in range(sym.d + 1)]
-    sums, forms = spectra.block_sums(x_t, blocks)
+    sums, forms = block_forms(x_t, blocks)
     groups = _reference_group_rows(sums, forms, _table_tol(sums))
     assert len(groups) == sym.d + 1 and groups[0] == (0,)
     tol = _table_tol(sym_t.P)

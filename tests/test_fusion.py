@@ -165,19 +165,19 @@ def test_failing_fusion_verdict_holds_no_reference_to_the_scheme():
 
 def test_each_failing_partition_is_decided_once(monkeypatch):
     """is_amorphic, cross_check_fusions and the catalog's srg check on fresh
-    schemes run the fusion body once per (scheme, partition), failing
-    partitions included."""
+    schemes decide each (scheme, partition) once, failing partitions
+    included, whether one at a time or in a stack of fuse_canonical."""
     runs = Counter()
     failed = set()
     fuse = fusion.fuse_canonical
 
-    def counted(s, blocks):
-        runs[id(s), blocks] += 1
-        try:
-            return fuse(s, blocks)
-        except AxiomViolation:
-            failed.add((id(s), blocks))
-            raise
+    def counted(s, stack):
+        verdicts = fuse(s, stack)
+        for blocks, fused in zip(stack, verdicts, strict=True):
+            runs[id(s), blocks] += 1
+            if isinstance(fused, AxiomViolation):
+                failed.add((id(s), blocks))
+        return verdicts
 
     monkeypatch.setattr(fusion, "fuse_canonical", counted)
     schemes = [catalog_scheme(eid) for eid in ("cyclo-13-4", "cyclo-17-4", "direct-k3-k3")]
@@ -584,6 +584,6 @@ def test_symmetrization_check_raises_with_asserts_stripped():
     """A grouping that puts both symmetrization rows into one group is
     refused by a typed error, not an assert."""
     stripped = compile_stripped(fusion)
-    stripped.group_rows = lambda sums, forms: [tuple(range(len(sums)))]
+    stripped.group_rows = lambda sums, keys: [[tuple(range(sums.shape[1]))]]
     with pytest.raises(SymmetrizationCheckFailed):
         stripped.idempotent_matching(catalog_scheme("cyclo-7-2"))

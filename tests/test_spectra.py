@@ -38,6 +38,7 @@ from ascheme.spectra import (
 )
 
 from conftest import (
+    block_forms,
     compile_stripped,
     reference_eigenrows_mp,
     reference_row_map,
@@ -445,7 +446,7 @@ def test_integer_keys_decide_as_radical_sum(catalog):
         partitions = enumerate_admissible_partitions(s)
         singles = [tuple((c,) for c in range(s.d + 1))]
         for blocks in partitions + singles:
-            forms = block_sums(e, blocks)[1]
+            forms = block_forms(e, blocks)[1]
             counts["cells"] += _check_keys(forms, _radical_sum_forms([(e, blocks)]), *maps)
         counts["partitions"] += len(partitions)
         sym, corr = symmetrize(s)
@@ -453,7 +454,7 @@ def test_integer_keys_decide_as_radical_sum(catalog):
             (e, [[i for i in range(s.d + 1) if corr[i] == c] for c in range(sym.d + 1)]),
             (character_table(sym), [(c,) for c in range(sym.d + 1)]),
         ]
-        stacked = [f for t, blocks in pairs for f in block_sums(t, blocks)[1]]
+        stacked = [f for t, blocks in pairs for f in block_forms(t, blocks)[1]]
         counts["cells"] += _check_keys(stacked, _radical_sum_forms(pairs), *maps)
         counts["row maps"] += 1
     assert counts == {"partitions": 5288, "row maps": 219, "cells": 70648}
@@ -477,7 +478,7 @@ def test_block_sums_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     for e in tables:
         assert "quarters" not in vars(e)
-        block_sums(e, [(c,) for c in range(e.d + 1)])
+        block_sums(e, [[(c,) for c in range(e.d + 1)]])
         bannai_muzychuk_check(e, ((0,), (1,), tuple(range(2, e.d + 1))))
         union_spectrum(e, (1,))
     assert made == []
@@ -493,5 +494,5 @@ def test_entry_off_the_quarter_lattice_raises_typed_error():
     P = np.array([[1, 2], [1, 1 / 3]], dtype=np.complex128)
     e = EigenTable(P, (1, 1), ((one, QuadVal.rational(2)), (one, third)), 3, (1, 2))
     with pytest.raises(EntryNotQuarterIntegral) as exc:
-        block_sums(e, [(0,), (1,)])
+        block_sums(e, [[(0,), (1,)]])
     assert (exc.value.row, exc.value.col, exc.value.value) == (1, 1, third)

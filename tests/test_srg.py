@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from ascheme import catalog as cat
-from ascheme import srg
+from ascheme import fusion, srg
 from ascheme.catalog import build_cyclotomic, catalog_scheme
 from ascheme.core import Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
@@ -301,21 +302,30 @@ def test_catalog_srg_check_builds_one_table(battery_body_runs):
 
 
 def test_catalog_srg_check_fuses_each_union_once(monkeypatch):
-    """The catalog's srg check fuses each proper transpose-closed union
-    once: connectivity_classification reads the memoized SrgParams."""
-    calls = []
-    fuse = srg.fuse_direct
+    """The catalog's srg check asks the fusion batch for each proper
+    transpose-closed union's {union, complement} fusion once, 202 in all,
+    and the batch decides each distinct partition once: a union and its
+    complement share one.  srg_params_from_scheme and
+    connectivity_classification read the memoized verdicts."""
+    asked, decided = [], Counter()
+    fuses, fuse = fusion.fuses, fusion.fuse_canonical
 
-    def counted(s, blocks):
-        calls.append(blocks)
-        return fuse(s, blocks)
+    def asking(s, partitions):
+        asked.extend((id(s), p) for p in partitions)
+        return fuses(s, partitions)
+
+    def deciding(s, stack):
+        decided.update((id(s), p) for p in stack)
+        return fuse(s, stack)
 
     schemes = fresh_catalog()
-    monkeypatch.setattr(srg, "fuse_direct", counted)
+    monkeypatch.setattr(fusion, "fuses", asking)
+    monkeypatch.setattr(fusion, "fuse_canonical", deciding)
     for s in schemes:
         if s.is_commutative:
             cat._check_srg(s)
-    assert len(calls) == 202
+    assert len(asked) == 202
+    assert set(decided) == set(asked) and set(decided.values()) == {1}
 
 
 def test_srg_checks_raise_with_asserts_stripped():
