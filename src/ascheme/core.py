@@ -20,6 +20,13 @@ classes sort by (valency, lexicographically smallest indicator row, first
 arc), transpose pairs stay adjacent with the member whose first arc (x, y)
 has x < y listed first.  Emitted files always use canonical labels.
 
+Scheme text: for d <= 9, emit_scheme_file (and so `ascheme build`) writes
+an 'n d' header, then n lines of one-digit labels joined by single spaces
+and closed by LF.  parse_scheme_file decodes a text in exactly that layout
+as one strided uint8 view of its bytes; every other text (comments, CRLF,
+tabs, blank lines, two-digit labels) keeps the line path, and both paths
+end in the same validation.
+
 A Scheme never changes after it is built, so what is derived from it alone
 (its character table, symmetrization, fusions, generation reports and SRG
 parameters) is computed once and kept in the scheme's memo (memoized).
@@ -234,8 +241,12 @@ def _validate_entries(arr, d, row_loc=None):
     if bad_mask.any():
         r, c = divmod(int(bad_mask.argmax()), n)
         raise OutOfRangeEntry(f"entry {int(arr[r, c])} outside 0..{d}", line=loc(r), col=c)
-    # entries are in 0..d here; np.unique would import numpy.ma
-    counts = np.bincount(arr.ravel().astype(np.intp, copy=False), minlength=d + 1)
+    # entries are in 0..d here; np.unique would import numpy.ma.  Counted in
+    # row blocks, the intp cast of a narrow dtype (a parsed uint8 matrix)
+    # stays near a megabyte
+    counts = np.zeros(d + 1, dtype=np.intp)
+    for a, b in _row_blocks(n):
+        counts += np.bincount(arr[a:b].ravel().astype(np.intp, copy=False), minlength=d + 1)
     if not counts.all():
         missing = int(np.flatnonzero(counts == 0)[0])
         raise MissingRelationIndex(f"relation index {missing} never occurs")
@@ -251,13 +262,19 @@ def color_matrix(entries, d=None):
     if d is None:
         d = int(arr.max(initial=0))
     _validate_entries(arr, d)
+    return _frozen(arr, d)
+
+
+def _frozen(arr, d):
+    """The read-only int32 ColorMatrix of validated entries."""
     arr = np.ascontiguousarray(arr, dtype=np.int32)
     arr.setflags(write=False)
     return ColorMatrix(arr, int(d))
 
 
-# Text decoding and class relabeling work on row blocks of about this many
-# entries, so their index and byte transients stay near a megabyte.
+# Text decoding, validation and class relabeling work on row blocks of
+# about this many entries, so their index and byte transients stay near a
+# megabyte.
 _BLOCK_ENTRIES = 1 << 16
 # The longest digit run decoded positionally in int64: 10^18 - 1 < 2^63.
 # A longer run is left to int(), with its big integers and its digit limit.
@@ -265,7 +282,7 @@ _MAX_RUN = 18
 
 
 def _row_blocks(n):
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -323,25 +340,9 @@ def _decode_rows(lines, n):
     return out, split
 
 
-def parse_scheme_file(text):
-    """Parse the scheme file format: 'n d' header then n rows of n colors.
-
-    '#' starts a comment anywhere on a line; blank lines are skipped.  A
-    header beyond MAX_N or MAX_D raises TooLarge before any row is read.
-    An entry is any token that int() reads.  The body is decoded in row blocks
-    (_decode_rows): lines of ASCII digits, spaces and tabs in numpy, any
-    other line by str.split and int, so both give the same values and the
-    same errors at the same line.  emit_scheme_file's output parses back
-    to the canonical relabeling of the emitted scheme.
-    """
-    lines = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((num, body))
-    if not lines:
-        raise MalformedHeader("empty input")
-    hnum, header = lines[0]
+def _header(hnum, header):
+    """n and d of the header line `header`, file line `hnum`, after the
+    checks of every parse: two integers, n >= 1, d >= 0, size_guard."""
     parts = header.split()
     if len(parts) != 2:
         raise MalformedHeader(f"header must be 'n d', got {header!r}", line=hnum)
@@ -352,6 +353,64 @@ def parse_scheme_file(text):
     if n < 1 or d < 0:
         raise MalformedHeader(f"header values out of range: n={n} d={d}", line=hnum)
     size_guard(n, d)
+    return n, d
+
+
+def _strided_rows(text, start, n):
+    """The uint8 entries of the n body lines that begin at offset `start`
+    of `text`, or None unless they are in the layout emit_scheme_file
+    writes for d <= 9: n lines of 2n bytes, an ASCII digit at every even
+    offset, a space at every odd one but the last, and a newline there.
+    The body is read as one strided view of the text's bytes, with no line
+    split.  `text` is ASCII."""
+    if len(text) - start != 2 * n * n:
+        return None
+    rows = np.frombuffer(text.encode("ascii"), np.uint8, offset=start).reshape(n, 2 * n)
+    if (rows[:, 1:-1:2] != 32).any() or (rows[:, -1] != 10).any():
+        return None
+    entries = rows[:, 0::2] - np.uint8(48)
+    if (entries > 9).any():
+        return None
+    return entries
+
+
+def parse_scheme_file(text):
+    """Parse the scheme file format: 'n d' header then n rows of n colors.
+
+    '#' starts a comment anywhere on a line; blank lines are skipped.  A
+    header beyond MAX_N or MAX_D raises TooLarge before any row is read.
+    An entry is any token that int() reads.  A text in the layout that
+    emit_scheme_file (and so `ascheme build`) writes for d <= 9, a first
+    line of ASCII digits, one space and ASCII digits, then one-digit
+    labels joined by single spaces with LF line ends, is decoded as one
+    strided uint8 view of its bytes (_strided_rows).  Every other text
+    takes the line path: the body is decoded in row blocks (_decode_rows),
+    lines of ASCII digits, spaces and tabs in numpy, any other line by
+    str.split and int.  Both paths end in the same validation, so they give
+    the same values and the same errors at the same line.
+    emit_scheme_file's output parses back to the canonical relabeling of
+    the emitted scheme.
+    """
+    # the emitted header, ASCII digits, one space and ASCII digits, gets
+    # the checks and the size guard of every header before its body is
+    # tried as one strided view
+    head = text[: text.find("\n") + 1]
+    n_txt, _, d_txt = head[:-1].partition(" ")
+    if text.isascii() and n_txt.isdigit() and d_txt.isdigit():
+        n, d = _header(1, head[:-1])
+        arr = _strided_rows(text, len(head), n)
+        if arr is not None:
+            _validate_entries(arr, d, row_loc=lambda r: r + 2)
+            return _frozen(arr, d)
+    lines = []
+    for num, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((num, body))
+    if not lines:
+        raise MalformedHeader("empty input")
+    hnum, header = lines[0]
+    n, d = _header(hnum, header)
     body = lines[1:]
     if len(body) != n:
         raise NonSquareBody(
@@ -370,9 +429,7 @@ def parse_scheme_file(text):
         arr[r] = vals
     row_lines = [num for num, _ in body]
     _validate_entries(arr, d, row_loc=lambda r: row_lines[r])
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
-    arr.setflags(write=False)
-    return ColorMatrix(arr, d)
+    return _frozen(arr, d)
 
 
 def emit_scheme_file(s):
@@ -381,10 +438,13 @@ def emit_scheme_file(s):
     The text is the header 'n d', then one line per row: the labels in
     decimal, one space between them.  It is written in row blocks into a
     preallocated uint8 buffer from a table of label bytes, each padded to
-    the widest label (two digits at most, as MAX_D = 32) plus a space; a
-    mask drops the padding.  Every row holds k_i entries of class i, so
-    all rows have the same length in bytes.  parse_scheme_file reads the
-    text back as the canonical coloring, which emits the same text again.
+    the widest label (two digits at most, as MAX_D = 32) plus a space.
+    For d <= 9 every label is one digit, so a row block is one take from
+    the table and needs no padding; otherwise a mask drops the padding.
+    Every row holds k_i entries of class i, so all rows have the same
+    length in bytes.  parse_scheme_file reads the text back as the
+    canonical coloring, which emits the same text again; for d <= 9 it
+    reads it as one strided view.
     """
     canon, _ = canonical_form(s)
     e = canon.color.entries
@@ -404,7 +464,9 @@ def emit_scheme_file(s):
     for a, b in _row_blocks(n):
         chars = table.take(e[a:b], axis=0)
         chars[:, -1, -1] = ord("\n")
-        rows[a:b] = chars[keep.take(e[a:b], axis=0)].reshape(b - a, row_len)
+        if width > 1:
+            chars = chars[keep.take(e[a:b], axis=0)]
+        rows[a:b] = chars.reshape(b - a, row_len)
     return str(buf.data, "ascii")
 
 

@@ -19,10 +19,11 @@ from ascheme.core import (
     scheme_from_entries,
     verify_axioms,
 )
-from ascheme.errors import TooLarge
+from ascheme.errors import InconsistentIntersectionNumber, TooLarge
 
 from conftest import (
     _reference_validate_entries,
+    corrupted_ladder_961,
     reference_emit_scheme_file,
     reference_parse_scheme_file,
 )
@@ -87,6 +88,89 @@ def mutated_files(draw):
 @given(mutated_files(), st.sampled_from([1, 3, 1 << 16]))
 def test_parse_matches_line_by_line_reference(text, block):
     # small row blocks put the first bad line of a file in any block
+    saved = core._BLOCK_ENTRIES
+    core._BLOCK_ENTRIES = block
+    try:
+        assert_parses_alike(text)
+    finally:
+        core._BLOCK_ENTRIES = saved
+
+
+def _one_digit_text(e):
+    """e in the layout emit_scheme_file writes for d <= 9."""
+    n, d = e.shape[0], int(e.max(initial=0))
+    return f"{n} {d}\n" + "".join(" ".join(map(str, row)) + "\n" for row in e)
+
+
+def _edit_header_break(draw, text):
+    at = draw(st.integers(0, text.index("\n")))
+    return text[:at] + draw(st.sampled_from(["\r", "\x0c", "\x1c"])) + text[at:]
+
+
+def _edit_spaces(draw, text):
+    spaces = [k for k, ch in enumerate(text) if ch == " "]
+    if draw(st.booleans()) and spaces:
+        at = draw(st.sampled_from(spaces))
+        return text[:at] + " " + text[at:]
+    ends = [k for k, ch in enumerate(text) if ch == "\n"]
+    at = draw(st.sampled_from(ends)) if ends else len(text)
+    return text[:at] + " " + text[at:]
+
+
+def _edit_header_number(draw, text):
+    n_txt, rest = text.split(" ", 1)
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["+", "0"])) + text
+    if draw(st.booleans()):
+        return "0 " + rest
+    return f"{n_txt} {draw(st.sampled_from(['+', '0']))}{rest}"
+
+
+NOISE_CHARS = [tok for tok in NOISE if len(tok) == 1]
+LAYOUT_EDITS = [
+    _edit_header_break,
+    _edit_spaces,
+    _edit_header_number,
+    lambda draw, text: text[:-1],
+    lambda draw, text: "\n" + text,
+]
+
+
+@st.composite
+def one_digit_files(draw):
+    """A valid coloring with d <= 9 in the emitted layout, then 0-2 edits:
+    a NOISE token inserted or a character deleted, as mutated_files does,
+    a character replaced by a one-character NOISE token, which keeps the
+    length of the text, or an edit that breaks the layout alone (a line
+    break inside the header, a doubled or trailing space, no final
+    newline, a leading blank line, a '+' or '0' before a header number, a
+    header n of 0)."""
+    n = draw(st.integers(1, 9))
+    d = 0 if n == 1 else draw(st.integers(1, min(9, n * (n - 1))))
+    cells = list(range(1, d + 1))
+    cells += draw(st.lists(st.integers(1, max(d, 1)), min_size=n * (n - 1) - d,
+                           max_size=n * (n - 1) - d))
+    e = np.zeros((n, n), dtype=np.int64)
+    e[~np.eye(n, dtype=bool)] = draw(st.permutations(cells)) if cells else []
+    text = _one_digit_text(e)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["noise", "delete", "replace", "layout"]))
+        at = draw(st.integers(0, len(text) - 1)) if text else 0
+        if kind == "noise":
+            text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        elif kind == "replace":
+            text = text[:at] + draw(st.sampled_from(NOISE_CHARS)) + text[at + 1:]
+        elif "\n" in text and " " in text:
+            text = draw(st.sampled_from(LAYOUT_EDITS))(draw, text)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_digit_files(), st.sampled_from([1, 3, 1 << 16]))
+def test_parse_of_the_one_digit_layout_matches_reference(text, block):
+    # the strided decode and the line path meet at the layout's boundary
     saved = core._BLOCK_ENTRIES
     core._BLOCK_ENTRIES = block
     try:
@@ -198,6 +282,53 @@ def test_emit_parse_round_trip_is_the_canonical_relabeling(catalog, data):
     assert emit_scheme_file(verify_axioms(c)) == text
 
 
+# --- which texts the strided decode reads ---------------------------------------
+
+
+def _no_decode(*args):
+    raise AssertionError("a decoder ran that this text must not reach")
+
+
+def _witness(c):
+    with pytest.raises(InconsistentIntersectionNumber) as info:
+        verify_axioms(c)
+    exc = info.value
+    return (str(exc), exc.i, exc.j, exc.l, exc.pair_a, exc.pair_b,
+            exc.count_a, exc.count_b)
+
+
+def test_emitted_one_digit_texts_never_reach_the_line_path(
+        catalog, ladder_schemes, monkeypatch):
+    texts = [emit_scheme_file(s) for s in [*catalog.values(), *ladder_schemes.values()]]
+    e, d = corrupted_ladder_961()
+    corrupted = _one_digit_text(e)
+    line_path = parse_scheme_file(corrupted.replace("\n", "\r\n"))
+    monkeypatch.setattr(core, "_decode_rows", _no_decode)
+    for text in texts:
+        c, ref = parse_scheme_file(text), reference_parse_scheme_file(text)
+        assert c.d == ref.d and c.entries.dtype == ref.entries.dtype
+        assert np.array_equal(c.entries, ref.entries)
+        assert not c.entries.flags.writeable
+    c = parse_scheme_file(corrupted)
+    assert c.d == d and np.array_equal(c.entries, e)
+    assert _witness(c) == _witness(line_path)
+
+
+def test_emitted_two_digit_text_takes_the_line_path(monkeypatch):
+    s = build_product(build_cyclotomic(13, 12), build_cyclotomic(3, 2), "wreath")
+    text = emit_scheme_file(s)
+    calls = []
+
+    def decode_rows(lines, n, decode=core._decode_rows):
+        calls.append(len(lines))
+        return decode(lines, n)
+
+    monkeypatch.setattr(core, "_decode_rows", decode_rows)
+    c = parse_scheme_file(text)
+    assert sum(calls) == s.n
+    assert np.array_equal(c.entries, reference_parse_scheme_file(text).entries)
+
+
 # --- memory at n = 961 ------------------------------------------------------------
 
 
@@ -211,13 +342,15 @@ def _peak(fn, *args):
 
 
 def test_text_codec_peak_memory_at_n_961(ladder_schemes):
-    # the int()/str() codec peaked at 26.1 MB to parse and 11.1 MB to emit
-    # this scheme
+    # the int()/str() codec peaked at 11.1 MB to emit this scheme
     # emit first relabels the classes into canonical order, as here
     s = relabel_classes(ladder_schemes["direct-31-2-squared"], (0,) + tuple(range(8, 0, -1)))
     assert canonical_class_order(s) != tuple(range(s.d + 1))
     text = reference_emit_scheme_file(s)
-    assert _peak(parse_scheme_file, text) < 26.1e6
+    # the line path parsed this text at 16.7 MB, with an int64 matrix and
+    # its int32 copy; the strided uint8 view peaks at 4.6 MB, the uint8
+    # matrix and the int32 one, and one n x n int64 transient passes 7.4 MB
+    assert _peak(parse_scheme_file, text) < 5.5e6
     assert _peak(emit_scheme_file, s) < 11.1e6
 
 
@@ -266,18 +399,16 @@ def test_validate_entries_names_the_reference_entry():
 
 def test_header_size_guard_precedes_decoding(monkeypatch):
     """A header n beyond MAX_N (patched to 8 here, so the file stays small)
-    or d beyond MAX_D raises TooLarge before any row is decoded, and the
+    or d beyond MAX_D raises TooLarge before any row is decoded, by the
+    strided decode (k9 is in the emitted layout) or the line path, and the
     line-by-line reference raises it too."""
-
-    def no_decode(lines, n):
-        raise AssertionError("rows decoded before the size guard")
-
     k9 = "9 1\n" + "".join(
         " ".join("0" if x == y else "1" for y in range(9)) + "\n" for x in range(9)
     )
     wide = f"3 {MAX_D + 1}\n0 1 2\n1 0 2\n1 2 0\n"
     monkeypatch.setattr(core, "MAX_N", 8)
-    monkeypatch.setattr(core, "_decode_rows", no_decode)
+    monkeypatch.setattr(core, "_decode_rows", _no_decode)
+    monkeypatch.setattr(core, "_strided_rows", _no_decode)
     for text, message in ((k9, "n = 9 exceeds the supported maximum 8"),
                           (wide, f"d = {MAX_D + 1} exceeds")):
         with pytest.raises(TooLarge, match=message):
