@@ -7,7 +7,7 @@ Builders produce canonically labeled, fully verified schemes:
   * Schurian schemes (orbitals of a transitive permutation group given by
     generators),
   * direct and wreath products,
-  * small named constructions (complete, Petersen).
+  * complete schemes K_n.
 
 No builder runs the O(n^3) axiom kernel.  Every construction but the
 products has a vertex-transitive group that preserves its coloring, so
@@ -89,8 +89,7 @@ def _transitive_scheme(c):
     InconsistentIntersectionNumber with the witness verify_axioms gives.
 
     The caller vouches for G: the translations, for a cyclotomic (or any
-    translation) scheme; the generated group, for orbitals; S_n, for K_n;
-    S_5, which preserves the disjointness of 2-subsets, for Petersen.
+    translation) scheme; the generated group, for orbitals; S_n, for K_n.
     """
     e = c.entries
     n, m = c.n, c.d + 1
@@ -262,15 +261,6 @@ def build_product(s1, s2, kind):
     return canonical_form(Scheme(c, IntersectionTensor(p)))[0]
 
 
-def build_petersen():
-    """Petersen graph as a 2-class scheme on the 2-subsets of a 5-set:
-    S_5 acts transitively and keeps disjointness, so _transitive_scheme
-    verifies it."""
-    V = [set(v) for v in combinations(range(5), 2)]
-    e = [[0 if a == b else 1 if not a & b else 2 for b in V] for a in V]
-    return canonical_form(_transitive_scheme(color_matrix(e, 2)))[0]
-
-
 def _johnson_5_2_generators():
     V = list(combinations(range(5), 2))
     idx = {v: i for i, v in enumerate(V)}
@@ -332,7 +322,7 @@ DEFAULT_CATALOG.update(
             6, [cyclic_shift(6), _hexagon_reflection()]
         ),
         "schurian-s5-pairs": lambda: build_schurian(10, _johnson_5_2_generators()),
-        "petersen": build_petersen,
+        "petersen": lambda: build_schurian(10, _johnson_5_2_generators()),
         "direct-k2-k2": lambda: build_product(
             complete_scheme(2), complete_scheme(2), "direct"
         ),

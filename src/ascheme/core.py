@@ -153,11 +153,14 @@ def memoized(key):
     result may refer to s itself: the memo would then hold its own scheme,
     and a scheme that is dropped would wait for the cycle collector.
 
-    The decorated function's fill(s, args, compute) returns f(s, a) for
-    each a of args, in order.  It calls compute once, on the list of the a
-    that have no value kept yet, the first of each key only, and keeps the
-    values compute yields for them, in order, as it yields them: so a
-    batch routine can stand in for f on many arguments at once.
+    The decorated function's fill(s, args, stack, entries) is the batch
+    path: it returns f(s, a) for each a of args, in order.  It takes each
+    argument's key once, skips the keys already kept, and calls
+    stack(s, keys) once per stack_chunks(todo, entries) chunk of the
+    distinct keys left, where stack decides a list of keys as f would
+    decide each, using `entries` array entries per key.  Each chunk's
+    values are kept as that chunk returns, so a chunk that raises loses
+    only its own keys.
     """
 
     def wrap(f):
@@ -168,14 +171,13 @@ def memoized(key):
                 s._memo[k] = f(s, *args, **kwargs)
             return s._memo[k]
 
-        def fill(s, args, compute):
-            todo = {}
-            for a in args:
-                if (f, key(s, a)) not in s._memo:
-                    todo.setdefault(key(s, a), a)
-            for k, value in zip(todo, compute(list(todo.values()))):
-                s._memo[f, k] = value
-            return [s._memo[f, key(s, a)] for a in args]
+        def fill(s, args, stack, entries):
+            keys = [key(s, a) for a in args]
+            todo = list(dict.fromkeys(k for k in keys if (f, k) not in s._memo))
+            for chunk in stack_chunks(todo, entries):
+                for k, value in zip(chunk, stack(s, chunk), strict=True):
+                    s._memo[f, k] = value
+            return [s._memo[f, k] for k in keys]
 
         cached.fill = fill
         return cached
@@ -183,8 +185,8 @@ def memoized(key):
     return wrap
 
 
-# A stacked decision (fuse_canonical, spectra.block_sums and the batches
-# built on them) takes at most this many entries in its largest array
+# A stacked decision (fuse_canonical, spectra.block_sums, each memoized
+# fill) takes at most this many entries in its largest array
 STACK_ENTRIES = 1 << 16
 
 

@@ -7,15 +7,17 @@ Two independent deciders are kept deliberately separate:
   * fuse_direct decides on the integer intersection tensor: the blocks
     must be transpose-closed and their block sums of p_ij^l constant on
     each block; it is the authoritative oracle.  It returns the fused
-    tensor, or raises NotAScheme with the witness of a failure; either
-    verdict is kept in the scheme's memo.  It builds no n x n coloring.
+    tensor, or raises NotAScheme with the witness of a failure; the memo
+    keeps either verdict as core.fuse_canonical returns it.  It builds no
+    n x n coloring.
   * bannai_muzychuk_check groups character-table rows by their per-block
     row-sum signatures; a fusion is a scheme exactly when the number of
     groups equals the number of blocks and the valency row sits alone.
 
 Each decider runs on a stack of partitions, and its single-partition
 entry point is a stack of one.  fuses fills the memo of fuse_direct for
-many partitions with one core.fuse_canonical product per stack, and
+many partitions through the memo's own batch path (core.memoized's
+fill), with core.fuse_canonical as the stack routine, and
 spectral_verdicts decides many partitions with one spectra.block_sums
 and one spectra.group_rows call per stack; a stack holds at most
 core.STACK_ENTRIES entries in its largest array.  cross_check_fusions,
@@ -104,66 +106,45 @@ def fuse_direct(s, partition):
     element, {0} first); no canonical relabeling is applied, so fused
     class j corresponds to partition block j.  Raises NotAScheme with the
     witness of core.fuse_canonical when the fusion is not a scheme.  Each
-    verdict is kept in s's memo: the read-only tensor, or the refusal, from
-    which every call raises a fresh NotAScheme with the same message and
-    witness fields.
+    verdict is kept in s's memo as fuse_canonical returns it: the
+    read-only tensor, or the unraised witness, from which every call
+    raises a fresh NotAScheme with the same message and witness fields.
     """
-    fused = _fuse_direct(s, canonical_partition(partition, s.d))
-    if isinstance(fused, _Refusal):
-        witness = _fresh(fused.witness)
-        raise NotAScheme(fused.message, witness=witness) from witness
+    blocks = canonical_partition(partition, s.d)
+    fused = _fuse_direct(s, blocks)
+    if isinstance(fused, AxiomViolation):
+        witness = _fresh(fused)
+        message = f"fusion by {blocks} is not a scheme: {fused}"
+        raise NotAScheme(message, witness=witness) from witness
     return fused
-
-
-@dataclass(frozen=True)
-class _Refusal:
-    """The memo's verdict on a partition that does not fuse: the message
-    and the witness, which was never raised, so it has no traceback whose
-    frames would hold the scheme."""
-
-    message: str
-    witness: AxiomViolation
 
 
 def _fresh(exc):
     """An exception of exc's type with its args and fields, and no
-    traceback, cause or context."""
+    traceback, cause or context.  The memo keeps each witness unraised: a
+    raised one would carry a traceback whose frames hold the scheme, and
+    the memo would then hold its own scheme.  So each refusal raises a
+    copy."""
     new = type(exc).__new__(type(exc), *exc.args)
     new.__dict__.update(vars(exc))
     return new
-
-
-def _decide(s, parts):
-    """The memo's verdicts on the canonical partitions parts, from one
-    fuse_canonical stack: each fused tensor, or the _Refusal of a
-    partition that does not fuse."""
-    return [
-        _Refusal(f"fusion by {blocks} is not a scheme: {fused}", fused)
-        if isinstance(fused, AxiomViolation)
-        else fused
-        for blocks, fused in zip(parts, fuse_canonical(s, parts))
-    ]
 
 
 @memoized(lambda s, blocks: blocks)
 def _fuse_direct(s, blocks):
     # blocks are canonical: the memo key, the message and the fusion share
     # one canonical_partition
-    return _decide(s, [blocks])[0]
+    return fuse_canonical(s, [blocks])[0]
 
 
 def fuses(s, partitions):
     """Whether each partition, given as canonical_partition returns it,
     fuses to a scheme: fuse_direct's verdict, kept in s's memo.  The
-    partitions not decided yet are decided together, in stacks of at most
-    core.STACK_ENTRIES tensor entries, one fuse_canonical product each."""
-    m = s.d + 1
-
-    def decide(todo):
-        for chunk in stack_chunks(todo, m**3):
-            yield from _decide(s, chunk)
-
-    return [not isinstance(v, _Refusal) for v in _fuse_direct.fill(s, partitions, decide)]
+    partitions not decided yet go through _fuse_direct.fill, one
+    fuse_canonical product per stack of at most core.STACK_ENTRIES tensor
+    entries."""
+    verdicts = _fuse_direct.fill(s, partitions, fuse_canonical, (s.d + 1) ** 3)
+    return [not isinstance(v, AxiomViolation) for v in verdicts]
 
 
 @dataclass(frozen=True)
@@ -258,7 +239,7 @@ def is_amorphic(s):
     """
     parts = _admissible(s)
     for part in parts:
-        if isinstance(_fuse_direct(s, part), _Refusal):
+        if isinstance(_fuse_direct(s, part), AxiomViolation):
             return False, {
                 "is_amorphic": False,
                 "witness": [list(b) for b in part],

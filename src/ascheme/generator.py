@@ -90,11 +90,12 @@ def generates(s, union):
     """Exact generation verdict for the union digraph.
 
     The verdict is _reports run on a batch of one union;
-    find_generating_unions runs the same routine on batches of all the
-    unions and keeps each report where this function finds it.  One array
-    of powers B_union^0, ..., B_union^d, exact in integers (_union_powers),
-    feeds every check.  The union generates iff B_union has d+1 distinct
-    eigenvalues, and that count is the rank of the Krylov matrix
+    find_generating_unions hands the same routine to generates.fill, which
+    runs it on stacks of all the unions and keeps each report where this
+    function finds it.  One array of powers B_union^0, ..., B_union^d,
+    exact in integers (_union_powers), feeds every check.  The union
+    generates iff B_union has d+1 distinct eigenvalues, and that count is
+    the rank of the Krylov matrix
     K = [e_0, B e_0, ..., B^d e_0], column 0 of each power: B_union is
     diagonalizable (the B_i of a commutative scheme are), so the count is
     the degree of its minimal polynomial, which is
@@ -189,28 +190,18 @@ def _check_regular(B, powers, union, witness):
         raise WitnessRejected(f"fails the regular representation at ({r},{c})", union, i)
 
 
-# the unions one _reports call takes at most: their powers hold at most
-# this many entries, which bounds the memory of find_generating_unions
-CHUNK_ENTRIES = 1 << 14
-
-
 def find_generating_unions(s):
     """Reports for every nonempty union, ordered by (size, indices).
 
-    The unions whose report is not in s's memo yet go through _reports in
-    chunks, each holding the powers of at most CHUNK_ENTRIES entries, and
-    every report is kept where generates(s, union) finds it.
+    The unions whose report is not in s's memo yet go through
+    generates.fill, one _reports call per stack of at most
+    core.STACK_ENTRIES power entries, and every report is kept where
+    generates(s, union) finds it.
     """
     if s.d > 12:
         raise TooManyClasses(f"d = {s.d} exceeds the 2^d search guard")
     unions = sorted(mask_unions(s.d), key=lambda u: (len(u), u))
-    step = max(1, CHUNK_ENTRIES // (s.d + 1) ** 3)
-
-    def chunked(todo):
-        for start in range(0, len(todo), step):
-            yield from _reports(s, todo[start : start + step])
-
-    return generates.fill(s, unions, chunked)
+    return generates.fill(s, unions, _reports, (s.d + 1) ** 3)
 
 
 def minimal_generating(reports):

@@ -12,8 +12,9 @@ yields only its tensor) or searches a graph.  SRG parameters, closed
 subsets and union spectra are memoized on the scheme, next to its
 character table, so connectivity_classification reads them without
 recomputing them; fill_unions and fill_spectra decide them for many
-unions at once, one stacked fusion product, one boolean closure over the
-tensor and one block_sums call per stack.  The eigenvalue routines work from
+unions at once through the memo's batch path (core.memoized's fill): one
+stacked fusion product, one boolean closure over the tensor and one
+block_sums call per stack.  The eigenvalue routines work from
 (n, k, lambda, mu) alone: the restricted eigenvalues and their
 multiplicities follow from the quadratic whose discriminant separates the
 conference case (irrational eigenvalues, equal multiplicities) from the
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fusion
-from .core import memoized, stack_chunks, union_classes
+from .core import memoized, union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
@@ -125,13 +126,11 @@ def _closures(s, unions):
 def fill_unions(s, unions):
     """Decide, for each union of unions, proper and transpose-closed as
     sorted tuples, its {union, complement} fusion and its closed subset
-    into s's memo, each in stacked batches, where srg_params_from_scheme
-    and connectivity_classification read them."""
-    m = s.d + 1
+    into s's memo, where srg_params_from_scheme and
+    connectivity_classification read them: fusion.fuses, and
+    _closed_subset.fill with one _closures call per stack."""
     fusion.fuses(s, [_split(s.d, u) for u in unions])
-    _closed_subset.fill(
-        s, unions, lambda todo: [r for c in stack_chunks(todo, m * m) for r in _closures(s, c)]
-    )
+    _closed_subset.fill(s, unions, _closures, (s.d + 1) ** 2)
 
 
 def _split(d, u):
@@ -147,15 +146,11 @@ def _spectrum(s, union):
 
 def fill_spectra(s, unions):
     """Keep the spectrum of each union (sorted tuples) in s's memo, where
-    connectivity_classification reads it: spectra.union_spectra in
-    stacked batches."""
+    connectivity_classification reads it: _spectrum.fill with one
+    spectra.union_spectra call on the character table per stack."""
     e = character_table(s)
-
-    def spectra(todo):
-        for chunk in stack_chunks(todo, (s.d + 1) ** 2 * (len(e.quarters[0]) + 2)):
-            yield from union_spectra(e, chunk)
-
-    _spectrum.fill(s, unions, spectra)
+    entries = (s.d + 1) ** 2 * (len(e.quarters[0]) + 2)
+    _spectrum.fill(s, unions, lambda _, stack: union_spectra(e, stack), entries)
 
 
 @memoized(lambda s, union: union_classes(s.d, union))

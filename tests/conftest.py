@@ -3,7 +3,7 @@ import math
 import sys
 import types
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +125,16 @@ def reference_orbitals(n, gens):
     return color, nxt - 1
 
 
+def build_petersen():
+    """The Petersen scheme on the 2-subsets of a 5-set, colored by their
+    intersections (equal, disjoint, meeting in one point), verified by the
+    axiom kernel and canonically labeled: an oracle for the catalog's
+    orbital build of the same scheme."""
+    V = [set(v) for v in combinations(range(5), 2)]
+    e = [[0 if a == b else 1 if not a & b else 2 for b in V] for a in V]
+    return canonical_form(scheme_from_entries(np.array(e), d=2))[0]
+
+
 def fused_scheme(s, partition):
     """The fused Scheme, built as core._symmetrized builds one: the merged
     coloring paired with the fused tensor."""
@@ -141,14 +151,15 @@ def battery_body_runs():
     made in batches, by generator._reports, for generates and for
     find_generating_unions alike: each union of a batch is listed as one
     "generates" run.  Fusion verdicts are made in stacks, by
-    fusion._decide, for fuse_direct and for fusion.fuses alike: each
-    partition of a stack is listed as one "fuse_direct" run.  Calls of
-    exactla.solve_exact are listed too, as "solve_exact" with the scheme
-    of the batch that made them."""
-    batched = {
-        generator._reports.__code__: ("generates", "unions"),
-        fusion._decide.__code__: ("fuse_direct", "parts"),
-    }
+    core.fuse_canonical, for fuse_direct and for fusion.fuses alike: each
+    partition of a stack that the memo asks for (from the body of
+    fuse_direct or from its fill) is listed as one "fuse_direct" run, and
+    the symmetrization's own fusion is not.  Calls of exactla.solve_exact
+    are listed too, as "solve_exact" with the scheme of the batch that
+    made them."""
+    reports = generator._reports.__code__
+    fuse = core.fuse_canonical.__code__
+    memo_fusions = {fusion._fuse_direct.__wrapped__.__code__, fusion._fuse_direct.fill.__code__}
     names = {
         fn.__wrapped__.__code__: name
         for name, fn in MEMOIZED.items()
@@ -162,10 +173,10 @@ def battery_body_runs():
             return
         if frame.f_code in names:
             runs.append((names[frame.f_code], frame.f_locals["s"]))
-        elif frame.f_code in batched:
-            name, args = batched[frame.f_code]
-            s = frame.f_locals["s"]
-            runs.extend((name, s) for _ in frame.f_locals[args])
+        elif frame.f_code is reports:
+            runs.extend(("generates", frame.f_locals["s"]) for _ in frame.f_locals["unions"])
+        elif frame.f_code is fuse and frame.f_back.f_code in memo_fusions:
+            runs.extend(("fuse_direct", frame.f_locals["s"]) for _ in frame.f_locals["stack"])
         elif frame.f_code is solve:
             runs.append(("solve_exact", frame.f_back.f_locals["s"]))
 

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ascheme import exactla, generator
+from ascheme import core, exactla, generator
 from ascheme.builders import build_cyclotomic, build_product, catalog_scheme, complete_scheme
 from ascheme.core import MAX_D, MAX_N, Scheme, relabel_classes, scheme_from_entries
 from ascheme.errors import (
@@ -757,10 +757,11 @@ def test_generates_is_a_batch_of_one_on_either_side_of_the_bound(monkeypatch):
 
 
 def test_find_generating_unions_crosses_chunk_boundaries(monkeypatch):
-    """With chunks of 4 unions, cyclo-13-4 (d = 4, 15 unions) goes through
-    the batch routine in chunks of 4, 4, 4 and 2 after a generates call
-    has made the report of (2,): every report is made once, and every
-    report equals the reference pipeline's."""
+    """With stacks of 4 unions (core.STACK_ENTRIES at 4 (d + 1)^3),
+    cyclo-13-4 (d = 4, 15 unions) goes through the batch routine in
+    stacks of 4, 4, 4 and 2 after a generates call has made the report of
+    (2,): every report is made once, and every report equals the
+    reference pipeline's."""
     s = build_cyclotomic(13, 4)
     batches = []
     reports = generator._reports
@@ -770,7 +771,7 @@ def test_find_generating_unions_crosses_chunk_boundaries(monkeypatch):
         return reports(s, unions)
 
     monkeypatch.setattr(generator, "_reports", recorded)
-    monkeypatch.setattr(generator, "CHUNK_ENTRIES", 4 * (s.d + 1) ** 3)
+    monkeypatch.setattr(core, "STACK_ENTRIES", 4 * (s.d + 1) ** 3)
     single = generates(s, (2,))
     reps = find_generating_unions(s)
     assert [len(b) for b in batches] == [1, 4, 4, 4, 2]

@@ -5,10 +5,13 @@ srg._closures each decide a whole stack at once, and every single-partition
 or single-union entry point is a stack of one.  The tests here decide each
 stack whole and item by item, on every admissible partition of every
 catalog entry and of the d <= 5 schemes of the cyclotomic sweep, and on
-tensors corrupted in one cell, and compare every field.
+tensors corrupted in one cell, and compare every field.  The memoized
+deciders fill their memos in stacks through core.memoized's fill, whose
+contract is pinned here too.
 """
 
 import random
+import types
 from itertools import combinations
 
 import numpy as np
@@ -132,16 +135,17 @@ def test_bm_witness_block_is_decided_at_the_grouping_tolerance():
     assert v.witness == {"block": 2, "rows": [2, 3], "sums": [[2.0, 0.0], [-998.0, 0.0]]}
 
 
-def counting(monkeypatch):
-    """fusion.fuse_canonical wrapped to list each stack it decides."""
+def recording(monkeypatch, module, name):
+    """module.name wrapped to list the stack (second argument) of each
+    call."""
     stacks = []
-    fuse = fusion.fuse_canonical
+    routine = getattr(module, name)
 
-    def counted(s, stack):
+    def recorded(first, stack):
         stacks.append(list(stack))
-        return fuse(s, stack)
+        return routine(first, stack)
 
-    monkeypatch.setattr(fusion, "fuse_canonical", counted)
+    monkeypatch.setattr(module, name, recorded)
     return stacks
 
 
@@ -150,7 +154,7 @@ def test_check_fusion_makes_one_product_per_chunk(monkeypatch):
     stacks of at most STACK_ENTRIES // (d + 1)^3, one fuse_canonical
     product each, in order: one stack for every catalog scheme, and
     ceil(52 / 5) stacks for cyclo-16-5 when a stack holds five."""
-    stacks = counting(monkeypatch)
+    stacks = recording(monkeypatch, fusion, "fuse_canonical")
     for s in fresh_catalog():
         if not s.is_commutative:
             continue
@@ -170,7 +174,7 @@ def test_is_amorphic_stops_at_the_first_refusal_on_an_empty_memo(monkeypatch):
     """On a fresh scheme is_amorphic fuses one partition at a time and
     stops at the first that does not fuse; once a stacked check has kept
     every verdict, it reads them and fuses nothing."""
-    stacks = counting(monkeypatch)
+    stacks = recording(monkeypatch, fusion, "fuse_canonical")
     s = catalog_scheme("cyclo-13-4")
     parts = enumerate_admissible_partitions(s)
     am, cert = is_amorphic(s)
@@ -226,7 +230,7 @@ def test_union_fills_decide_each_partition_once(monkeypatch):
     once, in one stack, though a union and its complement share it; a
     second fill and every srg_params_from_scheme call after it decide
     nothing more."""
-    stacks = counting(monkeypatch)
+    stacks = recording(monkeypatch, fusion, "fuse_canonical")
     s = catalog_scheme("direct-k3-k3")
     unions = [u for k in range(1, s.d) for u in combinations(range(1, s.d + 1), k)]
     srg.fill_unions(s, unions)
@@ -238,3 +242,82 @@ def test_union_fills_decide_each_partition_once(monkeypatch):
         except NotStronglyRegular:
             pass
     assert len(stacks) == 1
+
+
+# --- the one batch path: core.memoized's fill ---------------------------------
+
+
+def test_memoized_fill_decides_each_new_key_once_in_stacks(monkeypatch):
+    """fill takes each argument's key once, skips the keys already kept,
+    decides the rest in stacks of STACK_ENTRIES // entries keys and gives
+    the values in argument order.  A stack that raises leaves the stacks
+    before it kept, and the next fill decides only the rest."""
+
+    @core.memoized(lambda s, x: tuple(sorted(x)))
+    def total(s, x):
+        return sum(x)
+
+    stacks, refuse = [], set()
+
+    def stack(s, keys):
+        stacks.append(list(keys))
+        if len(stacks) in refuse:
+            raise RuntimeError("stack refused")
+        return [sum(k) for k in keys]
+
+    monkeypatch.setattr(core, "STACK_ENTRIES", 20)
+    s = types.SimpleNamespace(_memo={})
+    # two raw arguments with one key are decided once, as that key
+    assert total.fill(s, [(2, 1), (3,), (1, 2)], stack, 10) == [3, 3, 3]
+    assert stacks == [[(1, 2), (3,)]]
+    # kept keys are skipped; the values follow the arguments
+    args = [(4,), (2, 1), (5,), (3,), (6,), (4,)]
+    assert total.fill(s, args, stack, 10) == [4, 3, 5, 3, 6, 4]
+    assert stacks[1:] == [[(4,), (5,)], [(6,)]]
+    assert total(s, (1, 2)) == 3 and len(stacks) == 3
+
+    t = types.SimpleNamespace(_memo={})
+    args = [(1,), (2,), (3,), (4,), (5,)]
+    stacks.clear()
+    refuse.add(2)
+    with pytest.raises(RuntimeError, match="stack refused"):
+        total.fill(t, args, stack, 10)
+    assert stacks == [[(1,), (2,)], [(3,), (4,)]]
+    assert sorted(k for _, k in t._memo) == [(1,), (2,)]
+    stacks.clear()
+    refuse.clear()
+    assert total.fill(t, args, stack, 10) == [1, 2, 3, 4, 5]
+    assert stacks == [[(3,), (4,)], [(5,)]]
+
+
+def test_srg_fills_cross_stack_boundaries(monkeypatch):
+    """With STACK_ENTRIES set so that a stack holds two unions, fill_unions
+    grows the closed subsets and fill_spectra groups the spectra of
+    direct-k3-k3's six proper unions in three stacks of two, in order, and
+    every value kept equals the single call's on a fresh scheme.  The
+    single spectrum call reads the table, not union_spectra."""
+    s = catalog_scheme("direct-k3-k3")
+    fresh = catalog_scheme("direct-k3-k3")
+    unions = [u for u in core.mask_unions(s.d) if len(u) < s.d]
+    assert len(unions) == 6 and all(s.symmetric)
+    pairs = [unions[a : a + 2] for a in range(0, 6, 2)]
+
+    closures = recording(monkeypatch, srg, "_closures")
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * (s.d + 1) ** 2)
+    srg.fill_unions(s, unions)
+    assert closures == pairs
+    for u in unions:
+        got = srg._closed_subset(s, u)
+        assert got.tobytes() == srg._closed_subset(fresh, u).tobytes(), u
+        assert not got.flags.writeable
+    # s's values are kept; each single call on the fresh scheme is a stack of one
+    assert closures == pairs + [[u] for u in unions]
+
+    spectra = recording(monkeypatch, srg, "union_spectra")
+    radicands = len(character_table(s).quarters[0])
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * (s.d + 1) ** 2 * (radicands + 2))
+    srg.fill_spectra(s, unions)
+    assert spectra == pairs
+    for u in unions:
+        assert srg._spectrum(s, u) == srg._spectrum(fresh, u), u
+    assert spectra == pairs
