@@ -145,10 +145,13 @@ def _check_generators(s):
 
 def _check_srg(s):
     """Every proper transpose-closed union's SRG parameters and, for each
-    strongly regular one, its eigenvalue roundtrip and connectivity
-    classification.  The unions' fusions and closed subsets are decided
-    in stacked batches first (srg.fill_unions), and the spectra of the
-    strongly regular ones when the first classification needs them."""
+    strongly regular one, its spectrum and connectivity classification.
+    The unions' fusions and closed subsets are decided in stacked batches
+    first (srg.fill_unions), then the spectra of the strongly regular ones
+    (srg.fill_spectra).  srg_eigen's spectrum {k^1, r^m1, s^m2}, with r
+    merged into k when mu = 0, must match the union's spectrum from the
+    character table within RESID_TOL: a float eigensolve of the regular
+    representation, snapped, that does not read the fused tensor."""
     if s.d > GENERATOR_SWEEP_MAX_D:
         return False, None, {"reason": f"d = {s.d} exceeds sweep bound"}
     unions = [
@@ -162,14 +165,13 @@ def _check_srg(s):
         except (NotStronglyRegular, InfeasibleParameters):
             continue
     found = []
-    for u, p in params.items():
-        if (
-            srg.lambda_from_eigen(p.k, p.r_exact, p.s_exact) != p.lam
-            or srg.mu_from_eigen(p.k, p.r_exact, p.s_exact) != p.mu
+    specs = srg.fill_spectra(s, list(params)) if params else []
+    for (u, p), spec in zip(params.items(), specs):
+        want = [(p.k, 1), (p.r, p.m1), (p.s, p.m2)] if p.mu else [(p.k, 1 + p.m1), (p.s, p.m2)]
+        if len(spec) != len(want) or any(
+            m != mw or abs(z - zw) >= RESID_TOL for (z, m), (zw, mw) in zip(spec, want)
         ):
-            return True, False, {"union": list(u), "reason": "eigenvalue roundtrip failed"}
-        if not found:
-            srg.fill_spectra(s, list(params))
+            return True, False, {"union": list(u), "reason": "spectrum differs from srg_eigen's"}
         cls = srg.connectivity_classification(s, u)
         if not cls["consistent"]:
             return True, False, {"union": list(u), "classification": cls}

@@ -186,7 +186,10 @@ def memoized(key):
 
 
 # A stacked decision (fuse_canonical, spectra.block_sums, each memoized
-# fill) takes at most this many entries in its largest array
+# fill) takes at most this many entries in its largest array, and text
+# decoding, validation and class relabeling work on row blocks of about
+# this many entries, so their index and byte transients stay near a
+# megabyte
 STACK_ENTRIES = 1 << 16
 
 
@@ -198,9 +201,17 @@ def stack_chunks(items, entries):
     return [items[a : a + step] for a in range(0, len(items), step)]
 
 
+def exact_int(v):
+    """v as an int; ValueError where int() would truncate it."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
 def union_classes(d, union):
     """A union of classes 1..d as a sorted tuple, validated."""
-    u = tuple(sorted(set(int(i) for i in union)))
+    u = tuple(sorted(set(map(exact_int, union))))
     if not u or u[0] < 1 or u[-1] > d:
         raise ValueError(f"union must be a nonempty subset of 1..{d}")
     return u
@@ -274,18 +285,13 @@ def _frozen(arr, d):
     return ColorMatrix(arr, int(d))
 
 
-# Text decoding, validation and class relabeling work on row blocks of
-# about this many entries, so their index and byte transients stay near a
-# megabyte.
-_BLOCK_ENTRIES = 1 << 16
 # The longest digit run decoded positionally in int64: 10^18 - 1 < 2^63.
 # A longer run is left to int(), with its big integers and its digit limit.
 _MAX_RUN = 18
 
 
 def _row_blocks(n):
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
+    return [(r.start, r.stop) for r in stack_chunks(range(n), max(n, 1))]
 
 
 def _split_row(num, line, n):
@@ -617,7 +623,7 @@ def canonical_form(s):
 def canonical_partition(blocks, d):
     """Blocks as sorted tuples, ordered by smallest element, Λ_0 = {0} first;
     ValueError unless they partition 0..d with {0} alone ({0} may be left out)."""
-    out = sorted(tuple(sorted(int(i) for i in b)) for b in blocks if len(b) > 0)
+    out = sorted(tuple(sorted(map(exact_int, b))) for b in blocks if len(b) > 0)
     if not out or out[0] != (0,):
         out.insert(0, (0,))
     if sorted(i for b in out for i in b) != list(range(d + 1)):

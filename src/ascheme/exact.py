@@ -1,17 +1,17 @@
-"""Exact eigenvalue arithmetic: rationals and quadratic irrationals.
+"""Exact eigenvalues: rationals and quadratic irrationals.
 
 Character table entries of the schemes treated here are either rational
 (hence integers, being algebraic integers) or quadratic, of the form
-(u + sqrt(v))/2 with rational u, v.  A QuadVal stores q + r*sqrt(v) with
-q, r rational and v a squarefree integer; negative v covers the complex
-case.  That form is closed under conjugation, rational scaling, and
-addition of values sharing a radicand, which is all the table machinery
-needs.  radical_sum, a canonical multi-radicand form of a sum, is the
-tests' oracle for spectra.block_sums, whose integer keys are its forms
-times 4 and decide every equality at run time.  One evaluator,
-radical_sum_to_complex, turns all these forms into complex floats,
-and snap_fraction is the one snap of a float to a small-denominator
-rational.  squarefree_split finds square factors by plain trial division.
+(u + sqrt(w))/2 with rational u, w.  A QuadVal is a value, not a number
+type: it stores q + r*sqrt(v) with q, r rational and v a squarefree
+integer (negative v covers the complex case), and QuadVal.make is the one
+constructor that brings q + r*sqrt(w) to that form.  The form is unique,
+so equal values have equal fields.  QuadVal has no arithmetic: exact sums
+and products are decided in integers, on spectra.block_sums' keys and in
+srg.srg_eigen.  One evaluator, radical_sum_to_complex, turns these forms
+into complex floats, and snap_fraction is the one snap of a float to a
+small-denominator rational.  squarefree_split finds square factors by
+plain trial division.
 """
 
 import math
@@ -53,24 +53,16 @@ class QuadVal:
         return QuadVal(Fraction(x))
 
     @staticmethod
-    def make(q, r, v):
-        """Normalize q + r*sqrt(v) for arbitrary integer v."""
-        q, r = Fraction(q), Fraction(r)
-        if r == 0 or v == 0:
+    def make(q, r, w):
+        """q + r*sqrt(w) for rational q, r and w (w may be negative) in
+        the one form with a squarefree radicand, and v = 1 iff r = 0:
+        sqrt(a/b) = sqrt(a*b)/b, and square factors leave the radicand."""
+        q, r, w = Fraction(q), Fraction(r), Fraction(w)
+        if r == 0 or w == 0:
             return QuadVal(q)
-        f, v0 = squarefree_split(v)
-        if v0 == 1:
-            return QuadVal(q + r * f)
-        return QuadVal(q, r * f, v0)
-
-    @staticmethod
-    def sqrt_rational(w):
-        """sqrt(w) for rational w (possibly negative) as a QuadVal."""
-        w = Fraction(w)
-        if w == 0:
-            return QuadVal(Fraction(0))
-        # sqrt(a/b) = sqrt(a*b)/b
-        return QuadVal.make(0, Fraction(1, w.denominator), w.numerator * w.denominator)
+        f, v = squarefree_split(w.numerator * w.denominator)
+        r = r * f / w.denominator
+        return QuadVal(q + r) if v == 1 else QuadVal(q, r, v)
 
     @property
     def is_rational(self):
@@ -81,39 +73,6 @@ class QuadVal:
         if self.v < 0:
             return QuadVal(self.q, -self.r, self.v)
         return self
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadVal(self.q + other, self.r, self.v)
-        if self.r == 0:
-            return QuadVal(other.q + self.q, other.r, other.v)
-        if other.r == 0:
-            return QuadVal(self.q + other.q, self.r, self.v)
-        if self.v != other.v:
-            raise ValueError("mixed radicands; use radical_sum")
-        r = self.r + other.r
-        return QuadVal(self.q + other.q) if r == 0 else QuadVal(self.q + other.q, r, self.v)
-
-    def __neg__(self):
-        return QuadVal(-self.q, -self.r, self.v)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadVal(self.q - other, self.r, self.v)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            if k == 0:
-                return QuadVal(Fraction(0))
-            return QuadVal(self.q * k, self.r * k, self.v if self.r else 1)
-        if self.r and other.r and self.v != other.v:
-            raise ValueError("mixed radicands; use radical_sum")
-        v = self.v if self.r else other.v
-        q = self.q * other.q + self.r * other.r * v
-        r = self.q * other.r + self.r * other.q
-        return QuadVal(q) if r == 0 else QuadVal(q, r, v)
 
     def to_complex(self):
         return radical_sum_to_complex((self.q, ((self.v, self.r),) if self.r else ()))
@@ -129,29 +88,10 @@ class QuadVal:
         return f"{self.q}{sign}{rpart}"
 
 
-def radical_sum(values):
-    """Canonical form of a sum of QuadVals with mixed radicands.
-
-    Returns a hashable tuple (rational_part, ((v, coeff), ...)) with the
-    radicand terms sorted; equal sums always produce equal tuples.
-    """
-    q = Fraction(0)
-    rads = {}
-    for val in values:
-        q += val.q
-        if val.r:
-            c = rads.get(val.v, Fraction(0)) + val.r
-            if c:
-                rads[val.v] = c
-            else:
-                del rads[val.v]
-    return (q, tuple(sorted(rads.items())))
-
-
 def radical_sum_to_complex(rs, den=1):
     """(q + sum of c * sqrt(v)) / den as a complex float, for
-    rs = (q, ((v, c), ...)) as radical_sum gives it, or den times that in
-    integers, as spectra.block_sums gives it with den = 4; the one
+    rs = (q, ((v, c), ...)) with rational q and c, or den times that in
+    integers, as spectra.key_form gives it with den = 4; the one
     evaluator of radicals here.  float(c) / den is float(c / den) for every
     integer c below 2^53 and power-of-two den, so both forms of one sum
     evaluate to the same floats."""
@@ -207,10 +147,8 @@ def snap_quadratic_pair(z1, z2, tol):
     w = snap_fraction(dsq.real, 4 * tol * max(1.0, abs(dsq.real)))
     if w is None or w == 0:
         return None
-    half_u = QuadVal(Fraction(u, 2) if isinstance(u, int) else u / 2)
-    half_root = QuadVal.sqrt_rational(w) * Fraction(1, 2)
-    va = half_u + half_root
-    vb = half_u - half_root
+    va = QuadVal.make(u / 2, Fraction(1, 2), w)
+    vb = QuadVal.make(u / 2, Fraction(-1, 2), w)
     pairs = ((va, vb), (vb, va))
     for cand1, cand2 in pairs:
         if abs(cand1.to_complex() - z1) <= tol and abs(cand2.to_complex() - z2) <= tol:

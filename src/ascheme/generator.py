@@ -427,12 +427,10 @@ def predict_fission_table(sym_t, split_row, a):
         )
     if sym_t.valencies[d] % 2:
         raise SplitRowMismatch(f"split valency {sym_t.valencies[d]} is odd")
-    half = QuadVal.rational(Fraction(1, 2))
-    root = QuadVal.sqrt_rational(a)
 
     def halved(val, z):
         if val is not None:
-            q = val * half
+            q = QuadVal.make(val.q / 2, val.r / 2, val.v)
             return q, q.to_complex()
         return None, z / 2
 
@@ -451,7 +449,7 @@ def predict_fission_table(sym_t, split_row, a):
         if j == split_row:
             pd = sym_t.exact[j][d]
             if pd is not None and pd.is_rational:
-                rho = (pd + root) * half
+                rho = QuadVal.make(pd.q / 2, Fraction(1, 2), a)
                 rho_c = rho.to_complex()
                 pair = [(rho, rho_c), (rho.conjugate(), rho_c.conjugate())]
             else:

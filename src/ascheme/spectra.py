@@ -322,7 +322,7 @@ def block_sums(e, stack, basis=None):
     that count is 0, and two exact sums are equal, across tables too when
     both keys are on one basis, exactly when their keys are: distinct
     squarefree radicands are linearly independent over Q.  key_form
-    writes a key as radical_sum's form scaled by 4.  The keys of the
+    writes a key as the sum's radical form scaled by 4.  The keys of the
     whole stack are one int64 product of e.quarters with the 0/1 block
     indicators.
     """

@@ -14,12 +14,13 @@ character table, so connectivity_classification reads them without
 recomputing them; fill_unions and fill_spectra decide them for many
 unions at once through the memo's batch path (core.memoized's fill): one
 stacked fusion product, one boolean closure over the tensor and one
-block_sums call per stack.  The eigenvalue routines work from
-(n, k, lambda, mu) alone: the restricted eigenvalues and their
+block_sums call per stack.  srg_eigen works from (n, k, lambda, mu)
+alone and in integers: the restricted eigenvalues and their
 multiplicities follow from the quadratic whose discriminant separates the
 conference case (irrational eigenvalues, equal multiplicities) from the
-integral case.  Everything downstream of the discriminant is exact, with
-irrational eigenvalues carried as quadratic values.
+integral case, and irrational eigenvalues are carried as quadratic
+values.  fill_spectra returns the union spectra it keeps, which the
+catalog's srg check compares with srg_eigen's.
 """
 
 import math
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fusion
-from .core import memoized, union_classes
+from .core import exact_int, memoized, union_classes
 from .errors import InfeasibleParameters, NotAScheme, NotStronglyRegular, SrgCheckFailed
 from .exact import QuadVal
 from .fusion import fuse_direct
@@ -145,12 +146,13 @@ def _spectrum(s, union):
 
 
 def fill_spectra(s, unions):
-    """Keep the spectrum of each union (sorted tuples) in s's memo, where
+    """The spectrum of each union of unions (sorted tuples), as
+    spectra.union_spectrum gives it, kept in s's memo, where
     connectivity_classification reads it: _spectrum.fill with one
     spectra.union_spectra call on the character table per stack."""
     e = character_table(s)
     entries = (s.d + 1) ** 2 * (len(e.quarters[0]) + 2)
-    _spectrum.fill(s, unions, lambda _, stack: union_spectra(e, stack), entries)
+    return _spectrum.fill(s, unions, lambda _, stack: union_spectra(e, stack), entries)
 
 
 @memoized(lambda s, union: union_classes(s.d, union))
@@ -212,15 +214,20 @@ def _not_strongly_regular(u, w, role):
 
 
 def srg_eigen(n, k, lam, mu):
-    """Eigenvalue feasibility of an (n, k, lambda, mu) parameter set.
+    """Eigenvalue feasibility of an (n, k, lambda, mu) parameter set,
+    decided in integers; each value must be an integer (ValueError
+    otherwise).
 
-    Requires the counting identity k(k - lambda - 1) = mu(n - k - 1).  A
-    square discriminant forces integral eigenvalues and multiplicities;
-    a non-square discriminant is feasible only for conference parameters
-    (equal multiplicities), with quadratic-irrational eigenvalues.
-    Degenerate r = s is rejected.
+    Requires the counting identity k(k - lambda - 1) = mu(n - k - 1).  The
+    restricted eigenvalues are (lambda - mu +- sqrt(D))/2 with
+    D = (lambda - mu)^2 + 4(k - mu), and the multiplicities
+    ((n - 1) sqrt(D) -+ (2k + (n - 1)(lambda - mu)))/(2 sqrt(D)).  A square
+    D forces integral eigenvalues and multiplicities, found by divmod; a
+    non-square D is feasible only for conference parameters (equal
+    multiplicities), with quadratic-irrational eigenvalues that
+    QuadVal.make writes.  Degenerate r = s is rejected.
     """
-    n, k, lam, mu = int(n), int(k), int(lam), int(mu)
+    n, k, lam, mu = (exact_int(v) for v in (n, k, lam, mu))
     if not 0 < k < n or lam < 0 or mu < 0 or lam > k - 1 or mu > k:
         raise InfeasibleParameters(f"({n},{k},{lam},{mu}) out of range")
     if k * (k - lam - 1) != mu * (n - k - 1):
@@ -240,18 +247,16 @@ def srg_eigen(n, k, lam, mu):
             raise InfeasibleParameters(
                 f"eigenvalues ({lam - mu} +- {root})/2 are not integers"
             )
-        r = (lam - mu + root) // 2
-        s_ = (lam - mu - root) // 2
-        m1f = Fraction(n - 1, 2) - Fraction(num, 2 * root)
-        m2f = Fraction(n - 1, 2) + Fraction(num, 2 * root)
-        if m1f.denominator != 1 or m2f.denominator != 1 or m1f < 1 or m2f < 1:
+        # m1 + m2 = n - 1, so m2 is integral exactly when m1 is
+        m1, rem = divmod((n - 1) * root - num, 2 * root)
+        m2 = n - 1 - m1
+        if rem or m1 < 1 or m2 < 1:
+            m1f = Fraction((n - 1) * root - num, 2 * root)
             raise InfeasibleParameters(
-                f"multiplicities ({m1f}, {m2f}) are not positive integers"
+                f"multiplicities ({m1f}, {n - 1 - m1f}) are not positive integers"
             )
-        m1, m2 = int(m1f), int(m2f)
-        conference = m1 == m2
-        r_exact = QuadVal.rational(r)
-        s_exact = QuadVal.rational(s_)
+        r_exact = QuadVal.rational((lam - mu + root) // 2)
+        s_exact = QuadVal.rational((lam - mu - root) // 2)
     else:
         # irrational eigenvalues force equal multiplicities
         if num != 0 or (n - 1) % 2:
@@ -260,30 +265,9 @@ def srg_eigen(n, k, lam, mu):
                 "conference condition 2k = (n-1)(mu-lambda)"
             )
         m1 = m2 = (n - 1) // 2
-        conference = True
-        half = Fraction(1, 2)
-        base = QuadVal.rational(Fraction(lam - mu, 2))
-        r_exact = base + QuadVal.sqrt_rational(disc) * half
-        s_exact = base - QuadVal.sqrt_rational(disc) * half
-    return SrgParams(n, k, lam, mu, r_exact, s_exact, m1, m2, mu > 0, conference)
-
-
-def lambda_from_eigen(k, r, s):
-    """lambda = k + r*s + r + s, inverting the eigenvalue quadratic."""
-    return _integral(QuadVal.rational(k) + r * s + r + s, "lambda", k, r, s)
-
-
-def mu_from_eigen(k, r, s):
-    """mu = k + r*s."""
-    return _integral(QuadVal.rational(k) + r * s, "mu", k, r, s)
-
-
-def _integral(v, name, k, r, s):
-    if not (v.is_rational and v.q.denominator == 1):
-        raise InfeasibleParameters(
-            f"{name} = {v} from (k, r, s) = ({k}, {r}, {s}) is not an integer"
-        )
-    return int(v.q)
+        r_exact = QuadVal.make(Fraction(lam - mu, 2), Fraction(1, 2), disc)
+        s_exact = QuadVal.make(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
+    return SrgParams(n, k, lam, mu, r_exact, s_exact, m1, m2, mu > 0, m1 == m2)
 
 
 def connectivity_classification(s, union):

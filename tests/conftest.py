@@ -42,7 +42,7 @@ from ascheme.errors import (
     TooLarge,
     TypeUnclassifiable,
 )
-from ascheme.exact import radical_sum, radical_sum_to_complex
+from ascheme.exact import radical_sum_to_complex
 from ascheme.finitefield import _mul
 from ascheme.spectra import CLUSTER_TOL, character_table
 
@@ -133,6 +133,23 @@ def build_petersen():
     V = [set(v) for v in combinations(range(5), 2)]
     e = [[0 if a == b else 1 if not a & b else 2 for b in V] for a in V]
     return canonical_form(scheme_from_entries(np.array(e), d=2))[0]
+
+
+def srg_identities_hold(p):
+    """Whether SrgParams p satisfies r + s = lambda - mu, rs = mu - k,
+    k + m1 r + m2 s = 0 and m1 + m2 = n - 1, in integers: on the fields
+    a + b sqrt(v) of 2r and 2s, which share their radicand v."""
+    r, s = p.r_exact, p.s_exact
+    twice = [2 * x for x in (r.q, r.r, s.q, s.r)]
+    if r.v != s.v or any(x.denominator != 1 for x in twice):
+        return False
+    a1, b1, a2, b2 = (int(x) for x in twice)
+    return (
+        (a1 + a2, b1 + b2) == (2 * (p.lam - p.mu), 0)
+        and (a1 * a2 + b1 * b2 * r.v, a1 * b2 + a2 * b1) == (4 * (p.mu - p.k), 0)
+        and (2 * p.k + p.m1 * a1 + p.m2 * a2, p.m1 * b1 + p.m2 * b2) == (0, 0)
+        and p.m1 + p.m2 == p.n - 1
+    )
 
 
 def fused_scheme(s, partition):
@@ -476,6 +493,27 @@ def reference_vote_perms(e, fix_last_col=None):
     if not _pattern_fits(e, rp, cp, tol):
         raise NormalFormUnreachable("no row/column permutation reaches the amorphic shape")
     return rp, cp
+
+
+def radical_sum(values):
+    """Canonical form of a sum of QuadVals with mixed radicands: the
+    oracle for spectra.block_sums, whose integer keys are these forms
+    times 4.
+
+    Returns a hashable tuple (rational_part, ((v, coeff), ...)) with the
+    radicand terms sorted; equal sums always produce equal tuples.
+    """
+    q = Fraction(0)
+    rads = {}
+    for val in values:
+        q += val.q
+        if val.r:
+            c = rads.get(val.v, Fraction(0)) + val.r
+            if c:
+                rads[val.v] = c
+            else:
+                del rads[val.v]
+    return (q, tuple(sorted(rads.items())))
 
 
 def reference_union_spectrum(e, union):

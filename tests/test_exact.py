@@ -1,18 +1,18 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from ascheme.exact import (
     QuadVal,
-    radical_sum,
     radical_sum_to_complex,
     snap_fraction,
     snap_quadratic_pair,
     snap_rational_value,
     squarefree_split,
 )
+
+from conftest import radical_sum
 
 
 def test_squarefree_split():
@@ -28,32 +28,11 @@ def test_make_normalizes_radicand():
     assert QuadVal.make(1, 1, 9) == QuadVal(Fraction(4))
     assert QuadVal.make(0, 2, -4) == QuadVal(Fraction(0), Fraction(4), -1)
     assert QuadVal.make(3, 0, 17) == QuadVal(Fraction(3))
-
-
-def test_sqrt_rational():
-    v = QuadVal.sqrt_rational(Fraction(-7))
-    assert v.q == 0 and v.r == 1 and v.v == -7
-    v = QuadVal.sqrt_rational(Fraction(9, 4))
-    assert v == QuadVal(Fraction(3, 2))
-    v = QuadVal.sqrt_rational(Fraction(1, 2))
-    assert v.v == 2 and v.r == Fraction(1, 2)
-
-
-def test_arithmetic_same_radicand():
-    a = QuadVal(Fraction(1, 2), Fraction(1, 2), 5)   # golden ratio
-    b = QuadVal(Fraction(1, 2), Fraction(-1, 2), 5)
-    assert (a + b) == QuadVal(Fraction(1))
-    assert (a * b) == QuadVal(Fraction(-1))
-    assert a * a == a + 1  # phi^2 = phi + 1
-
-
-def test_mixed_radicands_rejected():
-    a = QuadVal(Fraction(0), Fraction(1), 2)
-    b = QuadVal(Fraction(0), Fraction(1), 3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
+    # rational radicands: sqrt(a/b) = sqrt(a*b)/b
+    assert QuadVal.make(0, 1, Fraction(-7)) == QuadVal(Fraction(0), Fraction(1), -7)
+    assert QuadVal.make(0, 1, Fraction(9, 4)) == QuadVal(Fraction(3, 2))
+    assert QuadVal.make(0, 1, Fraction(1, 2)) == QuadVal(Fraction(0), Fraction(1, 2), 2)
+    assert QuadVal.make(1, 1, 0) == QuadVal(Fraction(1))
 
 
 def test_conjugation():
@@ -74,8 +53,7 @@ def test_radical_sum_canonical():
     vals = [QuadVal.make(0, 1, 2), QuadVal.make(0, 1, 8)]
     assert radical_sum(vals) == (Fraction(0), ((2, Fraction(3)),))
     # cancellation to exact zero
-    a = QuadVal(Fraction(1), Fraction(1), 5)
-    vals = [a, -a]
+    vals = [QuadVal(Fraction(1), Fraction(1), 5), QuadVal(Fraction(-1), Fraction(-1), 5)]
     assert radical_sum(vals) == (Fraction(0), ())
     z = radical_sum_to_complex((Fraction(1), ((-7, Fraction(1, 2)),)))
     assert abs(z - complex(1, math.sqrt(7) / 2)) < 1e-15
@@ -120,22 +98,29 @@ def test_snap_quadratic_pair_rejects_cubic():
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=4
 )
+radicands = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
 
 
-@given(small_fractions, small_fractions, st.integers(min_value=-30, max_value=30))
-def test_make_matches_float(q, r, v):
-    z = QuadVal.make(q, r, v).to_complex()
-    if v >= 0:
-        ref = complex(float(q) + float(r) * math.sqrt(v), 0.0)
+@given(small_fractions, small_fractions, radicands)
+def test_make_matches_float(q, r, w):
+    z = QuadVal.make(q, r, w).to_complex()
+    if w >= 0:
+        ref = complex(float(q) + float(r) * math.sqrt(w), 0.0)
     else:
-        ref = complex(float(q), float(r) * math.sqrt(-v))
+        ref = complex(float(q), float(r) * math.sqrt(-w))
     assert abs(z - ref) < 1e-12
 
 
-@given(small_fractions, small_fractions, small_fractions, small_fractions)
-def test_field_axioms_in_q_sqrt5(a, b, c, d):
-    x = QuadVal.make(a, b, 5)
-    y = QuadVal.make(c, d, 5)
-    assert (x + y) - y == x
-    got = (x * y).to_complex()
-    assert abs(got - x.to_complex() * y.to_complex()) < 1e-10
+@given(
+    small_fractions,
+    small_fractions,
+    radicands,
+    st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+)
+def test_make_is_canonical(q, r, w, s):
+    """q + r*sqrt(w s^2) and q + (r s)*sqrt(w) are one value, so make
+    writes them alike: equal values have equal fields."""
+    assert QuadVal.make(q, r, w * s * s) == QuadVal.make(q, r * s, w)

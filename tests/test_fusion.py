@@ -106,6 +106,19 @@ def test_canonical_partition_rejects_non_partitions(blocks):
         bannai_muzychuk_check(character_table(s), blocks)
 
 
+def test_partition_classes_must_be_integers():
+    """A class that int() would truncate is refused, not read as its
+    floor; numpy ints and integral floats are integers."""
+    s = catalog_scheme("cyclo-13-4")
+    for blocks in ([[1.5, 2], [3, 4]], [[1, 2], [3, np.float64(3.9)]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            canonical_partition(blocks, 4)
+        with pytest.raises(ValueError, match="not an integer"):
+            fuse_direct(s, blocks)
+    blocks = [[np.int64(2), 1.0], [3], [np.int32(4)]]
+    assert canonical_partition(blocks, 4) == ((0,), (1, 2), (3,), (4,))
+
+
 def test_fuse_direct_total_fusion_is_complete():
     s = catalog_scheme("cyclo-5-2")
     k5 = fused_scheme(s, [[0], [1, 2]])

@@ -358,6 +358,15 @@ def test_union_validation():
         generates(s, (0,))
 
 
+def test_union_classes_must_be_integers():
+    """A class that int() would truncate is refused, not read as its
+    floor; numpy ints and integral floats are integers."""
+    s = catalog_scheme("petersen")
+    with pytest.raises(ValueError, match="not an integer"):
+        generates(s, [1.9])
+    assert generates(s, [np.int64(1)]) is generates(s, [1.0]) is generates(s, (1,))
+
+
 # --- T1.2 ------------------------------------------------------------------
 
 

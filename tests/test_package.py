@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ascheme
+from ascheme.exact import QuadVal
 
 PUBLIC_NAMES = [
     "Scheme",
@@ -95,6 +96,14 @@ def test_import_loads_no_submodule_and_submodules_still_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["ascheme", "True ascheme.catalog ascheme.builders"]
+
+
+def test_quadval_is_a_value_without_arithmetic():
+    """Exact arithmetic runs in integers (EigenTable.quarters keys,
+    srg_eigen); a QuadVal is a value that QuadVal.make writes in its one
+    normal form, with no operators to keep consistent with it."""
+    for op in ("__add__", "__sub__", "__mul__", "__neg__"):
+        assert not hasattr(QuadVal, op), op
 
 
 # module-level imports kept only for other code to read: catalog re-exports

@@ -88,12 +88,12 @@ def mutated_files(draw):
 @given(mutated_files(), st.sampled_from([1, 3, 1 << 16]))
 def test_parse_matches_line_by_line_reference(text, block):
     # small row blocks put the first bad line of a file in any block
-    saved = core._BLOCK_ENTRIES
-    core._BLOCK_ENTRIES = block
+    saved = core.STACK_ENTRIES
+    core.STACK_ENTRIES = block
     try:
         assert_parses_alike(text)
     finally:
-        core._BLOCK_ENTRIES = saved
+        core.STACK_ENTRIES = saved
 
 
 def _one_digit_text(e):
@@ -171,12 +171,12 @@ def one_digit_files(draw):
 @given(one_digit_files(), st.sampled_from([1, 3, 1 << 16]))
 def test_parse_of_the_one_digit_layout_matches_reference(text, block):
     # the strided decode and the line path meet at the layout's boundary
-    saved = core._BLOCK_ENTRIES
-    core._BLOCK_ENTRIES = block
+    saved = core.STACK_ENTRIES
+    core.STACK_ENTRIES = block
     try:
         assert_parses_alike(text)
     finally:
-        core._BLOCK_ENTRIES = saved
+        core.STACK_ENTRIES = saved
 
 
 @pytest.mark.parametrize("text", [

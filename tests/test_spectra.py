@@ -19,7 +19,7 @@ from ascheme.errors import (
     NotPrime,
     ToleranceAmbiguity,
 )
-from ascheme.exact import QuadVal, radical_sum, radical_sum_to_complex
+from ascheme.exact import QuadVal, radical_sum_to_complex
 from ascheme.fusion import (
     amorphic_normal_form,
     bannai_muzychuk_check,
@@ -40,6 +40,7 @@ from ascheme.spectra import (
 from conftest import (
     block_forms,
     compile_stripped,
+    radical_sum,
     reference_eigenrows_mp,
     reference_row_map,
     reference_skew_split,

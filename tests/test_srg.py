@@ -1,9 +1,12 @@
+import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ascheme import catalog as cat
@@ -21,13 +24,11 @@ from ascheme.fusion import canonical_partition
 from ascheme.srg import (
     _components,
     connectivity_classification,
-    lambda_from_eigen,
-    mu_from_eigen,
     srg_eigen,
     srg_params_from_scheme,
 )
 
-from conftest import compile_stripped, fresh_catalog
+from conftest import compile_stripped, fresh_catalog, srg_identities_hold
 
 
 def two_blocks_k5():
@@ -151,16 +152,63 @@ def test_eigen_infeasible_parameters():
         srg_eigen(5, 1, 0, 0)  # multiplicities 3/2, 5/2 not integral
 
 
+def test_eigen_parameters_must_be_integers():
+    """A value that int() would truncate is refused, not read as its
+    floor; numpy ints and integral floats are integers."""
+    with pytest.raises(ValueError, match="not an integer"):
+        srg_eigen(10, 3.7, 0, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        srg_eigen(10, 3, 0, Fraction(3, 2))
+    assert srg_eigen(np.int64(10), 3.0, 0, np.int32(1)) == srg_eigen(10, 3, 0, 1)
+
+
+def fraction_multiplicities(n, k, lam, mu):
+    """The multiplicities of r and s by the Fraction formula, for a square
+    discriminant: (n - 1)/2 -+ (2k + (n - 1)(lambda - mu))/(2 sqrt(D))."""
+    root = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
+    num = 2 * k - (n - 1) * (mu - lam)
+    return Fraction(n - 1, 2) - Fraction(num, 2 * root), Fraction(n - 1, 2) + Fraction(num, 2 * root)
+
+
+@given(
+    st.integers(0, 8), st.integers(-8, -1), st.integers(0, 40), st.integers(0, 60)
+)
+def test_integral_multiplicities_match_fraction_formula(r, s, mu, c):
+    """Parameter sets with integral eigenvalues r > s: lambda = mu + r + s
+    and k = mu - rs invert Vieta, and n follows from the counting
+    identity (mu = 0 needs s = -1, and then any n > k = r will do).  srg_eigen's divmod multiplicities
+    are the Fraction formula's where those are positive integers, and it
+    refuses the set with that formula's values otherwise."""
+    lam, k = mu + r + s, mu - r * s
+    assume(lam >= 0)
+    if mu:
+        assume(k * (k - lam - 1) % mu == 0)
+        n = k + 1 + k * (k - lam - 1) // mu
+    else:
+        assume(s == -1 and r >= 1)
+        n = k + 1 + c
+    m1, m2 = fraction_multiplicities(n, k, lam, mu)
+    if m1.denominator == 1 and m1 >= 1 and m2 >= 1:
+        p = srg_eigen(n, k, lam, mu)
+        assert (p.m1, p.m2) == (m1, m2)
+        assert (p.r, p.s) == (r, s)
+    else:
+        with pytest.raises(InfeasibleParameters, match=re.escape(f"multiplicities ({m1}, {m2})")):
+            srg_eigen(n, k, lam, mu)
+
+
 def test_eigen_conference_quadratic():
     p = srg_eigen(13, 6, 2, 3)
     assert p.conference and (p.m1, p.m2) == (6, 6)
     assert p.r_exact == QuadVal(Fraction(-1, 2), Fraction(1, 2), 13)
-    assert p.r_exact * p.s_exact == QuadVal.rational(mu_from_eigen(6, p.r_exact, p.s_exact) - 6)
+    assert p.s_exact == QuadVal(Fraction(-1, 2), Fraction(-1, 2), 13)
+    assert srg_identities_hold(p)
 
 
 def test_catalog_srg_sweep(catalog):
     """Every transpose-closed proper union: params (when SRG) must satisfy
-    the eigenvalue inversion identities and connectivity flags."""
+    Vieta's identities and the trace in integers, and the connectivity
+    flags."""
     unions_seen = 0
     srg_seen = 0
     for eid, s in catalog.items():
@@ -176,10 +224,8 @@ def test_catalog_srg_sweep(catalog):
                 except NotStronglyRegular:
                     continue
                 srg_seen += 1
-                assert lambda_from_eigen(p.k, p.r_exact, p.s_exact) == p.lam, (eid, u)
-                assert mu_from_eigen(p.k, p.r_exact, p.s_exact) == p.mu, (eid, u)
+                assert srg_identities_hold(p), (eid, u)
                 assert p.connected == (p.mu > 0)
-                assert p.m1 + p.m2 == p.n - 1
                 assert p.conference == (p.m1 == p.m2)
                 if not p.r_exact.is_rational:
                     assert p.conference  # irrational forces equal multiplicities
@@ -342,11 +388,14 @@ def test_srg_checks_raise_with_asserts_stripped():
         stripped.srg_params_from_scheme(petersen, (1,))
     assert (exc.value.union, exc.value.check) == ((1,), "connectivity")
 
-    r, s_ = QuadVal.rational(Fraction(1, 3)), QuadVal.rational(1)
-    with pytest.raises(InfeasibleParameters):
-        stripped.lambda_from_eigen(3, r, s_)
-    with pytest.raises(InfeasibleParameters):
-        stripped.mu_from_eigen(3, r, s_)
-    root5 = QuadVal.sqrt_rational(5)
-    with pytest.raises(InfeasibleParameters):
-        stripped.mu_from_eigen(3, root5, QuadVal.rational(1))
+
+def test_catalog_srg_check_compares_spectra(monkeypatch):
+    """The srg check holds only where the union's spectrum from the
+    character table is srg_eigen's: with Petersen's spectrum stubbed in
+    for both of its unions, the complement, which srg_eigen gives
+    6^1 1^4 (-2)^5, fails with the reason."""
+    petersen = [(3 + 0j, 1), (1 + 0j, 5), (-2 + 0j, 4)]
+    monkeypatch.setattr(srg, "fill_spectra", lambda s, unions: [petersen] * len(unions))
+    applicable, holds, evidence = cat._check_srg(catalog_scheme("petersen"))
+    assert (applicable, holds) == (True, False)
+    assert evidence == {"union": [2], "reason": "spectrum differs from srg_eigen's"}
