@@ -26,7 +26,6 @@ _SUBMODULES = {
     "symmetrize": "core",
     "character_table": "spectra",
     "union_spectrum": "spectra",
-    "distinct_eigenvalue_count": "spectra",
     "enumerate_admissible_partitions": "fusion",
     "fuse_direct": "fusion",
     "bannai_muzychuk_check": "fusion",

@@ -49,12 +49,18 @@ t[c] row must not be read as the transposes of the p[., c] values: off a
 scheme, C_ac is not constant on a class, so its value at the transpose of
 l's first arc need not be p at the first arc of t[l].
 
-Irregular rows: a rejection bounded before any product.  Let x0 be the
-first row whose counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a],
-so at the pair (x0, x0), of class 0 with first arc (0, 0), some
-C_{a t[a]} leaves its class value: the first violation in scan order is
-at index x0 (n + 1) or before, and the kernel starts from that bound (see
-the cuts below).  It keeps the full plan.
+Irregular rows: row 0 decides first.  Let x0 be the first row whose
+counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a], so at the pair
+(x0, x0), of class 0 with first arc (0, 0), some C_{a t[a]} leaves its
+class value: the coloring is rejected.  Before any product the kernel
+counts C_ab(0, y) for every y, with one bincount over the n^2 keys
+y m^2 + e[0,z] m + e[z,y], and recounts each class at its first arc.  Row
+0 comes first in scan order, so the first y whose histogram differs from
+its class's is the first violation, and the witness is rebuilt there
+with no product made.  A scheme never takes this step: its rows all hold
+k_i arcs of color i.  If row 0 shows no violation, the first one is at
+index x0 (n + 1) or before, and the kernel keeps the full plan and starts
+from that bound (see the cuts below), as it does without this step.
 
 First arcs.  The first arc of each color is the first row that the row
 counts show holding it, and one argmax in that row.
@@ -124,9 +130,9 @@ multiply-adds against n^3 for the whole product: the kernel cuts a
 product only while 2r < n, and otherwise makes it whole.  A rejected
 coloring then costs the products up to the first that fails, then
 2rn^2 multiply-adds and O(n^2) gathers for each later one, and p still
-holds the histogram at every class's first arc.  With irregular rows bad
-starts at x0 (n + 1), so every product is cut, from the first, to its
-rows and columns < x0 + 1 while 2(x0 + 1) < n.
+holds the histogram at every class's first arc.  With irregular rows that
+row 0 does not reject, bad starts at x0 (n + 1), so every product is cut,
+from the first, to its rows and columns < x0 + 1 while 2(x0 + 1) < n.
 
 Workspace.  Each call allocates its two operands and its product once,
 n x n float64 each, and fills them in place with np.take(...,
@@ -137,6 +143,8 @@ entries of the product buffer.  Once the product is made, the operands
 are free: the class tables are gathered into the left one, and the bool
 mismatch is written over the first n^2 bytes of the right one.  With the
 intp copy of e that is 4 n x n float64 arrays, and O(mn) beside them.
+The row-0 step runs before the workspace exists and frees its n x n
+int64 keys and its n m^2 bins first.
 """
 
 import math
@@ -156,6 +164,15 @@ def row_counts(e, d):
     n, m = e.shape[0], d + 1
     counts = np.bincount(((np.arange(n) * m)[:, None] + e).ravel(), minlength=n * m)
     return counts.reshape(n, m)
+
+
+def row_zero_histograms(e, m):
+    """C_ab(0, y) for every column y, an n x m x m array: one bincount over
+    the n^2 keys y m^2 + e[0,z] m + e[z,y], built in one int64 array."""
+    n = e.shape[0]
+    keys = e + np.arange(0, n * m * m, m * m, dtype=np.int64)
+    keys += (e[0] * m)[:, None]
+    return np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
 
 
 def first_arcs(e, counts):
@@ -266,10 +283,17 @@ def tensor_and_verify(e, d, t):
     ok is False, witness holds (i, j, l, x1, y1, count1, x2, y2, count2)
     for the first two conflicting pairs in scan order.
 
-    Once a product fails at scan index bad, or a row's counts differ from
-    row 0's first at row x0 and bad = x0 (n + 1), each later product makes
-    only its rows and columns < r = bad // n + 1: rows < r hold every direct
-    cell that could fail before bad, and columns < r every transposed one.
+    When a row's counts differ from row 0's, first at row x0, the
+    coloring is rejected.  Row 0 comes first in scan order, so the kernel
+    first compares the histogram at every pair (0, y), from one O(n^2)
+    bincount, with its class's at the first arc: the first y that differs
+    is the first violation, and no product is made.  Otherwise the kernel
+    makes its products as before, from bad = x0 (n + 1).
+
+    Once a product fails at scan index bad, or from that bound, each later
+    product makes only its rows and columns < r = bad // n + 1: rows < r
+    hold every direct cell that could fail before bad, and columns < r
+    every transposed one.
     Its class values come from m dot products of an operand row with an
     operand column, exact in any summation order as every term and
     partial sum is a nonnegative integer below 2^53.  While 2r >= n the
@@ -291,7 +315,15 @@ def tensor_and_verify(e, d, t):
     p = np.full((m, m, m), -1, dtype=np.int64)
     eye = np.eye(m, dtype=np.int64)
     p[0] = p[:, 0] = eye
-    wit = np.full(9, -1, dtype=np.int64)
+    if x0:
+        # row 0 comes first in scan order: a pair (0, y) whose histogram
+        # differs from its class's first arc's is the first violation
+        for l in range(m):
+            p[:, :, l] = pair_counts(idx, fx[l], fy[l], d)
+        at_first_arcs = np.moveaxis(p, 2, 0)[idx[0]]
+        differs = (row_zero_histograms(idx, m) != at_first_arcs).any(axis=(1, 2))
+        if differs.any():
+            return p, False, _witness(idx, d, p, fx, fy, 0, int(differs.argmax()))
     # the first violating scan index so far, n^2 for none
     bad = x0 * (n + 1) if x0 else n * n
     # the workspace (see the module notes); every take uses mode="clip",
@@ -351,18 +383,21 @@ def tensor_and_verify(e, d, t):
         p[tc, rb] = k[t[rb], None] - eye[rb] - made.sum(axis=0)
         p[tc, c] = k[tc] - eye[tc] - p[tc, rb].sum(axis=0)
     if bad == n * n:
-        return p, True, wit
-    # rebuild the witness in scan order: first violating pair row-major,
-    # then first color pair (a, b) lexicographically
-    x, y = divmod(bad, n)
+        return p, True, np.full(9, -1, dtype=np.int64)
+    return p, False, _witness(idx, d, p, fx, fy, *divmod(bad, n))
+
+
+def _witness(e, d, p, fx, fy, x, y):
+    """The witness at the first violating pair (x, y): the first color pair
+    (a, b), lexicographically, whose count there differs from its class's
+    first arc's."""
     l = int(e[x, y])
     cnt = pair_counts(e, x, y, d)
-    for a in range(m):
-        for b in range(m):
-            if cnt[a, b] != p[a, b, l]:
-                wit[:] = (a, b, l, fx[l], fy[l], p[a, b, l], x, y, cnt[a, b])
-                return p, False, wit
-    raise ViolationNotReproduced(f"pair ({x}, {y}) violates axiom (4) but recounts clean")
+    cells = np.argwhere(cnt != p[:, :, l])
+    if not len(cells):
+        raise ViolationNotReproduced(f"pair ({x}, {y}) violates axiom (4) but recounts clean")
+    a, b = cells[0]
+    return np.array((a, b, l, fx[l], fy[l], p[a, b, l], x, y, cnt[a, b]), dtype=np.int64)
 
 
 def pair_counts(e, x, y, d):

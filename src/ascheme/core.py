@@ -55,7 +55,9 @@ from .errors import (
 # Input guards.  At both limits, with 32 classes of about 128 arcs per row
 # each (row bounds 128), _kernels.plan makes 83 float64 products of
 # 4096 x 4096 matrices, 0.14 TFLOP each, when every row has the same
-# counts, and 88 when not; one radix for every cell took 90.
+# counts, and at most 88 when not; one radix for every cell took 90.  An
+# input whose rows differ and whose row 0 already shows a violation makes
+# no product: one bincount into 4096 * 33^2 int64 bins (36 MB) rejects it.
 MAX_N = 4096
 MAX_D = 32
 
@@ -133,14 +135,6 @@ class Scheme:
             for i in range(1, self.d + 1)
             if i < self.transpose_map[i]
         )
-
-    def adjacency(self, classes):
-        """0/1 adjacency matrix of the union of the given classes."""
-        if isinstance(classes, int):
-            classes = (classes,)
-        lut = np.zeros(self.d + 1, dtype=np.int64)
-        lut[list(classes)] = 1
-        return lut[self.color.entries]
 
 
 def memoized(key):

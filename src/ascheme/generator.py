@@ -4,8 +4,8 @@ A union digraph generates the Bose-Mesner algebra iff its regular-
 representation matrix B_union has d+1 distinct eigenvalues.  That count is
 decided once, exactly: it is the rank over Q of the (d+1) x (d+1) Krylov
 matrix K whose column t is B_union^t e_0, the coordinates of B_union^t in
-the basis {B_i} (proof in generates).  The minimal-polynomial degree,
-spectra.distinct_eigenvalue_count, is an independent oracle for the tests.
+the basis {B_i} (proof in generates).  The minimal-polynomial degree of
+B_union, exactla.minpoly_degree, is an independent oracle for the tests.
 The witness polynomial of class i is the unique solution of K c = e_i, so
 the witnesses are the columns of K^-1, all found in one elimination of K.
 They are re-checked in integers on the regular representation, which

@@ -28,11 +28,11 @@ entry from one comparison of every pair of rows in every block
 (pair_tests).  A single block list or table is a stack of one.
 
 Counting distinct eigenvalues of a union digraph never relies on floats.
-generator.generates decides generation from the rank of a Krylov matrix;
-distinct_eigenvalue_count is an independent exact oracle for the same
-count, the degree of the minimal polynomial of the integer matrix
-B_Lambda, the sum of the B_i over the union, over Q.  union_spectrum, read
-from the table, is a float cross-check of both, not a decision procedure.
+generator.generates decides generation from the rank of a Krylov matrix.
+The tests keep an independent exact oracle for the same count, the degree
+of the minimal polynomial of the integer matrix B_Lambda, the sum of the
+B_i over the union, over Q.  union_spectrum, read from the table, is a
+float cross-check of both, not a decision procedure.
 """
 
 from dataclasses import dataclass
@@ -40,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exactla
 from .core import memoized, union_classes
 from .errors import (
     EigenSeparationFailure,
@@ -296,17 +295,6 @@ def character_table(s):
     if mults[0] != 1 or sum(mults) != n:
         raise MultiplicitySumMismatch(f"multiplicities {list(mults)}, n = {n}")
     return _read_only(EigenTable(P, mults, exact, n, s.valencies))
-
-
-def distinct_eigenvalue_count(s, union):
-    """Exact number of distinct eigenvalues of the union digraph.
-
-    Equals the degree of the minimal polynomial of B_Lambda over Q; the
-    B_i are simultaneously diagonalizable for a commutative scheme, so the
-    minimal polynomial is squarefree.
-    """
-    B = intersection_matrices(s)
-    return exactla.minpoly_degree(sum(B[i] for i in union_classes(s.d, union)))
 
 
 def block_sums(e, stack, basis=None):

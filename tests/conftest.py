@@ -225,12 +225,16 @@ def brute_intersection_numbers(e, d):
     return p
 
 
-def run_kernel(e, d, kernels=_kernels):
-    """`kernels.tensor_and_verify` on a coloring that passes axiom (3),
-    with the transpose map read at each color's first arc."""
+def transpose_at_first_arcs(e, d):
+    """The transpose map of a coloring that passes axiom (3), read at each
+    color's first arc."""
     counts = _kernels.row_counts(e, d)
-    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, counts)]
-    return kernels.tensor_and_verify(e, d, t)
+    return np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, counts)]
+
+
+def run_kernel(e, d, kernels=_kernels):
+    """`kernels.tensor_and_verify` on a coloring that passes axiom (3)."""
+    return kernels.tensor_and_verify(e, d, transpose_at_first_arcs(e, d))
 
 
 def corrupted_ladder_961():
@@ -703,6 +707,44 @@ def reference_minpoly_degree(B):
     return deg
 
 
+def distinct_eigenvalue_count(s, union):
+    """Exact number of distinct eigenvalues of the union digraph.
+
+    Equals the degree of the minimal polynomial of B_Lambda over Q; the
+    B_i are simultaneously diagonalizable for a commutative scheme, so the
+    minimal polynomial is squarefree.
+    """
+    B = spectra.intersection_matrices(s)
+    return exactla.minpoly_degree(sum(B[i] for i in union_classes(s.d, union)))
+
+
+def adjacency(s, classes):
+    """0/1 adjacency matrix of the union of the given classes of s."""
+    if isinstance(classes, int):
+        classes = (classes,)
+    lut = np.zeros(s.d + 1, dtype=np.int64)
+    lut[list(classes)] = 1
+    return lut[s.color.entries]
+
+
+class _SizesOnly:
+    """A coloring's n and d alone: reading its entries fails."""
+
+    def __init__(self, color):
+        self.n, self.d = color.n, color.d
+
+    @property
+    def entries(self):
+        raise AssertionError("the coloring's entries were read")
+
+
+def without_coloring(s):
+    """s, from now on with only the n and d of its coloring: code that
+    reads the entries, say to build an n x n adjacency matrix, fails."""
+    object.__setattr__(s, "color", _SizesOnly(s.color))
+    return s
+
+
 def reference_solve_exact(A, rhs):
     """Fraction Gauss-Jordan over A with every right-hand side appended."""
     m, k = len(A), len(A[0])
@@ -791,7 +833,7 @@ def reference_check_adjacency(s, union, witness, primes=WITNESS_PRIMES):
     primes used exceeds 2M, agreement modulo each prime proves equality.
     Returns the number of primes used; raises ModularCheckFailed.
     """
-    A = s.adjacency(union).astype(np.float64)
+    A = adjacency(s, union).astype(np.float64)
     k = sum(s.valencies[i] for i in union)
     scaled = []
     for poly in witness:

@@ -28,14 +28,14 @@ from ascheme.generator import (
     generates,
     predict_fission_table,
 )
-from ascheme.spectra import character_table, distinct_eigenvalue_count
+from ascheme.spectra import character_table
 from ascheme.srg import (
     connectivity_classification,
     srg_eigen,
     srg_params_from_scheme,
 )
 
-from conftest import srg_identities_hold
+from conftest import distinct_eigenvalue_count, srg_identities_hold
 
 
 def _report(num, label, ok, detail=""):

@@ -29,7 +29,7 @@ from ascheme.errors import (
     TransposeNotRelation,
 )
 
-from conftest import compile_stripped
+from conftest import adjacency, compile_stripped
 
 PENTAGON = """\
 5 2
@@ -226,8 +226,8 @@ def test_higman_small_class_count_is_commutative(catalog):
 
 def test_adjacency_union():
     s = verify_axioms(parse_scheme_file(PENTAGON))
-    A1 = s.adjacency(1)
-    A12 = s.adjacency((1, 2))
+    A1 = adjacency(s, 1)
+    A12 = adjacency(s, (1, 2))
     assert A1.sum() == 10
     assert (A12 == 1 - np.eye(5, dtype=np.int64)).all()
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascheme import core, exactla, generator
 from ascheme.builders import build_cyclotomic, build_product, catalog_scheme, complete_scheme
-from ascheme.core import MAX_D, MAX_N, Scheme, relabel_classes, scheme_from_entries
+from ascheme.core import MAX_D, MAX_N, relabel_classes, scheme_from_entries
 from ascheme.errors import (
     NotPrime,
     SplitRowMismatch,
@@ -36,7 +36,6 @@ from ascheme.fusion import idempotent_matching
 from ascheme.spectra import (
     EigenTable,
     character_table,
-    distinct_eigenvalue_count,
     intersection_matrices,
     union_spectrum,
 )
@@ -44,6 +43,7 @@ from ascheme.spectra import (
 from conftest import (
     WITNESS_PRIMES,
     ModularCheckFailed,
+    adjacency,
     compile_stripped,
     fresh_catalog,
     reference_check_adjacency,
@@ -51,6 +51,7 @@ from conftest import (
     reference_matrix_powers,
     reference_powers_mod,
     sweep_schemes,
+    without_coloring,
 )
 
 T12_APPLICABLE = {
@@ -192,7 +193,7 @@ def test_float64_powers_match_int64_reference():
     r = generates(s, (1,))
     used = reference_check_adjacency(s, (1,), r.witness)
     assert used > 1
-    A = s.adjacency((1,))
+    A = adjacency(s, (1,))
     for p in WITNESS_PRIMES[:used]:
         ref = [np.eye(s.n, dtype=np.int64)]
         for _ in range(s.d):
@@ -220,15 +221,11 @@ def test_modular_oracle_accepts_every_witness():
     assert counts == {(257, 4): 12, (241, 6): 54}
 
 
-def test_generation_builds_no_adjacency_matrix(monkeypatch):
+def test_generation_builds_no_adjacency_matrix():
     """find_generating_unions decides every catalog scheme on the regular
-    representation and never builds an n x n adjacency matrix."""
-
-    def no_adjacency(self, classes):
-        raise AssertionError("generation must not build an adjacency matrix")
-
-    schemes = fresh_catalog()
-    monkeypatch.setattr(Scheme, "adjacency", no_adjacency)
+    representation and never reads the coloring, so it builds no n x n
+    adjacency matrix."""
+    schemes = [without_coloring(s) for s in fresh_catalog()]
     reports = [find_generating_unions(s) for s in schemes]
     assert sum(len(r) for r in reports) == 407
     assert all(rep.witness_verified for r in reports for rep in r if rep.generates)
@@ -236,7 +233,8 @@ def test_generation_builds_no_adjacency_matrix(monkeypatch):
 
 def test_generation_runs_no_minimal_polynomial(monkeypatch):
     """generates decides from the Krylov rank alone: the minimal-polynomial
-    echelon, kept for distinct_eigenvalue_count, is not on its path."""
+    echelon, kept for the tests' distinct_eigenvalue_count, is not on its
+    path."""
 
     def no_minpoly(B):
         raise AssertionError("generation must not compute a minimal polynomial")

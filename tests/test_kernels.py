@@ -15,6 +15,7 @@ from conftest import (
     corrupted_ladder_961,
     run_kernel,
     scan_tensor_and_verify,
+    transpose_at_first_arcs,
 )
 
 
@@ -95,7 +96,7 @@ def _plan(e, d):
     """The kernel's products for a coloring that passes axiom (3): without
     the derived color's cells when every row's counts equal row 0's."""
     counts = _kernels.row_counts(e, d)
-    t = np.ascontiguousarray(e.T).ravel()[_kernels.first_arcs(e, counts)]
+    t = transpose_at_first_arcs(e, d)
     rows = counts.max(axis=0).tolist()
     c = _kernels.derived_color(rows) if (counts == counts[0]).all() else None
     return _kernels.plan(rows, t.tolist(), c)
@@ -215,11 +216,12 @@ REJECTED = [
 @pytest.mark.parametrize("name, build", REJECTED, ids=[name for name, _ in REJECTED])
 def test_kernel_rejects_like_scan_oracle(name, build, seed):
     # 1-3 arcs recolored, each with its reverse.  That changes the counts
-    # of their rows, so the kernel keeps the full plan, two or more products
-    # here, and cuts each to the rows and columns that could hold a
-    # violation before the first row x0 whose counts differ from row 0's,
-    # at (x0, x0) or earlier; on the Z13 wreath Z5 scheme several seeds
-    # have a cut product find one
+    # of their rows, so row 0's histograms decide first, and on all but one
+    # case here they find the first violation in row 0 with no product.
+    # Otherwise the kernel keeps the full plan, two or more products here,
+    # and cuts each to the rows and columns that could hold a violation
+    # before the first row x0 whose counts differ from row 0's, at (x0, x0)
+    # or earlier
     s = build()
     n, d, t = s.n, s.d, s.transpose_map
     rng = np.random.default_rng([seed, n, d])
@@ -314,9 +316,9 @@ def test_kernel_matches_scan_oracle_on_regular_rows(catalog):
 @pytest.mark.parametrize("row", ["first", "last"])
 def test_kernel_rejects_like_scan_oracle_from_the_first_irregular_row(catalog, row):
     # one arc pair recolored in row 0, so row 1 is the first whose counts
-    # differ from row 0's and every product is cut to rows and columns < 2;
-    # or between the last two rows, so the first such row is n - 2 and no
-    # product is cut
+    # differ from row 0's; or between the last two rows, so the first such
+    # row is n - 2.  Row 0's histograms decide all but one case here with
+    # no product; that one, on 5 points, falls through to whole products
     pool = [s for s in catalog.values() if s.n >= 5]
     for s in [*pool, build_cyclotomic(101, 2), _small_direct()]:
         n, d, t = s.n, s.d, s.transpose_map
@@ -380,28 +382,34 @@ def test_first_violation_reached_only_through_a_transpose():
     # directly: the plan makes only their partners (1, 5) and (3, 5), so
     # the kernel meets the violation only in the transposed scan of a
     # partner product.
-    e, d, t = _thin_wreath_corrupted()
+    e, d, t = _thin_wreath_corrupted(9, 11, 1)
     assert (t != np.arange(d + 1)).any()
     w = _check_transposed_witness(e, d, t)
     assert tuple(w[6:8]) == (1, 9)
 
 
-def test_first_violation_reached_only_through_a_transpose_of_a_cut_product():
-    # a second arc pair recolored in the scheme above: row 9 is the first
-    # whose counts differ from row 0's, so every product is cut to rows and
-    # columns < 10.  The first product fails first at pair (1, 9), so the
-    # third is cut to rows and columns < 2, and only its transposed cells,
-    # in column 0, show the first violating pair (0, 30)
-    e, d, t = _thin_wreath_corrupted()
-    e[9, 30], e[30, 9] = 1, t[1]
+def test_first_violation_reached_only_through_a_transpose_of_a_cut_product(monkeypatch):
+    # arc (10, 12) of the scheme above recolored from 3 to 13 instead: row
+    # 10 is the first whose counts differ from row 0's, and row 0 shows no
+    # violation, so every product is cut to rows and columns < 11.  The
+    # first product fails in row 1, so each later one is cut to rows and
+    # columns < 2, and the first violating pair (1, 0) differs from its
+    # class's first arc only in cells read as transposes
+    e, d, t = _thin_wreath_corrupted(10, 12, 13)
     w = _check_transposed_witness(e, d, t)
-    assert tuple(w[6:8]) == (0, 30)
+    assert tuple(w[6:8]) == (1, 0)
+    n = e.shape[0]
+    products = _spied_kernel(monkeypatch, e, d)[3].products
+    assert products[:2] == [(11, n), (n, 11)]
+    assert len(products) > 2 and all(min(shape) == 2 for shape in products[2:])
 
 
-def _thin_wreath_corrupted():
+def _thin_wreath_corrupted(x, y, c):
+    """The Z13 thin scheme wreathed with Z5, with arc (x, y) recolored c
+    and its reverse t[c]."""
     s = build_product(build_cyclotomic(13, 12), build_cyclotomic(5, 4), "wreath")
     e, d, t = s.color.entries.copy(), s.d, np.asarray(s.transpose_map)
-    e[9, 11], e[11, 9] = 1, t[1]
+    e[x, y], e[y, x] = c, t[c]
     return e, d, t
 
 
@@ -496,47 +504,96 @@ def test_kernel_peak_memory_at_n_961():
 
 
 def test_kernel_peak_memory_on_reject_at_n_961():
-    # every product is cut, from the first, and writes its rows and
-    # columns < r into the same workspace as a whole product: all under
-    # the same bound
+    # row 0's histograms find the violation before the workspace exists:
+    # the intp copy of e and the int64 keys are the n x n arrays, where
+    # cutting every product in the workspace held 4.  A rejection they miss
+    # writes each cut product's rows and columns < r into the same
+    # workspace as a whole product, under the valid call's bound
     e, d = corrupted_ladder_961()
     ok, peak = _kernel_peak(e, d)
     assert not ok
-    assert peak < 4.5
+    assert peak < 2.5
 
 
 class _CountingNumpy:
-    """numpy, with the multiply-adds of every np.matmul call counted."""
+    """numpy, with the shape and multiply-adds of every np.matmul call and
+    the np.bincount calls counted."""
 
     def __init__(self):
         self.macs = 0
+        self.products = []
+        self.bincounts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, x, y, out=None):
         self.macs += x.shape[0] * x.shape[1] * y.shape[1]
+        self.products.append((x.shape[0], y.shape[1]))
         return np.matmul(x, y, out=out)
+
+    def bincount(self, *args, **kwargs):
+        self.bincounts += 1
+        return np.bincount(*args, **kwargs)
+
+
+def _spied_kernel(monkeypatch, e, d):
+    """(p, ok, witness, spy) of one kernel call, where spy counted its
+    numpy calls; the transpose map is read before, unspied."""
+    t = transpose_at_first_arcs(e, d)
+    spy = _CountingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "np", spy)
+        return (*_kernels.tensor_and_verify(e, d, t), spy)
 
 
 def _kernel_macs(monkeypatch, e, d):
     """(ok, multiply-adds) of one kernel call, in n x n x n products."""
-    counting = _CountingNumpy()
-    with monkeypatch.context() as patch:
-        patch.setattr(_kernels, "np", counting)
-        _, ok, _ = run_kernel(e, d)
-    return ok, counting.macs / e.shape[0] ** 3
+    _, ok, _, spy = _spied_kernel(monkeypatch, e, d)
+    return ok, spy.macs / e.shape[0] ** 3
 
 
 def test_kernel_work_on_reject_at_n_961(monkeypatch):
-    # row 17 is the first whose counts differ from row 0's, so the first
-    # product makes only its rows and columns < 18; it fails in row 0, so
-    # each later one makes only row 0 and column 0: about a twentieth of
-    # one product in all, where making every product whole took 5
+    # row 17 is the first whose counts differ from row 0's, and the first
+    # violation is in row 0, so row 0's histograms find it and no product
+    # is made, where cutting each product to the rows and columns that
+    # could hold it took about a twentieth of one, and making every
+    # product whole took 5
     e, d = corrupted_ladder_961()
     ok, products = _kernel_macs(monkeypatch, e, d)
     assert not ok
-    assert products <= 0.1
+    assert products == 0
+
+
+def test_kernel_falls_back_to_products_when_row_0_holds(monkeypatch):
+    # the thin scheme of GF(17): every class has valency 1, so row 0 holds
+    # every class's first arc and can show no violation.  One arc pair
+    # recolored away from row and column 0 makes the rows irregular, and
+    # the kernel falls through to its products, which find the scan
+    # oracle's witness
+    s = build_cyclotomic(17, 16)
+    n, d, t = s.n, s.d, s.transpose_map
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        e = s.color.entries.astype(np.int64)
+        x, y = (int(v) for v in rng.choice(np.arange(1, n), size=2, replace=False))
+        c = int(rng.choice([c for c in range(1, d + 1) if c != e[x, y]]))
+        e[x, y], e[y, x] = c, t[c]
+        counts = _kernels.row_counts(e, d)
+        assert (counts != counts[0]).any()
+        w = _check_rejected(e, d)
+        assert w[6] == 1
+        _, ok, w2, spy = _spied_kernel(monkeypatch, e, d)
+        assert spy.products and not ok and (w2 == w).all()
+
+
+def test_regular_rows_build_no_row_0_histogram(monkeypatch, catalog):
+    # every row of a scheme holds k_i arcs of color i, so the row-0 step
+    # never runs on one: the kernel's only bincount is its row counts
+    s = _ladder_961()
+    for e, d in [(s.color.entries, s.d), *((c.color.entries, c.d) for c in catalog.values())]:
+        _, ok, _, spy = _spied_kernel(monkeypatch, e, d)
+        assert ok and spy.bincounts == 1 and spy.products
 
 
 def test_kernel_work_at_n_961(monkeypatch):

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "symmetrize",
     "character_table",
     "union_spectrum",
-    "distinct_eigenvalue_count",
     "enumerate_admissible_partitions",
     "fuse_direct",
     "bannai_muzychuk_check",
