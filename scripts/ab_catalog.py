@@ -5,10 +5,11 @@
         [--checks fusion,amorphic,srg]
 
 The script alternates run_catalog(workers=1) between the two trees, loaded
-side by side by `ab_trees.py`, and times each run in process CPU time.  It
-prints each side's median and quartiles and its page faults per run, the
-median change/parent ratio of the pairs and the number of pairs the change
-won, then the same as one JSON line.  --checks runs only the named checks
+side by side by `ab_trees.py`, and times each run in process CPU time and
+in wall time.  It prints each side's median and quartiles on each clock
+and its page faults per run, for each clock the median change/parent
+ratio of the pairs and the number of pairs the change won, then the same
+as one JSON line.  --checks runs only the named checks
 (run_catalog's checks=), so that one layer of the battery, such as the
 fusion, amorphic and srg checks, can be timed on its own; each run builds
 its schemes afresh, so a check also pays for the tables and the other

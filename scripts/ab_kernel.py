@@ -12,9 +12,9 @@ The calls are core.verify_axioms on each coloring, core.parse_scheme_file
 on each coloring's text in the layout emit_scheme_file writes for d <= 9
 (for the valid one, the emitted text itself), and core.emit_scheme_file on
 the valid scheme.  For each call it prints each side's median and
-quartiles of process CPU time per call and its minor page faults per
-call, the median change/parent ratio and the number of pairs the change
-won, then the same as one JSON line.
+quartiles of process CPU time and of wall time per call and its minor
+page faults per call, for each clock the median change/parent ratio and
+the number of pairs the change won, then the same as one JSON line.
 """
 
 import argparse

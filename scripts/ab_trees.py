@@ -5,7 +5,10 @@ Each tree's src/ascheme is loaded as its own package, so both sides share
 one interpreter, one numpy and one warm-up.  Calls alternate between the
 sides, parent first in even pairs and change first in odd ones, and each
 is timed in process CPU time, which leaves out the time a busy machine
-keeps the process waiting, next to its minor page faults.
+keeps the process waiting, and in wall time, next to its minor page
+faults.  CPU time also counts OpenBLAS threads spin-waiting after the
+other side's products, so a call that makes few products can read more
+CPU than wall time; the report gives both.
 """
 
 import importlib
@@ -31,42 +34,46 @@ def load(tree, name, module):
 
 
 def alternate(calls, pairs):
-    """{side: [(CPU ms, minor page faults)]} of `pairs` alternated calls of
-    calls["parent"] and calls["change"]."""
+    """{side: [(CPU ms, wall ms, minor page faults)]} of `pairs` alternated
+    calls of calls["parent"] and calls["change"]."""
     samples = {side: [] for side in calls}
     for pair in range(pairs):
         for side in sorted(calls, reverse=pair % 2 == 0):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.process_time()
+            start, wall = time.process_time(), time.perf_counter()
             calls[side]()
             ms = (time.process_time() - start) * 1000.0
-            samples[side].append((ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+            wall_ms = (time.perf_counter() - wall) * 1000.0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            samples[side].append((ms, wall_ms, faults))
     return samples
 
 
 def report(samples, label=""):
-    """Print each side's median and quartiles, its median page faults, the
-    median change/parent ratio of the pairs and the number of pairs the
-    change won, then the same as one JSON line; return that dict."""
+    """Print each side's median and quartiles in CPU and in wall time and
+    its median page faults, and for each clock the median change/parent
+    ratio of the pairs and the number of pairs the change won; then the
+    same as one JSON line, and return that dict."""
     out = {"label": label} if label else {}
-    ms = {side: [s[0] for s in rows] for side, rows in samples.items()}
+    prefix = label + " " if label else ""
     for side, rows in samples.items():
-        q1, median, q3 = statistics.quantiles(ms[side], n=4)
-        faults = statistics.median(s[1] for s in rows)
-        out[side] = {
-            "median_ms": round(median, 1),
-            "q1_ms": round(q1, 1),
-            "q3_ms": round(q3, 1),
-            "minflt": round(faults),
-        }
-        print(
-            f"{label + ' ' if label else ''}{side}: median {median:.1f} ms, "
-            f"quartiles {q1:.1f} .. {q3:.1f} ms, {faults:.0f} minor faults per call"
-        )
-    pairs = list(zip(ms["parent"], ms["change"]))
-    ratio = statistics.median(c / p for p, c in pairs)
-    wins = sum(c < p for p, c in pairs)
-    print(f"change/parent median ratio {ratio:.3f}; change won {wins} of {len(pairs)} pairs")
-    out.update(ratio=round(ratio, 3), wins=wins, pairs=len(pairs))
+        faults = statistics.median(s[2] for s in rows)
+        out[side] = {"minflt": round(faults)}
+        for k, clock in enumerate(("cpu", "wall")):
+            q1, median, q3 = statistics.quantiles([s[k] for s in rows], n=4)
+            out[side][f"{clock}_median_ms"] = round(median, 1)
+            out[side][f"{clock}_q1_ms"] = round(q1, 1)
+            out[side][f"{clock}_q3_ms"] = round(q3, 1)
+            print(f"{prefix}{side} {clock}: median {median:.1f} ms, "
+                  f"quartiles {q1:.1f} .. {q3:.1f} ms")
+        print(f"{prefix}{side}: {faults:.0f} minor faults per call")
+    pairs = list(zip(samples["parent"], samples["change"]))
+    for k, clock in enumerate(("cpu", "wall")):
+        ratio = statistics.median(c[k] / p[k] for p, c in pairs)
+        wins = sum(c[k] < p[k] for p, c in pairs)
+        print(f"{clock} change/parent median ratio {ratio:.3f}; "
+              f"change won {wins} of {len(pairs)} pairs")
+        out[f"{clock}_ratio"], out[f"{clock}_wins"] = round(ratio, 3), wins
+    out["pairs"] = len(pairs)
     print(json.dumps(out))
     return out

@@ -52,15 +52,17 @@ l's first arc need not be p at the first arc of t[l].
 Irregular rows: row 0 decides first.  Let x0 be the first row whose
 counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a], so at the pair
 (x0, x0), of class 0 with first arc (0, 0), some C_{a t[a]} leaves its
-class value: the coloring is rejected.  Before any product the kernel
-counts C_ab(0, y) for every y, with one bincount over the n^2 keys
-y m^2 + e[0,z] m + e[z,y], and recounts each class at its first arc.  Row
-0 comes first in scan order, so the first y whose histogram differs from
-its class's is the first violation, and the witness is rebuilt there
-with no product made.  A scheme never takes this step: its rows all hold
-k_i arcs of color i.  If row 0 shows no violation, the first one is at
-index x0 (n + 1) or before, and the kernel keeps the full plan and starts
-from that bound (see the cuts below), as it does without this step.
+class value: the coloring is rejected.  Before any product,
+row_zero_verdict counts C_ab(0, y) for every y with one bincount, which
+holds each first arc in row 0.  Row 0 comes first in scan order, so the
+first y whose histogram differs from its class's is the first violation,
+and the witness is rebuilt there with no product made.  A scheme never
+takes this step: its rows all hold k_i arcs of color i.  Every builder
+ends in the same step (builders._transitive_scheme), with first arcs in
+row 0, on a coloring that a group or the axioms let row 0 decide.  If
+row 0 shows no violation, the first one is at index x0 (n + 1) or
+before, and the kernel keeps the full plan and starts from that bound
+(see the cuts below), as it does without this step.
 
 First arcs.  The first arc of each color is the first row that the row
 counts show holding it, and one argmax in that row.
@@ -166,13 +168,22 @@ def row_counts(e, d):
     return counts.reshape(n, m)
 
 
-def row_zero_histograms(e, m):
-    """C_ab(0, y) for every column y, an n x m x m array: one bincount over
-    the n^2 keys y m^2 + e[0,z] m + e[z,y], built in one int64 array."""
-    n = e.shape[0]
+def row_zero_verdict(e, d, fx, fy):
+    """(p, witness): p[a, b, l] = C_ab at class l's first arc (fx[l], fy[l])
+    and the unraised witness at the first (0, y) whose histogram differs
+    from its class's, or None.  Each C_ab(0, y) is read from one bincount
+    of the n^2 keys y m^2 + e[0,z] m + e[z,y], a first arc off row 0 anew."""
+    n, m = e.shape[0], d + 1
     keys = e + np.arange(0, n * m * m, m * m, dtype=np.int64)
     keys += (e[0] * m)[:, None]
-    return np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
+    row0 = np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
+    p = np.ascontiguousarray(row0[fy].transpose(1, 2, 0))
+    for l in np.flatnonzero(fx):
+        p[:, :, l] = pair_counts(e, fx[l], fy[l], d)
+    differs = (row0 != np.moveaxis(p, 2, 0)[e[0]]).any(axis=(1, 2))
+    if not differs.any():
+        return p, None
+    return p, _witness(e, d, p, fx, fy, 0, int(differs.argmax()))
 
 
 def first_arcs(e, counts):
@@ -284,11 +295,9 @@ def tensor_and_verify(e, d, t):
     for the first two conflicting pairs in scan order.
 
     When a row's counts differ from row 0's, first at row x0, the
-    coloring is rejected.  Row 0 comes first in scan order, so the kernel
-    first compares the histogram at every pair (0, y), from one O(n^2)
-    bincount, with its class's at the first arc: the first y that differs
-    is the first violation, and no product is made.  Otherwise the kernel
-    makes its products as before, from bad = x0 (n + 1).
+    coloring is rejected.  row_zero_verdict looks for the first violation
+    in row 0, with no product; if there is none there, the products start
+    from bad = x0 (n + 1).
 
     Once a product fails at scan index bad, or from that bound, each later
     product makes only its rows and columns < r = bad // n + 1: rows < r
@@ -318,12 +327,9 @@ def tensor_and_verify(e, d, t):
     if x0:
         # row 0 comes first in scan order: a pair (0, y) whose histogram
         # differs from its class's first arc's is the first violation
-        for l in range(m):
-            p[:, :, l] = pair_counts(idx, fx[l], fy[l], d)
-        at_first_arcs = np.moveaxis(p, 2, 0)[idx[0]]
-        differs = (row_zero_histograms(idx, m) != at_first_arcs).any(axis=(1, 2))
-        if differs.any():
-            return p, False, _witness(idx, d, p, fx, fy, 0, int(differs.argmax()))
+        p, witness = row_zero_verdict(idx, d, fx, fy)
+        if witness is not None:
+            return p, False, witness
     # the first violating scan index so far, n^2 for none
     bad = x0 * (n + 1) if x0 else n * n
     # the workspace (see the module notes); every take uses mode="clip",

@@ -9,11 +9,11 @@ Builders produce canonically labeled, fully verified schemes:
   * direct and wreath products,
   * complete schemes K_n.
 
-No builder runs the O(n^3) axiom kernel.  Every construction but the
-products has a vertex-transitive group that preserves its coloring, so
-row 0 decides axioms (3) and (4) exactly in O(n^2) work and gives p
-(_transitive_scheme; Delsarte 1973 for translation schemes).  A
-product's tensor is a closed form in its factors' verified tensors
+No builder runs the O(n^3) axiom kernel.  Each ends in _transitive_scheme,
+where row 0 decides axioms (3) and (4) exactly in O(n^2) work, axiom (4)
+by the kernel's own row-0 step, and gives p: a vertex-transitive group
+preserves every coloring but the products' (Delsarte 1973 for
+translation schemes), and a product of schemes is a scheme
 (Brouwer-Cohen-Neumaier 1989).  verify_axioms and its kernel serve
 colorings from outside and the catalog's axioms cross-check.
 
@@ -27,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _kernels
 from .core import (
     IntersectionTensor,
     Scheme,
@@ -69,30 +70,31 @@ def _prime_power(q):
 
 
 def _transitive_scheme(c):
-    """The Scheme of a ColorMatrix c whose coloring some vertex-transitive
-    group G preserves, verified from row 0 in O(n^2) work.
+    """The Scheme of a ColorMatrix c, verified from row 0 in O(n^2) work.
 
-    For any arc (x, y), an element g of G with g(x) = 0 maps it to
-    (0, g(y)), and (y, x) to (g(y), 0), keeping every count
-    #{w : e[x, w] = i, e[w, y] = j}.  So each arc has the class pair and
-    the counts of some arc in row 0, and row 0 decides the axioms exactly:
+    Every arc has the class pair and the counts of some arc in row 0, on
+    either of two grounds.  Some vertex-transitive group G preserves the
+    coloring: an element g with g(x) = 0 maps an arc (x, y) to (0, g(y)),
+    and (y, x) to (g(y), 0), keeping every count #{w : e[x, w] = i,
+    e[w, y] = j}.  Or the coloring is already a scheme, whose arcs all
+    have their class's counts.  So row 0 decides the axioms exactly:
 
       * axiom (3): each class i must meet a single class among the
         reverses e[g, 0] of the arcs (0, g) of class i;
-      * axiom (4): H[g, i, j] = #{w : e[0, w] = i, e[w, g] = j}, one
-        bincount, must equal H at the first arc of the class of (0, g).
+      * axiom (4): _kernels.row_zero_verdict compares the histogram at
+        each (0, g) with its class's at the first arc, and gives p.
 
-    Then p[i, j, l] = H[first arc of l, i, j].  Every class occurs, so it
-    has an arc in row 0, and its first arc in row-major order lies there.
-    A violation anywhere has an image in row 0, so the first one lies
-    there too.  A failure therefore raises TransposeNotRelation or
-    InconsistentIntersectionNumber with the witness verify_axioms gives.
+    Every class occurs, so it has an arc in row 0, and its first arc in
+    row-major order lies there.  A violation anywhere has an image in row
+    0, so the first one lies there too.  A failure therefore raises
+    TransposeNotRelation or InconsistentIntersectionNumber with the
+    witness verify_axioms gives.
 
-    The caller vouches for G: the translations, for a cyclotomic (or any
-    translation) scheme; the generated group, for orbitals; S_n, for K_n.
+    The caller vouches for the ground: the translations, for a cyclotomic
+    (or any translation) scheme; the generated group, for orbitals; S_n,
+    for K_n; the factors' axioms, for a product.
     """
-    e = c.entries
-    n, m = c.n, c.d + 1
+    e, m = c.entries, c.d + 1
     e0 = e[0].astype(np.intp)
     neg = e[:, 0].astype(np.intp)
     firsts = np.argmax(e0 == np.arange(m)[:, None], axis=1)
@@ -101,20 +103,10 @@ def _transitive_scheme(c):
     if bad.size:
         g = int(bad[0])
         raise TransposeNotRelation(int(e0[g]), 0, g, int(t[e0[g]]), int(neg[g]))
-    keys = (e0 * m)[:, None] + e
-    keys += np.arange(n) * (m * m)
-    H = np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
-    diffs = (H != H[firsts[e0]]).reshape(n, m * m)
-    bad = np.flatnonzero(diffs.any(axis=1))
-    if bad.size:
-        g = int(bad[0])
-        i, j = divmod(int(np.argmax(diffs[g])), m)
-        l = int(e0[g])
-        f = int(firsts[l])
-        raise InconsistentIntersectionNumber(
-            i, j, l, (0, f), int(H[f, i, j]), (0, g), int(H[g, i, j])
-        )
-    return Scheme(c, IntersectionTensor(np.ascontiguousarray(H[firsts].transpose(1, 2, 0))))
+    p, witness = _kernels.row_zero_verdict(e, c.d, np.zeros(m, dtype=np.intp), firsts)
+    if witness is not None:
+        raise InconsistentIntersectionNumber.from_witness(witness)
+    return Scheme(c, IntersectionTensor(p))
 
 
 def build_cyclotomic(q, m):
@@ -128,9 +120,9 @@ def build_cyclotomic(q, m):
     _transitive_scheme verifies it from row 0.  The difference table is
     an int32 array built one base-p digit at a time, so the build peaks
     near two q x q int64 arrays.  size_guard raises TooLarge for q > MAX_N
-    before the O(q) factor search.
+    or m > MAX_D before the O(q) factor search.
     """
-    size_guard(q)
+    size_guard(q, m)
     p, k = _prime_power(q)
     F = field(p, k)
     if m < 1 or (q - 1) % m != 0:
@@ -217,48 +209,27 @@ def build_product(s1, s2, kind):
     """Direct or wreath product on the vertex set X1 x X2.
 
     direct: class of ((x1,x2),(y1,y2)) is the pair (c1(x1,y1), c2(x2,y2)),
-    labeled i1 (d2 + 1) + i2; p is the Kronecker product of the factors'
-    tensors.
+    labeled i1 (d2 + 1) + i2.
     wreath: inner relations of s1 within each fiber of a point of s2,
-    relations of s2 between fibers (blown up by J); vertex index is
-    x2 * n1 + x1, so inner classes are I (x) A1_i and outer classes are
-    A2_j (x) J, labeled o_j = d1 + j.  With n1 = |X1| and k1 the
-    valencies of s1, p restricted to inner classes is p1, p[i, o_j, o_j] =
-    p[o_j, i, o_j] = k1[i] for inner i, p[o_a, o_b, o_c] = n1 p2[a, b, c]
-    and p[o_a, o_b, l] = n1 p2[a, b, 0] for inner l; all else is 0.
-
-    Both tensors follow from the factors' verified ones
-    (Brouwer-Cohen-Neumaier 1989), so no axiom kernel runs.
+    relations of s2 between fibers; vertex index is x2 * n1 + x1, so inner
+    classes are I (x) A1_i and outer classes are A2_j (x) J, labeled
+    d1 + j.  Either product of two schemes is a scheme
+    (Brouwer-Cohen-Neumaier 1989), so _transitive_scheme reads p from row
+    0; size_guard refuses too many points or classes before any coloring.
     """
-    n1, n2 = s1.n, s2.n
-    size_guard(n1 * n2)
-    e1 = s1.color.entries.astype(np.int64)
-    e2 = s2.color.entries.astype(np.int64)
-    d1, d2 = s1.d, s2.d
-    p1, p2 = s1.tensor.p, s2.tensor.p
+    n1, n2, d1, d2 = s1.n, s2.n, s1.d, s2.d
+    d = {"direct": (d1 + 1) * (d2 + 1) - 1, "wreath": d1 + d2}.get(kind)
+    if d is None:
+        raise ValueError(f"unknown product kind {kind!r}")
+    size_guard(n1 * n2, d)
+    e1, e2 = s1.color.entries, s2.color.entries
     if kind == "direct":
         lab = e1[:, None, :, None] * (d2 + 1) + e2[None, :, None, :]
-        m = (d1 + 1) * (d2 + 1)
-        c = color_matrix(lab.reshape(n1 * n2, n1 * n2), d=m - 1)
-        p = np.einsum("ijl,abc->iajblc", p1, p2).reshape(m, m, m)
-    elif kind == "wreath":
-        E2 = e2[:, None, :, None]
-        E1 = e1[None, :, None, :]
-        lab = np.where(E2 == 0, E1, d1 + E2)
-        entries = np.broadcast_to(lab, (n2, n1, n2, n1)).reshape(n1 * n2, n1 * n2)
-        c = color_matrix(entries, d=d1 + d2)
-        m1, m = d1 + 1, d1 + d2 + 1
-        k1 = np.asarray(s1.valencies, dtype=np.int64)
-        o = np.arange(m1, m)
-        p = np.zeros((m, m, m), dtype=np.int64)
-        p[:m1, :m1, :m1] = p1
-        p[:m1, o, o] = k1[:, None]
-        p[o, :m1, o] = k1[None, :]
-        p[m1:, m1:, m1:] = n1 * p2[1:, 1:, 1:]
-        p[m1:, m1:, :m1] = n1 * p2[1:, 1:, :1]
     else:
-        raise ValueError(f"unknown product kind {kind!r}")
-    return canonical_form(Scheme(c, IntersectionTensor(p)))[0]
+        E2 = e2[:, None, :, None]
+        lab = np.where(E2 == 0, e1[None, :, None, :], d1 + E2)
+    c = color_matrix(lab.reshape(n1 * n2, n1 * n2), d)
+    return canonical_form(_transitive_scheme(c))[0]
 
 
 def _johnson_5_2_generators():

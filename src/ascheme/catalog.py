@@ -32,8 +32,7 @@ GENERATOR_SWEEP_MAX_D = 6
 
 
 def _check_axioms(s):
-    """The kernel's verdict on s's coloring, and its tensor checked against
-    the one s was built with (a builder's closed form, for most entries)."""
+    """The kernel's verdict on s's coloring, its tensor checked against the builder's."""
     kernel = verify_axioms(s.color).tensor.p
     diff = np.argwhere(kernel != s.tensor.p)
     if diff.size:

@@ -35,12 +35,12 @@ class _InputError(Exception):
 
 
 def _load_color(path):
-    """The parsed color matrix of a scheme file; main maps a read failure
-    and a ParseError to exit code 2."""
+    """The parsed color matrix of a scheme file; main maps a read failure,
+    text that is not UTF-8 among them, and a ParseError to exit code 2."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
     return parse_scheme_file(text)
 
@@ -63,12 +63,16 @@ def _emit(payload, args, text_render):
 
 
 def _write(out, args):
-    """out to the --out file, else to stdout."""
-    if args.out:
+    """out to the --out file, else to stdout; main maps a file that cannot
+    be written to exit code 2."""
+    if not args.out:
+        sys.stdout.write(out)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(out)
-    else:
-        sys.stdout.write(out)
+    except OSError as exc:
+        raise _InputError(f"cannot write {args.out}: {exc}")
 
 
 def _parse_union(text, d):

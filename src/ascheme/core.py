@@ -9,7 +9,7 @@ color l of (x,y).  Conditions (1) and (2) are ColorMatrix invariants;
 verify_axioms checks (3) and (4) and collects the full tensor p; a Scheme
 is the coloring plus p.  verify_axioms runs on parsed files,
 scheme_from_entries and the catalog's axioms cross-check; the builders
-(builders) decide or derive p themselves and build the Scheme directly.
+(builders) decide p from row 0 and build the Scheme directly.
 A fusion of a verified scheme is decided by fuse_classes on p alone and
 yields the fused p, without rerunning the axiom kernel or building an
 n x n coloring; fuse_canonical decides a whole stack of partitions with
@@ -516,8 +516,7 @@ def verify_axioms(c):
     del flat_t  # n x n; the kernel's peak must not carry it
     p, ok, wit = _kernels.tensor_and_verify(e, d, t)
     if not ok:
-        i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in wit)
-        raise InconsistentIntersectionNumber(i, j, l, (xa, ya), ca, (xb, yb), cb)
+        raise InconsistentIntersectionNumber.from_witness(wit)
     return Scheme(c, IntersectionTensor(p))
 
 

@@ -74,6 +74,12 @@ class InconsistentIntersectionNumber(AxiomViolation):
             f"pair {pair_a} gives {count_a}, pair {pair_b} gives {count_b}"
         )
 
+    @classmethod
+    def from_witness(cls, witness):
+        """The violation named by a kernel witness (i, j, l, x1, y1, c1, x2, y2, c2)."""
+        i, j, l, xa, ya, ca, xb, yb, cb = (int(v) for v in witness)
+        return cls(i, j, l, (xa, ya), ca, (xb, yb), cb)
+
 
 class ViolationNotReproduced(SchemeError):
     """The axiom kernel found a violating pair that its recount clears."""
@@ -231,7 +237,7 @@ class TooLarge(SchemeError):
 
 class BuilderTensorMismatch(SchemeError):
     """A builder's tensor differs from the one the axiom kernel finds on
-    the builder's coloring: a defect in the builder's closed form."""
+    the builder's coloring: a defect in the builder."""
 
     def __init__(self, i, j, l, built, kernel):
         self.i, self.j, self.l = i, j, l

@@ -64,6 +64,7 @@ from ascheme.spectra import character_table
 from conftest import (
     MEMOIZED,
     build_petersen,
+    corrupted_ladder_961,
     field_add,
     field_mul,
     field_neg,
@@ -275,6 +276,28 @@ def test_product_validation():
         build_product(complete_scheme(2), complete_scheme(2), "tensor")
 
 
+def test_builders_refuse_too_many_classes_before_the_coloring():
+    """More than MAX_D classes are refused before any n x n array exists:
+    cyclotomic (4093, 4092), the direct square of cyclotomic (64, 9)
+    (99 classes) and the wreath square of cyclotomic (64, 21) (42 classes),
+    each on at most MAX_N points.  The first two peaked at 134 MB before."""
+    f9, f21 = build_cyclotomic(64, 9), build_cyclotomic(64, 21)
+    cases = [
+        (lambda: build_cyclotomic(4093, 4092), 4092),
+        (lambda: build_product(f9, f9, "direct"), 99),
+        (lambda: build_product(f21, f21, "wreath"), 42),
+    ]
+    for build, d in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"d = {d} exceeds"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (d, peak)
+
+
 # --- builders hand over their tensor ----------------------------------------
 
 
@@ -337,7 +360,7 @@ def test_builders_tensors_equal_the_kernels(monkeypatch):
 
 def test_product_tensors_equal_the_kernels(monkeypatch):
     """Direct and wreath products, in both orders, of every pair of small
-    schemes (the non-commutative thin S3 among them): the closed-form
+    schemes (the non-commutative thin S3 among them): the row-0
     tensor equals the kernel's, and no product calls the kernel.  A direct
     product past MAX_D classes is refused as before."""
     factors = {
@@ -368,6 +391,39 @@ def test_product_tensors_equal_the_kernels(monkeypatch):
     for key, s in built.items():
         assert np.array_equal(s.tensor.p, _kernel_tensor(s)), key
     assert not built["thin-s3", "k2", "direct"].is_commutative
+
+
+def test_builders_and_rejected_rows_share_one_row_zero_verdict(monkeypatch):
+    """_kernels.row_zero_verdict decides row 0 for everyone: each
+    cyclotomic, Schurian, complete, direct and wreath build calls it once,
+    and so does verify_axioms on the ladder's corrupted n = 961 coloring,
+    whose rows differ; verify_axioms on a valid coloring never calls it."""
+    qr7, k3 = build_cyclotomic(7, 2), complete_scheme(3)
+    builds = {
+        "cyclotomic": lambda: build_cyclotomic(13, 4),
+        "schurian": lambda: build_schurian(9, [cyclic_shift(9), multiplier_perm(9, 4)]),
+        "complete": lambda: complete_scheme(5),
+        "direct": lambda: build_product(qr7, k3, "direct"),
+        "wreath": lambda: build_product(qr7, k3, "wreath"),
+    }
+    corrupted = color_matrix(*corrupted_ladder_961())
+    valid = build_product(build_cyclotomic(31, 2), build_cyclotomic(31, 2), "direct")
+    calls, real = [], _kernels.row_zero_verdict
+
+    def spy(e, *args):
+        calls.append(e.shape[0])
+        return real(e, *args)
+
+    monkeypatch.setattr(_kernels, "row_zero_verdict", spy)
+    for kind, build in builds.items():
+        s = build()
+        assert calls == [s.n], kind
+        calls.clear()
+    with pytest.raises(InconsistentIntersectionNumber):
+        verify_axioms(corrupted)
+    assert calls == [961]
+    verify_axioms(valid.color)
+    assert calls == [961]
 
 
 def test_builder_tensor_mismatch_is_a_typed_error():

@@ -128,6 +128,26 @@ def test_verify_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_verify_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"5 2\n# caf\xe9\n" + PENTAGON.encode().split(b"\n", 1)[1])
+    assert main(["verify", str(f)]) == 2
+    assert f"cannot read {f}" in capsys.readouterr().err
+
+
+def test_verify_out_that_cannot_be_opened(pentagon_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["verify", pentagon_file, "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+def test_catalog_run_out_that_cannot_be_opened(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.jsonl"
+    argv = ["catalog-run", "--ids", "cyclo-5-2", "--checks", "axioms", "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
 def test_spectrum_text(pentagon_file, capsys):
     assert main(["spectrum", pentagon_file]) == 0
     out = capsys.readouterr().out
