@@ -15,11 +15,23 @@ the valid scheme.  For each call it prints each side's median and
 quartiles of process CPU time and of wall time per call and its minor
 page faults per call, for each clock the median change/parent ratio and
 the number of pairs the change won, then the same as one JSON line.
+
+Last come core.verify_axioms calls on the seven inputs of the perfbench
+ladder at seed 1 (`wl_ladder.make_inputs`, five valid and two corrupted),
+made by the change tree's builders and parsed once by its codec.  They
+run after the n = 961 calls on purpose: on a 2-vCPU machine a fresh
+process's OpenBLAS took a flat 16 ms per product at n ~ 100-260 until
+some n = 961 products had run, so timings taken before that warm-up
+mislead.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import ab_trees
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def colorings(catalog):
@@ -47,6 +59,21 @@ def verify(core, errors, entries, d, valid):
                 raise AssertionError("corrupted coloring accepted")
 
     return call
+
+
+def ladder_inputs(change):
+    """(name, entries, d, valid) of each perfbench ladder input at seed 1.
+    perfbench imports `ascheme`, so the change tree is loaded under that
+    name too; perfbench itself is only read."""
+    core = ab_trees.load(change, "ascheme", "core")
+    sys.path.insert(0, str(PERFBENCH))
+    import wl_ladder
+
+    out = []
+    for name, text, _, corrupted in wl_ladder.make_inputs(wl_ladder.LADDER, 1):
+        c = core.parse_scheme_file(text)
+        out.append((name, c.entries, c.d, corrupted is None))
+    return out
 
 
 def one_digit_text(entries):
@@ -100,11 +127,17 @@ def main():
         ("parse corrupted", lambda core, errors: parse(core, texts["corrupted"], bad)),
         ("emit valid", lambda core, errors: emit(core, valid, d, texts["valid"])),
     ]
+    for name, entries, dd, ok in ladder_inputs(args.change):
+        runs.append((
+            f"ladder {name}",
+            lambda core, errors, e=entries, dd=dd, ok=ok: verify(core, errors, e, dd, ok),
+        ))
     for label, make in runs:
         calls = {side: make(core, errors) for side, (core, errors, _) in mods.items()}
         for call in calls.values():
             call()
         ab_trees.report(ab_trees.alternate(calls, args.pairs), label)
+
 
 if __name__ == "__main__":
     main()

@@ -29,34 +29,61 @@ coloring's own structure leaves open:
   Both hold at every pair, scheme or not.
 
 Regular rows: one color derived.  When every row's counts equal row 0's,
-k, the kernel picks c, the color of largest row bound (lowest label
-first), makes no cell with right color c or left color t[c], and fills
-them at each class's first arc from the sums above:
-
-    p[a, c, l] = k_a - [l = a] - sum_{b not in {0, c}} p[a, b, l]     for a != t[c]
-    p[t[c], b, l] = k_{t[b]} - [l = b] - sum_{a not in {0, t[c]}} p[a, b, l]   for b != c
-
-and the corner (t[c], c) by the row sum of t[c].  These are the
-histograms at the first arcs, as the sums hold there.  A derived cell
-leaves its class value at a pair (x, y) of class l only if a computed
-cell (made directly or read as a transpose) leaves its own there.  For
+k, every first arc lies in row 0, and first_arc_counts reads p there with
+one bincount of m n keys.  The kernel picks c, the color of largest row
+bound (lowest label first), and makes no cell with right color c or left
+color t[c].  A derived cell leaves its class value at a pair (x, y) of
+class l only if a computed cell (made directly or read as a transpose)
+leaves its own there.  For p holds the sums above at each first arc, so
 if every C_ab with a != t[c] and b != c takes its class value at (x, y),
 then the row sums give C_ac(x, y) = p[a, c, l] for a != t[c], the column
 sums give C_{t[c] b}(x, y) = p[t[c], b, l] for b != c, and the row sum of
-t[c] gives the corner.  So the first violating pair is the first where a
-computed cell fails, and the witness rebuilt there is the scan's.  The
-t[c] row must not be read as the transposes of the p[., c] values: off a
-scheme, C_ac is not constant on a class, so its value at the transpose of
-l's first arc need not be p at the first arc of t[l].
+t[c] gives the corner (t[c], c).  So the first violating pair is the
+first where a computed cell fails, and the witness rebuilt there is the
+scan's.
+
+Generated algebras.  With regular rows the kernel first tries to prove
+axiom (4) with fewer products than the plan's (`certificate`).  Let W be
+the span of the A_i = [e == i] and M = sum_a x_a A_a, for integer weights
+x with x_0 = 0, and put T[l, b] = sum_a x_a p[a, b, l], which is M A_b at
+class l's first arc.  If M A_b = sum_l T[l, b] A_l for every b, then M
+maps W into W with matrix T, and M^j has coordinates T^j e_0.  If
+moreover e_0, T e_0, ..., T^d e_0 are independent, then I, M, ..., M^d
+span W, every A_a is a polynomial f_a(M), and A_a A_b = f_a(M) A_b lies
+in W.  So W is closed under products, which is axiom (4), and p is the
+tensor (Brouwer, Cohen and Neumaier 1989, 2.1).  The rank is taken
+modulo PRIME: a determinant nonzero there is nonzero over Q, and a short
+rank only leaves the proof to the plan.  The weights are x_a = a^k for
+the first k = 1, 2, ... of full rank.  Polynomials in one M commute, so a
+non-commutative W has no such M, and its rank is always short.
+
+Only the M A_b for b = 1..d but c are made.  M A_0 = M, and with regular
+rows MJ = sJ, s = sum_a x_a k_a, so M A_c = sJ - M - sum_{b not in {0,
+c}} M A_b; T[l, c] obeys the same sum, since p holds the row sums at each
+first arc.  One left operand M is gathered once and multiplied by packed
+right operands N = sum_b v_b A_b.  Digit bound: (M A_b)(x, y) = sum_a x_a
+C_ab(x, y), with C_ab <= min(rows[a], rows[t[b]]) and sum_a C_ab <=
+rows[t[b]], the count of b in column y.  So it is at most the greedy
+fill of rows[t[b]] by the heaviest weights first, itself at most
+max(x) rows[t[b]], on any input.  The v_b are a mixed radix over these
+bounds, smallest first, cut into blocks under 2^53 as in the packing
+below.  The bounds grow with k, so the search stops, and the plan runs,
+once they need as many products as the plan makes.  Each product is
+compared with its class table sum_b v_b T[e[x, y], b].  A difference at
+(x, y) means some C_ab(x, y) differs from p[a, b, e[x, y]], so (x, y)
+violates axiom (4): the kernel runs the plan from that index (see the
+cuts below), and the witness is the scan's.  Cyclotomic (31,2) squared
+(n = 961) takes 2 products this way where its plan makes 4, and
+cyclotomic (241,6) takes 1 where its plan makes 3.
 
 Irregular rows: row 0 decides first.  Let x0 be the first row whose
 counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a], so at the pair
 (x0, x0), of class 0 with first arc (0, 0), some C_{a t[a]} leaves its
 class value: the coloring is rejected.  Before any product,
-row_zero_verdict counts C_ab(0, y) for every y with one bincount, which
-holds each first arc in row 0.  Row 0 comes first in scan order, so the
-first y whose histogram differs from its class's is the first violation,
-and the witness is rebuilt there with no product made.  A scheme never
+row_zero_verdict counts C_ab(0, y) for every y with one bincount, and p
+at every first arc with first_arc_counts.  Row 0 comes first in scan
+order, so the first y whose histogram differs from its class's is the
+first violation, and the witness is rebuilt there with no product made.  A scheme never
 takes this step: its rows all hold k_i arcs of color i.  Every builder
 ends in the same step (builders._transitive_scheme), with first arcs in
 row 0, on a coloring that a group or the axioms let row 0 decide.  If
@@ -91,8 +118,9 @@ and is below U = prod_{a in L} (1 + s_a).  This is exact when U <= 2^53:
   nonnegative integer no larger than the packed value, so every partial
   sum BLAS forms, in any order, is an integer below 2^53 and float64
   holds it exactly;
-- each digit is below its radix, so the packed value decodes uniquely:
-  S_a = value mod u_{k+1} div u_k, C_ab = S_a mod v_{j+1} div v_j.
+- each digit is below its radix, so the packed value decodes uniquely,
+  S_a = value mod u_{k+1} div u_k and C_ab = S_a mod v_{j+1} div v_j,
+  and two packed values are equal iff all their digits are.
 
 The plan (`plan`) orders colors by row bound, largest first.  Then a
 right color b that color a needs has rows[t[b]] <= rows[a], so B_ab is
@@ -116,25 +144,28 @@ transposed first arcs; every cell is then seen, directly or transposed.
 The minimum over products is the first violating pair; a recount there
 gives the first color pair (a, b) whose count differs.
 
-Every product reads its class values, at the first arcs and at their
-transposes, as m dot products each of an operand row with an operand
-column, so they do not depend on which part of the product is made.
-Those sums are exact in any order for the same reason as the products:
-each term is 0 or a u_a v_b no larger than the packed value, so every
-partial sum is a nonnegative integer below 2^53.  Once a product has
-shown a violation at scan index bad, a later product matters only where
-it could show an earlier one.  Put r = bad // n + 1.  A direct cell that
-fails at pair (x, y) before bad has x <= bad // n, so it lies in rows < r
-of the product; a transposed cell C_ab^T fails at pair (y, x) where the
-product fails at (x, y), and y*n + x < bad puts that in columns < r.  So
-a later product makes only its rows < r and its columns < r, 2rn^2
-multiply-adds against n^3 for the whole product: the kernel cuts a
-product only while 2r < n, and otherwise makes it whole.  A rejected
-coloring then costs the products up to the first that fails, then
-2rn^2 multiply-adds and O(n^2) gathers for each later one, and p still
-holds the histogram at every class's first arc.  With irregular rows that
-row 0 does not reject, bad starts at x0 (n + 1), so every product is cut,
-from the first, to its rows and columns < x0 + 1 while 2(x0 + 1) < n.
+Every product's class values, at the first arcs and at their
+transposes, are packed from p: sum u_a v_b p[a, b, l], and sum u_a v_b
+p[t[b], t[a], l], as C_ab at the transpose of l's first arc is C_{t[b]
+t[a]} at the arc.  They do not depend on which part of the product is
+made, and they are exact in float64 for the same reason as the products:
+u_a v_b <= u_a s_a < U, so every partial product and sum is a nonnegative
+integer below 2^53.
+
+Once a product has shown a violation at scan index bad, a later product
+matters only where it could show an earlier one.  Put r = bad // n + 1.
+A direct cell that fails at pair (x, y) before bad has x <= bad // n, so
+it lies in rows < r of the product; a transposed cell C_ab^T fails at
+pair (y, x) where the product fails at (x, y), and y*n + x < bad puts
+that in columns < r.  So a later product makes only its rows < r and its
+columns < r, 2rn^2 multiply-adds against n^3 for the whole product: the
+kernel cuts a product only while 2r < n, and otherwise makes it whole.  A
+rejected coloring then costs the products up to the first that fails,
+then 2rn^2 multiply-adds and O(n^2) gathers for each later one.  bad
+starts at x0 (n + 1) when row 0 does not reject irregular rows, and at
+the mismatching index when a certificate's product fails; either way
+every product is cut, from the first, to its rows and columns < r while
+2r < n.
 
 Workspace.  Each call allocates its two operands and its product once,
 n x n float64 each, and fills them in place with np.take(...,
@@ -143,10 +174,12 @@ faults do not depend on what the heap keeps between products.  A cut
 product writes its rows < r and then its columns < r into the first 2rn
 entries of the product buffer.  Once the product is made, the operands
 are free: the class tables are gathered into the left one, and the bool
-mismatch is written over the first n^2 bytes of the right one.  With the
-intp copy of e that is 4 n x n float64 arrays, and O(mn) beside them.
-The row-0 step runs before the workspace exists and frees its n x n
-int64 keys and its n m^2 bins first.
+mismatch is written over the first n^2 bytes of the right one.  The
+certificate keeps M in the left operand for all its products, gathers
+each class table into the right one and subtracts it from the product in
+place.  With the intp copy of e that is 4 n x n float64 arrays, and
+O(mn) beside them.  The row-0 step runs before the workspace exists and
+frees its n x n int64 keys and its n m^2 bins first.
 """
 
 import math
@@ -158,6 +191,9 @@ from .errors import ViolationNotReproduced
 
 # float64 holds every integer up to here exactly
 EXACT = 2**53
+# the generation certificate's rank is taken modulo this prime: residues
+# below 2^28.98 keep a sum of 33 products of two below 2^63 in int64
+PRIME = 2**28 - 57
 
 
 def row_counts(e, d):
@@ -168,18 +204,26 @@ def row_counts(e, d):
     return counts.reshape(n, m)
 
 
+def first_arc_counts(e, d, fx, fy):
+    """p[a, b, l] = C_ab at class l's first arc (fx[l], fy[l]), from one
+    bincount of the m n keys l m^2 + e[fx[l], z] m + e[z, fy[l]]."""
+    m = d + 1
+    keys = e[fx] * m + e[:, fy].T
+    keys += np.arange(0, m**3, m * m)[:, None]
+    p = np.bincount(keys.ravel(), minlength=m**3).reshape(m, m, m)
+    return np.ascontiguousarray(p.transpose(1, 2, 0))
+
+
 def row_zero_verdict(e, d, fx, fy):
     """(p, witness): p[a, b, l] = C_ab at class l's first arc (fx[l], fy[l])
     and the unraised witness at the first (0, y) whose histogram differs
     from its class's, or None.  Each C_ab(0, y) is read from one bincount
-    of the n^2 keys y m^2 + e[0,z] m + e[z,y], a first arc off row 0 anew."""
+    of the n^2 keys y m^2 + e[0,z] m + e[z,y]."""
     n, m = e.shape[0], d + 1
     keys = e + np.arange(0, n * m * m, m * m, dtype=np.int64)
     keys += (e[0] * m)[:, None]
     row0 = np.bincount(keys.ravel(), minlength=n * m * m).reshape(n, m, m)
-    p = np.ascontiguousarray(row0[fy].transpose(1, 2, 0))
-    for l in np.flatnonzero(fx):
-        p[:, :, l] = pair_counts(e, fx[l], fy[l], d)
+    p = first_arc_counts(e, d, fx, fy)
     differs = (row0 != np.moveaxis(p, 2, 0)[e[0]]).any(axis=(1, 2))
     if not differs.any():
         return p, None
@@ -284,6 +328,66 @@ def plan(rows, t, c=None):
     return products
 
 
+def certificate(p, t, rows, c, most):
+    """The generation certificate of a coloring with regular rows (see the
+    module notes), or None: (x, blocks) for the first k = 1, 2, ... whose
+    weights x_a = a^k give a class matrix T[l, b] = sum_a x_a p[a, b, l]
+    with [e_0, T e_0, ..., T^d e_0] of full rank modulo PRIME, and whose
+    right colors, 1..d but the derived color c, pack into fewer than `most`
+    products.  x is int64, and blocks lists each product's right colors
+    and their weights, closed by the product of their radices."""
+    if most < 2:
+        return None
+    m = len(rows)
+    right = [b for b in range(1, m) if b != c]
+    # fill[b][a]: the count of left color a in the greedy fill of column
+    # count rows[t[b]], heaviest weight first; weights rise with a
+    fill = {}
+    for b in right:
+        left, fill[b] = rows[t[b]], [0] * m
+        for a in range(m - 1, 0, -1):
+            fill[b][a] = min(rows[a], left)
+            left -= fill[b][a]
+    k = 0
+    while True:
+        k += 1
+        x = [a**k for a in range(m)]
+        bound = {b: sum(w * f for w, f in zip(x, fill[b])) for b in right}
+        right.sort(key=bound.get)
+        cols = [bound[b] for b in right]
+        # one left operand, whose digits are the sums bound[b]; the bounds
+        # grow with k, so once they need `most` products they always will
+        starts = _cuts({cols[-1]: 1}, cols, most - 1)
+        if starts is None:
+            return None
+        xp = np.array([w % PRIME for w in x], dtype=np.int64)
+        if _krylov_full_rank(np.einsum("a,abl->lb", xp, p) % PRIME):
+            blocks = []
+            for lo, hi in zip(starts, starts[1:] + [len(right)]):
+                blocks.append((tuple(right[lo:hi]), _weights(cols[lo:hi])))
+            return np.array(x, dtype=np.int64), blocks
+
+
+def _krylov_full_rank(T):
+    """Whether e_0, T e_0, ..., T^d e_0 are independent modulo PRIME, for an
+    m x m int64 matrix T of residues: then they are independent over Q."""
+    m = len(T)
+    K = np.empty((m, m), dtype=np.int64)
+    v = np.zeros(m, dtype=np.int64)
+    v[0] = 1
+    for j in range(m):
+        K[j] = v
+        v = T @ v % PRIME
+    for j in range(m):
+        nz = np.flatnonzero(K[j:, j])
+        if not nz.size:
+            return False
+        K[[j, j + nz[0]]] = K[[j + nz[0], j]]
+        K[j] = K[j] * pow(int(K[j, j]), -1, PRIME) % PRIME
+        K[j + 1 :] = (K[j + 1 :] - K[j + 1 :, j, None] * K[j]) % PRIME
+    return True
+
+
 def tensor_and_verify(e, d, t):
     """All intersection numbers of a coloring, plus an axiom (4) verdict.
 
@@ -294,49 +398,78 @@ def tensor_and_verify(e, d, t):
     ok is False, witness holds (i, j, l, x1, y1, count1, x2, y2, count2)
     for the first two conflicting pairs in scan order.
 
-    When a row's counts differ from row 0's, first at row x0, the
-    coloring is rejected.  row_zero_verdict looks for the first violation
-    in row 0, with no product; if there is none there, the products start
-    from bad = x0 (n + 1).
+    p is counted at the first arcs before any product.  When a row's
+    counts differ from row 0's, first at row x0, the coloring is rejected.
+    row_zero_verdict looks for the first violation in row 0, with no
+    product; if there is none there, the products start from bad =
+    x0 (n + 1).
+
+    When every row's counts are row 0's, the generation certificate is
+    tried first, if it needs fewer products than the plan: one class
+    matrix M whose powers span the algebra, and the products of M with
+    the classes.  If they all take their class values, the coloring is a
+    scheme.  If one does not, the first index where it differs violates
+    axiom (4), and the plan runs from bad = that index.
 
     Once a product fails at scan index bad, or from that bound, each later
     product makes only its rows and columns < r = bad // n + 1: rows < r
     hold every direct cell that could fail before bad, and columns < r
-    every transposed one.
-    Its class values come from m dot products of an operand row with an
-    operand column, exact in any summation order as every term and
-    partial sum is a nonnegative integer below 2^53.  While 2r >= n the
-    product is made whole, so none costs more than n^3 multiply-adds.
+    every transposed one.  While 2r >= n the product is made whole, so
+    none costs more than n^3 multiply-adds.  e may be an intp array, which
+    the kernel then indexes by without a copy.
     """
     n = e.shape[0]
     m = d + 1
     t = np.asarray(t)
-    # every gather below indexes by this one copy: intp indices are not
-    # cast again on each take
-    idx = e.astype(np.intp)
+    # every gather below indexes by this one intp e: indices are not cast
+    # again on each take
+    idx = e.astype(np.intp, copy=False)
     counts = row_counts(idx, d)
     fx, fy = np.divmod(first_arcs(idx, counts), n)
     # the first row whose counts differ from row 0's, 0 if none: the pair
     # (x0, x0) then violates axiom (4), as C_{a t[a]}(x, x) counts a in row x
     x0 = int((counts != counts[0]).any(axis=1).argmax())
     rows = counts.max(axis=0).tolist()
-    c = None if x0 else derived_color(rows)
-    p = np.full((m, m, m), -1, dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    p[0] = p[:, 0] = eye
+    # c: the derived color; bad: the first violating scan index so far,
+    # n^2 for none
     if x0:
         # row 0 comes first in scan order: a pair (0, y) whose histogram
         # differs from its class's first arc's is the first violation
         p, witness = row_zero_verdict(idx, d, fx, fy)
         if witness is not None:
             return p, False, witness
-    # the first violating scan index so far, n^2 for none
-    bad = x0 * (n + 1) if x0 else n * n
+        c, bad = None, x0 * (n + 1)
+    else:
+        p = first_arc_counts(idx, d, fx, fy)
+        c, bad = derived_color(rows), n * n
+    products = plan(rows, t.tolist(), c)
     # the workspace (see the module notes); every take uses mode="clip",
     # which writes into out directly, where "raise" buffers the gather
     lhs, rhs, prod = np.empty((3, n, n))
+    found = certificate(p, t, rows, c, len(products)) if c is not None else None
+    if found:
+        x, blocks = found
+        np.take(x.astype(np.float64), idx, out=lhs, mode="clip")
+        for right, v in blocks:
+            wr = np.zeros(m)
+            wr[list(right)] = v[:-1]
+            np.take(wr, idx, out=rhs, mode="clip")
+            np.matmul(lhs, rhs, out=prod)
+            # M A_b on class l is sum_a x_a p[a, b, l], packed like the product
+            ref = np.einsum("a,j,ajl->l", x, np.array(v[:-1]), p[:, list(right)])
+            np.take(ref.astype(np.float64), idx, out=rhs, mode="clip")
+            np.subtract(prod, rhs, out=prod)
+            if prod.any():
+                # some C_ab leaves its class value here: run the plan from it
+                bad = int(np.argmax(prod != 0))
+                break
+        else:
+            # axiom (4) holds: the plan has nothing left to check
+            products = []
     mismatch = rhs.reshape(-1).view(np.bool_)
-    for left, right, u, v in plan(rows, t.tolist(), c):
+    # C_ab at the transpose of class l's first arc is p[t[b], t[a], l]
+    p_t = p[t][:, t].swapaxes(0, 1)
+    for left, right, u, v in products:
         # rows and columns < r hold every cell that can fail before bad;
         # once 2r >= n they cost more than the whole product
         r = bad // n + 1
@@ -347,8 +480,6 @@ def tensor_and_verify(e, d, t):
         wr[list(right)] = v[:-1]
         np.take(wl, idx, out=lhs, mode="clip")
         np.take(wr, idx, out=rhs, mode="clip")
-        ref = np.einsum("ij,ji->i", lhs[fx], rhs[:, fy])
-        ref_t = np.einsum("ij,ji->i", lhs[fy], rhs[:, fx])
         # the kernel's only products
         head = np.matmul(lhs[:r], rhs, out=prod[:r])
         if r == n:
@@ -356,6 +487,9 @@ def tensor_and_verify(e, d, t):
         else:
             side = prod.reshape(-1)[r * n : 2 * r * n].reshape(n, r)
             np.matmul(lhs, rhs[:, :r], out=side)
+        # the packed class values at each first arc and at its transpose
+        ref = np.einsum("a,b,abl->l", wl, wr, p)
+        ref_t = np.einsum("a,b,abl->l", wl, wr, p_t)
         np.take(ref, idx[:r], out=lhs[:r], mode="clip")
         head_mismatch = np.not_equal(head, lhs[:r], out=mismatch[: r * n].reshape(r, n))
         failed = bool(head_mismatch.any())
@@ -371,23 +505,6 @@ def tensor_and_verify(e, d, t):
             if cols.any():
                 y = int(np.argmax(cols))
                 bad = min(bad, y * n + int(np.argmax(side_mismatch[:, y])))
-        packed, packed_t = ref.astype(np.int64), ref_t.astype(np.int64)
-        for k, a in enumerate(left):
-            s = packed % u[k + 1] // u[k]
-            s_t = packed_t % u[k + 1] // u[k]
-            for j, b in enumerate(right):
-                p[a, b] = s % v[j + 1] // v[j]
-                p[t[b], t[a]] = s_t % v[j + 1] // v[j]
-    if c is not None:
-        # row sums for right color c, column sums for left color t[c],
-        # then the corner by the row sum of t[c]
-        k, tc = counts[0], t[c]
-        ra = [a for a in range(1, m) if a != tc]
-        rb = [b for b in range(1, m) if b != c]
-        made = p[ra][:, rb]
-        p[ra, c] = k[ra, None] - eye[ra] - made.sum(axis=1)
-        p[tc, rb] = k[t[rb], None] - eye[rb] - made.sum(axis=0)
-        p[tc, c] = k[tc] - eye[tc] - p[tc, rb].sum(axis=0)
     if bad == n * n:
         return p, True, np.full(9, -1, dtype=np.int64)
     return p, False, _witness(idx, d, p, fx, fy, *divmod(bad, n))

@@ -497,23 +497,26 @@ def verify_axioms(c):
     concrete witness on failure.  Non-commutative schemes are accepted and
     flagged; spectral operations reject them later.
     """
-    e = c.entries
     n, d = c.n, c.d
     m = d + 1
-    flat = e.ravel()
-    flat_t = np.ascontiguousarray(e.T).ravel()
+    # one intp copy of e: the pair keys and every gather in the kernel
+    # index by it, and bincount casts no keys
+    e = c.entries.astype(np.intp)
     # pairs[i, j] counts arcs (x, y) of color i with e[y, x] = j: the
     # transpose of class i is a class iff row i has one nonzero entry.  The
     # kernel finds the first arcs; they are needed here only to name the
     # first arc whose reverse breaks the rule.
-    pairs = np.bincount(flat * m + flat_t, minlength=m * m).reshape(m, m)
+    keys = e * m
+    keys += e.T
+    pairs = np.bincount(keys.ravel(), minlength=m * m).reshape(m, m)
+    del keys  # n x n; the kernel's peak must not carry it
     if (np.count_nonzero(pairs, axis=1) > 1).any():
-        t = flat_t[_kernels.first_arcs(e, _kernels.row_counts(e, d))]
-        x, y = divmod(int(np.flatnonzero(flat_t != t[flat])[0]), n)
+        x, y = np.divmod(_kernels.first_arcs(e, _kernels.row_counts(e, d)), n)
+        t = e[y, x]
+        x, y = divmod(int(np.flatnonzero(e.T != t[e])[0]), n)
         i = int(e[x, y])
         raise TransposeNotRelation(i, x, y, int(t[i]), int(e[y, x]))
     t = pairs.argmax(axis=1)
-    del flat_t  # n x n; the kernel's peak must not carry it
     p, ok, wit = _kernels.tensor_and_verify(e, d, t)
     if not ok:
         raise InconsistentIntersectionNumber.from_witness(wit)

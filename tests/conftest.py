@@ -135,6 +135,16 @@ def build_petersen():
     return canonical_form(scheme_from_entries(np.array(e), d=2))[0]
 
 
+def thin_s3():
+    """The thin scheme of S3, color of (x, y) the index of x^-1 y:
+    non-commutative, with three symmetric classes and one transpose pair."""
+    s3 = list(permutations(range(3)))
+    inv = [tuple(np.argsort(g)) for g in s3]
+    return scheme_from_entries(
+        [[s3.index(tuple(inv[x][i] for i in s3[y])) for y in range(6)] for x in range(6)]
+    )
+
+
 def srg_identities_hold(p):
     """Whether SrgParams p satisfies r + s = lambda - mu, rs = mu - k,
     k + m1 r + m2 s = 0 and m1 + m2 = n - 1, in integers: on the fields

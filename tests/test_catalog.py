@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,7 @@ from conftest import (
     field_neg,
     field_sub,
     reference_orbitals,
+    thin_s3,
     trivial_scheme,
 )
 
@@ -305,16 +306,6 @@ def _kernel_tensor(s):
     return verify_axioms(s.color).tensor.p
 
 
-def _thin_s3():
-    """The thin scheme of S3, color of (x, y) the index of x^-1 y:
-    non-commutative, with three symmetric classes and one transpose pair."""
-    s3 = list(permutations(range(3)))
-    inv = [tuple(np.argsort(g)) for g in s3]
-    return scheme_from_entries(
-        [[s3.index(tuple(inv[x][i] for i in s3[y])) for y in range(6)] for x in range(6)]
-    )
-
-
 def _no_kernel_calls(monkeypatch):
     """Make _kernels.tensor_and_verify record its calls and fail them."""
     calls = []
@@ -371,7 +362,7 @@ def test_product_tensors_equal_the_kernels(monkeypatch):
         "qr7": build_cyclotomic(7, 2),
         "cyclo-13-4": build_cyclotomic(13, 4),
         "cyclo-16-5": build_cyclotomic(16, 5),
-        "thin-s3": _thin_s3(),
+        "thin-s3": thin_s3(),
     }
     assert not factors["thin-s3"].is_commutative
     calls = _no_kernel_calls(monkeypatch)

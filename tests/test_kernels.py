@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascheme import _kernels
+from ascheme import _kernels, exactla
+from ascheme.builders import complete_scheme
 from ascheme.catalog import build_cyclotomic, build_product, catalog_scheme
 from ascheme.core import MAX_D, MAX_N, verify_axioms
 from ascheme.errors import ViolationNotReproduced
@@ -15,6 +16,7 @@ from conftest import (
     corrupted_ladder_961,
     run_kernel,
     scan_tensor_and_verify,
+    thin_s3,
     transpose_at_first_arcs,
 )
 
@@ -517,12 +519,12 @@ def test_kernel_peak_memory_on_reject_at_n_961():
 
 class _CountingNumpy:
     """numpy, with the shape and multiply-adds of every np.matmul call and
-    the np.bincount calls counted."""
+    the number of keys of every np.bincount call counted."""
 
     def __init__(self):
         self.macs = 0
         self.products = []
-        self.bincounts = 0
+        self.bincounts = []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -532,9 +534,9 @@ class _CountingNumpy:
         self.products.append((x.shape[0], y.shape[1]))
         return np.matmul(x, y, out=out)
 
-    def bincount(self, *args, **kwargs):
-        self.bincounts += 1
-        return np.bincount(*args, **kwargs)
+    def bincount(self, keys, *args, **kwargs):
+        self.bincounts.append(np.size(keys))
+        return np.bincount(keys, *args, **kwargs)
 
 
 def _spied_kernel(monkeypatch, e, d):
@@ -589,20 +591,30 @@ def test_kernel_falls_back_to_products_when_row_0_holds(monkeypatch):
 
 def test_regular_rows_build_no_row_0_histogram(monkeypatch, catalog):
     # every row of a scheme holds k_i arcs of color i, so the row-0 step
-    # never runs on one: the kernel's only bincount is its row counts
+    # never runs on one: its bincounts are the row counts, over n^2 keys,
+    # and the histograms at the first arcs, over m n keys
     s = _ladder_961()
+    monkeypatch.setattr(_kernels, "row_zero_verdict", _refuse_row_zero)
     for e, d in [(s.color.entries, s.d), *((c.color.entries, c.d) for c in catalog.values())]:
         _, ok, _, spy = _spied_kernel(monkeypatch, e, d)
-        assert ok and spy.bincounts == 1 and spy.products
+        n = e.shape[0]
+        assert ok and spy.bincounts == [n * n, (d + 1) * n] and spy.products
+
+
+def _refuse_row_zero(*args):
+    raise AssertionError("the row-0 step ran on regular rows")
 
 
 def test_kernel_work_at_n_961(monkeypatch):
-    # a valid coloring makes every planned product whole, and nothing more
+    # a valid coloring is certified by the class matrix M of weights a^k:
+    # its two products, M times the right colors but the derived one,
+    # packed, where the plan's 4 products, each made whole, were needed
     s = _ladder_961()
     e, d = s.color.entries, s.d
     ok, products = _kernel_macs(monkeypatch, e, d)
     assert ok
-    assert products == len(_plan(e, d)) == 4
+    assert products == 2
+    assert len(_plan(e, d)) == 4
 
 
 def test_verify_axioms_peak_memory_at_n_961():
@@ -652,3 +664,147 @@ def test_plan_sizes_of_the_two_wreaths_at_n_2009():
     a, b = build_cyclotomic(49, 24), build_cyclotomic(41, 8)
     assert _plan_sizes_under_relabeling(build_product(a, b, "wreath"), range(3)) == {23}
     assert _plan_sizes_under_relabeling(build_product(b, a, "wreath"), range(3)) == {53}
+
+
+# --- the generation certificate ---------------------------------------------
+
+LADDER_CYCLOTOMICS = [(101, 2), (241, 6), (256, 5), (257, 2)]
+
+
+def _certificate_inputs(e, d):
+    """(p, t, rows, c): the first-arc counts, the transpose map, the row
+    counts and the derived color that the kernel hands its certificate, for
+    a coloring with regular rows."""
+    e = e.astype(np.intp)
+    counts = _kernels.row_counts(e, d)
+    fx, fy = np.divmod(_kernels.first_arcs(e, counts), e.shape[0])
+    rows = counts[0].tolist()
+    p = _kernels.first_arc_counts(e, d, fx, fy)
+    return p, transpose_at_first_arcs(e, d), rows, _kernels.derived_color(rows)
+
+
+def _plan_only(monkeypatch, e, d):
+    """The kernel's (p, ok, witness) with no certificate: the plan alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "certificate", lambda *args: None)
+        return run_kernel(e, d)
+
+
+def _forced(monkeypatch, e, d):
+    """(p, ok, witness, found) of one kernel call that tries the certificate
+    however many products the plan makes; found lists, for each try,
+    whether a certificate was found."""
+    real, found = _kernels.certificate, []
+
+    def certificate(p, t, rows, c, most):
+        cert = real(p, t, rows, c, MAX_D + 1)
+        found.append(cert is not None)
+        return cert
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "certificate", certificate)
+        return (*run_kernel(e, d), found)
+
+
+def _assert_same(got, want):
+    """The same verdict, witness and p."""
+    assert got[1] == want[1]
+    assert (got[2] == want[2]).all()
+    assert (got[0] == want[0]).all()
+
+
+def _relabeled(s, seed):
+    """s's coloring under a seeded vertex permutation and class relabeling,
+    as the perfbench ladder makes its inputs."""
+    rng = np.random.default_rng(seed)
+    vperm = rng.permutation(s.n)
+    lut = np.zeros(s.d + 1, dtype=np.int64)
+    lut[1:] = 1 + rng.permutation(s.d)
+    return lut[s.color.entries[np.ix_(vperm, vperm)]]
+
+
+def test_certificate_matches_the_plan_and_the_scan_oracle(monkeypatch, catalog):
+    # each catalog entry's plan is one product, so the kernel would not try
+    # the certificate; tried anyway, a class matrix of weights a or a^2
+    # generates every commutative entry, and no weights generate the
+    # non-commutative thin S3 or thin S3 x K2, which take the plan
+    s3 = thin_s3()
+    sources = [*catalog.values(), s3, build_product(s3, complete_scheme(2), "direct")]
+    for s in sources:
+        e, d = s.color.entries, s.d
+        *got, found = _forced(monkeypatch, e, d)
+        assert found == [s.is_commutative]
+        _assert_same(got, _plan_only(monkeypatch, e, d))
+        _assert_same(got, scan_tensor_and_verify(e, d))
+
+
+def test_certificate_work_on_the_ladder_under_relabeling(monkeypatch):
+    # each ladder scheme under its own labels and 20 relabelings: the
+    # certificate gives the plan's p and verdict with fewer products, 2 at
+    # n = 961 where the plan makes 4 and 1 for (241, 6) where it makes 3,
+    # and never more products than the plan
+    expected = {961: 2, 241: 1, 256: 1}
+    for s in [*(build_cyclotomic(q, m) for q, m in LADDER_CYCLOTOMICS), _ladder_961()]:
+        for seed in [None, *range(20)]:
+            e = s.color.entries if seed is None else _relabeled(s, seed)
+            *got, spy = _spied_kernel(monkeypatch, e, s.d)
+            products = spy.macs / s.n**3
+            assert got[1]
+            assert products <= len(_plan(e, s.d))
+            assert products == expected.get(s.n, products)
+            _assert_same(got, _plan_only(monkeypatch, e, s.d))
+
+
+def test_certificate_mismatch_hands_the_plan_its_index(monkeypatch, catalog):
+    # rectangle switches keep every row's counts, so the certificate is
+    # tried (here whatever the plan's size).  On all but one of the 80
+    # rejected colorings a certificate is found and one of its products
+    # mismatches; the plan then starts from the first mismatching index, a
+    # violating pair, and finds the scan oracle's witness.  A few switches
+    # leave a scheme, which the certificate accepts
+    ladder = [build_cyclotomic(q, m) for q, m in LADDER_CYCLOTOMICS]
+    sources = [*(s for s in catalog.values() if s.d >= 2), *ladder, _small_direct()]
+    rejected = through = 0
+    for k, s in enumerate(sources):
+        for seed in range(2 if s.n <= 41 else 1):
+            e = _switched(s, np.random.default_rng([seed, k, 1]))
+            if e is None:
+                continue
+            *got, found = _forced(monkeypatch, e, s.d)
+            _assert_same(got, _plan_only(monkeypatch, e, s.d))
+            assert (got[2] == scan_tensor_and_verify(e, s.d)[2]).all()
+            rejected += not got[1]
+            through += found == [True] and not got[1]
+    assert rejected >= 70 and through >= rejected - 1
+
+
+def test_certificate_mismatch_cuts_the_plan_at_n_961(monkeypatch):
+    # a rectangle switch of the n = 961 ladder scheme: the kernel's own
+    # certificate runs, a product mismatches, and each of the plan's 4
+    # products is cut to the rows and columns before that index
+    s = _ladder_961()
+    n = s.n
+    e = _switched(s, np.random.default_rng(0))
+    p, ok, w, spy = _spied_kernel(monkeypatch, e, s.d)
+    assert not ok
+    _assert_same((p, ok, w), _plan_only(monkeypatch, e, s.d))
+    made = [shape for shape in spy.products if shape == (n, n)]
+    assert 1 <= len(made) <= 2 and spy.products[: len(made)] == made
+    cut = spy.products[len(made) :]
+    assert len(cut) == 2 * len(_plan(e, s.d)) and all(min(shape) < n // 2 for shape in cut)
+
+
+def test_certificate_at_a_later_power(catalog):
+    # direct-qr7-k2: the weights a give a class matrix T whose Krylov
+    # vectors e_0, T e_0, ..., T^d e_0 are dependent over Q, not only
+    # modulo the prime; the weights a^2 generate the algebra
+    s = catalog["direct-qr7-k2"]
+    p, t, rows, c = _certificate_inputs(s.color.entries, s.d)
+    T = np.einsum("a,abl->lb", np.arange(s.d + 1), p).tolist()
+    v, krylov = [1] + [0] * s.d, []
+    for _ in range(s.d + 1):
+        krylov.append(v)
+        v = [sum(a * b for a, b in zip(row, v)) for row in T]
+    assert exactla.rank(krylov) < s.d + 1
+    x, _ = _kernels.certificate(p, t, rows, c, MAX_D + 1)
+    assert x.tolist() == [a**2 for a in range(s.d + 1)]
