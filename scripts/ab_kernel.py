@@ -15,6 +15,9 @@ the valid scheme.  For each call it prints each side's median and
 quartiles of process CPU time and of wall time per call and its minor
 page faults per call, for each clock the median change/parent ratio and
 the number of pairs the change won, then the same as one JSON line.
+Beside each verify call's timings it prints the kernel products each
+tree makes on that coloring, read from the tree's own `_kernels.plan`
+and `_kernels.certificate`, so work shows up next to time.
 
 Last come core.verify_axioms calls on the seven inputs of the perfbench
 ladder at seed 1 (`wl_ladder.make_inputs`, five valid and two corrupted),
@@ -59,6 +62,26 @@ def verify(core, errors, entries, d, valid):
                 raise AssertionError("corrupted coloring accepted")
 
     return call
+
+
+def products(kernels, entries, d):
+    """The products a tree's axiom kernel makes on a coloring that passes
+    axiom (3), read from its own plan and certificate.  With regular rows
+    that is the certificate's blocks, or the plan's products when it finds
+    none; with irregular rows 0 when row 0 shows the violation, else None,
+    as the products are then cut and not counted here."""
+    e = entries.astype("intp")
+    n = e.shape[0]
+    counts = kernels.row_counts(e, d)
+    fx, fy = divmod(kernels.first_arcs(e, counts), n)
+    t = e[fy, fx]
+    if (counts != counts[0]).any():
+        return None if kernels.row_zero_verdict(e, d, fx, fy)[1] is None else 0
+    rows = counts[0].tolist()
+    c = kernels.derived_color(rows)
+    plan = kernels.plan(rows, t.tolist(), c)
+    found = kernels.certificate(kernels.first_arc_counts(e, d, fx, fy), t, rows, c, len(plan))
+    return len(found[1]) if found else len(plan)
 
 
 def ladder_inputs(change):
@@ -114,29 +137,36 @@ def main():
     ap.add_argument("--pairs", type=int, default=24)
     args = ap.parse_args()
     trees = {"parent": (args.parent, "ab_parent"), "change": (args.change, "ab_change")}
-    mods = {side: [ab_trees.load(tree, name, m) for m in ("core", "errors", "catalog")]
-            for side, (tree, name) in trees.items()}
+    mods = {
+        side: [ab_trees.load(tree, name, m) for m in ("core", "errors", "catalog", "_kernels")]
+        for side, (tree, name) in trees.items()
+    }
     valid, bad, d = colorings(mods["change"][2])
     # valid is in canonical labels, so its text is the emitted one, as
     # the emit call checks
     texts = {"valid": one_digit_text(valid), "corrupted": one_digit_text(bad)}
+    # (label, call maker, the coloring a verify call checks or None)
     runs = [
-        ("valid", lambda core, errors: verify(core, errors, valid, d, True)),
-        ("corrupted", lambda core, errors: verify(core, errors, bad, d, False)),
-        ("parse valid", lambda core, errors: parse(core, texts["valid"], valid)),
-        ("parse corrupted", lambda core, errors: parse(core, texts["corrupted"], bad)),
-        ("emit valid", lambda core, errors: emit(core, valid, d, texts["valid"])),
+        ("valid", lambda core, errors: verify(core, errors, valid, d, True), (valid, d)),
+        ("corrupted", lambda core, errors: verify(core, errors, bad, d, False), (bad, d)),
+        ("parse valid", lambda core, errors: parse(core, texts["valid"], valid), None),
+        ("parse corrupted", lambda core, errors: parse(core, texts["corrupted"], bad), None),
+        ("emit valid", lambda core, errors: emit(core, valid, d, texts["valid"]), None),
     ]
     for name, entries, dd, ok in ladder_inputs(args.change):
         runs.append((
             f"ladder {name}",
             lambda core, errors, e=entries, dd=dd, ok=ok: verify(core, errors, e, dd, ok),
+            (entries, dd),
         ))
-    for label, make in runs:
-        calls = {side: make(core, errors) for side, (core, errors, _) in mods.items()}
+    for label, make, coloring in runs:
+        calls = {side: make(core, errors) for side, (core, errors, _, _) in mods.items()}
         for call in calls.values():
             call()
-        ab_trees.report(ab_trees.alternate(calls, args.pairs), label)
+        work = None
+        if coloring is not None:
+            work = {side: products(mod[3], *coloring) for side, mod in mods.items()}
+        ab_trees.report(ab_trees.alternate(calls, args.pairs), label, work)
 
 
 if __name__ == "__main__":

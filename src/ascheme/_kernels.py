@@ -53,9 +53,19 @@ span W, every A_a is a polynomial f_a(M), and A_a A_b = f_a(M) A_b lies
 in W.  So W is closed under products, which is axiom (4), and p is the
 tensor (Brouwer, Cohen and Neumaier 1989, 2.1).  The rank is taken
 modulo PRIME: a determinant nonzero there is nonzero over Q, and a short
-rank only leaves the proof to the plan.  The weights are x_a = a^k for
-the first k = 1, 2, ... of full rank.  Polynomials in one M commute, so a
-non-commutative W has no such M, and its rank is always short.
+rank only leaves the proof to the plan.  Polynomials in one M commute,
+so a non-commutative W has no such M, and its rank is always short.
+
+The weights.  Any x >= 0 serves, and the kernel keeps the x of fewest
+products among its families: x_a = a^k, k rising, and then (j, j-1, ...,
+1)^k on the j lightest classes (by row bound, ties by label), j rising,
+for k = 2 and then 1.  Along a family no weight falls, so no digit
+bound below falls and the cuts (each the longest run of radices under
+2^53) need no fewer products: a family ends at its first x of full rank
+or once it needs as many products as the best so far (the plan's at
+first), and one product ends the search.  T^j e_0 is 0 outside the
+set that x's support generates (closed under l when p[a, b, l] > 0 for
+a, b in it), so lightest classes that generate fewer are not tried.
 
 Only the M A_b for b = 1..d but c are made.  M A_0 = M, and with regular
 rows MJ = sJ, s = sum_a x_a k_a, so M A_c = sJ - M - sum_{b not in {0,
@@ -64,17 +74,17 @@ first arc.  One left operand M is gathered once and multiplied by packed
 right operands N = sum_b v_b A_b.  Digit bound: (M A_b)(x, y) = sum_a x_a
 C_ab(x, y), with C_ab <= min(rows[a], rows[t[b]]) and sum_a C_ab <=
 rows[t[b]], the count of b in column y.  So it is at most the greedy
-fill of rows[t[b]] by the heaviest weights first, itself at most
-max(x) rows[t[b]], on any input.  The v_b are a mixed radix over these
-bounds, smallest first, cut into blocks under 2^53 as in the packing
-below.  The bounds grow with k, so the search stops, and the plan runs,
-once they need as many products as the plan makes.  Each product is
-compared with its class table sum_b v_b T[e[x, y], b].  A difference at
-(x, y) means some C_ab(x, y) differs from p[a, b, e[x, y]], so (x, y)
-violates axiom (4): the kernel runs the plan from that index (see the
-cuts below), and the witness is the scan's.  Cyclotomic (31,2) squared
-(n = 961) takes 2 products this way where its plan makes 4, and
-cyclotomic (241,6) takes 1 where its plan makes 3.
+fill of rows[t[b]] by the heaviest weights first, whatever their labels,
+itself at most max(x) rows[t[b]], on any input.  The v_b are a mixed
+radix over these bounds, smallest first, cut into blocks under 2^53 as in
+the packing below.  Each product is compared with its class table sum_b
+v_b T[e[x, y], b].  A difference at (x, y) means some C_ab(x, y) differs
+from p[a, b, e[x, y]], so (x, y) violates axiom (4): the kernel runs the
+plan from that index (see the cuts below), and the witness is the
+scan's.  Cyclotomic (31,2) squared (n = 961) takes 1 product this way,
+with weights 9, 4, 1 on three classes of valency 15, where weights a^k
+took 2 and its plan makes 4; cyclotomic (241,6) takes 1 where its plan
+makes 3.
 
 Irregular rows: row 0 decides first.  Let x0 be the first row whose
 counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a], so at the pair
@@ -330,42 +340,61 @@ def plan(rows, t, c=None):
 
 def certificate(p, t, rows, c, most):
     """The generation certificate of a coloring with regular rows (see the
-    module notes), or None: (x, blocks) for the first k = 1, 2, ... whose
-    weights x_a = a^k give a class matrix T[l, b] = sum_a x_a p[a, b, l]
-    with [e_0, T e_0, ..., T^d e_0] of full rank modulo PRIME, and whose
-    right colors, 1..d but the derived color c, pack into fewer than `most`
-    products.  x is int64, and blocks lists each product's right colors
+    module notes), or None: (x, blocks) for the weights x, among the
+    families tried, of full Krylov rank modulo PRIME whose right colors,
+    1..d but the derived color c, pack into the fewest products, fewer
+    than `most`.  x is int64, and blocks lists each product's right colors
     and their weights, closed by the product of their radices."""
     if most < 2:
         return None
+    right = [b for b in range(1, len(rows)) if b != c]
+    found = None
+    for family in _families(p, rows):
+        for x in family:
+            # fill[r]: the greedy fill of column count r, heaviest weight first
+            heavy = sorted(zip(x, rows), reverse=True)
+            before = np.cumsum([0, *(k for _, k in heavy)]).tolist()
+            fill = {r: sum(w * min(k, max(r - s, 0)) for (w, k), s in zip(heavy, before))
+                    for r in set(rows)}
+            right.sort(key=lambda b: fill[rows[t[b]]])
+            cols = [fill[rows[t[b]]] for b in right]
+            starts = _cuts({cols[-1]: 1}, cols, most - 1)
+            if starts is None:
+                break
+            if _krylov_full_rank(np.einsum("a,abl->lb", np.array(x) % PRIME, p) % PRIME):
+                ends = starts[1:] + [len(right)]
+                blocks = [(tuple(right[i:j]), _weights(cols[i:j])) for i, j in zip(starts, ends)]
+                found, most = (np.array(x, dtype=np.int64), blocks), len(blocks)
+                break
+        if most == 1:
+            break
+    return found
+
+
+def _families(p, rows):
+    """The certificate's weight families, in search order, each a sequence
+    of weights along which no weight falls (see the module notes)."""
     m = len(rows)
-    right = [b for b in range(1, m) if b != c]
-    # fill[b][a]: the count of left color a in the greedy fill of column
-    # count rows[t[b]], heaviest weight first; weights rise with a
-    fill = {}
-    for b in right:
-        left, fill[b] = rows[t[b]], [0] * m
-        for a in range(m - 1, 0, -1):
-            fill[b][a] = min(rows[a], left)
-            left -= fill[b][a]
-    k = 0
-    while True:
-        k += 1
-        x = [a**k for a in range(m)]
-        bound = {b: sum(w * f for w, f in zip(x, fill[b])) for b in right}
-        right.sort(key=bound.get)
-        cols = [bound[b] for b in right]
-        # one left operand, whose digits are the sums bound[b]; the bounds
-        # grow with k, so once they need `most` products they always will
-        starts = _cuts({cols[-1]: 1}, cols, most - 1)
-        if starts is None:
-            return None
-        xp = np.array([w % PRIME for w in x], dtype=np.int64)
-        if _krylov_full_rank(np.einsum("a,abl->lb", xp, p) % PRIME):
-            blocks = []
-            for lo, hi in zip(starts, starts[1:] + [len(right)]):
-                blocks.append((tuple(right[lo:hi]), _weights(cols[lo:hi])))
-            return np.array(x, dtype=np.int64), blocks
+    # a^k ends by k = 53, where x_d = d^k alone passes EXACT
+    yield ([a**k for a in range(m)] for k in range(1, 54))
+    light = sorted(range(1, m), key=rows.__getitem__)
+    pos = [m] + [light.index(a) for a in range(1, m)]
+    j0 = _generating(p, light)
+    for k in (2, 1):
+        yield ([max(j - pos[a], 0) ** k for a in range(m)] for j in range(j0, m))
+
+
+def _generating(p, order):
+    """The least j such that {0} and order[:j] generate every class, closed
+    under l whenever p[a, b, l] > 0 for a and b in the set.  Weights inside
+    a smaller closed set keep T's Krylov vectors in its coordinates."""
+    closed = np.arange(len(p)) == 0
+    for j, a in enumerate(order, 1):
+        closed[a] = True
+        while (new := p[np.ix_(closed, closed)].any(axis=(0, 1)) > closed).any():
+            closed |= new
+        if closed.all():
+            return j
 
 
 def _krylov_full_rank(T):
@@ -379,12 +408,13 @@ def _krylov_full_rank(T):
         K[j] = v
         v = T @ v % PRIME
     for j in range(m):
-        nz = np.flatnonzero(K[j:, j])
-        if not nz.size:
+        i = j + int(np.argmax(K[j:, j] != 0))
+        if not K[i, j]:
             return False
-        K[[j, j + nz[0]]] = K[[j + nz[0], j]]
-        K[j] = K[j] * pow(int(K[j, j]), -1, PRIME) % PRIME
-        K[j + 1 :] = (K[j + 1 :] - K[j + 1 :, j, None] * K[j]) % PRIME
+        if i > j:
+            K[[j, i]] = K[[i, j]]
+        # fraction-free: each product of two residues is below 2^56
+        K[j + 1 :, j:] = (K[j + 1 :, j:] * K[j, j] - K[j + 1 :, j, None] * K[j, j:]) % PRIME
     return True
 
 

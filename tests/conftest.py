@@ -290,6 +290,67 @@ def scan_tensor_and_verify(e, d):
     return p, True, wit
 
 
+def reference_certificate(p, t, rows, c, most):
+    """The kernel's earlier certificate search, kept as an oracle for the
+    number of products: (x, blocks) for the first k = 1, 2, ... whose
+    weights x_a = a^k give a class matrix T[l, b] = sum_a x_a p[a, b, l]
+    with [e_0, T e_0, ..., T^d e_0] of full rank modulo PRIME, and whose
+    right colors, 1..d but the derived color c, pack into fewer than `most`
+    products.  x is int64, and blocks lists each product's right colors
+    and their weights, closed by the product of their radices."""
+    if most < 2:
+        return None
+    m = len(rows)
+    right = [b for b in range(1, m) if b != c]
+    # fill[b][a]: the count of left color a in the greedy fill of column
+    # count rows[t[b]], heaviest weight first; weights rise with a
+    fill = {}
+    for b in right:
+        left, fill[b] = rows[t[b]], [0] * m
+        for a in range(m - 1, 0, -1):
+            fill[b][a] = min(rows[a], left)
+            left -= fill[b][a]
+    k = 0
+    while True:
+        k += 1
+        x = [a**k for a in range(m)]
+        bound = {b: sum(w * f for w, f in zip(x, fill[b])) for b in right}
+        right.sort(key=bound.get)
+        cols = [bound[b] for b in right]
+        # one left operand, whose digits are the sums bound[b]; the bounds
+        # grow with k, so once they need `most` products they always will
+        starts = _kernels._cuts({cols[-1]: 1}, cols, most - 1)
+        if starts is None:
+            return None
+        xp = np.array([w % _kernels.PRIME for w in x], dtype=np.int64)
+        if _reference_krylov_full_rank(np.einsum("a,abl->lb", xp, p) % _kernels.PRIME):
+            blocks = []
+            for lo, hi in zip(starts, starts[1:] + [len(right)]):
+                blocks.append((tuple(right[lo:hi]), _kernels._weights(cols[lo:hi])))
+            return np.array(x, dtype=np.int64), blocks
+
+
+def _reference_krylov_full_rank(T):
+    """Whether e_0, T e_0, ..., T^d e_0 are independent modulo PRIME, for an
+    m x m int64 matrix T of residues, by elimination with unit pivots."""
+    prime = _kernels.PRIME
+    m = len(T)
+    K = np.empty((m, m), dtype=np.int64)
+    v = np.zeros(m, dtype=np.int64)
+    v[0] = 1
+    for j in range(m):
+        K[j] = v
+        v = T @ v % prime
+    for j in range(m):
+        nz = np.flatnonzero(K[j:, j])
+        if not nz.size:
+            return False
+        K[[j, j + nz[0]]] = K[[j + nz[0], j]]
+        K[j] = K[j] * pow(int(K[j, j]), -1, prime) % prime
+        K[j + 1 :] = (K[j + 1 :] - K[j + 1 :, j, None] * K[j]) % prime
+    return True
+
+
 def compile_stripped(module):
     """A fresh copy of an ascheme module compiled with optimize=1, which
     strips assert statements as python -O does.  Its functions read their

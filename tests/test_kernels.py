@@ -14,6 +14,7 @@ from conftest import (
     brute_intersection_numbers,
     compile_stripped,
     corrupted_ladder_961,
+    reference_certificate,
     run_kernel,
     scan_tensor_and_verify,
     thin_s3,
@@ -606,14 +607,15 @@ def _refuse_row_zero(*args):
 
 
 def test_kernel_work_at_n_961(monkeypatch):
-    # a valid coloring is certified by the class matrix M of weights a^k:
-    # its two products, M times the right colors but the derived one,
-    # packed, where the plan's 4 products, each made whole, were needed
+    # a valid coloring is certified by one class matrix M, weights 9, 4, 1
+    # on three classes of valency 15: one product, M times the right colors
+    # but the derived one, packed, where weights a^k took 2 and the plan's
+    # 4 products, each made whole, were needed
     s = _ladder_961()
     e, d = s.color.entries, s.d
     ok, products = _kernel_macs(monkeypatch, e, d)
     assert ok
-    assert products == 2
+    assert products == 1
     assert len(_plan(e, d)) == 4
 
 
@@ -740,10 +742,10 @@ def test_certificate_matches_the_plan_and_the_scan_oracle(monkeypatch, catalog):
 
 def test_certificate_work_on_the_ladder_under_relabeling(monkeypatch):
     # each ladder scheme under its own labels and 20 relabelings: the
-    # certificate gives the plan's p and verdict with fewer products, 2 at
-    # n = 961 where the plan makes 4 and 1 for (241, 6) where it makes 3,
-    # and never more products than the plan
-    expected = {961: 2, 241: 1, 256: 1}
+    # certificate gives the plan's p and verdict with fewer products, 1 at
+    # n = 961 where the plan makes 4 (and weights a^k took 2), 1 for
+    # (241, 6) where it makes 3, and never more products than the plan
+    expected = {961: 1, 241: 1, 256: 1}
     for s in [*(build_cyclotomic(q, m) for q, m in LADDER_CYCLOTOMICS), _ladder_961()]:
         for seed in [None, *range(20)]:
             e = s.color.entries if seed is None else _relabeled(s, seed)
@@ -794,17 +796,107 @@ def test_certificate_mismatch_cuts_the_plan_at_n_961(monkeypatch):
     assert len(cut) == 2 * len(_plan(e, s.d)) and all(min(shape) < n // 2 for shape in cut)
 
 
+def _krylov_rank(p, x):
+    """The rank over Q of e_0, T e_0, ..., T^d e_0 for T[l, b] = sum_a x_a
+    p[a, b, l], in Python ints, with no use of the kernel's prime."""
+    m = len(x)
+    T = [[sum(int(x[a]) * int(p[a, b, l]) for a in range(m)) for b in range(m)] for l in range(m)]
+    v, krylov = [1] + [0] * (m - 1), []
+    for _ in range(m):
+        krylov.append(v)
+        v = [sum(a * b for a, b in zip(row, v)) for row in T]
+    return exactla.rank(krylov)
+
+
 def test_certificate_at_a_later_power(catalog):
     # direct-qr7-k2: the weights a give a class matrix T whose Krylov
     # vectors e_0, T e_0, ..., T^d e_0 are dependent over Q, not only
-    # modulo the prime; the weights a^2 generate the algebra
+    # modulo the prime; the certificate found generates the algebra
     s = catalog["direct-qr7-k2"]
     p, t, rows, c = _certificate_inputs(s.color.entries, s.d)
-    T = np.einsum("a,abl->lb", np.arange(s.d + 1), p).tolist()
-    v, krylov = [1] + [0] * s.d, []
-    for _ in range(s.d + 1):
-        krylov.append(v)
-        v = [sum(a * b for a, b in zip(row, v)) for row in T]
-    assert exactla.rank(krylov) < s.d + 1
+    assert _krylov_rank(p, range(s.d + 1)) < s.d + 1
     x, _ = _kernels.certificate(p, t, rows, c, MAX_D + 1)
-    assert x.tolist() == [a**2 for a in range(s.d + 1)]
+    assert _krylov_rank(p, x) == s.d + 1
+
+
+def _products(found, most):
+    """The number of products a certificate search leaves the kernel to
+    make: its blocks, or the plan's `most` when it finds none."""
+    return most if found is None else len(found[1])
+
+
+def _bounds(blocks):
+    """{b: the digit bound of right color b}, read from each block's mixed
+    radix."""
+    return {b: v[i + 1] // v[i] - 1 for right, v in blocks for i, b in enumerate(right)}
+
+
+@pytest.fixture(scope="module")
+def certificate_cases(catalog):
+    """(name, p, t, rows, c, most) of every certificate input checked
+    below: each catalog entry, thin S3 and thin S3 x K2 with the search
+    forced (most = MAX_D + 1), then with the plan's own count the ladder
+    schemes under their own labels and 20 relabelings, cyclotomic (13, 4)
+    squared and both wreaths of (49, 24) and (41, 8), at n = 2009."""
+    s3 = thin_s3()
+    forced = [*catalog.items(), ("thin-s3", s3)]
+    forced.append(("thin-s3-k2", build_product(s3, complete_scheme(2), "direct")))
+    cases = [
+        (name, *_certificate_inputs(s.color.entries, s.d), MAX_D + 1) for name, s in forced
+    ]
+    a, b, c = build_cyclotomic(49, 24), build_cyclotomic(41, 8), build_cyclotomic(13, 4)
+    ladder = [*(build_cyclotomic(q, m) for q, m in LADDER_CYCLOTOMICS), _ladder_961()]
+    for name, s, seeds in [
+        *((f"ladder-{s.n}", s, range(20)) for s in ladder),
+        ("(13,4)^2", build_product(c, c, "direct"), []),
+        ("(49,24)wr(41,8)", build_product(a, b, "wreath"), []),
+        ("(41,8)wr(49,24)", build_product(b, a, "wreath"), []),
+    ]:
+        for seed in [None, *seeds]:
+            e = s.color.entries if seed is None else _relabeled(s, seed)
+            cases.append((name, *_certificate_inputs(e, s.d), len(_plan(e, s.d))))
+    return cases
+
+
+def test_certificate_never_needs_more_products_than_weights_a_k(certificate_cases):
+    # the search over the lightest classes keeps weights a^k among its
+    # candidates, so it never leaves more products than that search did;
+    # no weights generate the non-commutative thin S3 or thin S3 x K2
+    counts = {}
+    for name, p, t, rows, c, most in certificate_cases:
+        found = _kernels.certificate(p, t, rows, c, most)
+        oracle = reference_certificate(p, t, rows, c, most)
+        assert _products(found, most) <= _products(oracle, most), name
+        if name.startswith("thin-s3"):
+            assert found is None and oracle is None
+        counts.setdefault(name, set()).add((_products(oracle, most), _products(found, most)))
+    assert counts["ladder-961"] == {(2, 1)}
+    assert counts["(13,4)^2"] == {(4, 3)}
+    assert counts["(49,24)wr(41,8)"] == {(5, 5)}
+    assert counts["(41,8)wr(49,24)"] == {(7, 6)}
+
+
+def test_certificate_weights_generate_the_algebra_over_q(certificate_cases):
+    # the proof needs e_0, T e_0, ..., T^d e_0 independent over Q: every
+    # certificate returned has that rank in exact integers
+    for name, p, t, rows, c, most in certificate_cases:
+        found = _kernels.certificate(p, t, rows, c, most)
+        if found is not None:
+            assert _krylov_rank(p, found[0]) == len(rows), name
+
+
+def test_certificate_digit_bounds_hold_on_the_products(catalog):
+    # the packing is exact only if no digit passes its radix: the largest
+    # entry of the true product M A_b is at most the bound of b, on the
+    # ladder schemes and the catalog entries with the search forced
+    ladder = [*(build_cyclotomic(q, m) for q, m in LADDER_CYCLOTOMICS), _ladder_961()]
+    for s in [*catalog.values(), *ladder]:
+        e, d = s.color.entries, s.d
+        p, t, rows, c = _certificate_inputs(e, d)
+        found = _kernels.certificate(p, t, rows, c, MAX_D + 1)
+        if found is None:
+            continue
+        x, blocks = found
+        M = x.astype(np.float64)[e]
+        for b, bound in _bounds(blocks).items():
+            assert (M @ (e == b)).max() <= bound, (s.n, b)
