@@ -17,18 +17,24 @@ translation schemes), and a product of schemes is a scheme
 (Brouwer-Cohen-Neumaier 1989).  verify_axioms and its kernel serve
 colorings from outside and the catalog's axioms cross-check.
 
-DEFAULT_CATALOG maps ids to zero-argument builders; catalog_scheme builds
-one entry.  The battery that checks the entries is in catalog; this
+DEFAULT_CATALOG maps ids to zero-argument builders.  FAMILIES names the
+battery's families: the catalog, in sorted id order, and two sweeps of
+cyclotomic schemes, each an ordered {id: builder} table that family_table
+makes on first use, never at import.  catalog_scheme builds one entry of
+a family.  The battery that checks the entries is in catalog; this
 module imports none of the deciders, so `ascheme build` loads only core,
 finitefield and numpy besides it.
 """
 
+from functools import cache, partial
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
 from . import _kernels
 from .core import (
+    MAX_N,
     IntersectionTensor,
     Scheme,
     canonical_form,
@@ -57,9 +63,10 @@ def complete_scheme(n):
 
 
 def _prime_power(q):
+    """(p, k) with q = p^k, the least factor found below isqrt(q)."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    p = min(f for f in range(2, q + 1) if q % f == 0)
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
     k = 0
     while q % p == 0:
         q //= p
@@ -120,7 +127,7 @@ def build_cyclotomic(q, m):
     _transitive_scheme verifies it from row 0.  The difference table is
     an int32 array built one base-p digit at a time, so the build peaks
     near two q x q int64 arrays.  size_guard raises TooLarge for q > MAX_N
-    or m > MAX_D before the O(q) factor search.
+    or m > MAX_D before the O(sqrt q) factor search.
     """
     size_guard(q, m)
     p, k = _prime_power(q)
@@ -316,13 +323,58 @@ DEFAULT_CATALOG.update(
 )
 
 
+def _prime_powers(lo, hi):
+    """Prime powers q with lo <= q <= hi, ascending."""
+    out = []
+    for q in range(lo, hi + 1):
+        try:
+            _prime_power(q)
+        except NotPrime:
+            continue
+        out.append(q)
+    return out
+
+
+def _cyclotomic_table(qm):
+    return {f"cyclo-{q}-{m}": partial(build_cyclotomic, q, m) for q, m in qm}
+
+
+# the battery's families, each an ordered {id: builder} table made on first use:
+#   catalog         DEFAULT_CATALOG in sorted id order, the default;
+#   cyclotomic      every (q, m) with q a prime power, q <= 257, 2 <= m <= 6
+#                   and m dividing q - 1: 174 schemes, in (q, m) order;
+#   nonsymmetric-4  (q, 4) for every prime power q = 5 (mod 8) with
+#                   257 < q <= MAX_N: 131 skew-symmetric 4-class schemes,
+#                   the paper's application, in q order.
+FAMILIES = {
+    "catalog": cache(lambda: dict(sorted(DEFAULT_CATALOG.items()))),
+    "cyclotomic": cache(lambda: _cyclotomic_table(
+        (q, m) for q in _prime_powers(2, 257) for m in range(2, 7) if (q - 1) % m == 0
+    )),
+    "nonsymmetric-4": cache(lambda: _cyclotomic_table(
+        (q, 4) for q in _prime_powers(258, MAX_N) if q % 8 == 5
+    )),
+}
+
+
+def family_table(name):
+    """The ordered {id: builder} table of the family called name."""
+    try:
+        make = FAMILIES[name]
+    except KeyError:
+        raise KeyError(f"unknown family {name!r}; choose from {list(FAMILIES)}") from None
+    return make()
+
+
 def catalog_ids():
     return list(DEFAULT_CATALOG)
 
 
-def catalog_scheme(entry_id):
+def catalog_scheme(entry_id, family="catalog"):
+    """The scheme of one entry of a family, the bundled catalog by default."""
+    table = family_table(family)
     try:
-        build = DEFAULT_CATALOG[entry_id]
+        build = table[entry_id]
     except KeyError:
-        raise KeyError(f"unknown catalog id {entry_id!r}") from None
+        raise KeyError(f"unknown {family} id {entry_id!r}") from None
     return build()

@@ -1,15 +1,17 @@
-"""The catalog battery: every check on every catalog entry.
+"""The catalog battery: every check on every entry of a family.
 
-run_catalog builds each entry of builders.DEFAULT_CATALOG and runs the
-checks of CHECKS on it, in that order: the axioms, the character table,
-fusion, amorphicity, generating unions, SRG unions and the five theorem
-checks of THEOREMS.  It emits one JSON-ready record per (entry, check); a
-check that raises is captured in its record's error field.  The axioms
-check runs the kernel on every entry's coloring and compares its tensor
-with the one the builder handed over.
+run_catalog builds each entry of one of builders.FAMILIES, the bundled
+catalog by default, and runs the checks of CHECKS on it, in that order:
+the axioms, the character table, fusion, amorphicity, generating unions,
+SRG unions and the five theorem checks of THEOREMS.  It emits one
+JSON-ready record per (entry, check); a check that raises is captured in
+its record's error field.  The axioms check runs the kernel on every
+entry's coloring and compares its tensor with the one the builder handed
+over.
 
 build_cyclotomic and build_product stay importable from here too, where
-perfbench's ladder reads them.
+perfbench's ladder reads them, and so does catalog_ids, which its catalog
+workload reads.
 """
 
 import json
@@ -17,7 +19,7 @@ import json
 import numpy as np
 
 from . import _CHECKS, fusion, generator, spectra, srg
-from .builders import build_cyclotomic, build_product, catalog_ids, catalog_scheme
+from .builders import build_cyclotomic, build_product, catalog_ids, catalog_scheme, family_table
 from .core import json_default, mask_unions, verify_axioms
 from .errors import BuilderTensorMismatch, InfeasibleParameters, NotStronglyRegular
 from .spectra import RESID_TOL
@@ -211,28 +213,37 @@ def _run_checks(s, checks):
 
 
 def _run_entry(args):
-    eid, checks = args
+    eid, checks, family = args
     try:
-        s = catalog_scheme(eid)
+        s = catalog_scheme(eid, family)
     except Exception as exc:
         error = f"build failed: {type(exc).__name__}: {exc}"
         return eid, [_record(name, error) for name in checks]
     return eid, _run_checks(s, checks)
 
 
-def run_catalog(entry_ids=None, checks=None, workers=1):
-    """Run verification checks over catalog entries.
+def run_catalog(entry_ids=None, checks=None, workers=1, family="catalog"):
+    """Run verification checks over the entries of a family.
 
-    Returns a list of JSON-ready records ordered by (entry id, check
-    order), one per (entry, check): an entry or check named twice runs
-    once.  Per-entry failures are captured in the record's error field and
+    family names one of builders.FAMILIES; the default is the bundled
+    catalog, whose ids run in sorted order.  Returns a list of JSON-ready
+    records ordered by (the family's entry order, check order), one per
+    (entry, check): an entry or check named twice runs once, and ids
+    outside the family come last, sorted.  Every entry is built through
+    catalog_scheme.  Per-entry failures, a build that raises or an
+    unknown id among them, are captured in the record's error field and
     never abort the run.  Output is byte-identical for any worker count.
     The pool has at most one worker per entry, and a run left with one
     worker runs in this process.
     """
-    ids = sorted(set(catalog_ids() if entry_ids is None else entry_ids))
+    table = family_table(family)
+    if entry_ids is None:
+        ids = list(table)
+    else:
+        wanted = set(entry_ids)
+        ids = [eid for eid in table if eid in wanted] + sorted(wanted.difference(table))
     checks = list(CHECKS) if checks is None else [c for c in CHECKS if c in checks]
-    jobs = [(eid, checks) for eid in ids]
+    jobs = [(eid, checks, family) for eid in ids]
     workers = min(workers, len(jobs))
     if workers > 1:
         import multiprocessing as mp

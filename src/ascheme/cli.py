@@ -231,22 +231,30 @@ def cmd_theorems(args):
 
 
 def cmd_catalog_run(args):
+    """The battery over one family's entries, --ids among them, as JSONL.
+
+    --family, --ids, --checks and --workers are checked here, not by the
+    parser, which imports no builder; a bad one exits 2 before any build.
+    """
     from . import catalog as cat
 
     if args.workers < 1:
         return _fail(f"--workers must be at least 1, got {args.workers}", code=2)
+    try:
+        known = cat.family_table(args.family)
+    except KeyError as exc:
+        return _fail(exc.args[0], code=2)
     ids = args.ids if args.ids else None
     if ids:
-        known = set(cat.catalog_ids())
         bad = [i for i in ids if i not in known]
         if bad:
-            return _fail(f"unknown catalog ids: {bad}", code=2)
+            return _fail(f"unknown {args.family} ids: {bad}", code=2)
     checks = args.checks if args.checks else None
     if checks:
         bad = [c for c in checks if c not in cat.CHECKS]
         if bad:
             return _fail(f"unknown checks: {bad}; available: {list(cat.CHECKS)}", code=2)
-    records = cat.run_catalog(entry_ids=ids, checks=checks, workers=args.workers)
+    records = cat.run_catalog(ids, checks, args.workers, args.family)
     _write(cat.records_to_jsonl(records), args)
     return cat.catalog_exit_code(records)
 
@@ -322,8 +330,9 @@ def main(argv=None):
     p.add_argument("--theorem", choices=sorted(_THEOREMS))
     p.set_defaults(func=cmd_theorems)
 
-    p = sub.add_parser("catalog-run", help="batch checks over the bundled catalog", parents=[common])
-    p.add_argument("--ids", nargs="*", help="subset of catalog ids")
+    p = sub.add_parser("catalog-run", help="batch checks over a family of schemes", parents=[common])
+    p.add_argument("--family", default="catalog", help="default: the bundled catalog")
+    p.add_argument("--ids", nargs="*", help="subset of the family's ids")
     p.add_argument("--checks", nargs="*", help=f"subset of {list(_CHECKS)}")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_catalog_run)

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import sys
 import types
@@ -16,6 +15,7 @@ from ascheme.catalog import (
     build_product,
     catalog_ids,
     catalog_scheme,
+    family_table,
     run_catalog,
 )
 from ascheme.core import (
@@ -59,16 +59,9 @@ def fresh_catalog():
     return [catalog_scheme(eid) for eid in catalog_ids()]
 
 
-SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_sweep.py"
-
-
 def sweep_schemes():
-    """The 174 cyclotomic schemes of scripts/cyclotomic_sweep.py, in its
-    order, built anew."""
-    spec = importlib.util.spec_from_file_location("cyclotomic_sweep", SWEEP_SCRIPT)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return [build_cyclotomic(q, m) for q, m in sweep.sweep_params()]
+    """The 174 schemes of the cyclotomic family, in its order, built anew."""
+    return [build() for build in family_table("cyclotomic").values()]
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,10 @@
 import hashlib
-import importlib.util
 import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -705,18 +703,83 @@ def test_nonsymmetric_cyclotomic_4_class_on_prime_powers_near_max_n(q):
     assert v.applicable and v.holds
 
 
-SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "cyclotomic_sweep.py"
+CYCLOTOMIC_DIGEST = "8620498067990f8fd6422399ea25fdaa75a9ce4ea6fabe78d0d00f2107bd664a"
 
 
 def test_cyclotomic_sweep_digest():
     """The full battery over all 174 cyclotomic (q, m), q <= 257 and
-    2 <= m <= 6, gives the pinned JSONL digest with no failed check."""
-    spec = importlib.util.spec_from_file_location("cyclotomic_sweep", SWEEP)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    assert sweep.sweep() == (
-        174, 0, "8620498067990f8fd6422399ea25fdaa75a9ce4ea6fabe78d0d00f2107bd664a"
-    )
+    2 <= m <= 6, gives the pinned JSONL digest with no failed check, with
+    one worker and with two."""
+    for workers in (1, 2):
+        records = run_catalog(family="cyclotomic", workers=workers)
+        assert len(records) == 174 * len(CHECKS)
+        assert catalog_exit_code(records) == 0
+        digest = hashlib.sha256(records_to_jsonl(records).encode()).hexdigest()
+        assert digest == CYCLOTOMIC_DIGEST, workers
+
+
+def _least_factor_power(q):
+    """(p, k) with q = p^k, p found by trial division up to q, else None."""
+    if q < 2:
+        return None
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def test_prime_power_matches_brute_force_factorization():
+    for q in range(4097):
+        want = _least_factor_power(q)
+        if want is not None:
+            assert builders._prime_power(q) == want, q
+            continue
+        msg = f"{q} is not a prime power" if q < 2 else "field order must be a prime power"
+        with pytest.raises(NotPrime, match=f"^{msg}$"):
+            builders._prime_power(q)
+
+
+def test_family_tables_list_their_schemes_in_q_m_order():
+    """The sweep families' ids, read without building a scheme."""
+    ns4 = list(builders.family_table("nonsymmetric-4"))
+    qs = [int(eid.split("-")[1]) for eid in ns4]
+    assert ns4 == [f"cyclo-{q}-4" for q in qs] and len(qs) == 131
+    assert qs == sorted(set(qs))
+    assert all(257 < q <= 4096 and q % 8 == 5 and _least_factor_power(q) for q in qs)
+    assert 2197 in qs and 3125 in qs
+    cyclo = list(builders.family_table("cyclotomic"))
+    qm = [tuple(int(v) for v in eid.split("-")[1:]) for eid in cyclo]
+    assert cyclo == [f"cyclo-{q}-{m}" for q, m in qm] and len(qm) == 174
+    assert qm == sorted(set(qm))
+    assert set(qm) == {
+        (q, m) for q in range(2, 258) for m in range(2, 7)
+        if (q - 1) % m == 0 and _least_factor_power(q)
+    }
+    assert list(builders.family_table("catalog")) == sorted(catalog_ids())
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_family_entry_that_fails_to_build_keeps_its_place(monkeypatch, workers):
+    """A raising builder gives its entry one build failed record per check,
+    in the family's order, and the entries after it still run; a forked
+    worker sees the patched family."""
+    table = {
+        "cyclo-7-2": builders.family_table("cyclotomic")["cyclo-7-2"],
+        "boom": _boom,
+        "cyclo-5-2": builders.family_table("cyclotomic")["cyclo-5-2"],
+    }
+    monkeypatch.setitem(builders.FAMILIES, "flaky", lambda: table)
+    recs = run_catalog(family="flaky", workers=workers)
+    assert [r["id"] for r in recs] == [eid for eid in table for _ in CHECKS]
+    failed = recs[len(CHECKS):2 * len(CHECKS)]
+    assert [r["error"] for r in failed] == ["build failed: RuntimeError: boom"] * len(CHECKS)
+    assert not any(map(check_failed, recs[:len(CHECKS)] + recs[2 * len(CHECKS):]))
 
 
 def test_catalog_all_entries_build(catalog):

@@ -279,6 +279,31 @@ def test_catalog_run_unknown_inputs(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+def test_catalog_run_unknown_family_or_id_outside_it(capsys, monkeypatch):
+    from ascheme import catalog
+
+    monkeypatch.setattr(catalog, "run_catalog", None)  # nothing may run
+    assert main(["catalog-run", "--family", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown family 'nope'" in err
+    assert all(name in err for name in ("catalog", "cyclotomic", "nonsymmetric-4"))
+    assert main(["catalog-run", "--family", "nonsymmetric-4", "--ids", "cyclo-5-2"]) == 2
+    assert "unknown nonsymmetric-4 ids: ['cyclo-5-2']" in capsys.readouterr().err
+    assert main(["catalog-run", "--family", "cyclotomic", "--ids", "petersen"]) == 2
+    assert "unknown cyclotomic ids: ['petersen']" in capsys.readouterr().err
+
+
+def test_catalog_run_family_entry_matches_the_catalog_entry(tmp_path):
+    """cyclo-5-2 is in the catalog and in the cyclotomic family, and both
+    runs write the same bytes."""
+    fam = tmp_path / "family.jsonl"
+    cat = tmp_path / "catalog.jsonl"
+    argv = ["catalog-run", "--ids", "cyclo-5-2", "--checks", "axioms"]
+    assert main([*argv, "--family", "cyclotomic", "--out", str(fam)]) == 0
+    assert main([*argv, "--out", str(cat)]) == 0
+    assert fam.read_bytes() == cat.read_bytes()
+
+
 def test_catalog_run_rejects_fewer_than_one_worker(capsys, monkeypatch):
     from ascheme import catalog
 
