@@ -170,10 +170,6 @@ class GenerationCheckFailed(SchemeError):
         super().__init__(f"{where}: {message}")
 
 
-class WitnessUnsolvable(GenerationCheckFailed):
-    """A generating union gave no solution of K c = e_i."""
-
-
 class WitnessRejected(GenerationCheckFailed):
     """A witness polynomial does not reproduce its basis matrix on the
     (d+1) x (d+1) regular representation."""

@@ -7,13 +7,27 @@ one fraction-free echelon, _echelon_insert, on rows of Python integers: it
 cross-multiplies by the two pivot entries and divides each new row by the
 gcd of its entries, which keeps every row a nonzero multiple of the row a
 rational elimination would give.  A row that holds a non-integer is scaled
-to integers once, on entry, by scale_to_integers, which also scales the
-witnesses of generator for their integer check; solve_exact builds
+to integers once, on entry, by scale_to_integers; solve_exact builds
 Fractions only when it reads the solutions.
+
+bareiss_inverse is the generation path's one elimination: a fraction-free
+Gauss-Jordan pass over [K | I] (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+that divides each updated entry exactly by the previous pivot, so every
+entry stays an integer minor of [K | I] and no gcd is taken.  It runs in
+place, on m entries a row.  It stops at the first column of K with no
+pivot, the first column in the span of the columns before it; for a
+Krylov matrix [v, B v, ..., B^(m-1) v], whose later columns are then in
+that span too, the stop index is the rank.  A nonsingular K gives the last
+pivot det' = +-det K and the adjugate rows det' K^-1 instead, all in
+integers.  From them generator reads each witness K^-1 e_i as the integer
+vector den_i K^-1 e_i, den_i = |det'| / gcd(det', column i of the
+adjugate), and builds no Fraction to check it.
 
 int_matmul multiplies on numpy and is exact by a bound it proves from its
 operands.  Let R be the largest row sum of |A| and M the largest |B| (each
-taken as at least 1).  Every entry of A and B is then at most R * M in
+taken as at least 1), both over the whole stack when the operands are
+stacks of matrices.  Every entry of A and B is then at most R * M in
 absolute value, and every partial sum of a_ik * b_kj over k is at most
 sum_k |a_ik| * M <= R * M.  So when R * M < 2^63 the int64 product cannot
 overflow at any step; otherwise the product runs in object dtype on Python
@@ -89,14 +103,59 @@ def _exact(M):
 
 
 def int_matmul(A, B):
-    """Exact product of two integer matrices, given as arrays or lists of
-    rows: an int64 array when the module's bound proves that no partial
-    sum can overflow, else an object array of Python ints."""
+    """Exact product of two integer matrices, or of two equal-length stacks
+    of them, given as arrays or lists of rows: an int64 array when the
+    module's bound proves that no partial sum can overflow, else an object
+    array of Python ints."""
     A, B = _exact(A), _exact(B)
-    row_sum = max((sum(map(abs, row)) for row in A.tolist()), default=0)
-    largest = max(map(abs, B.ravel().tolist()), default=0)
+    rows = A.reshape(-1, A.shape[-1]).tolist()
+    row_sum = max((sum(map(abs, row)) for row in rows), default=0)
+    largest = max(int(B.max()), -int(B.min())) if B.size else 0
     dtype = np.int64 if max(row_sum, 1) * max(largest, 1) < 2**63 else object
     return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+
+
+def bareiss_inverse(K):
+    """(stop, det, adj) for a square integer matrix K, given as a list of
+    rows, from one fraction-free Gauss-Jordan pass over [K | I].
+
+    Step k takes as pivot row the first row p, among those not yet pivot
+    rows, with a nonzero entry a in column k, and sets every other row to
+    (a * row - c * pivot row) // prev, where c is the row's entry in
+    column k and prev the pivot of step k - 1 (1 at step 0).  The division
+    is exact (Bareiss): every entry is then a minor of [K | I].  A row with
+    c = 0 and a = prev is left as it is.  The pass runs in place, m entries
+    a row: column k of K, once cleared, holds only a on row p, and column p
+    of I, which until then held prev on row p alone, has become -c on each
+    other row, so it takes column k's place.  If column k has no pivot, it
+    lies in the span of the columns before it, and the result is
+    (k, None, None).  Otherwise the left block ends as det' times a
+    permutation, det' = +-det K the last pivot, and the right block's rows,
+    put in the order of their pivot columns, are those of det' K^-1:
+    (len(K), det', rows).
+    """
+    m = len(K)
+    rows = [list(row) for row in K]
+    free = list(range(m))
+    order = []
+    prev = 1
+    for k in range(m):
+        p = next((i for i in free if rows[i][k]), None)
+        if p is None:
+            return k, None, None
+        free.remove(p)
+        order.append(p)
+        pivot = rows[p]
+        a = pivot[k]
+        for i, row in enumerate(rows):
+            c = row[k]
+            if i != p and (c or a != prev):
+                rows[i] = [(a * x - c * y) // prev for x, y in zip(row, pivot)]
+                rows[i][k] = -c
+        pivot[k] = prev
+        prev = a
+    slot = {p: k for k, p in enumerate(order)}
+    return m, prev, [[rows[p][slot[j]] for j in range(m)] for p in order]
 
 
 def minpoly_degree(B):

@@ -6,16 +6,27 @@ decided once, exactly: it is the rank over Q of the (d+1) x (d+1) Krylov
 matrix K whose column t is B_union^t e_0, the coordinates of B_union^t in
 the basis {B_i} (proof in generates).  The minimal-polynomial degree of
 B_union, exactla.minpoly_degree, is an independent oracle for the tests.
-The witness polynomial of class i is the unique solution of K c = e_i, so
-the witnesses are the columns of K^-1, all found in one elimination of K.
-They are re-checked in integers on the regular representation, which
-proves them on the n x n adjacency matrices too (see generates), so
-nothing here builds an n x n matrix.  The powers of B_union are built once
-per union, in integers and in batches of unions: K and the
-regular-representation check read that one array.  No generation verdict
-depends on floating point.  T3.1 compares its predicted fission table
-with the computed one within RESID_TOL, rows aligned by the row map to
-the symmetrization that idempotent_matching fixes.
+One fraction-free elimination of [K | I] per union,
+exactla.bareiss_inverse, decides that rank and finds the witnesses, all
+in Python integers.  It stops at the first column of K in the span of the
+columns before it; for a Krylov matrix that index is the rank, since once
+B^k e_0 lies in span{B^t e_0 : t < k}, so does B^(k+1) e_0 = B B^k e_0 and
+every later column.  A nonsingular K gives det' = +-det K and the
+adjugate rows det' K^-1 instead.  The witness polynomial of class i is the
+unique solution of K c = e_i, column i of K^-1, and with
+den_i = |det'| / gcd(det', column i of the adjugate), the lcm of its
+reduced denominators, den_i c is an integer vector.  The identity
+den_i sum_t c_t B_union^t = den_i B_i is checked in integers on the
+regular representation, in one stacked exact product per stack of unions,
+and that proves the witness on the n x n adjacency matrices too (see
+generates), so nothing here builds an n x n matrix.  Fractions are built
+only for the reports' witnesses, one object per distinct value in a batch.
+The powers of B_union are built once per union, in integers and in
+batches of unions: K and the regular-representation check read that one
+array.  No generation verdict depends on floating point.  T3.1 compares
+its predicted fission table with the computed one within RESID_TOL, rows
+aligned by the row map to the symmetrization that idempotent_matching
+fixes.
 
 The theorem checkers (one-pair, amorphic, 4-class, fission prediction,
 skew-type classification) assemble these primitives; each returns a
@@ -25,6 +36,7 @@ no truth claim).
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +49,6 @@ from .errors import (
     TooManyClasses,
     TypeUnclassifiable,
     WitnessRejected,
-    WitnessUnsolvable,
 )
 from .exact import QuadVal, snap_fraction
 from .fusion import (
@@ -105,9 +116,11 @@ def generates(s, union):
     i = l).  So the rank of K, the image of span{I, B, ..., B^d}, is the
     eigenvalue count; the report gives it as both eigen_count and
     span_rank.  The witness for class i solves K c = e_i, so that
-    sum_t c_t B^t = B_i; one solve_exact call finds all d+1 of them.  They
-    are re-checked in integers against the same powers on the regular
-    representation, and that proves them on the adjacency matrices:
+    sum_t c_t B^t = B_i; the elimination that finds the rank
+    (exactla.bareiss_inverse) gives all d+1 of them, as the columns of the
+    adjugate over det'.  They are re-checked in integers against the same
+    powers on the regular representation, and that proves them on the
+    adjacency matrices:
     s.tensor is verified against s.color (by the axiom kernel, by the
     builders' row-0 check of a vertex-transitive coloring, or as closed
     forms and block sums of verified tensors), so A_i A_j = sum_l p_ij^l A_l
@@ -152,42 +165,96 @@ def _union_powers(B, unions):
 def _reports(s, unions):
     """The GenerationReports of unions, sorted class tuples, all read from
     one array of their powers (see generates)."""
-    d = s.d
     B = np.stack(intersection_matrices(s))
     powers = _union_powers(B, unions)
     Ks = powers[:, :, :, 0].transpose(0, 2, 1).tolist()
-    units = [[int(r == i) for r in range(d + 1)] for i in range(d + 1)]
+    ranks, scaled = [], {}
+    for u, K in enumerate(Ks):
+        span_rank, det, adj = exactla.bareiss_inverse(K)
+        ranks.append(span_rank)
+        if det is not None:
+            scaled[u] = [_scaled(det, col) for col in zip(*adj)]
+    _check_regular(B, powers, unions, scaled)
+    values = {}
     reports = []
-    for u, K, P in zip(unions, Ks, powers):
-        span_rank = exactla.rank(K)
-        gen = span_rank == d + 1
+    for u, (union, span_rank) in enumerate(zip(unions, ranks)):
+        gen = u in scaled
         witness = None
         if gen:
-            sols = exactla.solve_exact(K, units)
-            if None in sols:
-                raise WitnessUnsolvable("K c = e_i has no solution", u, sols.index(None))
-            witness = tuple(tuple(sol) for sol in sols)
-            _check_regular(B, P, u, witness)
+            witness = tuple(_witness(values, den, coef) for den, coef in scaled[u])
         verified = gen and s.n <= WITNESS_MAX_N
-        reports.append(GenerationReport(u, span_rank, span_rank, gen, witness, verified))
+        reports.append(GenerationReport(union, span_rank, span_rank, gen, witness, verified))
     return reports
 
 
-def _check_regular(B, powers, union, witness):
-    """den * sum_t c_t B_union^t == den * B_i in integers, for every class i.
+def _scaled(det, col):
+    """(den, coef) for the witness col / det of one class, col a column of
+    the adjugate: den = |det| / gcd(det, col), the lcm of the reduced
+    denominators, and coef the integers den * col / det."""
+    g = math.gcd(det, *col)
+    if det < 0:
+        g = -g
+    return det // g, [x // g for x in col]
 
-    One exact product (exactla.int_matmul) of the scaled witness rows with
-    the flattened powers B_union^0, ..., B_union^d gives every sum; the
-    first mismatch in (i, r, c) order is reported.
+
+def _witness(values, den, coef):
+    """The Fractions coef / den, one object per reduced value in values."""
+    poly = []
+    for c in coef:
+        g = math.gcd(c, den)
+        key = c // g, den // g
+        if key not in values:
+            values[key] = Fraction(*key)
+        poly.append(values[key])
+    return tuple(poly)
+
+
+def _check_regular(B, powers, unions, scaled):
+    """den * sum_t c_t B_union^t == den * B_i in integers, for every class i
+    of every union u in scaled, which maps u to its (den, coef) per class.
+
+    The scaled witness rows of each union multiply its flattened powers
+    B_union^0, ..., B_union^d, in stacked exactla.int_matmul products.
+    The unions go into as few stacks as keep every union in int64 whose
+    own bound (largest row sum of its |coef| times its largest power
+    entry) allows it: sorted by largest power entry, a stack is closed when
+    the next union would take the stack's bound to 2^63.  The unions whose
+    own bound is 2^63 or more go into one object-dtype stack.  Each stack
+    runs in union order, so its first mismatch is its least in
+    (union, i, r, c) order, and the least over the stacks is reported.
     """
     m = len(B)
-    scaled = [exactla.scale_to_integers(poly) for poly in witness]
-    got = exactla.int_matmul([cs for _, cs in scaled], powers.reshape(m, -1))
-    want = np.array([den for den, _ in scaled], dtype=object)[:, None] * B.reshape(m, -1)
-    bad = np.argwhere(got != want)
-    if bad.size:
-        i, (r, c) = int(bad[0, 0]), divmod(int(bad[0, 1]), m)
-        raise WitnessRejected(f"fails the regular representation at ({r},{c})", union, i)
+    flat_B = B.reshape(m, -1)
+    largest = powers.reshape(len(powers), -1).max(axis=1).tolist()  # powers are >= 0
+    row_sum = {u: max(sum(map(abs, coef)) for _, coef in cols) for u, cols in scaled.items()}
+    stacks, wide, bound = [], [], 0
+    for u in sorted(scaled, key=largest.__getitem__):
+        top = max(largest[u], 1)
+        if row_sum[u] * top >= 2**63:
+            wide.append(u)
+        elif stacks and max(bound, row_sum[u]) * top < 2**63:
+            stacks[-1].append(u)
+            bound = max(bound, row_sum[u])
+        else:
+            stacks.append([u])
+            bound = row_sum[u]
+    failures = []
+    for stack in filter(None, [*stacks, wide]):
+        stack.sort()
+        dens = [[den for den, _ in scaled[u]] for u in stack]
+        got = exactla.int_matmul(
+            [[coef for _, coef in scaled[u]] for u in stack],
+            powers[stack].reshape(len(stack), m, -1),
+        )
+        dtype = np.int64 if max(map(max, dens)) * int(B.max()) < 2**63 else object
+        want = np.array(dens, dtype=dtype)[:, :, None] * flat_B
+        bad = np.argwhere(got != want)
+        if bad.size:
+            k, i, rc = bad[0].tolist()
+            failures.append((stack[k], i, *divmod(rc, m)))
+    if failures:
+        u, i, r, c = min(failures)
+        raise WitnessRejected(f"fails the regular representation at ({r},{c})", unions[u], i)
 
 
 def find_generating_unions(s):

@@ -174,9 +174,9 @@ def battery_body_runs():
     core.fuse_canonical, for fuse_direct and for fusion.fuses alike: each
     partition of a stack that the memo asks for (from the body of
     fuse_direct or from its fill) is listed as one "fuse_direct" run, and
-    the symmetrization's own fusion is not.  Calls of exactla.solve_exact
-    are listed too, as "solve_exact" with the scheme of the batch that
-    made them."""
+    the symmetrization's own fusion is not.  Calls of
+    exactla.bareiss_inverse are listed too, as "bareiss_inverse" with the
+    scheme of the batch that made them."""
     reports = generator._reports.__code__
     fuse = core.fuse_canonical.__code__
     memo_fusions = {fusion._fuse_direct.__wrapped__.__code__, fusion._fuse_direct.fill.__code__}
@@ -185,7 +185,7 @@ def battery_body_runs():
         for name, fn in MEMOIZED.items()
         if name not in ("generates", "fuse_direct")
     }
-    solve = exactla.solve_exact.__code__
+    eliminate = exactla.bareiss_inverse.__code__
     runs = []
 
     def hook(frame, event, arg):
@@ -197,8 +197,8 @@ def battery_body_runs():
             runs.extend(("generates", frame.f_locals["s"]) for _ in frame.f_locals["unions"])
         elif frame.f_code is fuse and frame.f_back.f_code in memo_fusions:
             runs.extend(("fuse_direct", frame.f_locals["s"]) for _ in frame.f_locals["stack"])
-        elif frame.f_code is solve:
-            runs.append(("solve_exact", frame.f_back.f_locals["s"]))
+        elif frame.f_code is eliminate:
+            runs.append(("bareiss_inverse", frame.f_back.f_locals["s"]))
 
     sys.setprofile(hook)
     try:

@@ -966,19 +966,20 @@ def test_catalog_report_digest(battery_body_runs):
         assert hashlib.sha256(records_to_jsonl(recs).encode()).hexdigest() == CATALOG_DIGEST
 
 
-def test_generates_solves_once_per_generating_union(battery_body_runs):
-    """A generation batch finds all d + 1 witnesses of a generating union
-    with one solve_exact call: 195 calls in one run_catalog(workers=1),
-    one per generating report in each scheme's memo, and none for the
-    others."""
+def test_generation_eliminates_once_per_union(battery_body_runs):
+    """A generation batch decides each union, and finds all d + 1
+    witnesses of a generating one, with one exactla.bareiss_inverse call:
+    422 calls in one run_catalog(workers=1), one per report each scheme's
+    batches make, generating (195 of them) or not."""
     runs, _ = battery_body_runs
-    solves = Counter(id(s) for name, s in runs if name == "solve_exact")
+    eliminations = Counter(id(s) for name, s in runs if name == "bareiss_inverse")
+    reports = Counter(id(s) for name, s in runs if name == "generates")
+    assert eliminations == reports
+    assert sum(eliminations.values()) == 422
     schemes = {id(s): s for name, s in runs if name == "generates"}
-    generating = Counter(
-        sid
-        for sid, s in schemes.items()
+    generating = sum(
+        f is generates.__wrapped__ and v.generates
+        for s in schemes.values()
         for (f, _), v in s._memo.items()
-        if f is generates.__wrapped__ and v.generates
     )
-    assert solves == generating
-    assert sum(solves.values()) == 195
+    assert generating == 195

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,8 @@ from ascheme.errors import (
     ToleranceAmbiguity,
     TooManyClasses,
     WitnessRejected,
-    WitnessUnsolvable,
 )
-from ascheme.exactla import solve_exact
+from ascheme.exactla import bareiss_inverse, solve_exact
 from ascheme.generator import (
     WITNESS_MAX_N,
     check_theorem_4class,
@@ -244,38 +244,89 @@ def test_generation_runs_no_minimal_polynomial(monkeypatch):
     assert sum(len(r) for r in reports) == 407
 
 
-def _tampered_solve(A, rhs):
-    xs = solve_exact(A, rhs)
-    for x in xs:
-        x[-1] += 1
-    return xs
+def test_generation_builds_fractions_only_for_the_witnesses():
+    """find_generating_unions on cyclo-13-4 builds no Fraction before the
+    reports are assembled: none in an elimination or an exact product, all
+    after the last of them.  It builds at most one per distinct witness
+    value."""
+    s = catalog_scheme("cyclo-13-4")
+    new = Fraction.__new__.__code__
+    work = {exactla.bareiss_inverse.__code__, exactla.int_matmul.__code__}
+    events = []
+
+    def hook(frame, event, arg):
+        if event == "call" and (frame.f_code is new or frame.f_code in work):
+            events.append(frame.f_code is new)
+
+    sys.setprofile(hook)
+    try:
+        reports = find_generating_unions(s)
+    finally:
+        sys.setprofile(None)
+    built = events.count(True)
+    assert 0 < built < len(events) and True not in events[: len(events) - built]
+    values = {c for r in reports if r.generates for poly in r.witness for c in poly}
+    assert built <= len(values)
 
 
-def _unsolvable_from_class_2(A, rhs):
-    return solve_exact(A, rhs)[:2] + [None] * (len(rhs) - 2)
+def _tampered_adjugate(K):
+    """The true elimination with every witness's top coefficient moved by
+    one: det' added to the adjugate's last row."""
+    stop, det, adj = bareiss_inverse(K)
+    if det is not None:
+        adj[-1] = [x + det for x in adj[-1]]
+    return stop, det, adj
+
+
+def _zero_adjugate(K):
+    stop, det, adj = bareiss_inverse(K)
+    return stop, det, None if adj is None else [[0] * len(row) for row in adj]
+
+
+def _zero_from_class_2(K):
+    """The true adjugate with columns 2 on, the witnesses of classes 2 on,
+    set to zero."""
+    stop, det, adj = bareiss_inverse(K)
+    return stop, det, None if adj is None else [row[:2] + [0] * (len(row) - 2) for row in adj]
 
 
 @pytest.mark.parametrize(
-    "attr, fake, error, i",
-    [
-        ("solve_exact", _tampered_solve, WitnessRejected, 0),
-        ("solve_exact", lambda A, rhs: [None] * len(rhs), WitnessUnsolvable, 0),
-        ("solve_exact", _unsolvable_from_class_2, WitnessUnsolvable, 2),
-    ],
+    "fake, i",
+    [(_tampered_adjugate, 0), (_zero_adjugate, 0), (_zero_from_class_2, 2)],
+    ids=["tampered", "zero", "zero-from-class-2"],
 )
-def test_failed_generation_check_raises_typed_error(monkeypatch, attr, fake, error, i):
-    monkeypatch.setattr(exactla, attr, fake)
-    with pytest.raises(error) as exc:
+def test_failed_generation_check_raises_typed_error(monkeypatch, fake, i):
+    """A wrong adjugate is refused by the regular-representation check, at
+    the first class whose witness it changes."""
+    monkeypatch.setattr(exactla, "bareiss_inverse", fake)
+    with pytest.raises(WitnessRejected) as exc:
         generates(catalog_scheme("cyclo-7-2"), (1,))
     assert exc.value.union == (1,) and exc.value.i == i
 
 
-def test_false_full_rank_raises_witness_unsolvable(monkeypatch):
-    """A rank that claims d+1 on a union that does not generate cannot
-    produce a witness: e_1 is outside the span of K's columns e_0 and
-    (0, 1, 1), so K c = e_1 has no solution."""
-    monkeypatch.setattr(exactla, "rank", lambda vectors: len(vectors))
-    with pytest.raises(WitnessUnsolvable) as exc:
+def test_stacked_check_names_the_first_failing_union_of_the_batch(monkeypatch):
+    """The check stacks a batch's unions by the size of their powers, but
+    reports the first failure in the batch's own union order: with every
+    adjugate tampered, (1, 3), whose largest power entry (312) stacks it
+    after (1,) (36), is the one named."""
+    monkeypatch.setattr(exactla, "bareiss_inverse", _tampered_adjugate)
+    with pytest.raises(WitnessRejected) as exc:
+        generator._reports(catalog_scheme("cyclo-13-4"), [(1, 3), (1,)])
+    assert (exc.value.union, exc.value.i) == ((1, 3), 0)
+
+
+def test_false_full_rank_raises_witness_rejected(monkeypatch):
+    """An elimination that claims full rank on a union that does not
+    generate cannot pass the check: column 0 of class 1's check is
+    K c = e_1, and e_1 is outside the span of K's columns e_0 and
+    (0, 1, 1), so every claimed witness fails; the one claimed here is
+    the identity."""
+
+    def full_rank(K):
+        return len(K), 1, [[int(r == c) for c in range(len(K))] for r in range(len(K))]
+
+    monkeypatch.setattr(exactla, "bareiss_inverse", full_rank)
+    with pytest.raises(WitnessRejected) as exc:
         generates(catalog_scheme("cyclo-7-2"), (1, 2))
     assert exc.value.union == (1, 2) and exc.value.i == 1
 
@@ -284,7 +335,7 @@ def test_tampered_witness_raises_with_asserts_stripped(monkeypatch):
     """The checks survive python -O: run generator compiled with optimize=1,
     which strips assert statements as -O does."""
     stripped = compile_stripped(generator)
-    monkeypatch.setattr(exactla, "solve_exact", _tampered_solve)
+    monkeypatch.setattr(exactla, "bareiss_inverse", _tampered_adjugate)
     with pytest.raises(WitnessRejected) as exc:
         stripped.generates(catalog_scheme("cyclo-7-2"), (1,))
     assert (exc.value.union, exc.value.i) == ((1,), 0)
