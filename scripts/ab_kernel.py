@@ -15,9 +15,10 @@ the valid scheme.  For each call it prints each side's median and
 quartiles of process CPU time and of wall time per call and its minor
 page faults per call, for each clock the median change/parent ratio and
 the number of pairs the change won, then the same as one JSON line.
-Beside each verify call's timings it prints the kernel products each
-tree makes on that coloring, read from the tree's own `_kernels.plan`
-and `_kernels.certificate`, so work shows up next to time.
+Beside each verify call's timings it prints the multiply-adds that each
+tree's axiom kernel made in one untimed call on that coloring, in n^3
+units (one whole n x n product), counted by a spy on that tree's
+`_kernels.np`, so work shows up next to time.
 
 Last come core.verify_axioms calls on the seven inputs of the perfbench
 ladder at seed 1 (`wl_ladder.make_inputs`, five valid and two corrupted),
@@ -64,24 +65,30 @@ def verify(core, errors, entries, d, valid):
     return call
 
 
-def products(kernels, entries, d):
-    """The products a tree's axiom kernel makes on a coloring that passes
-    axiom (3), read from its own plan and certificate.  With regular rows
-    that is the certificate's blocks, or the plan's products when it finds
-    none; with irregular rows 0 when row 0 shows the violation, else None,
-    as the products are then cut and not counted here."""
-    e = entries.astype("intp")
-    n = e.shape[0]
-    counts = kernels.row_counts(e, d)
-    fx, fy = divmod(kernels.first_arcs(e, counts), n)
-    t = e[fy, fx]
-    if (counts != counts[0]).any():
-        return None if kernels.row_zero_verdict(e, d, fx, fy)[1] is None else 0
-    rows = counts[0].tolist()
-    c = kernels.derived_color(rows)
-    plan = kernels.plan(rows, t.tolist(), c)
-    found = kernels.certificate(kernels.first_arc_counts(e, d, fx, fy), t, rows, c, len(plan))
-    return len(found[1]) if found else len(plan)
+class CountingNumpy:
+    """numpy, with the multiply-adds of every np.matmul call counted."""
+
+    def __init__(self, real):
+        self.real, self.macs = real, 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def matmul(self, x, y, out=None):
+        self.macs += x.shape[0] * x.shape[1] * y.shape[1]
+        return self.real.matmul(x, y, out=out)
+
+
+def kernel_work(kernels, call, n):
+    """The multiply-adds, in n^3 units, that one call makes in a tree's
+    axiom kernel `kernels`, counted while a spy stands in for its numpy."""
+    real = kernels.np
+    kernels.np = spy = CountingNumpy(real)
+    try:
+        call()
+    finally:
+        kernels.np = real
+    return spy.macs / n**3
 
 
 def ladder_inputs(change):
@@ -161,11 +168,13 @@ def main():
         ))
     for label, make, coloring in runs:
         calls = {side: make(core, errors) for side, (core, errors, _, _) in mods.items()}
-        for call in calls.values():
-            call()
         work = None
-        if coloring is not None:
-            work = {side: products(mod[3], *coloring) for side, mod in mods.items()}
+        if coloring is None:
+            for call in calls.values():
+                call()
+        else:
+            n = coloring[0].shape[0]
+            work = {side: kernel_work(mods[side][3], call, n) for side, call in calls.items()}
         ab_trees.report(ab_trees.alternate(calls, args.pairs), label, work)
 
 

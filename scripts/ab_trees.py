@@ -49,20 +49,21 @@ def alternate(calls, pairs):
     return samples
 
 
-def report(samples, label="", products=None):
+def report(samples, label="", work=None):
     """Print each side's median and quartiles in CPU and in wall time and
-    its median page faults, and beside them, when `products` ({side: count})
-    is given, the kernel products each side makes per call; for each clock
-    the median change/parent ratio of the pairs and the number of pairs the
-    change won; then the same as one JSON line, and return that dict."""
+    its median page faults, and beside them, when `work` ({side: n^3
+    units}) is given, the kernel multiply-adds each side makes per call,
+    in units of one whole n x n product; for each clock the median
+    change/parent ratio of the pairs and the number of pairs the change
+    won; then the same as one JSON line, and return that dict."""
     out = {"label": label} if label else {}
     prefix = label + " " if label else ""
     for side, rows in samples.items():
         faults = statistics.median(s[2] for s in rows)
         out[side] = {"minflt": round(faults)}
-        if products is not None:
-            out[side]["products"] = products[side]
-            print(f"{prefix}{side}: {products[side]} kernel products per call")
+        if work is not None:
+            out[side]["kernel_n3"] = round(work[side], 4)
+            print(f"{prefix}{side}: {work[side]:.4g} n^3 kernel multiply-adds per call")
         for k, clock in enumerate(("cpu", "wall")):
             q1, median, q3 = statistics.quantiles([s[k] for s in rows], n=4)
             out[side][f"{clock}_median_ms"] = round(median, 1)

@@ -63,28 +63,28 @@ for k = 2 and then 1.  Along a family no weight falls, so no digit
 bound below falls and the cuts (each the longest run of radices under
 2^53) need no fewer products: a family ends at its first x of full rank
 or once it needs as many products as the best so far (the plan's at
-first), and one product ends the search.  T^j e_0 is 0 outside the
-set that x's support generates (closed under l when p[a, b, l] > 0 for
-a, b in it), so lightest classes that generate fewer are not tried.
+first), and one product ends the search.  Weights inside a proper closed
+subset of classes leave T's Krylov vectors in its coordinates, a short
+rank, so the rank alone rejects them.
 
 Only the M A_b for b = 1..d but c are made.  M A_0 = M, and with regular
 rows MJ = sJ, s = sum_a x_a k_a, so M A_c = sJ - M - sum_{b not in {0,
 c}} M A_b; T[l, c] obeys the same sum, since p holds the row sums at each
-first arc.  One left operand M is gathered once and multiplied by packed
-right operands N = sum_b v_b A_b.  Digit bound: (M A_b)(x, y) = sum_a x_a
-C_ab(x, y), with C_ab <= min(rows[a], rows[t[b]]) and sum_a C_ab <=
-rows[t[b]], the count of b in column y.  So it is at most the greedy
-fill of rows[t[b]] by the heaviest weights first, whatever their labels,
-itself at most max(x) rows[t[b]], on any input.  The v_b are a mixed
-radix over these bounds, smallest first, cut into blocks under 2^53 as in
-the packing below.  Each product is compared with its class table sum_b
-v_b T[e[x, y], b].  A difference at (x, y) means some C_ab(x, y) differs
-from p[a, b, e[x, y]], so (x, y) violates axiom (4): the kernel runs the
-plan from that index (see the cuts below), and the witness is the
-scan's.  Cyclotomic (31,2) squared (n = 961) takes 1 product this way,
-with weights 9, 4, 1 on three classes of valency 15, where weights a^k
-took 2 and its plan makes 4; cyclotomic (241,6) takes 1 where its plan
-makes 3.
+first arc.  Each product is M times a packed right operand N = sum_b
+v_b A_b.  Digit bound: (M A_b)(x, y) = sum_a x_a C_ab(x, y), with C_ab <=
+min(rows[a], rows[t[b]]) and sum_a C_ab <= rows[t[b]], the count of b in
+column y.  So it is at most the greedy fill of rows[t[b]] by the heaviest
+weights first, whatever their labels, itself at most max(x) rows[t[b]],
+on any input.  The v_b are a mixed radix over these bounds, smallest
+first, cut into blocks under 2^53 as in the packing below.  The product
+is made and checked like the plan's (`_product`, below), against its
+class values sum_b v_b T[l, b], the packed p.  Where it leaves them some
+C_ab differs from its class value, a violation of axiom (4): the kernel
+runs the plan from the first such index (see the cuts below), and the
+witness is the scan's.  Cyclotomic (31,2) squared (n = 961) takes 1
+product this way, with weights 9, 4, 1 on three classes of valency 15,
+where weights a^k took 2 and its plan makes 4; cyclotomic (241,6) takes
+1 where its plan makes 3.
 
 Irregular rows: row 0 decides first.  Let x0 be the first row whose
 counts differ from row 0's.  C_{a t[a]}(x, x) is k[x, a], so at the pair
@@ -143,14 +143,16 @@ Cyclotomic (31,2) squared (n = 961, d = 8; valencies 1, four of 15 and
 four of 225) takes 4 products, 5 without its derived color, where one
 radix of 226 for every cell took 10.
 
-Witness order.  A packed value is constant on a class iff each of its
-digits is, so each product needs one constancy check, and on valid input
-that is all.  The first violation in scan order is the smallest row-major
-index at which some C_ab leaves its class value.  For a product that
-fails, the kernel takes that index for its own cells and, for the
-transposed cells, the first index of C_ab^T leaving its value, which is a
-column-major scan of the product against the class values at the
-transposed first arcs; every cell is then seen, directly or transposed.
+Witness order.  One routine, `_product`, makes and checks every
+product, the certificate's and the plan's.  A packed value is constant
+on a class iff each of its digits is, so each product needs one
+constancy check, and on valid input that is all.  The first violation in
+scan order is the smallest row-major index at which some C_ab leaves its
+class value.  For a product that fails, the kernel takes that index for
+its own cells and, for the transposed cells, the first index of C_ab^T
+leaving its value, which is a column-major scan of the product against
+the class values at the transposed first arcs; every cell is then seen,
+directly or transposed.
 The minimum over products is the first violating pair; a recount there
 gives the first color pair (a, b) whose count differs.
 
@@ -160,7 +162,9 @@ p[t[b], t[a], l], as C_ab at the transpose of l's first arc is C_{t[b]
 t[a]} at the arc.  They do not depend on which part of the product is
 made, and they are exact in float64 for the same reason as the products:
 u_a v_b <= u_a s_a < U, so every partial product and sum is a nonnegative
-integer below 2^53.
+integer below 2^53.  A certificate's weights x_a take the place of the
+u_a: x_a v_b is at most v_b times b's bound, as the fill of a column
+count is at least the heaviest weight, and so below the radix product.
 
 Once a product has shown a violation at scan index bad, a later product
 matters only where it could show an earlier one.  Put r = bad // n + 1.
@@ -173,7 +177,7 @@ kernel cuts a product only while 2r < n, and otherwise makes it whole.  A
 rejected coloring then costs the products up to the first that fails,
 then 2rn^2 multiply-adds and O(n^2) gathers for each later one.  bad
 starts at x0 (n + 1) when row 0 does not reject irregular rows, and at
-the mismatching index when a certificate's product fails; either way
+the first violating index when a certificate's product fails; either way
 every product is cut, from the first, to its rows and columns < r while
 2r < n.
 
@@ -184,12 +188,10 @@ faults do not depend on what the heap keeps between products.  A cut
 product writes its rows < r and then its columns < r into the first 2rn
 entries of the product buffer.  Once the product is made, the operands
 are free: the class tables are gathered into the left one, and the bool
-mismatch is written over the first n^2 bytes of the right one.  The
-certificate keeps M in the left operand for all its products, gathers
-each class table into the right one and subtracts it from the product in
-place.  With the intp copy of e that is 4 n x n float64 arrays, and
-O(mn) beside them.  The row-0 step runs before the workspace exists and
-frees its n x n int64 keys and its n m^2 bins first.
+mismatch is written over the first n^2 bytes of the right one.  With
+the intp copy of e that is 4 n x n float64 arrays, and O(mn) beside
+them.  The row-0 step runs before the workspace exists and frees its
+n x n int64 keys and its n m^2 bins first.
 """
 
 import math
@@ -349,7 +351,7 @@ def certificate(p, t, rows, c, most):
         return None
     right = [b for b in range(1, len(rows)) if b != c]
     found = None
-    for family in _families(p, rows):
+    for family in _families(rows):
         for x in family:
             # fill[r]: the greedy fill of column count r, heaviest weight first
             heavy = sorted(zip(x, rows), reverse=True)
@@ -371,7 +373,7 @@ def certificate(p, t, rows, c, most):
     return found
 
 
-def _families(p, rows):
+def _families(rows):
     """The certificate's weight families, in search order, each a sequence
     of weights along which no weight falls (see the module notes)."""
     m = len(rows)
@@ -379,22 +381,8 @@ def _families(p, rows):
     yield ([a**k for a in range(m)] for k in range(1, 54))
     light = sorted(range(1, m), key=rows.__getitem__)
     pos = [m] + [light.index(a) for a in range(1, m)]
-    j0 = _generating(p, light)
     for k in (2, 1):
-        yield ([max(j - pos[a], 0) ** k for a in range(m)] for j in range(j0, m))
-
-
-def _generating(p, order):
-    """The least j such that {0} and order[:j] generate every class, closed
-    under l whenever p[a, b, l] > 0 for a and b in the set.  Weights inside
-    a smaller closed set keep T's Krylov vectors in its coordinates."""
-    closed = np.arange(len(p)) == 0
-    for j, a in enumerate(order, 1):
-        closed[a] = True
-        while (new := p[np.ix_(closed, closed)].any(axis=(0, 1)) > closed).any():
-            closed |= new
-        if closed.all():
-            return j
+        yield ([max(j - pos[a], 0) ** k for a in range(m)] for j in range(1, m))
 
 
 def _krylov_full_rank(T):
@@ -438,8 +426,9 @@ def tensor_and_verify(e, d, t):
     tried first, if it needs fewer products than the plan: one class
     matrix M whose powers span the algebra, and the products of M with
     the classes.  If they all take their class values, the coloring is a
-    scheme.  If one does not, the first index where it differs violates
-    axiom (4), and the plan runs from bad = that index.
+    scheme.  If one does not, the first index where it differs, directly
+    or transposed, violates axiom (4), and the plan runs from bad = that
+    index.
 
     Once a product fails at scan index bad, or from that bound, each later
     product makes only its rows and columns < r = bad // n + 1: rows < r
@@ -473,71 +462,81 @@ def tensor_and_verify(e, d, t):
         p = first_arc_counts(idx, d, fx, fy)
         c, bad = derived_color(rows), n * n
     products = plan(rows, t.tolist(), c)
-    # the workspace (see the module notes); every take uses mode="clip",
-    # which writes into out directly, where "raise" buffers the gather
-    lhs, rhs, prod = np.empty((3, n, n))
+    # the workspace (see the module notes)
+    work = np.empty((3, n, n))
+    # C_ab at the transpose of class l's first arc is p[t[b], t[a], l]
+    p_t = p[t][:, t].swapaxes(0, 1)
     found = certificate(p, t, rows, c, len(products)) if c is not None else None
     if found:
         x, blocks = found
-        np.take(x.astype(np.float64), idx, out=lhs, mode="clip")
+        wl = x.astype(np.float64)
         for right, v in blocks:
-            wr = np.zeros(m)
-            wr[list(right)] = v[:-1]
-            np.take(wr, idx, out=rhs, mode="clip")
-            np.matmul(lhs, rhs, out=prod)
-            # M A_b on class l is sum_a x_a p[a, b, l], packed like the product
-            ref = np.einsum("a,j,ajl->l", x, np.array(v[:-1]), p[:, list(right)])
-            np.take(ref.astype(np.float64), idx, out=rhs, mode="clip")
-            np.subtract(prod, rhs, out=prod)
-            if prod.any():
+            bad = _product(idx, p, p_t, t, wl, _dense(right, v, m), bad, work)
+            if bad < n * n:
                 # some C_ab leaves its class value here: run the plan from it
-                bad = int(np.argmax(prod != 0))
                 break
         else:
             # axiom (4) holds: the plan has nothing left to check
             products = []
-    mismatch = rhs.reshape(-1).view(np.bool_)
-    # C_ab at the transpose of class l's first arc is p[t[b], t[a], l]
-    p_t = p[t][:, t].swapaxes(0, 1)
     for left, right, u, v in products:
-        # rows and columns < r hold every cell that can fail before bad;
-        # once 2r >= n they cost more than the whole product
-        r = bad // n + 1
-        if 2 * r >= n:
-            r = n
-        wl, wr = np.zeros(m), np.zeros(m)
-        wl[list(left)] = u[:-1]
-        wr[list(right)] = v[:-1]
-        np.take(wl, idx, out=lhs, mode="clip")
-        np.take(wr, idx, out=rhs, mode="clip")
-        # the kernel's only products
-        head = np.matmul(lhs[:r], rhs, out=prod[:r])
-        if r == n:
-            side = head
-        else:
-            side = prod.reshape(-1)[r * n : 2 * r * n].reshape(n, r)
-            np.matmul(lhs, rhs[:, :r], out=side)
-        # the packed class values at each first arc and at its transpose
-        ref = np.einsum("a,b,abl->l", wl, wr, p)
-        ref_t = np.einsum("a,b,abl->l", wl, wr, p_t)
-        np.take(ref, idx[:r], out=lhs[:r], mode="clip")
-        head_mismatch = np.not_equal(head, lhs[:r], out=mismatch[: r * n].reshape(r, n))
-        failed = bool(head_mismatch.any())
-        if failed:
-            bad = min(bad, int(np.argmax(head_mismatch)))
-        # on a whole product the transposed cells fail only where the
-        # direct ones do
-        if failed or r < n:
-            table = lhs.reshape(-1)[: n * r].reshape(n, r)
-            np.take(ref_t[t], idx[:, :r], out=table, mode="clip")
-            side_mismatch = np.not_equal(side, table, out=mismatch[: n * r].reshape(n, r))
-            cols = side_mismatch.any(axis=0)
-            if cols.any():
-                y = int(np.argmax(cols))
-                bad = min(bad, y * n + int(np.argmax(side_mismatch[:, y])))
+        bad = _product(idx, p, p_t, t, _dense(left, u, m), _dense(right, v, m), bad, work)
     if bad == n * n:
         return p, True, np.full(9, -1, dtype=np.int64)
     return p, False, _witness(idx, d, p, fx, fy, *divmod(bad, n))
+
+
+def _dense(colors, weights, m):
+    """The m weights of a packed operand: weights[k] on colors[k], 0 on
+    every other color."""
+    w = np.zeros(m)
+    w[list(colors)] = weights[: len(colors)]
+    return w
+
+
+def _product(idx, p, p_t, t, wl, wr, bad, work):
+    """min(bad, the first scan index at which the product of the packed
+    operands sum_a wl[a] [e == a] and sum_b wr[b] [e == b] leaves its class
+    values), the kernel's one product: made whole, or only its rows and
+    columns < r = bad // n + 1 while 2r < n (see the module notes).  p_t
+    holds the counts at the transposed first arcs, and work is the three
+    n x n float64 buffers of the workspace."""
+    n = len(idx)
+    lhs, rhs, prod = work
+    # rows and columns < r hold every cell that can fail before bad; once
+    # 2r >= n they cost more than the whole product
+    r = bad // n + 1
+    if 2 * r >= n:
+        r = n
+    # every take uses mode="clip", which writes into out directly, where
+    # "raise" buffers the gather
+    np.take(wl, idx, out=lhs, mode="clip")
+    np.take(wr, idx, out=rhs, mode="clip")
+    head = np.matmul(lhs[:r], rhs, out=prod[:r])
+    if r == n:
+        side = head
+    else:
+        side = prod.reshape(-1)[r * n : 2 * r * n].reshape(n, r)
+        np.matmul(lhs, rhs[:, :r], out=side)
+    mismatch = rhs.reshape(-1).view(np.bool_)
+    # the packed class values at each first arc
+    np.take(np.einsum("a,b,abl->l", wl, wr, p), idx[:r], out=lhs[:r], mode="clip")
+    head_mismatch = np.not_equal(head, lhs[:r], out=mismatch[: r * n].reshape(r, n))
+    failed = bool(head_mismatch.any())
+    if failed:
+        bad = min(bad, int(np.argmax(head_mismatch)))
+    # on a whole product the transposed cells fail only where the direct
+    # ones do
+    if failed or r < n:
+        # the packed class values at the transpose of each first arc
+        ref_t = np.einsum("a,b,abl->l", wl, wr, p_t)
+        table = lhs.reshape(-1)[: n * r].reshape(n, r)
+        np.take(ref_t[t], idx[:, :r], out=table, mode="clip")
+        side_mismatch = np.not_equal(side, table, out=mismatch[: n * r].reshape(n, r))
+        cols = side_mismatch.any(axis=0)
+        if cols.any():
+            y = int(np.argmax(cols))
+            bad = min(bad, y * n + int(np.argmax(side_mismatch[:, y])))
+    return bad
 
 
 def _witness(e, d, p, fx, fy, x, y):

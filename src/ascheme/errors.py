@@ -157,22 +157,16 @@ class MinpolyDegreeExceeded(SchemeError):
         super().__init__(f"minimal polynomial degree exceeded the dimension {dim}")
 
 
-class GenerationCheckFailed(SchemeError):
-    """An exact check inside a generation verdict failed.
+class WitnessRejected(SchemeError):
+    """A witness polynomial does not reproduce its basis matrix on the
+    (d+1) x (d+1) regular representation.
 
-    union is the union tuple; i is the class whose witness failed, or None
-    when the failure is not tied to one class.
+    union is the union tuple; i is the class whose witness failed.
     """
 
-    def __init__(self, message, union, i=None):
+    def __init__(self, message, union, i):
         self.union, self.i = tuple(union), i
-        where = f"union {list(self.union)}" + ("" if i is None else f", class {i}")
-        super().__init__(f"{where}: {message}")
-
-
-class WitnessRejected(GenerationCheckFailed):
-    """A witness polynomial does not reproduce its basis matrix on the
-    (d+1) x (d+1) regular representation."""
+        super().__init__(f"union {list(self.union)}, class {i}: {message}")
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def generates(s, union):
     sum_t c_t B_union^t = B_i implies sum_t c_t A_union^t = A_i.
     witness_verified records that proof for a generating union with
     n <= WITNESS_MAX_N, as the catalog report has always read it.  A failed
-    check raises a GenerationCheckFailed subclass naming the union and
-    class.  The report is computed once per (scheme, union).
+    check raises WitnessRejected naming the union and class.  The report
+    is computed once per (scheme, union).
     """
     return _reports(s, [union_classes(s.d, union)])[0]
 

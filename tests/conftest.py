@@ -956,3 +956,55 @@ def reference_generates(s, union, adjacency=True):
                 reference_check_adjacency(s, u, witness)
             verified = True
     return generator.GenerationReport(u, eigen_count, span_rank, gen, witness, verified)
+
+
+# --- Gauss's closed forms for the cyclotomic numbers of order 4 -------------
+
+
+def _is_prime(q):
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
+# the primes q = 5 (mod 8) that the closed-form tests build (q, 4) for
+GAUSS_PRIMES = [q for q in range(13, 1000) if q % 8 == 5 and _is_prime(q)] + [4093]
+
+
+def gauss_quartic(q):
+    """(h, s, t, cyc) for a prime q = 5 (mod 8), from Gauss's closed forms
+    alone (Disquisitiones Arithmeticae 358; Berndt, Evans and Williams,
+    "Gauss and Jacobi Sums", ch. 2).  h is the least primitive root mod q
+    and omega = h^((q-1)/4) mod q.  q = s^2 + 4t^2 with s = 1 (mod 4), and
+    t's sign is fixed by 2 t omega = s (mod q): flipping it would swap the
+    cosets C_1 and C_3, a transpose pair.  cyc[i][j] is the cyclotomic
+    number #{x in C_i : x + 1 in C_j}, C_r = h^r <h^4>."""
+    primes = [f for f in range(2, q) if (q - 1) % f == 0 and _is_prime(f)]
+    h = next(g for g in range(2, q) if all(pow(g, (q - 1) // f, q) != 1 for f in primes))
+    omega = pow(h, (q - 1) // 4, q)
+    t = next(t for t in range(1, q) if math.isqrt(q - 4 * t * t) ** 2 == q - 4 * t * t)
+    s = math.isqrt(q - 4 * t * t)
+    s = s if s % 4 == 1 else -s
+    t = t if (2 * t * omega - s) % q == 0 else -t
+    A, B, C, D, E = (
+        v // 16
+        for v in (q - 7 + 2 * s, q + 1 + 2 * s - 8 * t, q + 1 - 6 * s, q + 1 + 2 * s + 8 * t,
+                  q - 3 - 2 * s)
+    )
+    return h, s, t, [[A, B, C, D], [E, E, D, B], [A, E, A, E], [E, D, B, E]]
+
+
+def gauss_quartic_mismatches(p, row0, q):
+    """The (i, j, k) at which the tensor p of a cyclotomic (q, 4) scheme
+    on GF(q), q prime, with row 0 of its coloring row0, leaves Gauss's
+    closed form.  With L(r) the color of arc (0, h^r), p[L(i), L(j), L(k)]
+    counts the z in C_i with h^k - z in C_j; z = -h^k w puts w in
+    C_{i-k+2}, as -1 is in C_2, and w + 1 in C_{j-k}: the cyclotomic
+    number (i - k + 2, j - k), indices mod 4."""
+    h, _, _, cyc = gauss_quartic(q)
+    L = [int(row0[pow(h, r, q)]) for r in range(4)]
+    return [
+        (i, j, k)
+        for i in range(4)
+        for j in range(4)
+        for k in range(4)
+        if p[L[i], L[j], L[k]] != cyc[(i - k + 2) % 4][(j - k) % 4]
+    ]

@@ -56,10 +56,11 @@ from ascheme.errors import (
     TransposeNotRelation,
 )
 from ascheme.finitefield import field, isprime
-from ascheme.generator import check_theorem_4class, generates
-from ascheme.spectra import character_table
+from ascheme.generator import check_theorem_4class, check_theorem_skew_types, generates
+from ascheme.spectra import RESID_TOL, character_table
 
 from conftest import (
+    GAUSS_PRIMES,
     MEMOIZED,
     build_petersen,
     corrupted_ladder_961,
@@ -67,6 +68,8 @@ from conftest import (
     field_mul,
     field_neg,
     field_sub,
+    gauss_quartic,
+    gauss_quartic_mismatches,
     reference_orbitals,
     thin_s3,
     trivial_scheme,
@@ -701,6 +704,39 @@ def test_nonsymmetric_cyclotomic_4_class_on_prime_powers_near_max_n(q):
     assert s.class_kind == "skew-symmetric"
     v = check_theorem_4class(s)
     assert v.applicable and v.holds
+
+
+def test_quartic_cyclotomic_tensors_equal_gauss_closed_forms():
+    """For every prime q = 5 (mod 8) from 13 to 997, and for q = 4093, the
+    built (q, 4) tensor is Gauss's closed form, and with the two classes
+    of a transpose pair swapped it is not."""
+    assert len(GAUSS_PRIMES) == 43
+    for q in GAUSS_PRIMES:
+        s = build_cyclotomic(q, 4)
+        p, row0 = s.tensor.p, s.color.entries[0]
+        assert gauss_quartic_mismatches(p, row0, q) == [], q
+        h = gauss_quartic(q)[0]
+        # C_1 and C_3 are a transpose pair, as -1 is in C_2
+        a, b = (int(row0[pow(h, r, q)]) for r in (1, 3))
+        swap = np.arange(5)
+        swap[[a, b]] = b, a
+        assert gauss_quartic_mismatches(p[np.ix_(swap, swap, swap)], row0, q), q
+
+
+def test_nonsymmetric_4_radicands_equal_gauss_closed_forms():
+    """T4.1 on every nonsymmetric-4 member below 1000: type 3, and its four
+    radicands 4 Im(z)^2 are (q - s sqrt q)/2 and (q + s sqrt q)/2, each
+    twice, with s from Gauss's q = s^2 + 4t^2."""
+    ids = [eid for eid in builders.family_table("nonsymmetric-4") if int(eid.split("-")[1]) < 1000]
+    assert [int(eid.split("-")[1]) for eid in ids] == [q for q in GAUSS_PRIMES if 257 < q < 1000]
+    for eid in ids:
+        q = int(eid.split("-")[1])
+        v = check_theorem_skew_types(catalog_scheme(eid, "nonsymmetric-4"))
+        assert v.applicable and v.holds and v.evidence["type"] == 3, q
+        s = gauss_quartic(q)[1]
+        want = sorted([(q - s * q**0.5) / 2] * 2 + [(q + s * q**0.5) / 2] * 2)
+        got = sorted(r["computed"] for r in v.evidence["radicands"].values())
+        assert max(abs(g - w) for g, w in zip(got, want)) < RESID_TOL, q
 
 
 CYCLOTOMIC_DIGEST = "8620498067990f8fd6422399ea25fdaa75a9ce4ea6fabe78d0d00f2107bd664a"

@@ -668,6 +668,25 @@ def test_plan_sizes_of_the_two_wreaths_at_n_2009():
     assert _plan_sizes_under_relabeling(build_product(b, a, "wreath"), range(3)) == {53}
 
 
+def test_certificate_sizes_of_the_two_wreaths_at_n_2009(monkeypatch):
+    # where the plan makes several products, the certificate takes fewer:
+    # 5 against 23 for (49, 24) wreath (41, 8), and 6 against 53 for
+    # (41, 8) wreath (49, 24).  The search reads only the first-arc
+    # counts, so no product is made here
+    a, b = build_cyclotomic(49, 24), build_cyclotomic(41, 8)
+    for s, planned, made in [
+        (build_product(a, b, "wreath"), 23, 5),
+        (build_product(b, a, "wreath"), 53, 6),
+    ]:
+        p, t, rows, c = _certificate_inputs(s.color.entries, s.d)
+        assert len(_kernels.plan(rows, t.tolist(), c)) == planned
+        spy = _CountingNumpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "np", spy)
+            _, blocks = _kernels.certificate(p, t, rows, c, planned)
+        assert len(blocks) == made and spy.products == []
+
+
 # --- the generation certificate ---------------------------------------------
 
 LADDER_CYCLOTOMICS = [(101, 2), (241, 6), (256, 5), (257, 2)]
