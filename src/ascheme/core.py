@@ -23,9 +23,9 @@ has x < y listed first.  Emitted files always use canonical labels.
 Scheme text: for d <= 9, emit_scheme_file (and so `ascheme build`) writes
 an 'n d' header, then n lines of one-digit labels joined by single spaces
 and closed by LF.  parse_scheme_file decodes a text in exactly that layout
-as one strided uint8 view of its bytes; every other text (comments, CRLF,
-tabs, blank lines, two-digit labels) keeps the line path, and both paths
-end in the same validation.
+as one view of two-byte words, a label and its separator in each; every
+other text (comments, CRLF, tabs, blank lines, two-digit labels) keeps the
+line path, and both paths end in the same validation.
 
 A Scheme never changes after it is built, so what is derived from it alone
 (its character table, symmetrization, fusions, generation reports and SRG
@@ -250,13 +250,15 @@ def _validate_entries(arr, d, row_loc=None):
         raise OutOfRangeEntry(f"entry {int(arr[r, c])} outside 0..{d}", line=loc(r), col=c)
     # entries are in 0..d here; np.unique would import numpy.ma.  Counted in
     # row blocks, the intp cast of a narrow dtype (a parsed uint8 matrix)
-    # stays near a megabyte
+    # stays near a megabyte, and the count stops at the first block after
+    # which every color has occurred
     counts = np.zeros(d + 1, dtype=np.intp)
     for a, b in _row_blocks(n):
         counts += np.bincount(arr[a:b].ravel().astype(np.intp, copy=False), minlength=d + 1)
-    if not counts.all():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise MissingRelationIndex(f"relation index {missing} never occurs")
+        if counts.all():
+            return
+    missing = int(np.flatnonzero(counts == 0)[0])
+    raise MissingRelationIndex(f"relation index {missing} never occurs")
 
 
 def color_matrix(entries, d=None):
@@ -363,17 +365,21 @@ def _strided_rows(text, start, n):
     of `text`, or None unless they are in the layout emit_scheme_file
     writes for d <= 9: n lines of 2n bytes, an ASCII digit at every even
     offset, a space at every odd one but the last, and a newline there.
-    The body is read as one strided view of the text's bytes, with no line
-    split.  `text` is ASCII."""
+
+    The body is read, with no line split, as one n x n view of
+    little-endian two-byte words: each entry is one word, its digit byte
+    low and its separator byte high.  Less 0x2030 (0x0A30 in the last
+    column), wrapped, the words of the layout are its digits 0..9 and
+    every other word is above 9.  `text` is ASCII."""
     if len(text) - start != 2 * n * n:
         return None
-    rows = np.frombuffer(text.encode("ascii"), np.uint8, offset=start).reshape(n, 2 * n)
-    if (rows[:, 1:-1:2] != 32).any() or (rows[:, -1] != 10).any():
+    words = np.frombuffer(text.encode("ascii"), "<u2", offset=start).reshape(n, n)
+    sep = np.full(n, 0x2030, dtype=np.uint16)
+    sep[-1] = 0x0A30
+    digits = words - sep
+    if digits.max() > 9:
         return None
-    entries = rows[:, 0::2] - np.uint8(48)
-    if (entries > 9).any():
-        return None
-    return entries
+    return digits.astype(np.uint8)
 
 
 def parse_scheme_file(text):
@@ -385,7 +391,7 @@ def parse_scheme_file(text):
     emit_scheme_file (and so `ascheme build`) writes for d <= 9, a first
     line of ASCII digits, one space and ASCII digits, then one-digit
     labels joined by single spaces with LF line ends, is decoded as one
-    strided uint8 view of its bytes (_strided_rows).  Every other text
+    view of two-byte words of its bytes (_strided_rows).  Every other text
     takes the line path: the body is decoded in row blocks (_decode_rows),
     lines of ASCII digits, spaces and tabs in numpy, any other line by
     str.split and int.  Both paths end in the same validation, so they give
@@ -395,7 +401,7 @@ def parse_scheme_file(text):
     """
     # the emitted header, ASCII digits, one space and ASCII digits, gets
     # the checks and the size guard of every header before its body is
-    # tried as one strided view
+    # tried as one view of words
     head = text[: text.find("\n") + 1]
     n_txt, _, d_txt = head[:-1].partition(" ")
     if text.isascii() and n_txt.isdigit() and d_txt.isdigit():
@@ -441,17 +447,20 @@ def emit_scheme_file(s):
     decimal, one space between them.  It is written in row blocks into a
     preallocated uint8 buffer from a table of label bytes, each padded to
     the widest label (two digits at most, as MAX_D = 32) plus a space.
-    For d <= 9 every label is one digit, so a row block is one take from
-    the table and needs no padding; otherwise a mask drops the padding.
-    Every row holds k_i entries of class i, so all rows have the same
-    length in bytes.  parse_scheme_file reads the text back as the
-    canonical coloring, which emits the same text again; for d <= 9 it
-    reads it as one strided view.
+    The table's row for class i holds the bytes of its canonical label
+    (canonical_class_order), so the scheme's own coloring is written with
+    no relabeled copy.  For d <= 9 every label is one digit, so a row
+    block is one take from the table into the buffer and needs no
+    padding; otherwise a mask drops the padding.  Every row holds k_i
+    entries of class i, so all rows have the same length in bytes.
+    parse_scheme_file reads the text back as the canonical coloring, which
+    emits the same text again; for d <= 9 it reads it as one view of
+    two-byte words.
     """
-    canon, _ = canonical_form(s)
-    e = canon.color.entries
-    n, d = canon.n, canon.d
-    labels = [str(i).encode() for i in range(d + 1)]
+    e = s.color.entries
+    n, d = s.n, s.d
+    # labels[i]: the canonical label of class i
+    labels = [str(j).encode() for j in canonical_class_order(s)]
     width = max(len(lab) for lab in labels)
     table = np.full((d + 1, width + 1), ord(" "), dtype=np.uint8)
     keep = np.zeros((d + 1, width + 1), dtype=bool)
@@ -459,16 +468,20 @@ def emit_scheme_file(s):
         table[i, width - len(lab):width] = list(lab)
         keep[i, width - len(lab):] = True
     head = f"{n} {d}\n".encode()
-    row_len = sum(k * (len(lab) + 1) for k, lab in zip(canon.valencies, labels))
+    row_len = sum(k * (len(lab) + 1) for k, lab in zip(s.valencies, labels))
     buf = np.empty(len(head) + n * row_len, dtype=np.uint8)
     buf[: len(head)] = list(head)
     rows = buf[len(head):].reshape(n, row_len)
     for a, b in _row_blocks(n):
-        chars = table.take(e[a:b], axis=0)
-        chars[:, -1, -1] = ord("\n")
-        if width > 1:
-            chars = chars[keep.take(e[a:b], axis=0)]
-        rows[a:b] = chars.reshape(b - a, row_len)
+        if width == 1:
+            # indices are labels 0..d, so mode="clip" changes none of them
+            # and lets take write into `rows` with no buffer of its own
+            table.take(e[a:b], axis=0, out=rows[a:b].reshape(b - a, n, 2), mode="clip")
+            rows[a:b, -1] = ord("\n")
+        else:
+            chars = table.take(e[a:b], axis=0)
+            chars[:, -1, -1] = ord("\n")
+            rows[a:b] = chars[keep.take(e[a:b], axis=0)].reshape(b - a, row_len)
     return str(buf.data, "ascii")
 
 
@@ -550,6 +563,8 @@ def _min_row(mask):
 
 
 def _class_sort_keys(e, valencies, d):
+    # each class mask compares one byte per entry: labels are at most MAX_D
+    e = e.astype(np.uint8)
     keys = {}
     for i in range(1, d + 1):
         mask = e == i

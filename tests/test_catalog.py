@@ -8,7 +8,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 

@@ -895,6 +895,23 @@ def test_certificate_never_needs_more_products_than_weights_a_k(certificate_case
     assert counts["(41,8)wr(49,24)"] == {(7, 6)}
 
 
+def test_certificate_tries_the_lightest_class_alone(monkeypatch):
+    # cyclotomic (61, 30) and (73, 24): the plan makes 17 and 13 products
+    # and weights a^k 4 and 3.  The first member of the lightest-class
+    # family, class 1 alone, generates in one product; without it the
+    # search settles on weights 4 and 1 on the two lightest classes, in two
+    for q, m, planned, powers in [(61, 30, 17, 4), (73, 24, 13, 3)]:
+        s = build_cyclotomic(q, m)
+        e, d = s.color.entries, s.d
+        p, t, rows, c = _certificate_inputs(e, d)
+        assert len(_plan(e, d)) == planned
+        assert len(reference_certificate(p, t, rows, c, planned)[1]) == powers
+        x, blocks = _kernels.certificate(p, t, rows, c, planned)
+        assert x.tolist() == [0, 1] + [0] * (d - 1) and len(blocks) == 1
+        *got, spy = _spied_kernel(monkeypatch, e, d)
+        assert got[1] and spy.macs == s.n**3
+
+
 def test_certificate_weights_generate_the_algebra_over_q(certificate_cases):
     # the proof needs e_0, T e_0, ..., T^d e_0 independent over Q: every
     # certificate returned has that rank in exact integers

@@ -19,7 +19,13 @@ from ascheme.core import (
     scheme_from_entries,
     verify_axioms,
 )
-from ascheme.errors import InconsistentIntersectionNumber, TooLarge
+from ascheme.errors import (
+    InconsistentIntersectionNumber,
+    MissingRelationIndex,
+    NonzeroDiagonal,
+    OutOfRangeEntry,
+    TooLarge,
+)
 
 from conftest import (
     _reference_validate_entries,
@@ -96,10 +102,11 @@ def test_parse_matches_line_by_line_reference(text, block):
         core.STACK_ENTRIES = saved
 
 
-def _one_digit_text(e):
-    """e in the layout emit_scheme_file writes for d <= 9."""
-    n, d = e.shape[0], int(e.max(initial=0))
-    return f"{n} {d}\n" + "".join(" ".join(map(str, row)) + "\n" for row in e)
+def _one_digit_text(e, d=None, eol="\n"):
+    """e in the layout emit_scheme_file writes for d <= 9, under the header
+    'n d' (d the largest entry unless given), each line closed by eol."""
+    n, d = e.shape[0], int(e.max(initial=0)) if d is None else d
+    return f"{n} {d}{eol}" + "".join(" ".join(map(str, row)) + eol for row in e)
 
 
 def _edit_header_break(draw, text):
@@ -170,7 +177,7 @@ def one_digit_files(draw):
 @settings(max_examples=400, deadline=None)
 @given(one_digit_files(), st.sampled_from([1, 3, 1 << 16]))
 def test_parse_of_the_one_digit_layout_matches_reference(text, block):
-    # the strided decode and the line path meet at the layout's boundary
+    # the word decode and the line path meet at the layout's boundary
     saved = core.STACK_ENTRIES
     core.STACK_ENTRIES = block
     try:
@@ -282,7 +289,25 @@ def test_emit_parse_round_trip_is_the_canonical_relabeling(catalog, data):
     assert emit_scheme_file(verify_axioms(c)) == text
 
 
-# --- which texts the strided decode reads ---------------------------------------
+def _no_relabel(*args):
+    raise AssertionError("emit made a relabeled copy")
+
+
+def test_emit_writes_through_the_canonical_lookup(catalog, ladder_schemes, monkeypatch):
+    # no relabeled coloring or tensor: the texts of schemes in canonical
+    # labels and not, one-digit and two-digit, are the reference's
+    wreath = build_product(build_cyclotomic(13, 12), build_cyclotomic(3, 2), "wreath")
+    schemes = [*catalog.values(), *ladder_schemes.values()]
+    for s in (wreath, ladder_schemes["direct-31-2-squared"]):
+        schemes.append(relabel_classes(s, (0,) + tuple(range(s.d, 0, -1))))
+        assert canonical_class_order(schemes[-1]) != tuple(range(s.d + 1))
+    want = [reference_emit_scheme_file(s) for s in schemes]
+    monkeypatch.setattr(core, "relabel_classes", _no_relabel)
+    monkeypatch.setattr(core, "canonical_form", _no_relabel)
+    assert [emit_scheme_file(s) for s in schemes] == want
+
+
+# --- which texts the word decode reads -------------------------------------------
 
 
 def _no_decode(*args):
@@ -329,6 +354,101 @@ def test_emitted_two_digit_text_takes_the_line_path(monkeypatch):
     assert np.array_equal(c.entries, reference_parse_scheme_file(text).entries)
 
 
+# the headers '5 2\n' and '13 4\n': the body starts at an even offset and at
+# an odd one, so its two-byte words are aligned and not
+WORD_SCHEMES = [(5, 2), (13, 4)]
+# (slot, byte): one byte just outside the range that the layout accepts
+# in a digit slot (0-9), a separator slot (a space) or the newline slot
+WORD_EDGES = [
+    ("digit", "/"), ("digit", ":"),
+    ("sep", "\x1f"), ("sep", "!"), ("sep", "\t"), ("sep", "\n"),
+    ("eol", " "), ("eol", "\r"),
+]
+
+
+def _slots(text, n, slot):
+    """Offsets of `text`, in the emitted layout, of the slot's bytes in the
+    first, a middle and the last row: the first and last digit, the first
+    and last separator, or the newline."""
+    start = text.index("\n") + 1
+    cols = {"digit": (0, 2 * n - 2), "sep": (1, 2 * n - 3), "eol": (2 * n - 1,)}[slot]
+    return [start + 2 * n * r + c for r in (0, n // 2, n - 1) for c in cols]
+
+
+@pytest.mark.parametrize("q, m", WORD_SCHEMES)
+@pytest.mark.parametrize("slot, byte", WORD_EDGES)
+def test_word_decode_refuses_each_byte_past_a_slot(q, m, slot, byte):
+    text = emit_scheme_file(build_cyclotomic(q, m))
+    start = text.index("\n") + 1
+    for at in _slots(text, q, slot):
+        edited = text[:at] + byte + text[at + 1:]
+        assert core._strided_rows(edited, start, q) is None
+        assert_parses_alike(edited)
+
+
+@pytest.mark.parametrize("q, m", WORD_SCHEMES)
+def test_word_decode_reads_0_and_9_in_every_digit_slot(q, m, monkeypatch):
+    # '0' and '9' in a digit slot stay in the word decode, which hands them
+    # to validation: '9' is out of range, and '0' off the diagonal too
+    text = emit_scheme_file(build_cyclotomic(q, m))
+    start = text.index("\n") + 1
+    monkeypatch.setattr(core, "_decode_rows", _no_decode)
+    assert_parses_alike(text)
+    for at in _slots(text, q, "digit"):
+        for digit in "09":
+            edited = text[:at] + digit + text[at + 1:]
+            r, c = divmod(at - start, 2 * q)
+            assert core._strided_rows(edited, start, q)[r, c // 2] == int(digit)
+            assert_parses_alike(edited)
+
+
+# --- validation stops counting once every color has occurred ----------------------
+
+
+@pytest.fixture
+def blocks_of_13_rows(monkeypatch):
+    """A coloring with n = 300 and d = 2, whose validation runs over row
+    blocks of 13 rows; its first block holds every color."""
+    monkeypatch.setattr(core, "STACK_ENTRIES", 1 << 12)
+    n = 300
+    x = np.arange(n)
+    e = np.where(x[:, None] == x, 0, 1 + (x[None, :] - x[:, None]) % 2)
+    blocks = core._row_blocks(n)
+    assert len(blocks) == 24 and blocks[-1] == (299, 300)
+    assert set(e[: blocks[0][1]].ravel().tolist()) == {0, 1, 2}
+    return e, blocks
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_rule_broken_after_every_color_occurred_matches_reference(blocks_of_13_rows, eol):
+    # the word decode (LF) and the line path (CRLF) alike: the range and
+    # diagonal checks still read every row
+    e, blocks = blocks_of_13_rows
+    for r in (blocks[5][0] + 3, 299):
+        for col, value, error in (((r + 7) % 300, 3, OutOfRangeEntry), (r, 1, NonzeroDiagonal)):
+            bad = e.copy()
+            bad[r, col] = value
+            text = _one_digit_text(bad, 2, eol)
+            assert _outcome(parse_scheme_file, text) == (error, r + 2)
+            assert_parses_alike(text)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_color_count_reads_the_blocks_it_needs(blocks_of_13_rows, eol):
+    # color 3 only in the last block, which is row 299: the count reads it.
+    # With no 3 at all, the header's d = 3 names a color that never occurs
+    e, _ = blocks_of_13_rows
+    late = e.copy()
+    late[299, 5] = 3
+    text = _one_digit_text(late, 3, eol)
+    assert np.array_equal(parse_scheme_file(text).entries, late)
+    assert_parses_alike(text)
+    text = _one_digit_text(e, 3, eol)
+    with pytest.raises(MissingRelationIndex, match="relation index 3 never occurs"):
+        parse_scheme_file(text)
+    assert_parses_alike(text)
+
+
 # --- memory at n = 961 ------------------------------------------------------------
 
 
@@ -342,16 +462,18 @@ def _peak(fn, *args):
 
 
 def test_text_codec_peak_memory_at_n_961(ladder_schemes):
-    # the int()/str() codec peaked at 11.1 MB to emit this scheme
-    # emit first relabels the classes into canonical order, as here
+    # the int()/str() codec peaked at 11.1 MB to emit this scheme, and
+    # emit with a relabeled int32 copy of its coloring at 7.4 MB
     s = relabel_classes(ladder_schemes["direct-31-2-squared"], (0,) + tuple(range(8, 0, -1)))
     assert canonical_class_order(s) != tuple(range(s.d + 1))
     text = reference_emit_scheme_file(s)
     # the line path parsed this text at 16.7 MB, with an int64 matrix and
-    # its int32 copy; the strided uint8 view peaks at 4.6 MB, the uint8
-    # matrix and the int32 one, and one n x n int64 transient passes 7.4 MB
+    # its int32 copy; the word decode peaks at 4.6 MB, the uint8 matrix
+    # and the int32 one, and one n x n int64 transient passes 7.4 MB
     assert _peak(parse_scheme_file, text) < 5.5e6
-    assert _peak(emit_scheme_file, s) < 11.1e6
+    # emit through the canonical lookup peaks at 3.7 MB, the text's bytes
+    # and its str; the margin, 0.5 MB, is below one n x n uint8 array
+    assert _peak(emit_scheme_file, s) < 4.2e6
 
 
 def test_relabel_peak_memory_at_n_961(ladder_schemes):
@@ -400,7 +522,7 @@ def test_validate_entries_names_the_reference_entry():
 def test_header_size_guard_precedes_decoding(monkeypatch):
     """A header n beyond MAX_N (patched to 8 here, so the file stays small)
     or d beyond MAX_D raises TooLarge before any row is decoded, by the
-    strided decode (k9 is in the emitted layout) or the line path, and the
+    word decode (k9 is in the emitted layout) or the line path, and the
     line-by-line reference raises it too."""
     k9 = "9 1\n" + "".join(
         " ".join("0" if x == y else "1" for y in range(9)) + "\n" for x in range(9)
